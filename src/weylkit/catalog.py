@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from importlib import resources
 
 from .errors import (
@@ -28,6 +27,7 @@ from .involution import (
     fiber_trivial,
     is_adapted,
 )
+from .linalg import fr_input, fvec
 from .rootsys import Group, Subalgebra, parse_group, standard_subalgebra
 from .spherical import classify_torus_fibration, is_spherical_pair
 from .sympoly import (
@@ -39,8 +39,6 @@ from .sympoly import (
 SCHEMA_VERSION = 1
 CHECKS = ("adapted", "fibration", "involution", "mf_truncated", "spherical")
 PROVENANCES = ("trivial_dimension_count", "derived_oracle", "paper_statement")
-
-SYMBOLIC_SUBALGEBRAS = ("full", "zero", "cartan", "borel", "nilradical", "diagonal", "principal")
 
 
 @dataclass
@@ -80,9 +78,7 @@ def _expand_subalgebra(group: Group, spec) -> Subalgebra:
                 raise CatalogFormatError(
                     f"span vector has {len(row)} entries, the algebra has dimension {group.dim}"
                 )
-            from .linalg import fvec
-
-            vectors.append(fvec([Fraction(str(x)) for x in row]))
+            vectors.append(fvec([fr_input(str(x), CatalogFormatError) for x in row]))
         return Subalgebra(group, vectors, name="span")
     raise CatalogFormatError(f"subalgebra spec {spec!r} is neither a name nor a span")
 
@@ -125,6 +121,13 @@ def _validate_entry(raw: dict, position: int) -> CatalogEntry:
     if entry.subalgebra is not None:
         # unknown symbolic names surface as their own error kind
         entry.h = _expand_subalgebra(entry.group_obj, entry.subalgebra)
+    fiber = (entry.module or {}).get("fiber")
+    if isinstance(fiber, list) and fiber[:1] == ["character"]:
+        values = fiber[1] if len(fiber) == 2 else None
+        if not isinstance(values, list):
+            raise CatalogFormatError(f"entry {label}: a character fiber needs a list of values")
+        for x in values:
+            fr_input(x, CatalogFormatError)
     applicable = _checks_applicable(entry)
     for check, expectation in entry.expected.items():
         if check not in CHECKS:

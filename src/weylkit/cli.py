@@ -31,7 +31,7 @@ from .involution import (
     fiber_restriction,
     fiber_trivial,
 )
-from .linalg import fvec
+from .linalg import fr_input, fvec
 from .repthy import check_label, decompose_character
 from .rootsys import Group, Subalgebra, parse_group, standard_subalgebra
 from .spherical import DEFAULT_TRIALS, classify_torus_fibration, is_spherical_pair
@@ -89,7 +89,7 @@ def _parse_subalgebra(group: Group, text: str) -> Subalgebra:
     if text.startswith("span:"):
         vectors = []
         for chunk in text[len("span:"):].split(";"):
-            entries = [Fraction(p.strip()) for p in chunk.split(",")]
+            entries = [fr_input(p.strip(), ParseError) for p in chunk.split(",")]
             if len(entries) != group.dim:
                 raise ParseError(
                     f"span vector has {len(entries)} entries, need {group.dim}"
@@ -103,7 +103,7 @@ def _parse_fiber(group: Group, h: Subalgebra, text: str):
     if text == "trivial":
         return fiber_trivial(group, h)
     if text.startswith("character:"):
-        values = [Fraction(p.strip()) for p in text[len("character:"):].split(",")]
+        values = [fr_input(p.strip(), ParseError) for p in text[len("character:"):].split(",")]
         return fiber_character(group, h, values)
     if text.startswith("restriction:"):
         summands = parse_module_spec(group, text[len("restriction:"):])

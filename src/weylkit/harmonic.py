@@ -11,12 +11,11 @@ to 1e-8.  Accumulation uses numpy reductions over a fixed node ordering
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial, sqrt
+from math import comb, factorial, sqrt
 
 import numpy as np
 
 from .errors import BandLimitError, DegenerateInputError
-from .involution import _sym_rep_matrix
 
 ZERO_THRESHOLD = 1e-8
 TORUS_TOLERANCE = 1e-12
@@ -146,6 +145,44 @@ def project_torus(f: FunctionSample, delta) -> FunctionSample:
 # ---- SU(2) quadrature ------------------------------------------------------------
 
 
+def sym_rep_matrix(g: np.ndarray, d: int) -> np.ndarray:
+    """pi(g) on degree-d polynomials in two variables, unitarized monomial
+    basis; pi(g)f = f(g^{-1} x) with the inverse taken by adjugate."""
+    a, b = g[0, 0], g[0, 1]
+    c, e = g[1, 0], g[1, 1]
+    det = a * e - b * c
+    inv = np.array([[e, -b], [-c, a]]) / det
+    cols = []
+    for j in range(d + 1):
+        # monomial x^(d-j) y^j pulled back through inv
+        p1 = np.zeros(d + 1, dtype=complex)  # (inv00 x + inv01 y)^(d-j)
+        for t in range(d - j + 1):
+            p1[t] = comb(d - j, t) * inv[0, 0] ** (d - j - t) * inv[0, 1] ** t
+        p2 = np.zeros(d + 1, dtype=complex)
+        for t in range(j + 1):
+            p2[t] = comb(j, t) * inv[1, 0] ** (j - t) * inv[1, 1] ** t
+        col = np.convolve(p1[: d - j + 1], p2[: j + 1])
+        cols.append(col)
+    m = np.stack(cols, axis=1)
+    w = np.array([sqrt(factorial(d - i) * factorial(i)) for i in range(d + 1)])
+    return m * w[:, None] / w[None, :]
+
+
+def _euler_su2(nodes: np.ndarray) -> np.ndarray:
+    """(K, 2, 2) elements k = z(phi1) r(theta) z(phi2) for (K, 3) rows
+    (phi1, v, phi2) with v = cos(2 theta)."""
+    phi1, v, phi2 = nodes.T
+    c = np.sqrt((1.0 + v) / 2.0)
+    s = np.sqrt((1.0 - v) / 2.0)
+    e1, e2 = np.exp(1j * phi1), np.exp(1j * phi2)
+    k = np.empty((len(nodes), 2, 2), dtype=complex)
+    k[:, 0, 0] = e1 * c * e2
+    k[:, 0, 1] = -e1 * s / e2
+    k[:, 1, 0] = s * e2 / e1
+    k[:, 1, 1] = c / (e1 * e2)
+    return k
+
+
 @dataclass
 class QuadratureScheme:
     """Euler-angle product rule on SU(2), exact through the band limit.
@@ -167,16 +204,7 @@ class QuadratureScheme:
     def matrices(self) -> np.ndarray:
         """(K, 2, 2) array of the group elements at the nodes."""
         if "k" not in self._mats:
-            phi1, v, phi2 = self.nodes.T
-            c = np.sqrt((1.0 + v) / 2.0)
-            s = np.sqrt((1.0 - v) / 2.0)
-            e1, e2 = np.exp(1j * phi1), np.exp(1j * phi2)
-            k = np.empty((len(self.weights), 2, 2), dtype=complex)
-            k[:, 0, 0] = e1 * c * e2
-            k[:, 0, 1] = -e1 * s / e2
-            k[:, 1, 0] = s * e2 / e1
-            k[:, 1, 1] = c / (e1 * e2)
-            self._mats["k"] = k
+            self._mats["k"] = _euler_su2(self.nodes)
         return self._mats["k"]
 
     def character(self, delta: int) -> np.ndarray:
@@ -195,7 +223,7 @@ class QuadratureScheme:
         in the unitarized monomial basis."""
         if m not in self._mats:
             ks = self.matrices()
-            self._mats[m] = np.stack([_sym_rep_matrix(k, m) for k in ks])
+            self._mats[m] = np.stack([sym_rep_matrix(k, m) for k in ks])
         return self._mats[m]
 
     def block_operator(self, delta: int, m: int) -> np.ndarray:
@@ -381,19 +409,14 @@ def verify_projector_algebra(
                 if d2 != d:
                     orth = max(orth, np.max(np.abs(e @ blocks[(d2, m)])))
     rng = np.random.default_rng(seed)
-    comm = 0.0
+    angles = []
     for _ in range(n_rotations):
         phi1, phi2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        v = rng.uniform(-1.0, 1.0)
-        c, s = sqrt((1.0 + v) / 2.0), sqrt((1.0 - v) / 2.0)
-        k = np.array(
-            [
-                [np.exp(1j * phi1) * c * np.exp(1j * phi2), -np.exp(1j * phi1) * s * np.exp(-1j * phi2)],
-                [np.exp(-1j * phi1) * s * np.exp(1j * phi2), np.exp(-1j * phi1) * c * np.exp(-1j * phi2)],
-            ]
-        )
+        angles.append((phi1, rng.uniform(-1.0, 1.0), phi2))
+    comm = 0.0
+    for k in _euler_su2(np.array(angles).reshape(-1, 3)):
         for m in range(degree_cap + 1):
-            rho = _sym_rep_matrix(k, m)
+            rho = sym_rep_matrix(k, m)
             for d in deltas:
                 e = blocks[(d, m)]
                 comm = max(comm, np.max(np.abs(e @ rho - rho @ e)))

@@ -12,10 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, sqrt
+from math import factorial, lcm, sqrt
 
 import numpy as np
-import sympy
 
 from .errors import (
     DegenerateInputError,
@@ -24,6 +23,7 @@ from .errors import (
     NotOrthonormalError,
     NuSquareObstructionError,
 )
+from .harmonic import sym_rep_matrix
 from .linalg import column_stack, eye, fr, is_zero, nullspace, zeros
 from .repthy import build_module, check_label
 from .rootsys import Group, Subalgebra
@@ -140,21 +140,48 @@ class AdaptednessReport:
         }
 
 
+def _poly_divmod(p: list, d: list) -> tuple[list, list]:
+    """Quotient and remainder of polynomials over Fraction, coefficient
+    lists from the leading term down; d has a nonzero leading term."""
+    rem = [Fraction(c) for c in p]
+    quo = []
+    while len(rem) >= len(d):
+        c = rem[0] / d[0]
+        quo.append(c)
+        rem = [r - c * x for r, x in zip(rem[1:], d[1:] + [0] * len(rem))]
+    while rem and rem[0] == 0:
+        rem.pop(0)
+    return quo, rem
+
+
 def _is_semisimple_element(group: Group, z: np.ndarray) -> bool:
     """Exact test: the squarefree part of the characteristic polynomial of
-    ad z annihilates ad z."""
+    ad z annihilates ad z.
+
+    ad z is first scaled to an integer matrix m, which does not change
+    diagonalizability.  The characteristic polynomial p of m comes from the
+    Faddeev-LeVerrier recursion, whose tr/k steps divide exactly over the
+    integers (Cohen, A Course in Computational Algebraic Number Theory,
+    1993, section 2.2); q = p / gcd(p, p') is then cleared of denominators
+    and evaluated on m by Horner's rule.
+    """
     ad = group.ad(z)
-    m = sympy.Matrix(
-        [[sympy.Rational(ad[i, j].numerator, ad[i, j].denominator) for j in range(group.dim)] for i in range(group.dim)]
-    )
-    lam = sympy.Symbol("x")
-    p = m.charpoly(lam).as_expr()
-    q = sympy.quo(p, sympy.gcd(p, sympy.diff(p, lam)), lam)
-    coeffs = sympy.Poly(q, lam).all_coeffs()
-    acc = sympy.zeros(group.dim)
-    for c in coeffs:
-        acc = acc * m + sympy.eye(group.dim) * c
-    return acc == sympy.zeros(group.dim)
+    scale = lcm(*(x.denominator for x in ad.flat))
+    m = np.array([[int(x * scale) for x in row] for row in ad], dtype=object)
+    ident = np.eye(len(m), dtype=int).astype(object)
+    p, acc = [1], 0 * ident
+    for k in range(1, len(m) + 1):
+        acc = m @ acc + p[-1] * ident
+        p.append(-np.trace(m @ acc) // k)
+    a, b = p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
+    while b:  # Euclid: a ends as gcd(p, p')
+        a, b = b, _poly_divmod(a, b)[1]
+    q = _poly_divmod(p, a)[0]
+    den = lcm(*(c.denominator for c in q))
+    acc = 0 * ident
+    for c in q:
+        acc = acc @ m + int(c * den) * ident
+    return is_zero(acc)
 
 
 def _subspace_in_h(h: Subalgebra, coord_vectors: list[np.ndarray]) -> list[np.ndarray]:
@@ -588,37 +615,6 @@ def build_phi(functions, norm2, evaluator, name: str = "phi", tolerance: float =
     return Phi(functions, evaluator, name)
 
 
-def _sym_rep_matrix(g: np.ndarray, d: int) -> np.ndarray:
-    """pi(g) on degree-d polynomials in two variables, unitarized monomial
-    basis; pi(g)f = f(g^{-1} x) with the inverse taken by adjugate."""
-    a, b = g[0, 0], g[0, 1]
-    c, e = g[1, 0], g[1, 1]
-    det = a * e - b * c
-    inv = np.array([[e, -b], [-c, a]]) / det
-    cols = []
-    for j in range(d + 1):
-        # monomial x^(d-j) y^j pulled back through inv
-        p1 = np.zeros(d + 1, dtype=complex)  # (inv00 x + inv01 y)^(d-j)
-        for t in range(d - j + 1):
-            p1[t] = (
-                _binom(d - j, t) * inv[0, 0] ** (d - j - t) * inv[0, 1] ** t
-            )
-        p2 = np.zeros(d + 1, dtype=complex)
-        for t in range(j + 1):
-            p2[t] = _binom(j, t) * inv[1, 0] ** (j - t) * inv[1, 1] ** t
-        col = np.convolve(p1[: d - j + 1], p2[: j + 1])
-        cols.append(col)
-    m = np.stack(cols, axis=1)
-    w = np.array([sqrt(factorial(d - i) * factorial(i)) for i in range(d + 1)])
-    return m * w[:, None] / w[None, :]
-
-
-def _binom(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k)
-
-
 @dataclass
 class BundleModel:
     """A shipped analytic model of G x_H V with its Phi family."""
@@ -676,7 +672,7 @@ def bundle_cartan_weight2() -> BundleModel:
     def evaluator(key, sample):
         d, i, j, k = key
         gm, v = sample
-        return _sym_rep_matrix(gm, d)[i, j] * v**k
+        return sym_rep_matrix(gm, d)[i, j] * v**k
 
     def column_for(d: int, k: int) -> int:
         # basis vector index j has torus weight 2j - d; the fiber power k
@@ -774,7 +770,7 @@ def bundle_diagonal_trivial() -> BundleModel:
         g1, g2 = sample
         det = g2[0, 0] * g2[1, 1] - g2[0, 1] * g2[1, 0]
         inv2 = np.array([[g2[1, 1], -g2[0, 1]], [-g2[1, 0], g2[0, 0]]]) / det
-        return _sym_rep_matrix(g1 @ inv2, d)[i, j]
+        return sym_rep_matrix(g1 @ inv2, d)[i, j]
 
     def degree_family(d: int) -> Phi:
         funcs = [

@@ -27,6 +27,15 @@ def fr(x) -> Fraction:
     return Fraction(x)
 
 
+def fr_input(x, error: type[Exception]) -> Fraction:
+    """fr for a literal from outside the program: a malformed one raises
+    ``error`` with a message instead of a bare TypeError/ValueError."""
+    try:
+        return fr(x)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise error(f"not an exact rational: {x!r}") from exc
+
+
 def fmat(rows: Sequence[Sequence]) -> np.ndarray:
     a = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
     for i, row in enumerate(rows):

@@ -14,13 +14,13 @@ matrices.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionCapError, NonDominantError, ParseError
-from .linalg import F0, F1, SpanBasis, fr, is_zero, rref, zeros
+from .linalg import F0, F1, SpanBasis, eye, fr, fvec, is_zero, zeros
+from .linalg import rref  # noqa: F401  (unused here; the benchmark tracer and its tests patch repthy.rref)
 from .rootsys import Group
 
 DIM_CAP = 64
@@ -76,13 +76,7 @@ def dominant_weights(group: Group, label: Weight) -> list[Weight]:
     if r == 0:
         return [label]
     A = group.cartan_matrix
-    aug = zeros(r, r + 1)
-    aug[:, :r] = A
-    for i in range(r):
-        aug[i, r] = fr(label[i])
-    red, piv = rref(aug)
-    assert piv == list(range(r))
-    bound = [int(red[i, r]) for i in range(r)]  # floor; entries are >= 0
+    bound = [int(x) for x in group.cartan_inverse @ fvec(label[:r])]  # floor; entries are >= 0
     out = []
     for cs in itertools.product(*(range(b + 1) for b in bound)):
         fc = list(label[:r])
@@ -180,15 +174,7 @@ def _matvec_cols(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _tensor_pair_act(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    d1 = a1.shape[0]
-    d2 = a2.shape[0]
-    i1 = zeros(d1, d1)
-    i2 = zeros(d2, d2)
-    for i in range(d1):
-        i1[i, i] = F1
-    for i in range(d2):
-        i2[i, i] = F1
-    return np.kron(a1, i2) + np.kron(i1, a2)
+    return np.kron(a1, eye(a2.shape[0])) + np.kron(eye(a1.shape[0]), a2)
 
 
 def _extract_submodule(
@@ -296,10 +282,7 @@ def build_module(group: Group, label: Sequence[int]) -> Module:
         weights = [w[: group.rank] + chi for w in mod.weights]
         act = list(mod.act)
         for j in range(group.torus_dim):
-            m = zeros(mod.dim, mod.dim)
-            for k in range(mod.dim):
-                m[k, k] = fr(chi[j])
-            act[group._index[("t", j)]] = m
+            act[group._index[("t", j)]] = fr(chi[j]) * eye(mod.dim)
         mod = Module(group, lab, weights, act)
     _MODULE_CACHE[key] = mod
     return mod
@@ -410,8 +393,6 @@ def _fundamental(group: Group, i: int) -> Module:
 
 def module_character(group: Group, labels: Sequence[Sequence[int]]) -> dict[Weight, int]:
     """Weight multiset of a direct sum of irreducibles."""
-    if not labels:
-        return {}
     char: dict[Weight, int] = {}
     for lab in labels:
         for w, m in weight_multiplicities(group, lab).items():
@@ -464,7 +445,3 @@ def tensor_decompose(
         weight_multiplicities(group, l1), weight_multiplicities(group, l2)
     )
     return decompose_character(group, char)
-
-
-def dual_labels(group: Group, labels: Sequence[Sequence[int]]) -> list[Weight]:
-    return [group.dual_label(check_label(group, lab)) for lab in labels]

@@ -152,9 +152,7 @@ def _factor(letter: str) -> dict:
         while tuple(e - (p + 1) * x for e, x in zip(eta, xi)) in allroots:
             p += 1
         pairs[gamma] = (xi, eta, p)
-        scale = fr(p + 1)
-        emats[gamma] = (emats[xi] @ emats[eta] - emats[eta] @ emats[xi]) / scale
-        fmats[gamma] = -(fmats[xi] @ fmats[eta] - fmats[eta] @ fmats[xi]) / scale
+    _extraspecial_fill(pairs, emats, fmats)
 
     return {
         "rank": r,
@@ -167,6 +165,20 @@ def _factor(letter: str) -> dict:
         "e": emats,
         "f": fmats,
     }
+
+
+def _extraspecial_fill(pairs: dict, e: dict, f: dict) -> None:
+    """Set e_gamma = [e_xi, e_eta]/(p+1) and f_gamma = -[f_xi, f_eta]/(p+1)
+    for each gamma -> (xi, eta, p) in pairs, lowest height first.
+
+    e and f map positive roots to matrices and must hold the simple roots;
+    the sign convention here is the one every root vector is built with.
+    """
+    for gamma in sorted(pairs, key=lambda c: (sum(c), c)):
+        xi, eta, p = pairs[gamma]
+        scale = fr(p + 1)
+        e[gamma] = (e[xi] @ e[eta] - e[eta] @ e[xi]) / scale
+        f[gamma] = -(f[xi] @ f[eta] - f[eta] @ f[xi]) / scale
 
 
 def _unit(r: int, i: int) -> tuple[int, ...]:
@@ -212,17 +224,6 @@ class Group:
         return sorted(out, key=lambda c: (sum(c), c))
 
     @cached_property
-    def _root_home(self) -> dict[tuple[int, ...], tuple[int, tuple[int, ...]]]:
-        """Positive root -> (factor index, local coordinates)."""
-        home = {}
-        for fi, (f, o) in enumerate(zip(self.factors, self._offsets)):
-            for c in f["posroots"]:
-                full = [0] * self.rank
-                full[o : o + f["rank"]] = c
-                home[tuple(full)] = (fi, c)
-        return home
-
-    @cached_property
     def cartan_matrix(self) -> np.ndarray:
         A = zeros(self.rank, self.rank)
         for f, o in zip(self.factors, self._offsets):
@@ -250,17 +251,20 @@ class Group:
         return (1,) * self.rank + (0,) * self.torus_dim
 
     @cached_property
-    def fundamental_weights(self) -> list[np.ndarray]:
-        """omega_i in simple-root coordinates: the columns of A^{-1}."""
+    def cartan_inverse(self) -> np.ndarray:
+        """A^{-1}, exact: the one elimination every weight computation shares."""
         r = self.rank
-        if r == 0:
-            return []
         aug = zeros(r, 2 * r)
         aug[:, :r] = self.cartan_matrix
         aug[:, r:] = eye(r)
         red, piv = rref(aug)
         assert piv == list(range(r))
-        return [red[:, r + i].copy() for i in range(r)]
+        return red[:, r:]
+
+    @cached_property
+    def fundamental_weights(self) -> list[np.ndarray]:
+        """omega_i in simple-root coordinates: the columns of A^{-1}."""
+        return [self.cartan_inverse[:, i].copy() for i in range(self.rank)]
 
     # ---- Lie algebra basis ------------------------------------------------
 
@@ -390,15 +394,15 @@ class Group:
 
         basis, by the same extraspecial recursion that defined the
         non-simple root vectors; any homomorphism must satisfy it."""
-        mats = dict(partial)
-        for gamma in sorted(self.extraspecial_pairs, key=lambda c: (sum(c), c)):
-            xi, eta, p = self.extraspecial_pairs[gamma]
-            scale = fr(p + 1)
-            exi, eeta = mats[("e", xi)], mats[("e", eta)]
-            fxi, feta = mats[("f", xi)], mats[("f", eta)]
-            mats[("e", gamma)] = (exi @ eeta - eeta @ exi) / scale
-            mats[("f", gamma)] = -(fxi @ feta - feta @ fxi) / scale
-        return [mats[lab] for lab in self.basis_labels]
+        roots: dict[str, dict] = {"e": {}, "f": {}}
+        for (kind, tag), m in partial.items():
+            if kind in roots:
+                roots[kind][tag] = m
+        _extraspecial_fill(self.extraspecial_pairs, roots["e"], roots["f"])
+        return [
+            roots[kind][tag] if kind in roots else partial[(kind, tag)]
+            for kind, tag in self.basis_labels
+        ]
 
     def torus_ad(self, s: Sequence[Fraction]) -> np.ndarray:
         """Adjoint action of the torus point with coroot parameters s.
@@ -453,21 +457,7 @@ class Group:
     @cached_property
     def _wform_matrix(self) -> np.ndarray:
         # (omega_i, omega_j) = d_i (A^{-1})_{ij}; symmetric since DA is.
-        r = self.rank
-        if r == 0:
-            return zeros(0, 0)
-        A = self.cartan_matrix
-        aug = zeros(r, 2 * r)
-        aug[:, :r] = A
-        aug[:, r:] = eye(r)
-        red, piv = rref(aug)
-        assert piv == list(range(r))
-        ainv = red[:, r:]
-        m = zeros(r, r)
-        for i in range(r):
-            for j in range(r):
-                m[i, j] = self.dvec[i] * ainv[i, j]
-        return m
+        return fvec(self.dvec)[:, None] * self.cartan_inverse
 
     def wform(self, mu: Sequence[int], nu: Sequence[int]) -> Fraction:
         """Weyl-invariant inner product on weights, normalized so short roots
@@ -727,14 +717,7 @@ def standard_subalgebra(group: Group, name: str) -> Subalgebra:
     # hence h = sum c_j h_j with A^T c = 2*ones, and f = sum c_i f_i.
     if g.rank == 0:
         raise DegenerateInputError("principal needs a semisimple part")
-    At = zeros(g.rank, g.rank)
-    for i in range(g.rank):
-        for j in range(g.rank):
-            At[i, j] = g.cartan_matrix[j, i]
-    from .linalg import solve
-
-    c = solve(At, fvec([2] * g.rank))
-    assert c is not None
+    c = g.cartan_inverse.T @ fvec([2] * g.rank)
     e = zeros(g.dim)
     f = zeros(g.dim)
     h = zeros(g.dim)

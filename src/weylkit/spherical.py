@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -92,8 +91,11 @@ def is_spherical_pair(
     A dimension count can refute sphericality outright; a full-rank sample
     proves it.  When all samples fail despite a feasible dimension count
     the verdict is "not_spherical" with an explicit sampling_exhausted
-    certificate, and zero trials give "inconclusive".
+    certificate, and zero trials give "inconclusive".  A negative trial
+    count is refused: it would back a refutation with no samples at all.
     """
+    if trials < 0:
+        raise DegenerateInputError(f"trial count must be nonnegative, got {trials}")
     _require_subalgebra(h)
     borel = standard_subalgebra(group, "borel")
     base = dict(group=group.name, subalgebra_dim=h.dim, borel_dim=borel.dim)

@@ -15,7 +15,6 @@ from math import comb
 from .errors import (
     DegenerateInputError,
     DimensionCapError,
-    NonDominantError,
     NonReductiveError,
 )
 from .linalg import column_stack, nullspace, rank
@@ -23,6 +22,7 @@ from .repthy import (
     DIM_CAP,
     build_module,
     check_label,
+    convolve_characters,
     decompose_character,
     module_character,
     weyl_dim,
@@ -59,14 +59,6 @@ def dual_summands(group: Group, summands: Summands) -> Summands:
     return [(group.dual_label(lab), m) for lab, m in summands]
 
 
-def _sum_character(group: Group, summands: Summands) -> dict[Weight, int]:
-    char: dict[Weight, int] = {}
-    for lab, mult in summands:
-        for w, m in module_character(group, [lab]).items():
-            char[w] = char.get(w, 0) + mult * m
-    return char
-
-
 def _adams(char: dict[Weight, int], k: int) -> dict[Weight, int]:
     out: dict[Weight, int] = {}
     for w, m in char.items():
@@ -75,28 +67,19 @@ def _adams(char: dict[Weight, int], k: int) -> dict[Weight, int]:
     return out
 
 
-def _convolve(c1: dict[Weight, int], c2: dict[Weight, int]) -> dict[Weight, int]:
-    out: dict[Weight, int] = {}
-    for w1, m1 in c1.items():
-        for w2, m2 in c2.items():
-            w = tuple(a + b for a, b in zip(w1, w2))
-            out[w] = out.get(w, 0) + m1 * m2
-    return out
-
-
 def sym_power_characters(group: Group, summands: Summands, d: int) -> list[dict[Weight, int]]:
     """Characters of S^0(V) .. S^d(V) by the Newton/Adams recursion."""
     summands = check_summands(group, summands)
     if d < 0:
         raise DegenerateInputError("degree must be nonnegative")
-    chi = _sum_character(group, summands)
+    chi = module_character(group, [lab for lab, mult in summands for _ in range(mult)])
     powers = [_adams(chi, k) for k in range(d + 1)]  # powers[0] unused
     zero = (0,) * group.weight_len
     hs: list[dict[Weight, int]] = [{zero: 1}]
     for n in range(1, d + 1):
         acc: dict[Weight, int] = {}
         for k in range(1, n + 1):
-            for w, m in _convolve(powers[k], hs[n - k]).items():
+            for w, m in convolve_characters(powers[k], hs[n - k]).items():
                 acc[w] = acc.get(w, 0) + m
         h: dict[Weight, int] = {}
         for w, m in acc.items():

@@ -85,6 +85,13 @@ class TestSpherical:
         assert code == 0
         assert "seed: 7" in out
 
+    def test_negative_trials_refused(self, capsys):
+        code, out, _ = _run(
+            capsys, "spherical", "--group", "A1", "--subalgebra", "full", "--trials", "-1"
+        )
+        assert code == 1
+        assert "error degenerate_input:" in out
+
     def test_zero_trials_inconclusive(self, capsys):
         code, out, _ = _run(
             capsys, "spherical", "--group", "A1", "--subalgebra", "full", "--trials", "0"
@@ -297,6 +304,38 @@ class TestCatalog:
         assert code == 1
         assert "error catalog_format:" in out
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"subalgebra": {"span": ["1/0", "0", "0"]}},
+            {
+                "subalgebra": "cartan",
+                "module": {"fiber": ["character", [0.5]]},
+                "expected": {
+                    "involution": {
+                        "verdict": "verified",
+                        "provenance": "derived_oracle",
+                        "note": "a float is not an exact character value",
+                    }
+                },
+            },
+        ],
+    )
+    def test_malformed_catalog_literal_reports_code(self, capsys, tmp_path, overrides):
+        entry = {
+            "id": "probe",
+            "group": "A1",
+            "expected": {
+                "spherical": {"verdict": "spherical", "provenance": "derived_oracle", "note": "probe"}
+            },
+        }
+        entry.update(overrides)
+        path = tmp_path / "literal.json"
+        path.write_text(json.dumps({"schema_version": 1, "entries": [entry]}))
+        code, out, _ = _run(capsys, "catalog", "run", "--catalog", str(path))
+        assert code == 1
+        assert "error catalog_format:" in out
+
     def test_unknown_check_is_usage_error(self, capsys):
         code, _, err = _run(capsys, "catalog", "run", "--checks", "bogus")
         assert code == 2
@@ -345,6 +384,20 @@ class TestUsageErrors:
     def test_bad_span_width(self, capsys):
         code, _, err = _run(
             capsys, "fibration", "--group", "A1", "--subalgebra", "span:1,0"
+        )
+        assert code == 2
+        assert "parse_error" in err
+
+    @pytest.mark.parametrize("span", ["span:1/0,0,0", "span:a,0,0"])
+    def test_malformed_span_literal(self, capsys, span):
+        code, _, err = _run(capsys, "spherical", "--group", "A1", "--subalgebra", span)
+        assert code == 2
+        assert "parse_error" in err
+
+    def test_malformed_character_literal(self, capsys):
+        code, _, err = _run(
+            capsys, "involution", "--group", "A1", "--subalgebra", "cartan",
+            "--fiber", "character:x",
         )
         assert code == 2
         assert "parse_error" in err

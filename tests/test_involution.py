@@ -1,8 +1,15 @@
 """Involutions, adaptedness, intertwiner solves, and orbit preservation."""
 
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import weylkit
 from weylkit.errors import (
     DegenerateInputError,
     NoIntertwinerError,
@@ -20,6 +27,7 @@ from weylkit.involution import (
     build_phi,
     build_sigma,
     build_weyl_involution,
+    _is_semisimple_element,
     fiber_character,
     fiber_restriction,
     fiber_trivial,
@@ -170,6 +178,72 @@ class TestAdaptedness:
         assert rep.theta_stable
         assert not rep.restriction_is_weyl
         assert not rep.verdict
+
+
+def _element(group, terms):
+    z = zeros(group.dim)
+    for kind, which, c in terms:
+        z = z + fr(c) * group.gen_vector(kind, which)
+    return z
+
+
+def _sympy_is_semisimple(group, z) -> bool:
+    """The sympy algorithm the exact test replaced, kept as an oracle."""
+    sympy = pytest.importorskip("sympy")
+    ad = group.ad(z)
+    m = sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in ad]
+    )
+    lam = sympy.Symbol("x")
+    p = m.charpoly(lam).as_expr()
+    q = sympy.quo(p, sympy.gcd(p, sympy.diff(p, lam)), lam)
+    acc = sympy.zeros(group.dim)
+    for c in sympy.Poly(q, lam).all_coeffs():
+        acc = acc * m + sympy.eye(group.dim) * c
+    return acc == sympy.zeros(group.dim)
+
+
+class TestSemisimpleElement:
+    @pytest.mark.parametrize(
+        "name,terms,expected",
+        [
+            ("A1", [], True),
+            ("A1", [("h", 0, 1)], True),
+            ("A1", [("e", (1,), 1), ("f", (1,), 1)], True),
+            ("A1", [("h", 0, 1), ("e", (1,), 1)], True),
+            ("A1", [("e", (1,), 1)], False),
+            ("A2", [("e", (1, 0), 1), ("e", (0, 1), 1)], False),
+            ("A1xA1", [("h", 0, 1), ("e", (0, 1), 1)], False),
+        ],
+    )
+    def test_hand_cases(self, name, terms, expected):
+        g = parse_group(name)
+        assert _is_semisimple_element(g, _element(g, terms)) is expected
+
+    def test_matches_sympy_on_random_rational_elements(self):
+        pytest.importorskip("sympy")
+        rng = random.Random(20)
+        verdicts = []
+        for name in ("A1", "A2", "B2", "G2", "A1xA1", "A1+T1", "A2+T1"):
+            g = parse_group(name)
+            for _ in range(30):
+                # sparse supports make nilpotent and mixed elements common
+                z = zeros(g.dim)
+                for i in rng.sample(range(g.dim), rng.randint(1, g.dim)):
+                    z[i] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                ours = _is_semisimple_element(g, z)
+                assert ours == _sympy_is_semisimple(g, z), (name, list(z))
+                verdicts.append(ours)
+        assert len(verdicts) == 210
+        assert 20 <= sum(verdicts) <= 190  # both verdicts well represented
+
+    def test_cli_import_does_not_load_sympy(self):
+        src = str(Path(weylkit.__file__).resolve().parents[1])
+        code = f"import sys; sys.path.insert(0, {src!r}); import weylkit.cli; print('sympy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "False"
 
 
 class TestAntilinearMaps:
