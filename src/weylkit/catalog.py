@@ -87,6 +87,31 @@ def _parse_summands(raw) -> list:
     return [(tuple(lab), int(mult)) for lab, mult in raw]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _validate_module(module, label: str) -> None:
+    """Shape of the module fields that reach the computation as numbers:
+    summand and ambient lists of [label, count] pairs with integer labels
+    and positive counts, and a positive integer degree bound."""
+    if not isinstance(module, dict):
+        raise CatalogFormatError(f"entry {label}: module must be an object")
+    for key in ("summands", "ambient"):
+        pairs = module.get(key, [])
+        if not isinstance(pairs, list):
+            raise CatalogFormatError(f"entry {label}: {key} must be a list of [label, count] pairs")
+        for pair in pairs:
+            ok = isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], list)
+            if not (ok and all(_is_int(x) for x in pair[0]) and _is_int(pair[1]) and pair[1] > 0):
+                raise CatalogFormatError(
+                    f"entry {label}: {key} entry {pair!r} is not [integer label, positive count]"
+                )
+    bound = module.get("degree_bound", DEFAULT_DEGREE_BOUND)
+    if not (_is_int(bound) and bound > 0):
+        raise CatalogFormatError(f"entry {label}: degree_bound {bound!r} is not a positive integer")
+
+
 def _checks_applicable(entry: CatalogEntry) -> set:
     module = entry.module or {}
     out = set()
@@ -121,6 +146,8 @@ def _validate_entry(raw: dict, position: int) -> CatalogEntry:
     if entry.subalgebra is not None:
         # unknown symbolic names surface as their own error kind
         entry.h = _expand_subalgebra(entry.group_obj, entry.subalgebra)
+    if entry.module is not None:
+        _validate_module(entry.module, label)
     fiber = (entry.module or {}).get("fiber")
     if isinstance(fiber, list) and fiber[:1] == ["character"]:
         values = fiber[1] if len(fiber) == 2 else None

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .catalog import CHECKS, default_catalog_path, load_catalog, run_catalog
-from .errors import ParseError, ToolkitError
+from .errors import DegenerateInputError, ParseError, ToolkitError
 from .harmonic import (
     finite_series_check,
     su2_quadrature,
@@ -33,7 +33,7 @@ from .involution import (
 )
 from .linalg import fr_input, fvec
 from .repthy import check_label, decompose_character
-from .rootsys import Group, Subalgebra, parse_group, standard_subalgebra
+from .rootsys import MAX_RANK, Group, Subalgebra, parse_group, standard_subalgebra
 from .spherical import DEFAULT_TRIALS, classify_torus_fibration, is_spherical_pair
 from .sympoly import (
     DEFAULT_DEGREE_BOUND,
@@ -291,9 +291,22 @@ def _random_torus_sample(rng, rank: int, degree: int):
     return torus_sample(coeffs, rank)
 
 
+# The SU(2) check builds su2_quadrature(2 * degree), whose node count grows
+# like degree^3, and the torus check's work grows like degree^rank; at
+# degree 10 either takes seconds, so larger degrees are refused before
+# anything is allocated.
+MAX_ISOTYPIC_DEGREE = 10
+
+
 def cmd_isotypic(args) -> int:
     rng = np.random.default_rng(args.seed)
     try:
+        if not 0 <= args.degree <= MAX_ISOTYPIC_DEGREE:
+            raise DegenerateInputError(
+                f"isotypic degree must lie in 0..{MAX_ISOTYPIC_DEGREE}, got {args.degree}"
+            )
+        if args.domain == "torus" and not 1 <= args.rank <= MAX_RANK:
+            raise DegenerateInputError(f"torus rank must lie in 1..{MAX_RANK}, got {args.rank}")
         if args.domain == "su2":
             q = su2_quadrature(2 * args.degree)
             report = verify_projector_algebra(q, args.degree, seed=args.seed)

@@ -71,6 +71,8 @@ def torus_sample(coeffs: dict, n: int | None = None) -> FunctionSample:
         if not keys:
             raise DegenerateInputError("torus rank cannot be inferred from a zero sample")
         n = len(keys[0])
+    if n < 1:
+        raise DegenerateInputError(f"torus rank must be at least 1, got {n}")
     for k in keys:
         if len(k) != n or not all(isinstance(e, int) for e in k):
             raise DegenerateInputError(f"exponent {k} does not fit torus rank {n}")

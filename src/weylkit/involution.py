@@ -24,7 +24,7 @@ from .errors import (
     NuSquareObstructionError,
 )
 from .harmonic import sym_rep_matrix
-from .linalg import column_stack, eye, fr, is_zero, nullspace, zeros
+from .linalg import column_stack, combine, eye, fmat, fr, is_zero, nullspace, zeros
 from .repthy import build_module, check_label
 from .rootsys import Group, Subalgebra
 from .sympoly import check_reductive
@@ -185,13 +185,7 @@ def _is_semisimple_element(group: Group, z: np.ndarray) -> bool:
 
 
 def _subspace_in_h(h: Subalgebra, coord_vectors: list[np.ndarray]) -> list[np.ndarray]:
-    out = []
-    for c in coord_vectors:
-        v = zeros(h.group.dim)
-        for ci, bi in zip(c, h.basis):
-            v = v + ci * bi
-        out.append(v)
-    return out
+    return [combine(c, h.basis, (h.group.dim,)) for c in coord_vectors]
 
 
 def _centralizer_in_h(group: Group, h: Subalgebra, z: np.ndarray) -> list[np.ndarray]:
@@ -248,9 +242,7 @@ def is_adapted(group: Group, h: Subalgebra, theta: InvolutionSpec) -> Adaptednes
     if not anti:
         return AdaptednessReport(True, False, False, None)
     for coeffs in _small_tuples(len(anti)):
-        z = zeros(group.dim)
-        for c, v in zip(coeffs, anti):
-            z = z + fr(c) * v
+        z = combine([fr(c) for c in coeffs], anti, (group.dim,))
         if not _is_semisimple_element(group, z):
             continue
         cent = _centralizer_in_h(group, h, z)
@@ -327,11 +319,7 @@ class HModule:
                 assert is_zero(lhs - rhs), "fiber matrices do not represent h"
 
     def action_coords(self, coords: np.ndarray) -> np.ndarray:
-        out = zeros(self.dim, self.dim)
-        for c, m in zip(coords, self.mats):
-            if c != 0:
-                out = out + c * m
-        return out
+        return combine(coords, self.mats, (self.dim, self.dim))
 
     def action_of(self, vec: np.ndarray) -> np.ndarray:
         c = self.h.coords(vec)
@@ -350,12 +338,7 @@ def fiber_character(group: Group, h: Subalgebra, values) -> HModule:
     vals = [fr(v) for v in values]
     if len(vals) != h.dim:
         raise DegenerateInputError("need one character value per basis vector")
-    mats = []
-    for v in vals:
-        m = zeros(1, 1)
-        m[0, 0] = v
-        mats.append(m)
-    return HModule(group, h, mats, ("character", tuple(values)))
+    return HModule(group, h, [fmat([[v]]) for v in vals], ("character", tuple(values)))
 
 
 def fiber_restriction(group: Group, h: Subalgebra, label) -> HModule:
@@ -382,32 +365,21 @@ def _nu_kernel(module: HModule, theta: InvolutionSpec) -> list[np.ndarray]:
     # kernel (no intertwiner), not as a malformed-sigma error.
     sigma_matrix = build_cartan_conjugation(g).matrix @ theta.matrix
     n = module.dim
-    rows = []
+    if not h.basis:
+        # no constraints: the kernel is the full matrix space
+        return [u.reshape(n, n).copy() for u in eye(n * n)]
+    blocks = []
     for x in h.basis:
         rho = module.action_of(x)
-        y = sigma_matrix @ x
-        c = h.coords(y)
+        c = h.coords(sigma_matrix @ x)
         if c is None:
             raise DegenerateInputError("sigma does not stabilize the subalgebra")
         rho_s = module.action_coords(c)
-        # (A rho - rho_s A) = 0, unknowns A_{ab} in row-major order
-        for a in range(n):
-            for b in range(n):
-                row = zeros(n * n)
-                for cidx in range(n):
-                    row[a * n + cidx] = row[a * n + cidx] + rho[cidx, b]
-                    row[cidx * n + b] = row[cidx * n + b] - rho_s[a, cidx]
-                rows.append(row)
-    if not rows:
-        # no constraints: the kernel is the full matrix space
-        units = []
-        for a in range(n):
-            for b in range(n):
-                m = zeros(n, n)
-                m[a, b] = fr(1)
-                units.append(m)
-        return units
-    sols = nullspace(column_stack(rows).T)
+        # (A rho - rho_s A) = 0 with unknowns A_{ab} in row-major order, the
+        # row for entry (a, b) at position a*n + b: vec(A rho) = (1 (x) rho^T)
+        # vec(A) and vec(rho_s A) = (rho_s (x) 1) vec(A)
+        blocks.append(np.kron(eye(n), rho.T) - np.kron(rho_s, eye(n)))
+    sols = nullspace(np.vstack(blocks))
     return [v.reshape(n, n).copy() for v in sols]
 
 

@@ -5,6 +5,15 @@ supplies shape bookkeeping and matmul dispatch while all arithmetic stays
 exact.  Everything downstream (bracket tables, module construction, rank
 certificates) runs through the small kernel here, so these routines favor
 clarity over asymptotic cleverness; at rank <= 3 the matrices are tiny.
+
+Two helpers are the kernel's vocabulary for the loops the rest of the
+package would otherwise write by hand (de Graaf, *Lie Algebras: Theory and
+Algorithms*, 2000, ch. 1): ``combine`` forms a linear combination of
+vectors or matrices (an action, an ad matrix, a bracket, a sparse matvec),
+and ``eliminate`` reduces a vector by echelon rows, returning the
+remainder and the multiple of each row taken (membership, coordinates,
+quotients).  Because the arithmetic is exact, any algebraically equal
+rewrite through them gives bit-for-bit the same numbers.
 """
 
 from __future__ import annotations
@@ -141,82 +150,84 @@ def column_stack(vecs: Sequence[np.ndarray]) -> np.ndarray:
     return a
 
 
+def combine(coeffs: Iterable, terms: Iterable[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """sum c * t over the nonzero c; starts from zeros(shape), so entries
+    stay Fraction even when every coefficient is zero."""
+    out = zeros(*shape)
+    for c, t in zip(coeffs, terms):
+        if c != 0:
+            out = out + c * t
+    return out
+
+
+def eliminate(
+    v: np.ndarray, rows: Sequence[np.ndarray], pivots: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce v by echelon rows, in order: rows[i] has a 1 at pivots[i] and
+    zeros at the pivots of the rows before it.
+
+    Returns (remainder, multiple of each row taken); the remainder is zero
+    at every pivot, and v = remainder + sum multiple[i] * rows[i].
+    """
+    rem = v.copy()
+    mult = zeros(len(rows))
+    for i, (row, p) in enumerate(zip(rows, pivots)):
+        if rem[p] != 0:
+            mult[i] = rem[p]
+            rem = rem - rem[p] * row
+    return rem, mult
+
+
 class SpanBasis:
     """Incremental echelonized span with expansion bookkeeping.
 
-    ``add`` keeps, for every retained vector, its expression in terms of the
-    raw vectors fed in so far; ``express`` then rewrites any member of the
-    span in those raw coordinates.  Used by the module builder to name basis
-    vectors by the lowering words that produced them.
+    ``add`` keeps, for every retained row, its expression in terms of the
+    vectors that enlarged the span (the retained vectors, in the order they
+    were added); ``express`` then rewrites any member of the span in those
+    coordinates.  Used by the module builder to name basis vectors by the
+    lowering words that produced them.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self.rows: list[np.ndarray] = []          # echelonized copies
-        self.combos: list[np.ndarray] = []        # rows[i] = sum combos[i][k] * raw[k]
+        self.combos: list[np.ndarray] = []        # rows[i] = sum combos[i][k] * retained[k]
         self.pivots: list[int] = []
-        self.n_raw = 0
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, v: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v = v.copy()
-        c = c.copy()
-        for i, p in enumerate(self.pivots):
-            if v[p] != 0:
-                coef = v[p]
-                v = v - coef * self.rows[i]
-                c = c - coef * self._combo_padded(i, len(c))
-        return v, c
-
-    def _combo_padded(self, i: int, width: int) -> np.ndarray:
-        c = self.combos[i]
-        if len(c) == width:
-            return c
-        out = zeros(width)
-        out[: len(c)] = c
-        return out
-
     def add(self, v: np.ndarray) -> bool:
         """Returns True iff v enlarged the span."""
-        self.n_raw += 1
-        c = zeros(self.n_raw)
-        c[self.n_raw - 1] = F1
-        v2, c2 = self._reduce(v, c)
+        v2, mult = eliminate(v, self.rows, self.pivots)
         piv = next((j for j in range(self.dim) if v2[j] != 0), None)
         if piv is None:
             return False
+        k = len(self.rows)
+        # v2 = v - sum mult[i] * rows[i], and v is retained vector k
+        c2 = np.append(-combine(mult, self.combos, (k,)), F1)
         scale = v2[piv]
         v2 = v2 / scale
         c2 = c2 / scale
         # back-substitute to keep rows fully reduced
-        for i in range(len(self.rows)):
+        for i in range(k):
+            self.combos[i] = np.append(self.combos[i], F0)
             if self.rows[i][piv] != 0:
                 coef = self.rows[i][piv]
                 self.rows[i] = self.rows[i] - coef * v2
-                self.combos[i] = self._combo_padded(i, self.n_raw) - coef * c2
+                self.combos[i] = self.combos[i] - coef * c2
         self.rows.append(v2)
         self.combos.append(c2)
         self.pivots.append(piv)
         return True
 
     def contains(self, v: np.ndarray) -> bool:
-        v2 = v.copy()
-        for i, p in enumerate(self.pivots):
-            if v2[p] != 0:
-                v2 = v2 - v2[p] * self.rows[i]
-        return is_zero(v2)
+        return is_zero(eliminate(v, self.rows, self.pivots)[0])
 
     def express(self, v: np.ndarray) -> np.ndarray | None:
-        """Coordinates of v over the raw vectors, or None if v not in span."""
-        v2 = v.copy()
-        out = zeros(self.n_raw)
-        for i, p in enumerate(self.pivots):
-            if v2[p] != 0:
-                coef = v2[p]
-                v2 = v2 - coef * self.rows[i]
-                out = out + coef * self._combo_padded(i, self.n_raw)
-        if not is_zero(v2):
+        """Coordinates of v over the retained vectors, or None if v is not
+        in the span."""
+        rem, mult = eliminate(v, self.rows, self.pivots)
+        if not is_zero(rem):
             return None
-        return out
+        return combine(mult, self.combos, (len(self.rows),))

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionCapError, NonDominantError, ParseError
-from .linalg import F0, F1, SpanBasis, eye, fr, fvec, is_zero, zeros
+from .linalg import F0, F1, SpanBasis, combine, eye, fr, fvec, is_zero, zeros
 from .linalg import rref  # noqa: F401  (unused here; the benchmark tracer and its tests patch repthy.rref)
 from .rootsys import Group
 
@@ -154,23 +154,10 @@ class Module:
         self.dim = len(weights)
 
     def action(self, x: np.ndarray) -> np.ndarray:
-        out = zeros(self.dim, self.dim)
-        for i in range(self.group.dim):
-            if x[i] != 0:
-                out = out + x[i] * self.act[i]
-        return out
+        return combine(x, self.act, (self.dim, self.dim))
 
     def __repr__(self) -> str:
         return f"Module({self.group.name}, {self.label}, dim={self.dim})"
-
-
-def _matvec_cols(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # column-sparse matvec; module vectors are supported on few coordinates
-    out = zeros(m.shape[0])
-    for j in range(len(v)):
-        if v[j] != 0:
-            out = out + v[j] * m[:, j]
-    return out
 
 
 def _tensor_pair_act(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
@@ -186,14 +173,15 @@ def _extract_submodule(
 ) -> Module:
     """Cyclic span of v0 under the lowering operators, with the action of
 
-    every generator rewritten in the new basis."""
+    every generator rewritten in the new basis.  Products m @ v are taken
+    as combine(v, m.T): a column-sparse matvec, since module vectors are
+    supported on few coordinates."""
     adim = len(amb_weights)
     span = SpanBasis(adim)
     ok = span.add(v0)
     assert ok
     basis = [v0]
     bweights = [label]
-    raw_to_basis = {0: 0}
     queue = [0]
     fs = [amb_act[("f", group.simple_root(i))] for i in range(group.rank)]
     alphas = [group.root_fc(group.simple_root(i)) for i in range(group.rank)]
@@ -201,11 +189,10 @@ def _extract_submodule(
         b = queue.pop(0)
         v = basis[b]
         for i in range(group.rank):
-            w = _matvec_cols(fs[i], v)
+            w = combine(v, fs[i].T, (adim,))
             if is_zero(w):
                 continue
             if span.add(w):
-                raw_to_basis[span.n_raw - 1] = len(basis)
                 basis.append(w)
                 bweights.append(_sub(bweights[b], alphas[i]))
                 queue.append(len(basis) - 1)
@@ -226,12 +213,9 @@ def _extract_submodule(
     for lab in gens:
         mat = zeros(n, n)
         for k in range(n):
-            img = _matvec_cols(amb_act[lab], basis[k])
-            coords = span.express(img)
+            coords = span.express(combine(basis[k], amb_act[lab].T, (adim,)))
             assert coords is not None, "action left the generated submodule"
-            for raw, pos in raw_to_basis.items():
-                if raw < len(coords) and coords[raw] != 0:
-                    mat[pos, k] = coords[raw]
+            mat[:, k] = coords
         partial[lab] = mat
     act = group.complete_action(partial)
     mod = Module(group, label, bweights, act)
@@ -383,8 +367,7 @@ def _fundamental(group: Group, i: int) -> Module:
     ker = nullspace(fmat(rows)) if rows else [None]
     assert len(ker) == 1, "highest weight vector is not unique"
     v0 = zeros(len(amb_weights))
-    for p, c in zip(positions, ker[0]):
-        v0[p] = c
+    v0[positions] = ker[0]
     return _extract_submodule(group, amb_act, amb_weights, v0, target)
 
 

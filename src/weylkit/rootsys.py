@@ -28,7 +28,8 @@ from .errors import (
     UnknownNameError,
     UnsupportedTypeError,
 )
-from .linalg import F0, F1, SpanBasis, fmat, fr, fvec, eye, is_zero, rref, zeros
+from .linalg import F0, F1, SpanBasis, column_stack, combine, eliminate, eye, fmat, fr, fvec
+from .linalg import is_zero, rref, zeros
 
 # Cartan matrices use the convention A[i][j] = <alpha_j, alpha_i^vee>, so
 # column j holds the fundamental-weight coordinates of alpha_j.  d[i] is the
@@ -71,6 +72,7 @@ _SEED_DATA = {
 }
 
 _FACTOR_NAMES = ("A1", "A2", "B2", "G2")
+MAX_RANK = 3  # simple ranks plus torus dimension
 
 
 def _sparse_matrix(n: int, entries: Sequence[tuple[int, int, int]]) -> np.ndarray:
@@ -299,10 +301,7 @@ class Group:
     @cached_property
     def bracket_table(self) -> list[list[np.ndarray]]:
         dim = self.dim
-        table = [[None] * dim for _ in range(dim)]
-        for i in range(dim):
-            for j in range(dim):
-                table[i][j] = zeros(dim)
+        table = [[zeros(dim) for _ in range(dim)] for _ in range(dim)]
 
         for fi, (f, o) in enumerate(zip(self.factors, self._offsets)):
             r, n = f["rank"], f["n"]
@@ -324,40 +323,25 @@ class Group:
                     coords = span.express(br.reshape(-1))
                     assert coords is not None, "bracket left the algebra span"
                     v = zeros(dim)
-                    for k, (ik, _) in enumerate(local):
-                        v[ik] = coords[k]
+                    v[[ik for ik, _ in local]] = coords
                     table[ia][ib] = v
                     table[ib][ia] = -v
         return table
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # [x, y] = sum_i x_i sum_j y_j [b_i, b_j]; inner sums only where x_i != 0
         table = self.bracket_table
-        out = zeros(self.dim)
-        for i in range(self.dim):
-            if x[i] == 0:
-                continue
-            for j in range(self.dim):
-                if y[j] == 0:
-                    continue
-                out = out + x[i] * y[j] * table[i][j]
-        return out
+        nz = [i for i in range(self.dim) if x[i] != 0]
+        inner = [combine(y, table[i], (self.dim,)) for i in nz]
+        return combine([x[i] for i in nz], inner, (self.dim,))
 
     @cached_property
     def ad_basis(self) -> list[np.ndarray]:
-        mats = []
-        for i in range(self.dim):
-            m = zeros(self.dim, self.dim)
-            for j in range(self.dim):
-                m[:, j] = self.bracket_table[i][j]
-            mats.append(m)
-        return mats
+        # column j of ad(b_i) is [b_i, b_j]
+        return [column_stack(row) for row in self.bracket_table]
 
     def ad(self, x: np.ndarray) -> np.ndarray:
-        m = zeros(self.dim, self.dim)
-        for i in range(self.dim):
-            if x[i] != 0:
-                m = m + x[i] * self.ad_basis[i]
-        return m
+        return combine(x, self.ad_basis, (self.dim, self.dim))
 
     def exp_ad(self, x: np.ndarray) -> np.ndarray:
         """exp(ad x) for ad-nilpotent x, summed exactly."""
@@ -432,10 +416,7 @@ class Group:
         k = zeros(self.dim, self.dim)
         for i in range(self.dim):
             for j in range(i, self.dim):
-                tr = F0
-                prod = self.ad_basis[i] @ self.ad_basis[j]
-                for a in range(self.dim):
-                    tr += prod[a, a]
+                tr = np.trace(self.ad_basis[i] @ self.ad_basis[j])
                 k[i, j] = tr
                 k[j, i] = tr
         return k
@@ -608,8 +589,8 @@ def parse_group(name: str) -> Group:
     rank = sum(_factor(s)["rank"] for s in letters)
     if rank + torus == 0:
         raise ParseError("group has rank zero")
-    if rank + torus > 3:
-        raise UnsupportedTypeError(f"total rank {rank + torus} exceeds 3")
+    if rank + torus > MAX_RANK:
+        raise UnsupportedTypeError(f"total rank {rank + torus} exceeds {MAX_RANK}")
     canonical = "x".join(letters)
     if torus:
         canonical = f"{canonical}+T{torus}" if canonical else f"T{torus}"
@@ -643,16 +624,13 @@ class Subalgebra:
     def contains(self, v: np.ndarray) -> bool:
         return self._span.contains(v)
 
+    def reduce(self, v: np.ndarray) -> np.ndarray:
+        """v modulo this subspace: the representative vanishing at every pivot."""
+        return eliminate(v, self._span.rows, self._span.pivots)[0]
+
     def coords(self, v: np.ndarray) -> np.ndarray | None:
         """Coordinates of v over self.basis, or None if v lies outside."""
-        rows = self.basis
-        rem = v.copy()
-        out = zeros(len(rows))
-        for i, row in enumerate(rows):
-            p = self._span.pivots[i]
-            if rem[p] != 0:
-                out[i] = rem[p]
-                rem = rem - rem[p] * row
+        rem, out = eliminate(v, self.basis, self._span.pivots)
         return out if is_zero(rem) else None
 
     def is_closed(self) -> bool:
@@ -718,12 +696,8 @@ def standard_subalgebra(group: Group, name: str) -> Subalgebra:
     if g.rank == 0:
         raise DegenerateInputError("principal needs a semisimple part")
     c = g.cartan_inverse.T @ fvec([2] * g.rank)
-    e = zeros(g.dim)
-    f = zeros(g.dim)
-    h = zeros(g.dim)
-    for i in range(g.rank):
-        root = g.simple_root(i)
-        e = e + g.gen_vector("e", root)
-        f = f + c[i] * g.gen_vector("f", root)
-        h = h + c[i] * g.gen_vector("h", i)
+    simple = [g.simple_root(i) for i in range(g.rank)]
+    e = combine([F1] * g.rank, [g.gen_vector("e", root) for root in simple], (g.dim,))
+    f = combine(c, [g.gen_vector("f", root) for root in simple], (g.dim,))
+    h = combine(c, [g.gen_vector("h", i) for i in range(g.rank)], (g.dim,))
     return Subalgebra(g, [e, h, f], "principal")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, NotSubalgebraError
-from .linalg import column_stack, fr, rank, zeros
+from .linalg import column_stack, combine, fr, nullspace, rank
 from .rootsys import Group, Subalgebra, standard_subalgebra
 
 DEFAULT_TRIALS = 32
@@ -62,11 +62,11 @@ def _adjoint_of_sample(group: Group, params: dict) -> np.ndarray:
 
     words fill a dense subset, so generic rank is reached with probability
     one over growing integer boxes."""
-    xe = zeros(group.dim)
-    xf = zeros(group.dim)
-    for c, te, tf in zip(group.posroots, params["e"], params["f"]):
-        xe = xe + fr(te) * group.gen_vector("e", c)
-        xf = xf + fr(tf) * group.gen_vector("f", c)
+    shape = (group.dim,)
+    es = [group.gen_vector("e", c) for c in group.posroots]
+    fs = [group.gen_vector("f", c) for c in group.posroots]
+    xe = combine([fr(t) for t in params["e"]], es, shape)
+    xf = combine([fr(t) for t in params["f"]], fs, shape)
     m = group.exp_ad(xe) @ group.torus_ad([fr(x) for x in params["s"]])
     return m @ group.exp_ad(xf)
 
@@ -146,25 +146,14 @@ def normalizer(group: Group, h: Subalgebra) -> Subalgebra:
     basis vector b of h, ad(b)x reduced modulo h must vanish."""
     if h.dim == 0:
         return standard_subalgebra(group, "full")
-    from .linalg import fmat, nullspace
-
     cond_rows = []
     for b in h.basis:
-        adb = group.ad(b)
-        reduced_cols = []
-        for i in range(group.dim):
-            col = adb[:, i].copy()
-            for j, p in enumerate(h._span.pivots):
-                if col[p] != 0:
-                    col = col - col[p] * h._span.rows[j]
-            reduced_cols.append(col)
-        for out_coord in range(group.dim):
-            row = [reduced_cols[i][out_coord] for i in range(group.dim)]
-            if any(x != 0 for x in row):
-                cond_rows.append(row)
+        reduced = column_stack([h.reduce(col) for col in group.ad(b).T])
+        # all-zero rows constrain nothing; keeping them would only grow the rref
+        cond_rows += [row for row in reduced if any(x != 0 for x in row)]
     if not cond_rows:
         return standard_subalgebra(group, "full")
-    basis = nullspace(fmat(cond_rows))
+    basis = nullspace(np.vstack(cond_rows))
     return Subalgebra(group, basis, name=f"normalizer({h.name or 'span'})")
 
 

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
+from typing import Callable
+
+import numpy as np
 
 from .errors import (
     DegenerateInputError,
@@ -132,23 +135,36 @@ class MFVerdict:
         }
 
 
+def _mf_verdict(
+    table: dict[int, dict[Weight, int]],
+    bound: int,
+    totals: dict[Weight, int],
+    witness_degree: Callable[[Weight], int],
+) -> MFVerdict:
+    """Verdict from aggregate multiplicities: the worst offender (largest
+    total, ties toward the larger label) is the witness, at the degree the
+    caller's rule picks for it."""
+    bad = {lab: t for lab, t in totals.items() if t >= 2}
+    if not bad:
+        return MFVerdict("multiplicity_free_up_to_D", bound, None, table)
+    label = max(bad, key=lambda lab: (bad[lab], lab))
+    witness = {"degree": witness_degree(label), "label": label, "multiplicity": totals[label]}
+    return MFVerdict("fails", bound, witness, table)
+
+
 def _verdict_from_table(table: dict[int, dict[Weight, int]], bound: int) -> MFVerdict:
     totals: dict[Weight, int] = {}
     for dec in table.values():
         for lab, m in dec.items():
             totals[lab] = totals.get(lab, 0) + m
-    bad = {lab: t for lab, t in totals.items() if t >= 2}
-    if not bad:
-        return MFVerdict("multiplicity_free_up_to_D", bound, None, table)
-    # The worst offender, with the degree that contributes the most to it
-    # (ties resolved toward low degree), makes the most useful witness.
-    label = max(bad, key=lambda lab: (bad[lab], lab))
-    degree = max(
-        (d for d in sorted(table) if label in table[d]),
-        key=lambda d: table[d][label],
+    # The degree that contributes the most to the offender (ties resolved
+    # toward low degree) makes the most useful witness.
+    return _mf_verdict(
+        table,
+        bound,
+        totals,
+        lambda label: max((d for d in sorted(table) if label in table[d]), key=lambda d: table[d][label]),
     )
-    witness = {"degree": degree, "label": label, "multiplicity": totals[label]}
-    return MFVerdict("fails", bound, witness, table)
 
 
 def is_mf_coordinate_ring(
@@ -186,10 +202,7 @@ def invariant_multiplicity(group: Group, h: Subalgebra, label: Weight) -> int:
     dual = build_module(group, group.dual_label(label))
     if h.dim == 0:
         return dual.dim
-    rows = []
-    for x in h.basis:
-        rows.extend(dual.action(x))
-    return len(nullspace(column_stack(rows).T))
+    return len(nullspace(np.vstack([dual.action(x) for x in h.basis])))
 
 
 def homog_coordinate_mf_crosscheck(
@@ -227,15 +240,11 @@ def homog_coordinate_mf_crosscheck(
         table[d] = row
     # A label often persists through several degrees (the trivial one always
     # does); its orbit multiplicity is still the single kernel dimension, so
-    # repeats across degrees must not be double counted here.
-    totals = seen
-    bad = {lab: t for lab, t in totals.items() if t >= 2}
-    if not bad:
-        return MFVerdict("multiplicity_free_up_to_D", degree_bound, None, table)
-    label = max(bad, key=lambda lab: (bad[lab], lab))
-    degree = min(d for d, row in table.items() if label in row)
-    witness = {"degree": degree, "label": label, "multiplicity": totals[label]}
-    return MFVerdict("fails", degree_bound, witness, table)
+    # repeats across degrees must not be double counted here, and the
+    # witness names the first degree in which the label occurs.
+    return _mf_verdict(
+        table, degree_bound, seen, lambda label: min(d for d, row in table.items() if label in row)
+    )
 
 
 def _default_ambient_label(group: Group) -> Weight:

@@ -228,6 +228,37 @@ class TestIsotypic:
         assert code == 0
         assert "series within tolerance: True" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--degree", "-1"],
+            ["--degree", "200"],
+            ["--domain", "torus", "--rank", "0", "--degree", "2"],
+            ["--domain", "torus", "--rank", "4", "--degree", "2"],
+        ],
+        ids=["degree_below_0", "degree_above_cap", "rank_below_1", "rank_above_3"],
+    )
+    def test_out_of_range_is_refused_before_sampling(self, capsys, monkeypatch, argv):
+        import weylkit.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampling started for an out-of-range input")
+
+        monkeypatch.setattr(cli, "su2_quadrature", refuse)
+        monkeypatch.setattr(cli, "torus_sample", refuse)
+        code, out, _ = _run(capsys, "isotypic", *argv)
+        assert code == 1
+        assert "error degenerate_input:" in out
+
+
+_MF_PROBE = {
+    "mf_truncated": {
+        "verdict": "multiplicity_free_up_to_D",
+        "provenance": "derived_oracle",
+        "note": "probe",
+    }
+}
+
 
 class TestCatalog:
     def test_run_all_agrees(self, capsys):
@@ -319,6 +350,14 @@ class TestCatalog:
                     }
                 },
             },
+            {"module": {"summands": [[["a"], 1]]}, "expected": _MF_PROBE},
+            {"module": {"summands": [[[1], "x"]]}, "expected": _MF_PROBE},
+            {"module": {"summands": [[[1], 0]]}, "expected": _MF_PROBE},
+            {"module": {"summands": [[1, 1]]}, "expected": _MF_PROBE},
+            {"subalgebra": "cartan", "module": {"ambient": [[["a"], 1]]}, "expected": _MF_PROBE},
+            {"subalgebra": "cartan", "module": {"ambient": [[[1], "x"]]}, "expected": _MF_PROBE},
+            {"module": {"summands": [[[1], 1]], "degree_bound": "2"}, "expected": _MF_PROBE},
+            {"module": {"summands": [[[1], 1]], "degree_bound": 0}, "expected": _MF_PROBE},
         ],
     )
     def test_malformed_catalog_literal_reports_code(self, capsys, tmp_path, overrides):

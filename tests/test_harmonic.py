@@ -167,6 +167,11 @@ class TestProjectorAlgebra:
 
 
 class TestFiniteSeries:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_torus_rank_below_one_is_refused(self, n):
+        with pytest.raises(DegenerateInputError):
+            torus_sample({}, n)
+
     def test_zero_sample_has_empty_support(self, q12):
         assert finite_series_check(su2_sample({}), q12).support == []
         assert finite_series_check(torus_sample({}, n=2)).support == []
