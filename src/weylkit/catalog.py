@@ -32,6 +32,7 @@ from .rootsys import Group, Subalgebra, parse_group, standard_subalgebra
 from .spherical import classify_torus_fibration, is_spherical_pair
 from .sympoly import (
     DEFAULT_DEGREE_BOUND,
+    MAX_MF_DEGREE,
     homog_coordinate_mf_crosscheck,
     is_mf_coordinate_ring,
 )
@@ -94,7 +95,7 @@ def _is_int(x) -> bool:
 def _validate_module(module, label: str) -> None:
     """Shape of the module fields that reach the computation as numbers:
     summand and ambient lists of [label, count] pairs with integer labels
-    and positive counts, and a positive integer degree bound."""
+    and positive counts, and an integer degree bound in 1..MAX_MF_DEGREE."""
     if not isinstance(module, dict):
         raise CatalogFormatError(f"entry {label}: module must be an object")
     for key in ("summands", "ambient"):
@@ -108,8 +109,10 @@ def _validate_module(module, label: str) -> None:
                     f"entry {label}: {key} entry {pair!r} is not [integer label, positive count]"
                 )
     bound = module.get("degree_bound", DEFAULT_DEGREE_BOUND)
-    if not (_is_int(bound) and bound > 0):
-        raise CatalogFormatError(f"entry {label}: degree_bound {bound!r} is not a positive integer")
+    if not (_is_int(bound) and 1 <= bound <= MAX_MF_DEGREE):
+        raise CatalogFormatError(
+            f"entry {label}: degree_bound {bound!r} is not an integer in 1..{MAX_MF_DEGREE}"
+        )
 
 
 def _checks_applicable(entry: CatalogEntry) -> set:

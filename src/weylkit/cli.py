@@ -37,6 +37,7 @@ from .rootsys import MAX_RANK, Group, Subalgebra, parse_group, standard_subalgeb
 from .spherical import DEFAULT_TRIALS, classify_torus_fibration, is_spherical_pair
 from .sympoly import (
     DEFAULT_DEGREE_BOUND,
+    MAX_MF_DEGREE,
     homog_coordinate_mf_crosscheck,
     is_mf_coordinate_ring,
 )
@@ -234,6 +235,10 @@ def cmd_mf(args) -> int:
     except ToolkitError as exc:
         return _usage_error(exc)
     try:
+        if not 1 <= args.degree <= MAX_MF_DEGREE:
+            raise DegenerateInputError(
+                f"degree bound must lie in 1..{MAX_MF_DEGREE}, got {args.degree}"
+            )
         if summands is not None:
             verdict = is_mf_coordinate_ring(g, summands, args.degree)
         else:
@@ -299,14 +304,16 @@ MAX_ISOTYPIC_DEGREE = 10
 
 
 def cmd_isotypic(args) -> int:
-    rng = np.random.default_rng(args.seed)
     try:
+        if args.seed < 0:
+            raise DegenerateInputError(f"isotypic seed must be nonnegative, got {args.seed}")
         if not 0 <= args.degree <= MAX_ISOTYPIC_DEGREE:
             raise DegenerateInputError(
                 f"isotypic degree must lie in 0..{MAX_ISOTYPIC_DEGREE}, got {args.degree}"
             )
         if args.domain == "torus" and not 1 <= args.rank <= MAX_RANK:
             raise DegenerateInputError(f"torus rank must lie in 1..{MAX_RANK}, got {args.rank}")
+        rng = np.random.default_rng(args.seed)
         if args.domain == "su2":
             q = su2_quadrature(2 * args.degree)
             report = verify_projector_algebra(q, args.degree, seed=args.seed)

@@ -138,10 +138,14 @@ def project_torus(f: FunctionSample, delta) -> FunctionSample:
     if any(not lo <= d <= hi for d, (lo, hi) in zip(delta, win)):
         return FunctionSample("torus", f.n, {}, flags=("outside_degree_window",))
     grid, los = _torus_coefficient_grid(f)
-    c = grid[tuple(d - lo for d, lo in zip(delta, los))]
+    return _torus_term(f.n, delta, grid[tuple(d - lo for d, lo in zip(delta, los))])
+
+
+def _torus_term(n: int, delta: tuple, c) -> FunctionSample:
+    """The one-term sample c z^delta; a roundoff-sized c gives the zero sample."""
     if abs(c) <= 1e-15:
-        return FunctionSample("torus", f.n, {})
-    return FunctionSample("torus", f.n, {delta: complex(c)})
+        return FunctionSample("torus", n, {})
+    return FunctionSample("torus", n, {delta: complex(c)})
 
 
 # ---- SU(2) quadrature ------------------------------------------------------------
@@ -349,13 +353,12 @@ def finite_series_check(
     if f.domain == "torus":
         comps = {}
         if f.coeffs:
-            win = _window(f)
-            ranges = [range(lo, hi + 1) for lo, hi in win]
-            idx = [()]
-            for r in ranges:
-                idx = [t + (i,) for t in idx for i in r]
-            for delta in idx:
-                g = project_torus(f, delta)
+            # one transform gives every delta of the window; project_torus
+            # makes a fresh one per call
+            grid, los = _torus_coefficient_grid(f)
+            for ix in np.ndindex(grid.shape):
+                delta = tuple(i + lo for i, lo in zip(ix, los))
+                g = _torus_term(f.n, delta, grid[ix])
                 if g.norm() > threshold:
                     comps[delta] = g
         recon = FunctionSample("torus", f.n, {})

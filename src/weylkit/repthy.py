@@ -160,22 +160,24 @@ class Module:
         return f"Module({self.group.name}, {self.label}, dim={self.dim})"
 
 
-def _tensor_pair_act(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    return np.kron(a1, eye(a2.shape[0])) + np.kron(eye(a1.shape[0]), a2)
+def _tensor_ambient(m1: Module, m2: Module) -> tuple[list[np.ndarray], list[Weight]]:
+    """Action matrices, in basis order, and weights of m1 (x) m2."""
+    act = [np.kron(a1, eye(m2.dim)) + np.kron(eye(m1.dim), a2) for a1, a2 in zip(m1.act, m2.act)]
+    return act, [_add(w1, w2) for w1 in m1.weights for w2 in m2.weights]
 
 
 def _extract_submodule(
     group: Group,
-    amb_act: dict[tuple[str, object], np.ndarray],
+    amb_act: list[np.ndarray],
     amb_weights: list[Weight],
     v0: np.ndarray,
     label: Weight,
 ) -> Module:
     """Cyclic span of v0 under the lowering operators, with the action of
 
-    every generator rewritten in the new basis.  Products m @ v are taken
-    as combine(v, m.T): a column-sparse matvec, since module vectors are
-    supported on few coordinates."""
+    every basis element restricted to it and rewritten in the new basis.
+    Products m @ v are taken as combine(v, m.T): a column-sparse matvec,
+    since module vectors are supported on few coordinates."""
     adim = len(amb_weights)
     span = SpanBasis(adim)
     ok = span.add(v0)
@@ -183,7 +185,7 @@ def _extract_submodule(
     basis = [v0]
     bweights = [label]
     queue = [0]
-    fs = [amb_act[("f", group.simple_root(i))] for i in range(group.rank)]
+    fs = [amb_act[group._index[("f", group.simple_root(i))]] for i in range(group.rank)]
     alphas = [group.root_fc(group.simple_root(i)) for i in range(group.rank)]
     while queue:
         b = queue.pop(0)
@@ -204,20 +206,14 @@ def _extract_submodule(
         mults[w] = mults.get(w, 0) + 1
     assert mults == weight_multiplicities(group, label)
 
-    partial: dict[tuple[str, object], np.ndarray] = {}
-    gens = [("h", i) for i in range(group.rank)]
-    gens += [("t", j) for j in range(group.torus_dim)]
-    for i in range(group.rank):
-        gens.append(("e", group.simple_root(i)))
-        gens.append(("f", group.simple_root(i)))
-    for lab in gens:
+    act = []
+    for m in amb_act:
         mat = zeros(n, n)
         for k in range(n):
-            coords = span.express(combine(basis[k], amb_act[lab].T, (adim,)))
+            coords = span.express(combine(basis[k], m.T, (adim,)))
             assert coords is not None, "action left the generated submodule"
             mat[:, k] = coords
-        partial[lab] = mat
-    act = group.complete_action(partial)
+        act.append(mat)
     mod = Module(group, label, bweights, act)
     _verify_generators(mod)
     return mod
@@ -226,8 +222,10 @@ def _extract_submodule(
 def _verify_generators(mod: Module) -> None:
     """Spot checks at construction time: weight grading and the sl2 pairs.
 
-    The full homomorphism property follows from these plus the extraspecial
-    recursion used to fill in the non-simple root vectors."""
+    The full homomorphism property needs no check here: every matrix is the
+    restriction of a tensor product of representations to a subspace that
+    _extract_submodule found invariant under every basis element, and a
+    restriction of a representation to an invariant subspace is one."""
     g = mod.group
     for k, w in enumerate(mod.weights):
         for i in range(g.rank):
@@ -292,11 +290,7 @@ def _build_ss(group: Group, lab: Weight) -> Module:
         nu = _sub(lab, mu)
         m1 = _build_ss(group, mu)
         m2 = _build_ss(group, nu)
-        amb_act = {}
-        for blab in group.basis_labels:
-            idx = group._index[blab]
-            amb_act[blab] = _tensor_pair_act(m1.act[idx], m2.act[idx])
-        amb_weights = [_add(w1, w2) for w1 in m1.weights for w2 in m2.weights]
+        amb_act, amb_weights = _tensor_ambient(m1, m2)
         v0 = zeros(m1.dim * m2.dim)
         v0[0] = F1
         mod = _extract_submodule(group, amb_act, amb_weights, v0, lab)
@@ -348,16 +342,12 @@ def _fundamental(group: Group, i: int) -> Module:
     # find the highest weight vector of the other fundamental inside
     # seed (x) seed: weight-omega_i vectors annihilated by every raising op
     target = tuple(1 if k == i else 0 for k in range(group.weight_len))
-    amb_act = {}
-    for blab in group.basis_labels:
-        idx = group._index[blab]
-        amb_act[blab] = _tensor_pair_act(seed.act[idx], seed.act[idx])
-    amb_weights = [_add(w1, w2) for w1 in seed.weights for w2 in seed.weights]
+    amb_act, amb_weights = _tensor_ambient(seed, seed)
     positions = [k for k, w in enumerate(amb_weights) if w == target]
     assert positions
     rows = []
     for j in range(group.rank):
-        ej = amb_act[("e", group.simple_root(j))]
+        ej = amb_act[group._index[("e", group.simple_root(j))]]
         for r in range(len(amb_weights)):
             row = [ej[r, p] for p in positions]
             if any(x != 0 for x in row):

@@ -161,7 +161,6 @@ def _factor(letter: str) -> dict:
         "A": A,
         "d": [fr(x) for x in data["d"]],
         "posroots": posroots,
-        "pairs": pairs,
         "n": n,
         "h": hmats,
         "e": emats,
@@ -354,39 +353,6 @@ class Group:
                 return out
             out = out + term
         raise NonNilpotentDirectionError("direction is not ad-nilpotent")
-
-    @cached_property
-    def extraspecial_pairs(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...], int]]:
-        """Non-simple positive root -> (xi, eta, p) with gamma = xi + eta and
-
-        e_gamma = [e_xi, e_eta]/(p+1), in global simple-root coordinates."""
-        out = {}
-        for f, o in zip(self.factors, self._offsets):
-            r = f["rank"]
-
-            def emb(c):
-                full = [0] * self.rank
-                full[o : o + r] = c
-                return tuple(full)
-
-            for gamma, (xi, eta, p) in f["pairs"].items():
-                out[emb(gamma)] = (emb(xi), emb(eta), p)
-        return out
-
-    def complete_action(self, partial: dict[tuple[str, object], np.ndarray]) -> list[np.ndarray]:
-        """Extend a representation given on h/t and simple e/f to the whole
-
-        basis, by the same extraspecial recursion that defined the
-        non-simple root vectors; any homomorphism must satisfy it."""
-        roots: dict[str, dict] = {"e": {}, "f": {}}
-        for (kind, tag), m in partial.items():
-            if kind in roots:
-                roots[kind][tag] = m
-        _extraspecial_fill(self.extraspecial_pairs, roots["e"], roots["f"])
-        return [
-            roots[kind][tag] if kind in roots else partial[(kind, tag)]
-            for kind, tag in self.basis_labels
-        ]
 
     def torus_ad(self, s: Sequence[Fraction]) -> np.ndarray:
         """Adjoint action of the torus point with coroot parameters s.
@@ -608,13 +574,16 @@ class Subalgebra:
 
     def __init__(self, group: Group, vectors: Iterable[np.ndarray], name: str | None = None):
         self.group = group
-        span = SpanBasis(group.dim)
-        basis = []
+        # basis[i] is 1 at pivots[i] (its first nonzero entry) and 0 at the
+        # pivots before it: each vector reduced by the rows kept so far
+        self.basis: list[np.ndarray] = []
+        self.pivots: list[int] = []
         for v in vectors:
-            if span.add(v):
-                basis.append(span.rows[-1])
-        self.basis = basis
-        self._span = span
+            rem = self.reduce(v)
+            piv = next((j for j, x in enumerate(rem) if x != 0), None)
+            if piv is not None:
+                self.basis.append(rem / rem[piv])
+                self.pivots.append(piv)
         self.name = name
 
     @property
@@ -622,15 +591,15 @@ class Subalgebra:
         return len(self.basis)
 
     def contains(self, v: np.ndarray) -> bool:
-        return self._span.contains(v)
+        return is_zero(self.reduce(v))
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
         """v modulo this subspace: the representative vanishing at every pivot."""
-        return eliminate(v, self._span.rows, self._span.pivots)[0]
+        return eliminate(v, self.basis, self.pivots)[0]
 
     def coords(self, v: np.ndarray) -> np.ndarray | None:
         """Coordinates of v over self.basis, or None if v lies outside."""
-        rem, out = eliminate(v, self.basis, self._span.pivots)
+        rem, out = eliminate(v, self.basis, self.pivots)
         return out if is_zero(rem) else None
 
     def is_closed(self) -> bool:

@@ -36,6 +36,10 @@ Weight = tuple[int, ...]
 Summands = list[tuple[Weight, int]]
 
 DEFAULT_DEGREE_BOUND = 8
+# Largest degree bound taken from outside (CLI, catalog).  The symmetric-power
+# characters grow with the degree: the G2 adjoint takes seconds at degree 12
+# and tens of seconds at 16.
+MAX_MF_DEGREE = 12
 
 
 def check_summands(group: Group, summands) -> Summands:

@@ -167,6 +167,35 @@ class TestMF:
             },
         }
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--module", "defining", "--degree", "0"],
+            ["--module", "defining", "--degree", "13"],
+            ["--module", "defining", "--degree", "100000"],
+            ["--subalgebra", "cartan", "--degree", "0"],
+            ["--subalgebra", "cartan", "--degree", "13"],
+        ],
+        ids=["module_below_1", "module_above_cap", "module_huge", "orbit_below_1", "orbit_above_cap"],
+    )
+    def test_degree_out_of_range_is_refused_before_work(self, capsys, monkeypatch, argv):
+        import weylkit.sympoly as sympoly
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("symmetric powers computed for an out-of-range degree")
+
+        monkeypatch.setattr(sympoly, "sym_power_characters", refuse)
+        code, out, _ = _run(capsys, "mf", "--group", "A1", *argv)
+        assert code == 1
+        assert "error degenerate_input:" in out
+
+    def test_degree_at_cap_is_computed(self, capsys):
+        code, out, _ = _run(
+            capsys, "mf", "--group", "A1", "--module", "defining", "--degree", "12"
+        )
+        assert code == 0
+        assert "multiplicity_free_up_to_D (degree bound 12)" in out
+
 
 class TestInvolution:
     def test_character_fiber_verified(self, capsys):
@@ -235,8 +264,13 @@ class TestIsotypic:
             ["--degree", "200"],
             ["--domain", "torus", "--rank", "0", "--degree", "2"],
             ["--domain", "torus", "--rank", "4", "--degree", "2"],
+            ["--seed", "-1"],
+            ["--domain", "torus", "--seed", "-1"],
         ],
-        ids=["degree_below_0", "degree_above_cap", "rank_below_1", "rank_above_3"],
+        ids=[
+            "degree_below_0", "degree_above_cap", "rank_below_1", "rank_above_3",
+            "seed_below_0", "torus_seed_below_0",
+        ],
     )
     def test_out_of_range_is_refused_before_sampling(self, capsys, monkeypatch, argv):
         import weylkit.cli as cli
@@ -358,6 +392,7 @@ class TestCatalog:
             {"subalgebra": "cartan", "module": {"ambient": [[[1], "x"]]}, "expected": _MF_PROBE},
             {"module": {"summands": [[[1], 1]], "degree_bound": "2"}, "expected": _MF_PROBE},
             {"module": {"summands": [[[1], 1]], "degree_bound": 0}, "expected": _MF_PROBE},
+            {"module": {"summands": [[[1], 1]], "degree_bound": 13}, "expected": _MF_PROBE},
         ],
     )
     def test_malformed_catalog_literal_reports_code(self, capsys, tmp_path, overrides):

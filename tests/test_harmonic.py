@@ -1,5 +1,7 @@
 """Quadrature exactness, Fourier extraction, and the projector algebra."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,25 @@ class TestTorusProjection:
         rep = finite_series_check(f)
         assert rep.residual <= 1e-12
         assert rep.within_tolerance
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_series_components_equal_pointwise_projections(self, rank):
+        # reference: project_torus at every point of the degree window
+        rng = np.random.default_rng(rank)
+        coeffs = {}
+        for _ in range(6):
+            e = tuple(int(x) for x in rng.integers(-3, 4, size=rank))
+            coeffs[e] = complex(rng.normal(), rng.normal())
+        f = torus_sample(coeffs)
+        window = [range(min(k[i] for k in coeffs), max(k[i] for k in coeffs) + 1) for i in range(rank)]
+        expected = {}
+        for delta in itertools.product(*window):
+            g = project_torus(f, delta)
+            if g.norm() > 1e-8:
+                expected[delta] = g.coeffs
+        rep = finite_series_check(f)
+        assert list(rep.components) == list(expected)
+        assert {d: g.coeffs for d, g in rep.components.items()} == expected
 
 
 class TestSu2Projection:

@@ -128,7 +128,13 @@ GROUPS = ("A1", "A2", "B2", "A1xA1", "A1+T1")
 def test_subalgebra_coords_round_trip_over_basis(name, data):
     g = parse_group(name)
     n_vecs = data.draw(st.integers(0, 4))
-    h = Subalgebra(g, [data.draw(vectors(g.dim)) for _ in range(n_vecs)])
+    vecs = [data.draw(vectors(g.dim)) for _ in range(n_vecs)]
+    h = Subalgebra(g, vecs)
+    # reference: each kept row as a back-substituting SpanBasis first holds it
+    sb = SpanBasis(g.dim)
+    as_added = [sb.rows[-1] for v in vecs if sb.add(v)]
+    assert h.pivots == sb.pivots
+    assert [list(b) for b in h.basis] == [list(r) for r in as_added]
     coeffs = data.draw(st.lists(rationals, min_size=h.dim, max_size=h.dim))
     target = combine(coeffs, h.basis, (g.dim,))
     c = h.coords(target)
@@ -141,7 +147,7 @@ def test_subalgebra_coords_round_trip_over_basis(name, data):
         assert is_zero(combine(c, h.basis, (g.dim,)) - probe)
     rem = h.reduce(probe)
     assert h.contains(probe - rem)
-    assert all(rem[p] == 0 for p in h._span.pivots)
+    assert all(rem[p] == 0 for p in h.pivots)
 
 
 def _nu_kernel_loop(module, theta):

@@ -124,6 +124,8 @@ def _is_homomorphism(mod):
         ("G2", (1, 0)),
         ("A1xA1", (1, 1)),
         ("A1+T1", (2, 3)),
+        ("B2", (2, 0)),
+        ("G2", (2, 0)),
     ],
 )
 def test_build_module_is_representation(name, label):
