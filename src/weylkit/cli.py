@@ -34,7 +34,7 @@ from .involution import (
 from .linalg import fr_input, fvec
 from .repthy import check_label, decompose_character
 from .rootsys import MAX_RANK, Group, Subalgebra, parse_group, standard_subalgebra
-from .spherical import DEFAULT_TRIALS, classify_torus_fibration, is_spherical_pair
+from .spherical import DEFAULT_TRIALS, MAX_TRIALS, classify_torus_fibration, is_spherical_pair
 from .sympoly import (
     DEFAULT_DEGREE_BOUND,
     MAX_MF_DEGREE,
@@ -186,6 +186,11 @@ def cmd_spherical(args) -> int:
     except ToolkitError as exc:
         return _usage_error(exc)
     try:
+        # is_spherical_pair refuses a negative count itself, also before sampling
+        if args.trials > MAX_TRIALS:
+            raise DegenerateInputError(
+                f"trial count must be at most {MAX_TRIALS}, got {args.trials}"
+            )
         res = is_spherical_pair(g, h, trials=args.trials, seed=args.seed)
     except ToolkitError as exc:
         return _emit_error(args, exc)

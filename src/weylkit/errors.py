@@ -91,3 +91,13 @@ class UnknownNameError(ToolkitError):
 
 class ParseError(ToolkitError):
     code = "parse_error"
+
+
+class InternalInvariantError(ToolkitError):
+    """A computed object failed a check its mathematics guarantees (a
+
+    dimension, a multiplicity, a bracket relation): a fault in the program,
+    not in the input.  Raised instead of ``assert`` so that ``python -O``
+    cannot drop the checks that a verdict rests on."""
+
+    code = "internal_invariant"

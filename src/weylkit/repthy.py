@@ -1,10 +1,15 @@
 """Finite-dimensional modules with exact rational matrix models.
 
 Irreducible modules are built by generating the cyclic submodule of a
-highest weight vector inside a tensor product of smaller modules, with all
-elimination done over the rationals.  Dimensions come from the Weyl
-formula and weight multiplicities from the Freudenthal recursion, and the
-builder cross-checks itself against both before returning.
+highest weight vector inside a tensor product of two smaller modules, with
+all elimination done over the rationals (de Graaf, *Lie Algebras: Theory
+and Algorithms*, 2000).  There is one rule for that vector: it spans the
+vectors of weight lambda in the tensor product that every simple raising
+operator kills, a kernel that must be one-dimensional.  The tensor product
+is never formed as matrices; its action is applied factor by factor.
+Dimensions come from the Weyl formula and weight multiplicities from the
+Freudenthal recursion, and the builder cross-checks itself against both
+before returning.
 
 Module descriptors elsewhere in the package are plain lists of dominant
 labels (repetition encodes multiplicity); only this file hands out actual
@@ -18,14 +23,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionCapError, NonDominantError, ParseError
-from .linalg import F0, F1, SpanBasis, combine, eye, fr, fvec, is_zero, zeros
+from .errors import DimensionCapError, InternalInvariantError, NonDominantError, ParseError
+from .linalg import F0, F1, SpanBasis, column_stack, combine, eye, fr, fvec, is_zero
+from .linalg import nullspace, zeros
 from .linalg import rref  # noqa: F401  (unused here; the benchmark tracer and its tests patch repthy.rref)
 from .rootsys import Group
 
 DIM_CAP = 64
 
 Weight = tuple[int, ...]
+
+
+def _check(ok: bool, what: str) -> None:
+    """A check that a verdict rests on; unlike assert, kept under python -O."""
+    if not ok:
+        raise InternalInvariantError(what)
 
 
 def check_label(group: Group, label: Sequence[int]) -> Weight:
@@ -54,7 +66,7 @@ def weyl_dim(group: Group, label: Sequence[int]) -> int:
         num *= group.wform(_add(lab, group.rho), a)
         den *= group.wform(group.rho, a)
     d = num / den
-    assert d.denominator == 1 and d > 0
+    _check(d.denominator == 1 and d > 0, f"Weyl dimension of {lab} is {d}")
     return int(d)
 
 
@@ -125,15 +137,15 @@ def weight_multiplicities(group: Group, label: Sequence[int]) -> dict[Weight, in
                 total += 2 * m * group.wform(nu, a)
                 k += 1
         den = lam_norm - group.wform(_add(mu, rho), _add(mu, rho))
-        assert den > 0
+        _check(den > 0, f"Freudenthal denominator at {mu} is {den}")
         m = total / den
-        assert m.denominator == 1 and m >= 1
+        _check(m.denominator == 1 and m >= 1, f"Freudenthal multiplicity at {mu} is {m}")
         mdom[mu] = int(m)
     full: dict[Weight, int] = {}
     for mu, m in mdom.items():
         for w in group.weyl_elements:
             full[group.apply_weyl(w, mu)] = m
-    assert sum(full.values()) == weyl_dim(group, lab)
+    _check(sum(full.values()) == weyl_dim(group, lab), f"multiplicities of {lab} miss weyl_dim")
     _MULT_CACHE[key] = full
     return full
 
@@ -160,58 +172,76 @@ class Module:
         return f"Module({self.group.name}, {self.label}, dim={self.dim})"
 
 
-def _tensor_ambient(m1: Module, m2: Module) -> tuple[list[np.ndarray], list[Weight]]:
-    """Action matrices, in basis order, and weights of m1 (x) m2."""
-    act = [np.kron(a1, eye(m2.dim)) + np.kron(eye(m1.dim), a2) for a1, a2 in zip(m1.act, m2.act)]
-    return act, [_add(w1, w2) for w1 in m1.weights for w2 in m2.weights]
+def _tensor_apply(x1: np.ndarray, x2: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(x1 (x) 1 + 1 (x) x2) v, without forming either Kronecker product.
+
+    Coordinate a * n2 + b of v is e_a (x) e_b.  Only nonzero coordinates of
+    v and nonzero entries of x1 and x2 are visited: module vectors and
+    matrices are supported on few of theirs."""
+    n1, n2 = len(x1), len(x2)
+    out = zeros(n1, n2)
+    for k in np.flatnonzero(v):
+        a, b = divmod(k, n2)
+        i = np.flatnonzero(x1[:, a])
+        out[i, b] += v[k] * x1[i, a]
+        j = np.flatnonzero(x2[:, b])
+        out[a, j] += v[k] * x2[j, b]
+    return out.reshape(-1)
 
 
-def _extract_submodule(
-    group: Group,
-    amb_act: list[np.ndarray],
-    amb_weights: list[Weight],
-    v0: np.ndarray,
-    label: Weight,
-) -> Module:
-    """Cyclic span of v0 under the lowering operators, with the action of
+def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> Module:
+    """The irreducible of highest weight label inside m1 (x) m2.
 
-    every basis element restricted to it and rewritten in the new basis.
-    Products m @ v are taken as combine(v, m.T): a column-sparse matvec,
-    since module vectors are supported on few coordinates."""
+    Its highest weight vector spans the weight-label vectors of m1 (x) m2
+    killed by every simple raising operator; the module is the cyclic span
+    of that vector under the lowering operators, with the action of every
+    basis element restricted to it and rewritten in the new basis."""
+    amb = list(zip(m1.act, m2.act))  # the ambient action, in basis order
+    amb_weights = [_add(w1, w2) for w1 in m1.weights for w2 in m2.weights]
     adim = len(amb_weights)
+    es = [amb[group._index[("e", group.simple_root(i))]] for i in range(group.rank)]
+    fs = [amb[group._index[("f", group.simple_root(i))]] for i in range(group.rank)]
+
+    positions = [k for k, w in enumerate(amb_weights) if w == label]
+    cols = []
+    for p in positions:
+        unit = zeros(adim)
+        unit[p] = F1
+        cols.append(np.concatenate([_tensor_apply(*e, unit) for e in es]))
+    raising = column_stack(cols)
+    ker = nullspace(raising[[not is_zero(row) for row in raising]])
+    _check(len(ker) == 1, f"highest weight vector of {label} is not unique")
+    v0 = zeros(adim)
+    v0[positions] = ker[0]
+
     span = SpanBasis(adim)
-    ok = span.add(v0)
-    assert ok
+    _check(span.add(v0), "highest weight vector is zero")
     basis = [v0]
     bweights = [label]
     queue = [0]
-    fs = [amb_act[group._index[("f", group.simple_root(i))]] for i in range(group.rank)]
     alphas = [group.root_fc(group.simple_root(i)) for i in range(group.rank)]
     while queue:
         b = queue.pop(0)
-        v = basis[b]
         for i in range(group.rank):
-            w = combine(v, fs[i].T, (adim,))
-            if is_zero(w):
-                continue
-            if span.add(w):
+            w = _tensor_apply(*fs[i], basis[b])
+            if not is_zero(w) and span.add(w):
                 basis.append(w)
                 bweights.append(_sub(bweights[b], alphas[i]))
                 queue.append(len(basis) - 1)
     n = len(basis)
     expect = weyl_dim(group, label)
-    assert n == expect, f"built {n} vectors for {label}, expected {expect}"
+    _check(n == expect, f"built {n} vectors for {label}, expected {expect}")
     mults: dict[Weight, int] = {}
     for w in bweights:
         mults[w] = mults.get(w, 0) + 1
-    assert mults == weight_multiplicities(group, label)
+    _check(mults == weight_multiplicities(group, label), f"weights of {label} miss Freudenthal's")
 
     act = []
-    for m in amb_act:
+    for x in amb:
         mat = zeros(n, n)
         for k in range(n):
-            coords = span.express(combine(basis[k], m.T, (adim,)))
-            assert coords is not None, "action left the generated submodule"
+            coords = span.express(_tensor_apply(*x, basis[k]))
+            _check(coords is not None, "action left the generated submodule")
             mat[:, k] = coords
         act.append(mat)
     mod = Module(group, label, bweights, act)
@@ -225,19 +255,23 @@ def _verify_generators(mod: Module) -> None:
     The full homomorphism property needs no check here: every matrix is the
     restriction of a tensor product of representations to a subspace that
     _extract_submodule found invariant under every basis element, and a
-    restriction of a representation to an invariant subspace is one."""
+    restriction of a representation to an invariant subspace is one.
+    Column k of [e_i, f_i] is e_i (f_i col k) - f_i (e_i col k), two sparse
+    matvecs taken as combine(col, m.T)."""
     g = mod.group
-    for k, w in enumerate(mod.weights):
-        for i in range(g.rank):
-            h = mod.act[g._index[("h", i)]]
-            col = h[:, k]
-            assert col[k] == w[i]
-            assert all(col[a] == 0 for a in range(mod.dim) if a != k)
+    n = mod.dim
     for i in range(g.rank):
         e = mod.act[g._index[("e", g.simple_root(i))]]
         f = mod.act[g._index[("f", g.simple_root(i))]]
         h = mod.act[g._index[("h", i)]]
-        assert is_zero((e @ f - f @ e) - h)
+        for k, w in enumerate(mod.weights):
+            col = h[:, k]
+            _check(
+                col[k] == w[i] and all(col[a] == 0 for a in range(n) if a != k),
+                f"h_{i} is not diagonal with the weights on the basis",
+            )
+            ef = combine(f[:, k], e.T, (n,)) - combine(e[:, k], f.T, (n,))
+            _check(is_zero(ef - col), f"[e_{i}, f_{i}] != h_{i}")
 
 
 _MODULE_CACHE: dict[tuple[str, Weight], Module] = {}
@@ -270,11 +304,10 @@ def build_module(group: Group, label: Sequence[int]) -> Module:
     return mod
 
 
-# highest weight position of each seed module, as a local fundamental index
-_SEED_TOP = {"A1": 0, "A2": 0, "B2": 1, "G2": 0}
-
-
 def _build_ss(group: Group, lab: Weight) -> Module:
+    """The module of a label with zero torus part.  At height 1 it is the
+    seed module of its factor or lies in that seed's tensor square; above,
+    it lies in V(omega_i0) (x) V(lab - omega_i0), i0 its first nonzero entry."""
     key = (group.name, lab)
     if key in _MODULE_CACHE:
         return _MODULE_CACHE[key]
@@ -282,28 +315,29 @@ def _build_ss(group: Group, lab: Weight) -> Module:
     if height == 0:
         act = [zeros(1, 1) for _ in range(group.dim)]
         mod = Module(group, lab, [lab], act)
-    elif height == 1:
-        mod = _fundamental(group, lab.index(1))
     else:
         i0 = next(i for i in range(group.rank) if lab[i] > 0)
-        mu = tuple(1 if i == i0 else 0 for i in range(group.rank)) + (0,) * group.torus_dim
-        nu = _sub(lab, mu)
-        m1 = _build_ss(group, mu)
-        m2 = _build_ss(group, nu)
-        amb_act, amb_weights = _tensor_ambient(m1, m2)
-        v0 = zeros(m1.dim * m2.dim)
-        v0[0] = F1
-        mod = _extract_submodule(group, amb_act, amb_weights, v0, lab)
+        if height == 1:
+            fi = next(
+                k for k, o in enumerate(group._offsets)
+                if o <= i0 < o + group.factors[k]["rank"]
+            )
+            m1 = m2 = _seed_module(group, fi)
+        else:
+            mu = tuple(1 if i == i0 else 0 for i in range(group.rank)) + (0,) * group.torus_dim
+            m1 = _build_ss(group, mu)
+            m2 = _build_ss(group, _sub(lab, mu))
+        mod = m1 if m1.label == lab else _extract_submodule(group, m1, m2, lab)
     _MODULE_CACHE[key] = mod
     return mod
 
 
 def _seed_module(group: Group, fi: int) -> Module:
-    """The seed fundamental of factor fi, embedded in the product algebra."""
+    """The seed fundamental of factor fi, embedded in the product algebra;
+    its weights are the diagonals of its Cartan matrices."""
     f = group.factors[fi]
     o = group._offsets[fi]
     n = f["n"]
-    letter = group.letters[fi]
     act: dict[tuple[str, object], np.ndarray] = {}
     for lab in group.basis_labels:
         act[lab] = zeros(n, n)
@@ -315,50 +349,11 @@ def _seed_module(group: Group, fi: int) -> Module:
         act[("e", tuple(full))] = f["e"][c]
         act[("f", tuple(full))] = f["f"][c]
     weights = []
-    for w in _seed_weights(letter):
+    for a in range(n):
         full = [0] * group.weight_len
-        full[o : o + f["rank"]] = w
+        full[o : o + f["rank"]] = [int(h[a, a]) for h in f["h"]]
         weights.append(tuple(full))
-    label = weights[0]
-    return Module(group, label, weights, [act[lab] for lab in group.basis_labels])
-
-
-def _seed_weights(letter: str) -> list[tuple[int, ...]]:
-    from .rootsys import _SEED_DATA
-
-    return [tuple(w) for w in _SEED_DATA[letter]["weights"]]
-
-
-def _fundamental(group: Group, i: int) -> Module:
-    fi = next(
-        k for k, o in enumerate(group._offsets)
-        if o <= i < o + group.factors[k]["rank"]
-    )
-    o = group._offsets[fi]
-    letter = group.letters[fi]
-    seed = _seed_module(group, fi)
-    if i - o == _SEED_TOP[letter]:
-        return seed
-    # find the highest weight vector of the other fundamental inside
-    # seed (x) seed: weight-omega_i vectors annihilated by every raising op
-    target = tuple(1 if k == i else 0 for k in range(group.weight_len))
-    amb_act, amb_weights = _tensor_ambient(seed, seed)
-    positions = [k for k, w in enumerate(amb_weights) if w == target]
-    assert positions
-    rows = []
-    for j in range(group.rank):
-        ej = amb_act[group._index[("e", group.simple_root(j))]]
-        for r in range(len(amb_weights)):
-            row = [ej[r, p] for p in positions]
-            if any(x != 0 for x in row):
-                rows.append(row)
-    from .linalg import fmat, nullspace
-
-    ker = nullspace(fmat(rows)) if rows else [None]
-    assert len(ker) == 1, "highest weight vector is not unique"
-    v0 = zeros(len(amb_weights))
-    v0[positions] = ker[0]
-    return _extract_submodule(group, amb_act, amb_weights, v0, target)
+    return Module(group, weights[0], weights, [act[lab] for lab in group.basis_labels])
 
 
 # ---- character arithmetic ---------------------------------------------------
@@ -393,14 +388,14 @@ def decompose_character(group: Group, char: dict[Weight, int]) -> dict[Weight, i
     rho = group.rho
     while work:
         doms = [w for w in work if group.is_dominant(w)]
-        assert doms, "character has no dominant weight left"
+        _check(bool(doms), "character has no dominant weight left")
         top = max(doms, key=lambda w: (group.wform(_add(w, rho), _add(w, rho)), w))
         mult = work[top]
-        assert mult > 0, f"negative multiplicity at {top}: not a character"
+        _check(mult > 0, f"negative multiplicity at {top}: not a character")
         out[top] = out.get(top, 0) + mult
         for w, m in weight_multiplicities(group, top).items():
             rem = work.get(w, 0) - mult * m
-            assert rem >= 0, "character stripping went negative"
+            _check(rem >= 0, "character stripping went negative")
             if rem:
                 work[w] = rem
             else:

@@ -19,6 +19,12 @@ from .linalg import column_stack, combine, fr, nullspace, rank
 from .rootsys import Group, Subalgebra, standard_subalgebra
 
 DEFAULT_TRIALS = 32
+# Upper bound on a trial count taken from outside the program.  A span that
+# no sample certifies runs every trial; the G2 span {h_0, e_(0,1), e_(1,1),
+# f_(1,0), f_(2,1), f_(3,1)} is one, and costs about 0.33 s a trial on a
+# 2-vCPU x86 host (32 trials 10.3 s, 128 trials 41.9 s), so the cap keeps
+# the worst case under a minute.
+MAX_TRIALS = 128
 
 
 @dataclass

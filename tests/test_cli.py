@@ -13,6 +13,7 @@ import pytest
 import weylkit.errors as errors_mod
 from weylkit.cli import main
 from weylkit.errors import ToolkitError
+from weylkit.spherical import MAX_TRIALS
 
 # Frozen registry of machine-readable error codes.  Adding a code is an
 # interface change and must be reflected here deliberately.
@@ -32,6 +33,7 @@ KNOWN_ERROR_CODES = {
     "catalog_format",
     "unknown_name",
     "parse_error",
+    "internal_invariant",
 }
 
 
@@ -91,6 +93,29 @@ class TestSpherical:
         )
         assert code == 1
         assert "error degenerate_input:" in out
+
+    @pytest.mark.parametrize("trials", ["-1", str(MAX_TRIALS + 1), "100000000"])
+    def test_out_of_range_trials_refused_before_sampling(self, capsys, monkeypatch, trials):
+        import weylkit.spherical as spherical
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampling started for an out-of-range trial count")
+
+        monkeypatch.setattr(spherical, "_adjoint_of_sample", refuse)
+        code, out, _ = _run(
+            capsys, "spherical", "--group", "A1xA1",
+            "--subalgebra", "span:1,0,0,0,0,0;0,0,0,1,0,0", "--trials", trials,
+        )
+        assert code == 1
+        assert "error degenerate_input:" in out
+
+    def test_trials_at_cap_accepted(self, capsys):
+        code, out, _ = _run(
+            capsys, "spherical", "--group", "A1", "--subalgebra", "full",
+            "--trials", str(MAX_TRIALS),
+        )
+        assert code == 0
+        assert "spherical (witness found" in out
 
     def test_zero_trials_inconclusive(self, capsys):
         code, out, _ = _run(

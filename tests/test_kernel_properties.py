@@ -25,11 +25,13 @@ from weylkit.linalg import (
     column_stack,
     combine,
     eliminate,
+    eye,
     fvec,
     is_zero,
     nullspace,
     zeros,
 )
+from weylkit.repthy import _tensor_apply
 from weylkit.rootsys import Subalgebra, parse_group, standard_subalgebra
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -118,6 +120,36 @@ def test_eliminate_leaves_zeros_at_every_pivot(family, data):
         assert all(rem[p] == 0 for p in sb.pivots)
         assert is_zero(rem + combine(mult, rows, (dim,)) - v)
     assert sb.contains(v) == is_zero(eliminate(v, sb.rows, sb.pivots)[0])
+
+
+def _sparse_vectors(dim: int):
+    """Vectors with at most three nonzero coordinates, as module vectors are."""
+    return st.lists(st.tuples(st.integers(0, dim - 1), rationals), max_size=3).map(
+        lambda entries: fvec(dict(entries).get(k, 0) for k in range(dim))
+    )
+
+
+@SETTINGS
+@given(
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+        lambda n: st.tuples(
+            st.lists(rationals, min_size=n[0] ** 2, max_size=n[0] ** 2),
+            st.lists(rationals, min_size=n[1] ** 2, max_size=n[1] ** 2),
+            _sparse_vectors(n[0] * n[1]),
+            st.just(n),
+        )
+    )
+)
+def test_tensor_apply_equals_kronecker_sum(data):
+    flat1, flat2, v, (n1, n2) = data
+    x1 = fvec(flat1).reshape(n1, n1)
+    x2 = fvec(flat2).reshape(n2, n2)
+    got = _tensor_apply(x1, x2, v)
+    # the dense Kronecker form, kept here only as the reference
+    want = (np.kron(x1, eye(n2)) + np.kron(eye(n1), x2)) @ v
+    assert got.shape == (n1 * n2,)
+    assert all(isinstance(x, Fraction) for x in got)
+    assert is_zero(got - want)
 
 
 GROUPS = ("A1", "A2", "B2", "A1xA1", "A1+T1")

@@ -1,6 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from weylkit.errors import DimensionCapError, NonDominantError, ParseError
+from weylkit import repthy
+from weylkit.errors import DimensionCapError, InternalInvariantError, NonDominantError, ParseError
 from weylkit.linalg import is_zero, zeros
 from weylkit.repthy import (
     build_module,
@@ -152,6 +157,49 @@ def test_dimension_cap():
         build_module(parse_group("A1"), (64,))
     # the bound itself is fine
     assert build_module(parse_group("A1"), (63,)).dim == 64
+
+
+def _flip_top_multiplicity(true):
+    """weight_multiplicities with the top multiplicity raised by one: a wrong
+    character, which the builder must refuse."""
+
+    def flipped(group, label):
+        mult = dict(true(group, label))
+        mult[tuple(label)] += 1
+        return mult
+
+    return flipped
+
+
+def test_wrong_multiplicities_raise_internal_invariant(monkeypatch):
+    monkeypatch.setattr(repthy, "_MODULE_CACHE", {})
+    monkeypatch.setattr(
+        repthy, "weight_multiplicities", _flip_top_multiplicity(repthy.weight_multiplicities)
+    )
+    with pytest.raises(InternalInvariantError) as info:
+        build_module(parse_group("A2"), (1, 1))
+    assert info.value.code == "internal_invariant"
+
+
+def test_invariant_checks_survive_python_O():
+    src = str(Path(repthy.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    code = (
+        f"import sys; sys.path[:0] = [{src!r}, {tests!r}]\n"
+        "from test_repthy import _flip_top_multiplicity\n"
+        "from weylkit import repthy\n"
+        "from weylkit.errors import InternalInvariantError\n"
+        "from weylkit.rootsys import parse_group\n"
+        "repthy.weight_multiplicities = _flip_top_multiplicity(repthy.weight_multiplicities)\n"
+        "try:\n"
+        "    repthy.build_module(parse_group('A2'), (1, 1))\n"
+        "except InternalInvariantError as exc:\n"
+        "    print(__debug__, exc.code)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False internal_invariant"
 
 
 def test_module_cache():
