@@ -21,6 +21,7 @@ from .errors import (
     NoIntertwinerError,
     NotAdaptedError,
     NotOrthonormalError,
+    NotSubalgebraError,
     NuSquareObstructionError,
 )
 from .harmonic import sym_rep_matrix
@@ -218,6 +219,7 @@ def is_adapted(group: Group, h: Subalgebra, theta: InvolutionSpec) -> Adaptednes
     a semisimple z whose centralizer in h is abelian and still inside the
     (-1)-eigenspace exhibits such a Cartan.
     """
+    h.require_closed()
     check_reductive(group, h)
     stable = all(h.contains(theta.apply(v)) for v in h.basis)
     if not stable:
@@ -305,18 +307,20 @@ class HModule:
         self.mats = mats
         self.descriptor = descriptor
         self.dim = mats[0].shape[0] if mats else 1
-        for m, x in zip(mats, h.basis):
-            assert m.shape == (self.dim, self.dim)
+        if len(mats) != h.dim or any(m.shape != (self.dim, self.dim) for m in mats):
+            raise DegenerateInputError(
+                "fiber needs one square matrix of a common size per basis vector of h"
+            )
         # bracket compatibility: rho[x,y] = [rho x, rho y] on the basis
         for i, x in enumerate(h.basis):
-            for j, y in enumerate(h.basis):
-                if j <= i:
-                    continue
-                c = h.coords(group.bracket(x, y))
-                assert c is not None, "fiber module over a non-closed span"
+            for j in range(i + 1, h.dim):
+                c = h.coords(group.bracket(x, h.basis[j]))
+                if c is None:
+                    raise NotSubalgebraError("fiber module over a non-closed span")
                 lhs = self.action_coords(c)
                 rhs = mats[i] @ mats[j] - mats[j] @ mats[i]
-                assert is_zero(lhs - rhs), "fiber matrices do not represent h"
+                if not is_zero(lhs - rhs):
+                    raise DegenerateInputError("fiber matrices do not represent h")
 
     def action_coords(self, coords: np.ndarray) -> np.ndarray:
         return combine(coords, self.mats, (self.dim, self.dim))

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     DegenerateInputError,
     NonNilpotentDirectionError,
+    NotSubalgebraError,
     ParseError,
     UnknownNameError,
     UnsupportedTypeError,
@@ -379,13 +380,10 @@ class Group:
 
     @cached_property
     def killing_form(self) -> np.ndarray:
-        k = zeros(self.dim, self.dim)
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                tr = np.trace(self.ad_basis[i] @ self.ad_basis[j])
-                k[i, j] = tr
-                k[j, i] = tr
-        return k
+        # tr(ad_i ad_j) = vec(ad_i) . vec(ad_j^T): one product of stacked rows
+        rows = np.array([a.reshape(-1) for a in self.ad_basis])
+        cols = np.array([a.T.reshape(-1) for a in self.ad_basis])
+        return rows @ cols.T
 
     @cached_property
     def invariant_form(self) -> np.ndarray:
@@ -609,6 +607,11 @@ class Subalgebra:
                 if not self.contains(g.bracket(x, y)):
                     return False
         return True
+
+    def require_closed(self) -> None:
+        """The guard of every op that needs a subalgebra, not just a span."""
+        if not self.is_closed():
+            raise NotSubalgebraError("span is not closed under the bracket")
 
     def __repr__(self) -> str:
         tag = self.name or "span"

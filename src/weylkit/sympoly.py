@@ -227,6 +227,7 @@ def homog_coordinate_mf_crosscheck(
     """
     if degree_bound < 1:
         raise DegenerateInputError("degree bound must be at least 1")
+    h.require_closed()
     check_reductive(group, h)
     if ambient is None:
         ambient = [(_default_ambient_label(group), 1)]

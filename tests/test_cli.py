@@ -7,6 +7,10 @@ usage errors.  Structured output must be byte-identical across runs.
 
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +45,15 @@ def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _cli_process(argv, flags=(), env=None, **kwargs):
+    """Run ``python <flags> -m weylkit.cli <argv>`` on this checkout's sources."""
+    src = str(Path(errors_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, **(env or {})}
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "weylkit.cli", *argv], env=env, text=True, **kwargs
+    )
 
 
 class TestErrorRegistry:
@@ -214,6 +227,13 @@ class TestMF:
         assert code == 1
         assert "error degenerate_input:" in out
 
+    def test_orbit_form_refuses_a_span_that_is_no_subalgebra(self, capsys):
+        code, out, _ = _run(
+            capsys, "mf", "--group", "A1", "--subalgebra", "span:0,1,0;0,0,1", "--degree", "3",
+        )
+        assert code == 1
+        assert "error not_subalgebra:" in out
+
     def test_degree_at_cap_is_computed(self, capsys):
         code, out, _ = _run(
             capsys, "mf", "--group", "A1", "--module", "defining", "--degree", "12"
@@ -249,6 +269,31 @@ class TestInvolution:
         )
         assert code == 1
         assert "error non_reductive:" in out
+
+    # [e, f] = h: the character's value 1 on h is not 0 = [rho e, rho f];
+    # span{e, f} of A1 lacks h, so it is no subalgebra
+    FIBER_REFUSALS = [
+        ("full", "character:1,0,0", "degenerate_input"),
+        ("span:0,1,0;0,0,1", "trivial", "not_subalgebra"),
+    ]
+
+    @pytest.mark.parametrize("subalgebra,fiber,code", FIBER_REFUSALS)
+    def test_fiber_that_is_no_module_is_refused(self, capsys, subalgebra, fiber, code):
+        rc, out, err = _run(
+            capsys, "involution", "--group", "A1", "--subalgebra", subalgebra, "--fiber", fiber,
+        )
+        assert rc == 2
+        assert out == ""
+        assert f"usage error ({code}):" in err
+
+    @pytest.mark.parametrize("subalgebra,fiber,code", FIBER_REFUSALS)
+    def test_fiber_refusal_survives_python_O(self, subalgebra, fiber, code):
+        argv = ["involution", "--group", "A1", "--subalgebra", subalgebra, "--fiber", fiber]
+        proc = _cli_process(argv, flags=["-O"], capture_output=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert f"usage error ({code}):" in proc.stderr
 
     def test_unadapted_is_computation_error(self, capsys):
         code, out, _ = _run(
@@ -308,6 +353,23 @@ class TestIsotypic:
         code, out, _ = _run(capsys, "isotypic", *argv)
         assert code == 1
         assert "error degenerate_input:" in out
+
+    # buffered, the write fails at the final flush; unbuffered, in print
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_ends_without_traceback(self, unbuffered):
+        # the reader is gone before the command writes anything, as when
+        # `| head` has already exited
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = _cli_process(
+                ["isotypic", "--degree", "3", "--format", "structured"],
+                env={"PYTHONUNBUFFERED": unbuffered}, stdout=w, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(w)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
 
 
 _MF_PROBE = {

@@ -16,11 +16,13 @@ from weylkit.errors import (
     NonReductiveError,
     NotAdaptedError,
     NotOrthonormalError,
+    NotSubalgebraError,
     NuSquareObstructionError,
 )
 from weylkit.involution import (
     SHIPPED_BUNDLES,
     AntilinearMap,
+    HModule,
     InvolutionSpec,
     assemble_bundle_involution,
     build_cartan_conjugation,
@@ -145,6 +147,12 @@ class TestAdaptedness:
         assert rep.restriction_is_weyl
         assert rep.verdict
         assert rep.diagnostics is not None
+
+    def test_span_that_is_no_subalgebra_is_refused(self):
+        g = parse_group("A1")
+        h = Subalgebra(g, [g.gen_vector("e", (1,)), g.gen_vector("f", (1,))])
+        with pytest.raises(NotSubalgebraError):
+            is_adapted(g, h, build_weyl_involution(g))
 
     def test_zero_subalgebra_is_vacuously_adapted(self):
         g = parse_group("A1")
@@ -271,6 +279,17 @@ class TestAntilinearMaps:
 
 
 class TestSolveNu:
+    @pytest.mark.parametrize(
+        "sub,sizes",
+        [("cartan", (1, 1)), ("full", (2, 2)), ("full", (2, 2, 3))],
+        ids=["too_many", "too_few", "mixed_sizes"],
+    )
+    def test_misshapen_fiber_matrices_are_refused(self, sub, sizes):
+        g = parse_group("A1")
+        h = standard_subalgebra(g, sub)
+        with pytest.raises(DegenerateInputError):
+            HModule(g, h, [zeros(n, n) for n in sizes], ("probe",))
+
     def test_trivial_fiber(self):
         g = parse_group("A1")
         h = standard_subalgebra(g, "cartan")

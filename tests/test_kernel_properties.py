@@ -2,14 +2,16 @@
 
 ``combine`` and ``eliminate`` carry every linear combination and every
 echelon reduction in the package, so their identities are checked here on
-random small rational data rather than on hand-picked cases only.
+random small rational data rather than on hand-picked cases only.  The two
+coordinate rules of ``spherical`` are checked against the searches they
+replaced, which are kept here as references.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylkit.errors import DegenerateInputError
@@ -26,13 +28,16 @@ from weylkit.linalg import (
     combine,
     eliminate,
     eye,
+    fr,
     fvec,
     is_zero,
     nullspace,
+    rank,
     zeros,
 )
 from weylkit.repthy import _tensor_apply
 from weylkit.rootsys import Subalgebra, parse_group, standard_subalgebra
+from weylkit.spherical import _certifies, _contains_some_borel, normalizer
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -252,3 +257,86 @@ def test_nu_kernel_kronecker_system_matches_entrywise_loop(case, torus):
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
         assert a.shape == b.shape and is_zero(a - b)
+
+
+# ---- the coordinate rules of spherical, against the searches they replaced
+
+
+def _generated(g, picks):
+    """The subalgebra generated by some Chevalley basis vectors."""
+    h = Subalgebra(g, [g.gen_vector(*g.basis_labels[i % g.dim]) for i in picks])
+    while True:
+        brackets = [g.bracket(x, y) for i, x in enumerate(h.basis) for y in h.basis[i + 1 :]]
+        bigger = Subalgebra(g, h.basis + brackets)
+        if bigger.dim == h.dim:
+            return h
+        h = bigger
+
+
+def _weyl_sweep(g, p):
+    """Does p contain w(b) for some Weyl element w?  The search the
+    parabolic rule replaced, kept as the reference."""
+    if p.dim < g.rank + g.torus_dim + len(g.posroots):
+        return False
+    cartan = [g.gen_vector(kind, i) for kind, i in g.basis_labels if kind in ("h", "t")]
+    if not all(p.contains(v) for v in cartan):
+        return False
+    pos_fc = {g.root_fc(c)[: g.rank]: c for c in g.posroots}
+    for w in g.weyl_elements:
+        images = [g.apply_weyl(w, g.root_fc(c))[: g.rank] for c in g.posroots]
+        vecs = [
+            g.gen_vector("e", pos_fc[img]) if img in pos_fc
+            else g.gen_vector("f", pos_fc[tuple(-x for x in img)])
+            for img in images
+        ]
+        if all(p.contains(v) for v in vecs):
+            return True
+    return False
+
+
+PICKS = st.lists(st.integers(0, 13), max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("A1", "A2", "B2", "G2", "A1xA1", "A1+T1", "A2+T1", "T1")), PICKS)
+@example("T1", [])
+@example("A2", [])
+def test_parabolic_rule_equals_weyl_sweep(name, picks):
+    g = parse_group(name)
+    h = _generated(g, picks)
+    for p in (h, normalizer(g, h)):
+        assert _contains_some_borel(g, p) == _weyl_sweep(g, p)
+
+
+def _orbit_is_dense(g, h, params):
+    """rank[b | Ad(g)h] == dim g with the Borel built and Ad(g) formed as a
+    dim x dim product: the test the density rule replaced."""
+    shape = (g.dim,)
+    xe = combine([fr(t) for t in params["e"]], [g.gen_vector("e", c) for c in g.posroots], shape)
+    xf = combine([fr(t) for t in params["f"]], [g.gen_vector("f", c) for c in g.posroots], shape)
+    adg = g.exp_ad(xe) @ g.torus_ad([fr(x) for x in params["s"]]) @ g.exp_ad(xf)
+    cols = standard_subalgebra(g, "borel").basis + [adg @ v for v in h.basis]
+    return rank(column_stack(cols)) == g.dim
+
+
+SMALL = st.lists(st.integers(-2, 2), min_size=6, max_size=6)
+TORUS = st.lists(st.sampled_from((-2, -1, 1, 2)), min_size=3, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(("A1", "A2", "B2", "A1xA1", "A1+T1", "A2+T1", "T1")),
+    PICKS,
+    SMALL,
+    TORUS,
+    SMALL,
+)
+@example("T1", [], [0] * 6, [1] * 3, [0] * 6)
+@example("T1", [0], [0] * 6, [1] * 3, [0] * 6)
+@example("A2", [], [1] * 6, [2] * 3, [1] * 6)
+def test_density_rule_equals_borel_rank(name, picks, e, s, f):
+    g = parse_group(name)
+    h = _generated(g, picks)
+    npos = len(g.posroots)
+    params = {"e": e[:npos], "s": s[: g.rank], "f": f[:npos]}
+    assert _certifies(g, h, params) == _orbit_is_dense(g, h, params)

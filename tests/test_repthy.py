@@ -6,7 +6,7 @@ import pytest
 
 from weylkit import repthy
 from weylkit.errors import DimensionCapError, InternalInvariantError, NonDominantError, ParseError
-from weylkit.linalg import is_zero, zeros
+from weylkit.linalg import combine, is_zero
 from weylkit.repthy import (
     build_module,
     decompose_character,
@@ -104,18 +104,36 @@ def test_torus_coords_ride_along():
 
 
 def _is_homomorphism(mod):
+    """[x_i, x_j] = sum_k c_ijk x_k on the module for every bracket pair.
+
+    Checked column by column: column l of a @ b is a applied to column l of
+    b, the sparse matvec combine(b[:, l], a.T)."""
     g = mod.group
+    n = mod.dim
+    cols = [[m[:, l] for m in mod.act] for l in range(n)]
     for i in range(g.dim):
+        a = mod.act[i]
         for j in range(i + 1, g.dim):
-            lhs = mod.act[i] @ mod.act[j] - mod.act[j] @ mod.act[i]
-            rhs = zeros(mod.dim, mod.dim)
+            b = mod.act[j]
             v = g.bracket_table[i][j]
-            for k in range(g.dim):
-                if v[k] != 0:
-                    rhs = rhs + v[k] * mod.act[k]
-            if not is_zero(lhs - rhs):
-                return False
+            for l in range(n):
+                lhs = combine(b[:, l], a.T, (n,)) - combine(a[:, l], b.T, (n,))
+                if not is_zero(lhs - combine(v, cols[l], (n,))):
+                    return False
     return True
+
+
+def test_is_homomorphism_catches_one_flipped_entry():
+    g = parse_group("B2")
+    mod = build_module(g, (1, 0))
+    assert _is_homomorphism(mod)
+    # negate one nonzero entry of the highest root's raising matrix
+    k = g._index[("e", g.posroots[-1])]
+    m = mod.act[k].copy()
+    r, c = next((r, c) for r in range(mod.dim) for c in range(mod.dim) if m[r, c] != 0)
+    m[r, c] = -m[r, c]
+    act = mod.act[:k] + [m] + mod.act[k + 1 :]
+    assert not _is_homomorphism(repthy.Module(g, mod.label, mod.weights, act))
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 from weylkit.errors import (
     DegenerateInputError,
     NonNilpotentDirectionError,
+    NotSubalgebraError,
     ParseError,
     UnknownNameError,
     UnsupportedTypeError,
@@ -413,6 +414,9 @@ def test_closure_detection():
     f = g.gen_vector("f", (1,))
     assert not Subalgebra(g, [e, f]).is_closed()
     assert Subalgebra(g, [g.gen_vector("h", 0) + e]).is_closed()
+    with pytest.raises(NotSubalgebraError):
+        Subalgebra(g, [e, f]).require_closed()
+    Subalgebra(g, [e, f, g.gen_vector("h", 0)]).require_closed()
 
 
 def test_cartan_subalgebra_with_torus():
