@@ -35,13 +35,8 @@ from .involution import (
 from .linalg import fr_input, fvec
 from .repthy import check_label, decompose_character
 from .rootsys import MAX_RANK, Group, Subalgebra, parse_group, standard_subalgebra
-from .spherical import DEFAULT_TRIALS, MAX_TRIALS, classify_torus_fibration, is_spherical_pair
-from .sympoly import (
-    DEFAULT_DEGREE_BOUND,
-    MAX_MF_DEGREE,
-    homog_coordinate_mf_crosscheck,
-    is_mf_coordinate_ring,
-)
+from .spherical import DEFAULT_TRIALS, classify_torus_fibration, is_spherical_pair
+from .sympoly import DEFAULT_DEGREE_BOUND, homog_coordinate_mf_crosscheck, is_mf_coordinate_ring
 
 
 # ---- parsing helpers -----------------------------------------------------------
@@ -187,11 +182,6 @@ def cmd_spherical(args) -> int:
     except ToolkitError as exc:
         return _usage_error(exc)
     try:
-        # is_spherical_pair refuses a negative count itself, also before sampling
-        if args.trials > MAX_TRIALS:
-            raise DegenerateInputError(
-                f"trial count must be at most {MAX_TRIALS}, got {args.trials}"
-            )
         res = is_spherical_pair(g, h, trials=args.trials, seed=args.seed)
     except ToolkitError as exc:
         return _emit_error(args, exc)
@@ -241,10 +231,6 @@ def cmd_mf(args) -> int:
     except ToolkitError as exc:
         return _usage_error(exc)
     try:
-        if not 1 <= args.degree <= MAX_MF_DEGREE:
-            raise DegenerateInputError(
-                f"degree bound must lie in 1..{MAX_MF_DEGREE}, got {args.degree}"
-            )
         if summands is not None:
             verdict = is_mf_coordinate_ring(g, summands, args.degree)
         else:

@@ -101,3 +101,11 @@ class InternalInvariantError(ToolkitError):
     cannot drop the checks that a verdict rests on."""
 
     code = "internal_invariant"
+
+
+def ensure(ok: bool, what: str) -> None:
+    """A check that a verdict rests on; unlike assert, kept under python -O.
+
+    Inside loops pass a constant message: it is built on every call."""
+    if not ok:
+        raise InternalInvariantError(what)

@@ -46,22 +46,27 @@ class FunctionSample:
             return -1
         return max(sum(k) for k in self.coeffs)
 
+    def _same_domain(self, other: "FunctionSample") -> None:
+        if (self.domain, self.n) != (other.domain, other.n):
+            raise DegenerateInputError("samples live on different domains")
+
     def __add__(self, other: "FunctionSample") -> "FunctionSample":
-        assert (self.domain, self.n) == (other.domain, other.n)
+        self._same_domain(other)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0) + c
         return FunctionSample(self.domain, self.n, out)
 
     def __sub__(self, other: "FunctionSample") -> "FunctionSample":
-        assert (self.domain, self.n) == (other.domain, other.n)
+        self._same_domain(other)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0) - c
         return FunctionSample(self.domain, self.n, out)
 
-    def prune(self, eps: float = 1e-14) -> "FunctionSample":
-        kept = {k: c for k, c in self.coeffs.items() if abs(c) > eps}
+    def prune(self) -> "FunctionSample":
+        """Drop the coefficients at roundoff level, |c| <= 1e-14."""
+        kept = {k: c for k, c in self.coeffs.items() if abs(c) > 1e-14}
         return FunctionSample(self.domain, self.n, kept, self.flags)
 
 
@@ -341,10 +346,10 @@ class IsotypicReport:
 def finite_series_check(
     f: FunctionSample,
     q: QuadratureScheme | None = None,
-    threshold: float = ZERO_THRESHOLD,
 ) -> IsotypicReport:
     """Project onto every candidate component, keep the ones that are
-    nonzero, and confirm the finite sum reconstructs f.
+    nonzero (norm above ZERO_THRESHOLD), and confirm the finite sum
+    reconstructs f.
 
     Torus samples use the exact Fourier path (tolerance 1e-12, no
     quadrature needed); samples on C^2 average with the supplied scheme
@@ -359,35 +364,30 @@ def finite_series_check(
             for ix in np.ndindex(grid.shape):
                 delta = tuple(i + lo for i, lo in zip(ix, los))
                 g = _torus_term(f.n, delta, grid[ix])
-                if g.norm() > threshold:
+                if g.norm() > ZERO_THRESHOLD:
                     comps[delta] = g
         recon = FunctionSample("torus", f.n, {})
         for g in comps.values():
             recon = recon + g
-        return IsotypicReport(comps, (f - recon).norm(), threshold, TORUS_TOLERANCE)
+        return IsotypicReport(comps, (f - recon).norm(), ZERO_THRESHOLD, TORUS_TOLERANCE)
     if q is None:
         raise DegenerateInputError("projections on C^2 need a quadrature scheme")
     comps = {}
     for delta in range(max(f.degree(), 0) + 1):
         g = project_su2(f, delta, q)
-        if g.norm() > threshold:
+        if g.norm() > ZERO_THRESHOLD:
             comps[delta] = g
     recon = FunctionSample("su2", 2, {})
     for g in comps.values():
         recon = recon + g
-    return IsotypicReport(comps, (f - recon).norm(), threshold, ZERO_THRESHOLD)
+    return IsotypicReport(comps, (f - recon).norm(), ZERO_THRESHOLD, ZERO_THRESHOLD)
 
 
-def verify_projector_algebra(
-    q: QuadratureScheme,
-    degree_cap: int,
-    n_rotations: int = 5,
-    seed: int = 0,
-    tolerance: float = ZERO_THRESHOLD,
-) -> dict:
+def verify_projector_algebra(q: QuadratureScheme, degree_cap: int, seed: int = 0) -> dict:
     """Assemble every E_delta on polynomials of degree <= cap and measure
-    idempotence, mutual orthogonality, commutation with sampled group
-    elements, and self-adjointness in the invariant inner product.
+    idempotence, mutual orthogonality, commutation with five sampled group
+    elements, and self-adjointness in the invariant inner product, each
+    against ZERO_THRESHOLD.
 
     Report-only: residuals are returned as found, so a corrupted scheme
     shows up as a large number rather than an exception.
@@ -415,7 +415,7 @@ def verify_projector_algebra(
                     orth = max(orth, np.max(np.abs(e @ blocks[(d2, m)])))
     rng = np.random.default_rng(seed)
     angles = []
-    for _ in range(n_rotations):
+    for _ in range(5):
         phi1, phi2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
         angles.append((phi1, rng.uniform(-1.0, 1.0), phi2))
     comm = 0.0
@@ -434,6 +434,6 @@ def verify_projector_algebra(
         "commutation": comm,
         "self_adjointness": selfadj,
         "max_residual": worst,
-        "tolerance": tolerance,
-        "within_tolerance": worst <= tolerance,
+        "tolerance": ZERO_THRESHOLD,
+        "within_tolerance": worst <= ZERO_THRESHOLD,
     }

@@ -23,6 +23,7 @@ from .errors import (
     NotOrthonormalError,
     NotSubalgebraError,
     NuSquareObstructionError,
+    ensure,
 )
 from .harmonic import sym_rep_matrix
 from .linalg import column_stack, combine, eye, fmat, fr, is_zero, nullspace, zeros
@@ -95,8 +96,8 @@ def build_weyl_involution(group: Group) -> InvolutionSpec:
     maximal torus and is verified here to preserve every basis bracket.
     """
     spec = InvolutionSpec("weyl_theta", group, _chevalley_matrix(group), False)
-    assert spec.squares_to_identity()
-    assert spec.is_automorphism(), "Chevalley involution failed bracket check"
+    ensure(spec.squares_to_identity(), "Chevalley involution does not square to the identity")
+    ensure(spec.is_automorphism(), "Chevalley involution failed bracket check")
     return spec
 
 
@@ -196,17 +197,17 @@ def _centralizer_in_h(group: Group, h: Subalgebra, z: np.ndarray) -> list[np.nda
     return _subspace_in_h(h, nullspace(column_stack(cols)))
 
 
-def _small_tuples(k: int, max_height: int = 6, cap: int = 400):
+def _small_tuples(k: int):
     """Nonnegative integer coefficient tuples ordered by height, for
-    deterministic generic-element searches."""
+    deterministic generic-element searches: heights 1..6, at most 400."""
     count = 0
-    for height in range(1, max_height + 1):
+    for height in range(1, 7):
         for tup in itertools.product(range(height + 1), repeat=k):
             if sum(tup) != height:
                 continue
             yield tup
             count += 1
-            if count >= cap:
+            if count >= 400:
                 return
 
 
@@ -231,7 +232,7 @@ def is_adapted(group: Group, h: Subalgebra, theta: InvolutionSpec) -> Adaptednes
     restr = zeros(k, k)
     for j, v in enumerate(h.basis):
         c = h.coords(theta.apply(v))
-        assert c is not None
+        ensure(c is not None, "theta does not preserve h")
         restr[:, j] = c
     anti = _subspace_in_h(h, nullspace(restr + eye(k)))
     abelian_h = all(
@@ -454,7 +455,7 @@ def solve_nu(module: HModule, theta: InvolutionSpec) -> AntilinearMap:
     if lead < 0:
         a = -a
     nu = AntilinearMap(a, zeros(n, n))
-    assert nu.is_involutive()
+    ensure(nu.is_involutive(), "normalized nu is not an involution")
     return nu
 
 
@@ -568,8 +569,9 @@ class Phi:
         return total
 
 
-def build_phi(functions, norm2, evaluator, name: str = "phi", tolerance: float = 1e-10) -> Phi:
-    """Gram-verify an orthonormal family and wrap it as a Phi evaluator.
+def build_phi(functions, norm2, evaluator, name: str = "phi") -> Phi:
+    """Gram-verify an orthonormal family (to 1e-10) and wrap it as a Phi
+    evaluator.
 
     Functions are dicts over mutually orthogonal basis keys; norm2 gives
     each key's squared norm under the invariant inner product.
@@ -583,7 +585,7 @@ def build_phi(functions, norm2, evaluator, name: str = "phi", tolerance: float =
                 if key in functions[s]:
                     acc += c * np.conj(functions[s][key]) * norm2(key)
             gram[r, s] = acc
-    if np.max(np.abs(gram - np.eye(n))) > tolerance:
+    if np.max(np.abs(gram - np.eye(n))) > 1e-10:
         raise NotOrthonormalError(
             f"family is not orthonormal; max Gram defect "
             f"{np.max(np.abs(gram - np.eye(n))):.3e}"
@@ -654,7 +656,7 @@ def bundle_cartan_weight2() -> BundleModel:
         # basis vector index j has torus weight 2j - d; the fiber power k
         # needs column weight 2k
         j = (2 * k + d) // 2
-        assert 2 * j - d == 2 * k
+        ensure(2 * j - d == 2 * k, "no column of this weight")
         return j
 
     def product_family(d: int, k: int) -> Phi:
@@ -778,13 +780,12 @@ def orbit_preservation_check(
     samples=None,
     n_samples: int = 20,
     seed: int = 0,
-    tolerance: float = 1e-8,
     nu: AntilinearMap | None = None,
 ) -> dict:
     """Max |Phi(mu(x)) - Phi(x)| over samples and the Phi family.
 
-    Report-only: the caller decides what to do with a residual above
-    tolerance (the sign-flipped negative control relies on that)."""
+    Report-only: the caller decides what to do with a residual above the
+    1e-8 tolerance (the sign-flipped negative control relies on that)."""
     import random as _random
 
     if samples is None:
@@ -804,6 +805,6 @@ def orbit_preservation_check(
         "per_function": per_phi,
         "n_samples": len(samples),
         "n_functions": len(bundle.phis),
-        "tolerance": tolerance,
-        "within_tolerance": worst <= tolerance,
+        "tolerance": 1e-8,
+        "within_tolerance": worst <= 1e-8,
     }

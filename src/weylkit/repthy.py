@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionCapError, InternalInvariantError, NonDominantError, ParseError
+from .errors import DimensionCapError, NonDominantError, ParseError, ensure
 from .linalg import F0, F1, SpanBasis, column_stack, combine, eye, fr, fvec, is_zero
 from .linalg import nullspace, zeros
 from .linalg import rref  # noqa: F401  (unused here; the benchmark tracer and its tests patch repthy.rref)
@@ -32,12 +32,6 @@ from .rootsys import Group
 DIM_CAP = 64
 
 Weight = tuple[int, ...]
-
-
-def _check(ok: bool, what: str) -> None:
-    """A check that a verdict rests on; unlike assert, kept under python -O."""
-    if not ok:
-        raise InternalInvariantError(what)
 
 
 def check_label(group: Group, label: Sequence[int]) -> Weight:
@@ -66,7 +60,7 @@ def weyl_dim(group: Group, label: Sequence[int]) -> int:
         num *= group.wform(_add(lab, group.rho), a)
         den *= group.wform(group.rho, a)
     d = num / den
-    _check(d.denominator == 1 and d > 0, f"Weyl dimension of {lab} is {d}")
+    ensure(d.denominator == 1 and d > 0, f"Weyl dimension of {lab} is {d}")
     return int(d)
 
 
@@ -137,15 +131,15 @@ def weight_multiplicities(group: Group, label: Sequence[int]) -> dict[Weight, in
                 total += 2 * m * group.wform(nu, a)
                 k += 1
         den = lam_norm - group.wform(_add(mu, rho), _add(mu, rho))
-        _check(den > 0, f"Freudenthal denominator at {mu} is {den}")
+        ensure(den > 0, "Freudenthal denominator is not positive")
         m = total / den
-        _check(m.denominator == 1 and m >= 1, f"Freudenthal multiplicity at {mu} is {m}")
+        ensure(m.denominator == 1 and m >= 1, "Freudenthal multiplicity is not a positive integer")
         mdom[mu] = int(m)
     full: dict[Weight, int] = {}
     for mu, m in mdom.items():
         for w in group.weyl_elements:
             full[group.apply_weyl(w, mu)] = m
-    _check(sum(full.values()) == weyl_dim(group, lab), f"multiplicities of {lab} miss weyl_dim")
+    ensure(sum(full.values()) == weyl_dim(group, lab), f"multiplicities of {lab} miss weyl_dim")
     _MULT_CACHE[key] = full
     return full
 
@@ -210,12 +204,12 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
         cols.append(np.concatenate([_tensor_apply(*e, unit) for e in es]))
     raising = column_stack(cols)
     ker = nullspace(raising[[not is_zero(row) for row in raising]])
-    _check(len(ker) == 1, f"highest weight vector of {label} is not unique")
+    ensure(len(ker) == 1, f"highest weight vector of {label} is not unique")
     v0 = zeros(adim)
     v0[positions] = ker[0]
 
     span = SpanBasis(adim)
-    _check(span.add(v0), "highest weight vector is zero")
+    ensure(span.add(v0), "highest weight vector is zero")
     basis = [v0]
     bweights = [label]
     queue = [0]
@@ -230,18 +224,18 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
                 queue.append(len(basis) - 1)
     n = len(basis)
     expect = weyl_dim(group, label)
-    _check(n == expect, f"built {n} vectors for {label}, expected {expect}")
+    ensure(n == expect, f"built {n} vectors for {label}, expected {expect}")
     mults: dict[Weight, int] = {}
     for w in bweights:
         mults[w] = mults.get(w, 0) + 1
-    _check(mults == weight_multiplicities(group, label), f"weights of {label} miss Freudenthal's")
+    ensure(mults == weight_multiplicities(group, label), f"weights of {label} miss Freudenthal's")
 
     act = []
     for x in amb:
         mat = zeros(n, n)
         for k in range(n):
             coords = span.express(_tensor_apply(*x, basis[k]))
-            _check(coords is not None, "action left the generated submodule")
+            ensure(coords is not None, "action left the generated submodule")
             mat[:, k] = coords
         act.append(mat)
     mod = Module(group, label, bweights, act)
@@ -266,12 +260,12 @@ def _verify_generators(mod: Module) -> None:
         h = mod.act[g._index[("h", i)]]
         for k, w in enumerate(mod.weights):
             col = h[:, k]
-            _check(
+            ensure(
                 col[k] == w[i] and all(col[a] == 0 for a in range(n) if a != k),
-                f"h_{i} is not diagonal with the weights on the basis",
+                "h_i is not diagonal with the weights on the basis",
             )
             ef = combine(f[:, k], e.T, (n,)) - combine(e[:, k], f.T, (n,))
-            _check(is_zero(ef - col), f"[e_{i}, f_{i}] != h_{i}")
+            ensure(is_zero(ef - col), "[e_i, f_i] != h_i")
 
 
 _MODULE_CACHE: dict[tuple[str, Weight], Module] = {}
@@ -318,11 +312,7 @@ def _build_ss(group: Group, lab: Weight) -> Module:
     else:
         i0 = next(i for i in range(group.rank) if lab[i] > 0)
         if height == 1:
-            fi = next(
-                k for k, o in enumerate(group._offsets)
-                if o <= i0 < o + group.factors[k]["rank"]
-            )
-            m1 = m2 = _seed_module(group, fi)
+            m1 = m2 = _seed_module(group, next(s for s in group.factor_seeds if ("h", i0) in s))
         else:
             mu = tuple(1 if i == i0 else 0 for i in range(group.rank)) + (0,) * group.torus_dim
             m1 = _build_ss(group, mu)
@@ -332,28 +322,14 @@ def _build_ss(group: Group, lab: Weight) -> Module:
     return mod
 
 
-def _seed_module(group: Group, fi: int) -> Module:
-    """The seed fundamental of factor fi, embedded in the product algebra;
-    its weights are the diagonals of its Cartan matrices."""
-    f = group.factors[fi]
-    o = group._offsets[fi]
-    n = f["n"]
-    act: dict[tuple[str, object], np.ndarray] = {}
-    for lab in group.basis_labels:
-        act[lab] = zeros(n, n)
-    for i in range(f["rank"]):
-        act[("h", o + i)] = f["h"][i]
-    for c in f["posroots"]:
-        full = [0] * group.rank
-        full[o : o + f["rank"]] = c
-        act[("e", tuple(full))] = f["e"][c]
-        act[("f", tuple(full))] = f["f"][c]
-    weights = []
-    for a in range(n):
-        full = [0] * group.weight_len
-        full[o : o + f["rank"]] = [int(h[a, a]) for h in f["h"]]
-        weights.append(tuple(full))
-    return Module(group, weights[0], weights, [act[lab] for lab in group.basis_labels])
+def _seed_module(group: Group, seeds: dict) -> Module:
+    """The seed fundamental of one factor (an entry of group.factor_seeds),
+    zero on the other factors; its weights are the diagonals of the h_i."""
+    n = len(next(iter(seeds.values())))
+    act = [seeds.get(lab, zeros(n, n)) for lab in group.basis_labels]
+    hs = act[: group.rank]  # the basis starts with h_0 .. h_{r-1}
+    weights = [tuple(int(h[a, a]) for h in hs) + (0,) * group.torus_dim for a in range(n)]
+    return Module(group, weights[0], weights, act)
 
 
 # ---- character arithmetic ---------------------------------------------------
@@ -388,14 +364,14 @@ def decompose_character(group: Group, char: dict[Weight, int]) -> dict[Weight, i
     rho = group.rho
     while work:
         doms = [w for w in work if group.is_dominant(w)]
-        _check(bool(doms), "character has no dominant weight left")
+        ensure(bool(doms), "character has no dominant weight left")
         top = max(doms, key=lambda w: (group.wform(_add(w, rho), _add(w, rho)), w))
         mult = work[top]
-        _check(mult > 0, f"negative multiplicity at {top}: not a character")
+        ensure(mult > 0, "negative multiplicity: not a character")
         out[top] = out.get(top, 0) + mult
         for w, m in weight_multiplicities(group, top).items():
             rem = work.get(w, 0) - mult * m
-            _check(rem >= 0, "character stripping went negative")
+            ensure(rem >= 0, "character stripping went negative")
             if rem:
                 work[w] = rem
             else:

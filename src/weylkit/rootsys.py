@@ -5,11 +5,14 @@ optional central torus suffix "+Tk"; total rank (simple ranks plus k) at
 most 3.  Weights and root-space labels use fundamental-weight coordinates
 for the semisimple part followed by k integer torus coordinates.
 
-Structure constants come from hand-coded faithful seed representations of
-each simple type (defining modules for A1/A2, the 4-dimensional spinor for
-B2, the 7-dimensional fundamental for G2).  Root vectors for non-simple
-roots are generated by the extraspecial-pair recursion, which pins every
-sign; the resulting table is exact over the rationals.
+The roots of each simple type are the Weyl orbit of its simple roots, and
+the longest Weyl element is the last one the breadth-first closure of the
+Weyl group reaches.  Structure constants come from hand-coded faithful seed
+representations of each simple type (defining modules for A1/A2, the
+4-dimensional spinor for B2, the 7-dimensional fundamental for G2).  Root
+vectors for non-simple roots are generated by the extraspecial-pair
+recursion, which pins every sign; the resulting table is exact over the
+rationals.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .errors import (
     ParseError,
     UnknownNameError,
     UnsupportedTypeError,
+    ensure,
 )
 from .linalg import F0, F1, SpanBasis, column_stack, combine, eliminate, eye, fmat, fr, fvec
 from .linalg import is_zero, rref, zeros
@@ -83,35 +87,28 @@ def _sparse_matrix(n: int, entries: Sequence[tuple[int, int, int]]) -> np.ndarra
     return m
 
 
-def _string_closure_posroots(A: np.ndarray) -> list[tuple[int, ...]]:
-    """Positive roots from the Cartan matrix, via root strings.
+def _unit(r: int, i: int) -> tuple[int, ...]:
+    return tuple(1 if k == i else 0 for k in range(r))
 
-    gamma + alpha_i is a root iff q = p - <gamma, alpha_i^vee> > 0, where p
-    is the depth of the alpha_i-string below gamma.
-    """
+
+def _positive_roots(A: np.ndarray) -> list[tuple[int, ...]]:
+    """Positive roots in simple coordinates, in (height, lex) order.
+
+    Every root is W-conjugate to a simple root (Humphreys, *Introduction to
+    Lie Algebras and Representation Theory*, sec. 10.3), so the roots are the
+    closure of the simple roots under s_i(c) = c - (Ac)_i alpha_i."""
     r = A.shape[0]
-    simple = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
-    roots: set[tuple[int, ...]] = set(simple)
-    frontier = list(simple)
+    roots = {_unit(r, i) for i in range(r)}
+    frontier = list(roots)
     while frontier:
-        nxt: list[tuple[int, ...]] = []
-        for c in frontier:
-            for i in range(r):
-                p = 0
-                while True:
-                    down = tuple(c[k] - (p + 1) * (1 if k == i else 0) for k in range(r))
-                    if down in roots or tuple(-x for x in down) in roots:
-                        p += 1
-                    else:
-                        break
-                pairing = sum(int(A[i, k]) * c[k] for k in range(r))
-                if p - pairing > 0:
-                    up = tuple(c[k] + (1 if k == i else 0) for k in range(r))
-                    if up not in roots:
-                        roots.add(up)
-                        nxt.append(up)
-        frontier = nxt
-    return sorted(roots, key=lambda c: (sum(c), c))
+        c = frontier.pop()
+        for i in range(r):
+            pairing = sum(int(A[i, k]) * c[k] for k in range(r))
+            img = tuple(x - pairing if k == i else x for k, x in enumerate(c))
+            if img not in roots:
+                roots.add(img)
+                frontier.append(img)
+    return sorted((c for c in roots if min(c) >= 0), key=lambda c: (sum(c), c))
 
 
 @lru_cache(maxsize=None)
@@ -120,7 +117,7 @@ def _factor(letter: str) -> dict:
     data = _SEED_DATA[letter]
     A = fmat(data["A"])
     r = A.shape[0]
-    posroots = _string_closure_posroots(A)
+    posroots = _positive_roots(A)
     allroots = set(posroots) | {tuple(-x for x in c) for c in posroots}
     n = len(data["weights"])
 
@@ -131,60 +128,38 @@ def _factor(letter: str) -> dict:
             h[a, a] = fr(w[i])
         hmats.append(h)
 
-    emats: dict[tuple[int, ...], np.ndarray] = {}
-    fmats: dict[tuple[int, ...], np.ndarray] = {}
+    e: dict[tuple[int, ...], np.ndarray] = {}
+    f: dict[tuple[int, ...], np.ndarray] = {}
     for i in range(r):
-        simple = tuple(1 if k == i else 0 for k in range(r))
-        emats[simple] = _sparse_matrix(n, data["e"][i])
-        fmats[simple] = _sparse_matrix(n, data["f"][i])
+        e[_unit(r, i)] = _sparse_matrix(n, data["e"][i])
+        f[_unit(r, i)] = _sparse_matrix(n, data["f"][i])
 
     # Extraspecial pairs: for gamma of height >= 2 take the decomposition
     # gamma = xi + eta with xi minimal in (height, lex) order; then
     # [e_xi, e_eta] = (p+1) e_gamma fixes e_gamma with a positive constant,
-    # p being the depth of the xi-string below eta.
-    pairs: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...], int]] = {}
-    for gamma in posroots:
-        if sum(gamma) < 2:
-            continue
+    # p being the depth of the xi-string below eta, and f_gamma takes the
+    # opposite sign.  Lower heights come first, so e_eta is already set.
+    for gamma in posroots[r:]:
         xi = next(
             c for c in posroots
             if tuple(g - x for g, x in zip(gamma, c)) in allroots and c != gamma
         )
         eta = tuple(g - x for g, x in zip(gamma, xi))
         p = 0
-        while tuple(e - (p + 1) * x for e, x in zip(eta, xi)) in allroots:
+        while tuple(y - (p + 1) * x for y, x in zip(eta, xi)) in allroots:
             p += 1
-        pairs[gamma] = (xi, eta, p)
-    _extraspecial_fill(pairs, emats, fmats)
+        e[gamma] = (e[xi] @ e[eta] - e[eta] @ e[xi]) / fr(p + 1)
+        f[gamma] = -(f[xi] @ f[eta] - f[eta] @ f[xi]) / fr(p + 1)
 
     return {
         "rank": r,
         "A": A,
         "d": [fr(x) for x in data["d"]],
         "posroots": posroots,
-        "n": n,
         "h": hmats,
-        "e": emats,
-        "f": fmats,
+        "e": e,
+        "f": f,
     }
-
-
-def _extraspecial_fill(pairs: dict, e: dict, f: dict) -> None:
-    """Set e_gamma = [e_xi, e_eta]/(p+1) and f_gamma = -[f_xi, f_eta]/(p+1)
-    for each gamma -> (xi, eta, p) in pairs, lowest height first.
-
-    e and f map positive roots to matrices and must hold the simple roots;
-    the sign convention here is the one every root vector is built with.
-    """
-    for gamma in sorted(pairs, key=lambda c: (sum(c), c)):
-        xi, eta, p = pairs[gamma]
-        scale = fr(p + 1)
-        e[gamma] = (e[xi] @ e[eta] - e[eta] @ e[xi]) / scale
-        f[gamma] = -(f[xi] @ f[eta] - f[eta] @ f[xi]) / scale
-
-
-def _unit(r: int, i: int) -> tuple[int, ...]:
-    return tuple(1 if k == i else 0 for k in range(r))
 
 
 class Group:
@@ -203,12 +178,6 @@ class Group:
         self.factors = [_factor(s) for s in letters]
         self.rank = sum(f["rank"] for f in self.factors)
         self.weight_len = self.rank + torus_dim
-        offsets = []
-        o = 0
-        for f in self.factors:
-            offsets.append(o)
-            o += f["rank"]
-        self._offsets = offsets
 
     def __repr__(self) -> str:
         return f"Group({self.name!r})"
@@ -216,21 +185,36 @@ class Group:
     # ---- root bookkeeping -------------------------------------------------
 
     @cached_property
-    def posroots(self) -> list[tuple[int, ...]]:
+    def factor_seeds(self) -> list[dict[tuple[str, object], np.ndarray]]:
+        """The one embedding of each simple factor into the product algebra:
+        per factor, its seed matrices keyed by product basis label, h_i first
+        and then e_c, f_c for each root c of the factor, padded to full rank."""
         out = []
-        for f, o in zip(self.factors, self._offsets):
+        o = 0
+        for f in self.factors:
+            r = f["rank"]
+            seeds = {("h", o + i): m for i, m in enumerate(f["h"])}
             for c in f["posroots"]:
-                full = [0] * self.rank
-                full[o : o + f["rank"]] = c
-                out.append(tuple(full))
+                full = (0,) * o + c + (0,) * (self.rank - o - r)
+                seeds[("e", full)] = f["e"][c]
+                seeds[("f", full)] = f["f"][c]
+            out.append(seeds)
+            o += r
+        return out
+
+    @cached_property
+    def posroots(self) -> list[tuple[int, ...]]:
+        out = [c for seeds in self.factor_seeds for kind, c in seeds if kind == "e"]
         return sorted(out, key=lambda c: (sum(c), c))
 
     @cached_property
     def cartan_matrix(self) -> np.ndarray:
         A = zeros(self.rank, self.rank)
-        for f, o in zip(self.factors, self._offsets):
+        o = 0
+        for f in self.factors:
             r = f["rank"]
             A[o : o + r, o : o + r] = f["A"]
+            o += r
         return A
 
     @cached_property
@@ -260,7 +244,7 @@ class Group:
         aug[:, :r] = self.cartan_matrix
         aug[:, r:] = eye(r)
         red, piv = rref(aug)
-        assert piv == list(range(r))
+        ensure(piv == list(range(r)), "Cartan matrix is singular")
         return red[:, r:]
 
     @cached_property
@@ -303,25 +287,16 @@ class Group:
         dim = self.dim
         table = [[zeros(dim) for _ in range(dim)] for _ in range(dim)]
 
-        for fi, (f, o) in enumerate(zip(self.factors, self._offsets)):
-            r, n = f["rank"], f["n"]
-            local: list[tuple[int, np.ndarray]] = []
-            for i in range(r):
-                local.append((self._index[("h", o + i)], f["h"][i]))
-            for c in f["posroots"]:
-                full = [0] * self.rank
-                full[o : o + r] = c
-                local.append((self._index[("e", tuple(full))], f["e"][c]))
-                local.append((self._index[("f", tuple(full))], f["f"][c]))
-            span = SpanBasis(n * n)
+        for seeds in self.factor_seeds:
+            local = [(self._index[lab], m) for lab, m in seeds.items()]
+            span = SpanBasis(local[0][1].size)
             for _, m in local:
-                added = span.add(m.reshape(-1))
-                assert added, "seed representation not faithful"
+                ensure(span.add(m.reshape(-1)), "seed representation not faithful")
             for a, (ia, ma) in enumerate(local):
                 for ib, mb in local[a + 1 :]:
                     br = ma @ mb - mb @ ma
                     coords = span.express(br.reshape(-1))
-                    assert coords is not None, "bracket left the algebra span"
+                    ensure(coords is not None, "bracket left the algebra span")
                     v = zeros(dim)
                     v[[ik for ik, _ in local]] = coords
                     table[ia][ib] = v
@@ -343,13 +318,14 @@ class Group:
     def ad(self, x: np.ndarray) -> np.ndarray:
         return combine(x, self.ad_basis, (self.dim, self.dim))
 
-    def exp_ad(self, x: np.ndarray) -> np.ndarray:
-        """exp(ad x) for ad-nilpotent x, summed exactly."""
+    def exp_ad(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """exp(ad x) v, summed exactly on the columns of v: ad x must be
+        nilpotent on them.  No dim x dim exponential is formed; pass
+        eye(dim) for the whole matrix."""
         m = self.ad(x)
-        out = eye(self.dim)
-        term = eye(self.dim)
+        out = term = v
         for k in range(1, self.dim + 2):
-            term = (term @ m) / fr(k)
+            term = (m @ term) / fr(k)
             if is_zero(term):
                 return out
             out = out + term
@@ -486,25 +462,20 @@ class Group:
 
     @cached_property
     def _longest_entry(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        # w0 is the unique longest element of W, so the breadth-first closure
+        # reaches it last; its length is the number of positive roots.
         if self.rank == 0:
             raise DegenerateInputError("torus-only group has no longest Weyl element")
         mats, words = self._weyl_table
-        neg = {tuple(-x for x in self.root_fc(c)[: self.rank]) for c in self.posroots}
-        for w, word in zip(mats, words):
-            if all(
-                tuple(self.apply_weyl(w, self.root_fc(c))[: self.rank]) in neg
-                for c in self.posroots
-            ):
-                assert len(word) == len(self.posroots)
-                return w, word
-        raise AssertionError("no longest element found")
+        ensure(len(words[-1]) == len(self.posroots), "last Weyl element is not the longest")
+        return mats[-1], words[-1]
 
     def apply_weyl(self, w: np.ndarray, weight: Sequence[int]) -> tuple[int, ...]:
         r = self.rank
         out = []
         for i in range(r):
             x = sum(w[i, j] * fr(weight[j]) for j in range(r)) if r else F0
-            assert x.denominator == 1
+            ensure(x.denominator == 1, "Weyl image of an integral weight is not integral")
             out.append(int(x))
         return tuple(out) + tuple(int(weight[r + j]) for j in range(self.torus_dim))
 
@@ -652,16 +623,7 @@ def standard_subalgebra(group: Group, name: str) -> Subalgebra:
             raise DegenerateInputError(
                 "diagonal needs exactly two equal simple factors and no torus"
             )
-        r1 = g.factors[0]["rank"]
-        vecs = []
-        for i in range(r1):
-            vecs.append(g.gen_vector("h", i) + g.gen_vector("h", r1 + i))
-        f = g.factors[0]
-        for c in f["posroots"]:
-            c1 = tuple(c) + (0,) * r1
-            c2 = (0,) * r1 + tuple(c)
-            vecs.append(g.gen_vector("e", c1) + g.gen_vector("e", c2))
-            vecs.append(g.gen_vector("f", c1) + g.gen_vector("f", c2))
+        vecs = [g.gen_vector(*a) + g.gen_vector(*b) for a, b in zip(*g.factor_seeds)]
         return Subalgebra(g, vecs, name)
     # principal: e = sum of simple e_i, h with alpha_i(h) = 2 for all i,
     # hence h = sum c_j h_j with A^T c = 2*ones, and f = sum c_i f_i.

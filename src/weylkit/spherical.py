@@ -68,8 +68,8 @@ def _adjoint_of_sample(group: Group, params: dict, h: Subalgebra) -> np.ndarray:
 
     . torus(s) . exp(sum u_r f_r); such words fill a dense subset, so generic
     rank is reached with probability one over growing integer boxes.  The
-    factors act on the columns one after another, so no dim x dim product
-    Ad(g) is ever formed."""
+    factors act on the columns one after another, each exponential as a
+    series of matrix-column products, so no dim x dim matrix is formed."""
     shape = (group.dim,)
     es = [group.gen_vector("e", c) for c in group.posroots]
     fs = [group.gen_vector("f", c) for c in group.posroots]
@@ -77,7 +77,7 @@ def _adjoint_of_sample(group: Group, params: dict, h: Subalgebra) -> np.ndarray:
     xf = combine([fr(t) for t in params["f"]], fs, shape)
     cols = column_stack(h.basis) if h.basis else zeros(group.dim, 0)
     torus = group.torus_ad([fr(x) for x in params["s"]])
-    return group.exp_ad(xe) @ (torus @ (group.exp_ad(xf) @ cols))
+    return group.exp_ad(xe, torus @ group.exp_ad(xf, cols))
 
 
 def _certifies(group: Group, h: Subalgebra, params: dict) -> bool:
@@ -105,9 +105,10 @@ def is_spherical_pair(
     the verdict is "not_spherical" with an explicit sampling_exhausted
     certificate, and zero trials give "inconclusive".  A negative trial
     count is refused: it would back a refutation with no samples at all.
+    So is one above MAX_TRIALS, before any sampling.
     """
-    if trials < 0:
-        raise DegenerateInputError(f"trial count must be nonnegative, got {trials}")
+    if not 0 <= trials <= MAX_TRIALS:
+        raise DegenerateInputError(f"trial count must lie in 0..{MAX_TRIALS}, got {trials}")
     h.require_closed()
     borel_dim = group.dim - len(group.posroots)
     base = dict(group=group.name, subalgebra_dim=h.dim, borel_dim=borel_dim)

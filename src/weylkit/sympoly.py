@@ -19,6 +19,7 @@ from .errors import (
     DegenerateInputError,
     DimensionCapError,
     NonReductiveError,
+    ensure,
 )
 from .linalg import column_stack, nullspace, rank
 from .repthy import (
@@ -36,10 +37,17 @@ Weight = tuple[int, ...]
 Summands = list[tuple[Weight, int]]
 
 DEFAULT_DEGREE_BOUND = 8
-# Largest degree bound taken from outside (CLI, catalog).  The symmetric-power
-# characters grow with the degree: the G2 adjoint takes seconds at degree 12
-# and tens of seconds at 16.
+# Largest degree bound the multiplicity-freeness checks accept (the catalog
+# also checks it at load time).  The symmetric-power characters grow with the
+# degree: the G2 adjoint takes seconds at degree 12 and tens of seconds at 16.
 MAX_MF_DEGREE = 12
+
+
+def _check_degree_bound(degree_bound: int) -> None:
+    if not 1 <= degree_bound <= MAX_MF_DEGREE:
+        raise DegenerateInputError(
+            f"degree bound must lie in 1..{MAX_MF_DEGREE}, got {degree_bound}"
+        )
 
 
 def check_summands(group: Group, summands) -> Summands:
@@ -91,7 +99,7 @@ def sym_power_characters(group: Group, summands: Summands, d: int) -> list[dict[
         h: dict[Weight, int] = {}
         for w, m in acc.items():
             q, r = divmod(m, n)
-            assert r == 0, "Newton recursion produced a non-integer multiplicity"
+            ensure(r == 0, "Newton recursion produced a non-integer multiplicity")
             if q:
                 h[w] = q
         hs.append(h)
@@ -108,7 +116,7 @@ def sym_power_decompose(group: Group, summands: Summands, d: int) -> dict[Weight
     out = decompose_character(group, hs[d])
     total = sum(m * weyl_dim(group, lab) for lab, m in out.items())
     expected = comb(summands_dim(group, check_summands(group, summands)) + d - 1, d)
-    assert total == expected, f"dimension leak in S^{d}: {total} != {expected}"
+    ensure(total == expected, f"dimension leak in S^{d}: {total} != {expected}")
     return out
 
 
@@ -180,8 +188,7 @@ def is_mf_coordinate_ring(
     are aggregated across degrees: a label showing up in two different
     degrees fails just as surely as a within-degree repeat.
     """
-    if degree_bound < 1:
-        raise DegenerateInputError("degree bound must be at least 1")
+    _check_degree_bound(degree_bound)
     dual = dual_summands(group, check_summands(group, summands))
     hs = sym_power_characters(group, dual, degree_bound)
     table = {d: decompose_character(group, hs[d]) for d in range(degree_bound + 1)}
@@ -225,8 +232,7 @@ def homog_coordinate_mf_crosscheck(
     sphericality of the pair and the all-ones outcome certifies it through
     the inspected window.
     """
-    if degree_bound < 1:
-        raise DegenerateInputError("degree bound must be at least 1")
+    _check_degree_bound(degree_bound)
     h.require_closed()
     check_reductive(group, h)
     if ambient is None:

@@ -80,6 +80,14 @@ class TestTorusProjection:
         with pytest.raises(DegenerateInputError):
             project_torus(su2_sample({(1, 0): 1.0}), (1, 0))
 
+    def test_sum_across_domains_rejected(self):
+        f = torus_sample({(1,): 1.0})
+        for g in (torus_sample({(1, 0): 1.0}), su2_sample({(1, 0): 1.0})):
+            with pytest.raises(DegenerateInputError):
+                f + g
+            with pytest.raises(DegenerateInputError):
+                f - g
+
     def test_negative_exponents_round_trip(self):
         f = torus_sample({(-3,): 2.0, (0,): 1.0, (4,): -1.5})
         total = FunctionSample("torus", 1, {})

@@ -314,7 +314,8 @@ def _orbit_is_dense(g, h, params):
     shape = (g.dim,)
     xe = combine([fr(t) for t in params["e"]], [g.gen_vector("e", c) for c in g.posroots], shape)
     xf = combine([fr(t) for t in params["f"]], [g.gen_vector("f", c) for c in g.posroots], shape)
-    adg = g.exp_ad(xe) @ g.torus_ad([fr(x) for x in params["s"]]) @ g.exp_ad(xf)
+    one = eye(g.dim)
+    adg = g.exp_ad(xe, one) @ g.torus_ad([fr(x) for x in params["s"]]) @ g.exp_ad(xf, one)
     cols = standard_subalgebra(g, "borel").basis + [adg @ v for v in h.basis]
     return rank(column_stack(cols)) == g.dim
 

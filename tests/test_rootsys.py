@@ -52,6 +52,8 @@ POSROOTS = {
     "A2": [(0, 1), (1, 0), (1, 1)],
     "B2": [(0, 1), (1, 0), (1, 1), (1, 2)],
     "G2": [(0, 1), (1, 0), (1, 1), (2, 1), (3, 1), (3, 2)],
+    "A1xA2": [(0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 1, 1)],
+    "A1xA1+T1": [(0, 1), (1, 0)],
 }
 
 
@@ -218,13 +220,18 @@ def test_weyl_group_order(name, order):
     assert len(parse_group(name).weyl_elements) == order
 
 
-def test_longest_element_negates_for_b2_g2():
-    for name in ["B2", "G2", "A1"]:
-        g = parse_group(name)
-        w0 = g.longest_weyl
-        for i in range(g.rank):
-            img = g.apply_weyl(w0, g.root_fc(g.simple_root(i)))
-            assert img == tuple(-x for x in g.root_fc(g.simple_root(i)))
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "B2", "G2", "A1xA1", "A1xA2", "A2+T1", "A1xA1xA1"]
+)
+def test_longest_element_negates_positive_roots(name):
+    # w0 is the last Weyl element reached; check what defines it
+    g = parse_group(name)
+    w0 = g.longest_weyl
+    negatives = {tuple(-x for x in g.root_fc(c)) for c in g.posroots}
+    assert all(g.apply_weyl(w0, g.root_fc(c)) in negatives for c in g.posroots)
+    assert len(g.longest_weyl_word) == len(g.posroots)
+    if name in ("A1", "B2", "G2"):  # there w0 = -1
+        assert is_zero(w0 + eye(g.rank))
 
 
 def test_dual_labels():
@@ -322,11 +329,12 @@ def test_exp_ad_nilpotent_sl2():
     e = g.gen_vector("e", (1,))
     f = g.gen_vector("f", (1,))
     h = g.gen_vector("h", 0)
-    m = g.exp_ad(e)
+    m = g.exp_ad(e, eye(g.dim))
     # exp(ad e) f = f + h - e
     assert is_zero(m @ f - (f + h - e))
+    assert is_zero(g.exp_ad(e, f) - (f + h - e))
     with pytest.raises(NonNilpotentDirectionError):
-        g.exp_ad(h)
+        g.exp_ad(h, eye(g.dim))
 
 
 def test_adjoint_words_preserve_invariant_form():
@@ -337,11 +345,11 @@ def test_adjoint_words_preserve_invariant_form():
         k = g.invariant_form
         m = eye(g.dim)
         for c in g.posroots:
-            m = m @ g.exp_ad(fr(2) * g.gen_vector("e", c))
+            m = m @ g.exp_ad(fr(2) * g.gen_vector("e", c), eye(g.dim))
         if g.rank:
             m = m @ g.torus_ad([Fraction(3, 2)] * g.rank)
         for c in g.posroots:
-            m = m @ g.exp_ad(fr(-1) * g.gen_vector("f", c))
+            m = m @ g.exp_ad(fr(-1) * g.gen_vector("f", c), eye(g.dim))
         assert is_zero(m.T @ k @ m - k)
 
 

@@ -1,8 +1,10 @@
 import pytest
 
+from weylkit import spherical
 from weylkit.errors import DegenerateInputError, NotSubalgebraError
 from weylkit.rootsys import Subalgebra, parse_group, standard_subalgebra
 from weylkit.spherical import (
+    MAX_TRIALS,
     classify_torus_fibration,
     derived_subalgebra,
     is_spherical_pair,
@@ -79,6 +81,18 @@ def test_zero_trials_inconclusive():
     g, h = _std("A1", "cartan")
     res = is_spherical_pair(g, h, trials=0)
     assert res.status == "inconclusive"
+
+
+@pytest.mark.parametrize("trials", [-1, MAX_TRIALS + 1])
+def test_out_of_range_trials_refused_before_sampling(monkeypatch, trials):
+    g, h = _std("A1", "cartan")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampling started for an out-of-range trial count")
+
+    monkeypatch.setattr(spherical, "_sample_params", refuse)
+    with pytest.raises(DegenerateInputError):
+        is_spherical_pair(g, h, trials=trials)
 
 
 def test_requires_subalgebra():

@@ -2,10 +2,12 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from weylkit import sympoly
 from weylkit.errors import DegenerateInputError, NonReductiveError
 from weylkit.repthy import decompose_character, weight_multiplicities, weyl_dim
 from weylkit.rootsys import parse_group, standard_subalgebra
 from weylkit.sympoly import (
+    MAX_MF_DEGREE,
     homog_coordinate_mf_crosscheck,
     invariant_multiplicity,
     is_mf_coordinate_ring,
@@ -96,10 +98,13 @@ def test_sym_power_rejects_negative_degree_and_bad_mult():
 
 def test_sl2_defining_coordinate_ring_is_mf():
     g = parse_group("A1")
-    for bound in (1, 5, 12, 20):
+    for bound in (1, 5, 12):
         v = is_mf_coordinate_ring(g, [((1,), 1)], bound)
         assert v.verdict == "multiplicity_free_up_to_D"
         assert v.witness is None
+    # 20 lies above MAX_MF_DEGREE, which the library refuses
+    with pytest.raises(DegenerateInputError):
+        is_mf_coordinate_ring(g, [((1,), 1)], 20)
 
 
 def test_doubled_defining_fails_with_frozen_witness():
@@ -139,6 +144,19 @@ def test_degree_bound_must_be_positive():
     g = parse_group("A1")
     with pytest.raises(DegenerateInputError):
         is_mf_coordinate_ring(g, [((1,), 1)], 0)
+
+
+@pytest.mark.parametrize("bound", [0, MAX_MF_DEGREE + 1])
+def test_out_of_range_degree_refused_before_characters(monkeypatch, bound):
+    def refuse(*args, **kwargs):
+        raise AssertionError("symmetric powers started for an out-of-range degree")
+
+    monkeypatch.setattr(sympoly, "sym_power_characters", refuse)
+    g = parse_group("A1")
+    with pytest.raises(DegenerateInputError):
+        is_mf_coordinate_ring(g, [((1,), 1)], bound)
+    with pytest.raises(DegenerateInputError):
+        homog_coordinate_mf_crosscheck(g, standard_subalgebra(g, "cartan"), bound)
 
 
 # ---- reductivity gate ---------------------------------------------------------
