@@ -4,8 +4,11 @@ The torus path is an exact finite Fourier transform and is held to 1e-12.
 The SU(2) path assembles the averaging operators E_delta from an Euler-angle
 product quadrature that integrates every matrix coefficient up to the band
 limit, so the only error is floating-point roundoff; those checks are held
-to 1e-8.  Accumulation uses numpy reductions over a fixed node ordering
-(pairwise summation), so repeated runs produce identical reports.
+to 1e-8.  The representation matrices are assembled for all quadrature
+nodes at once, one array pass per degree; the scalar sym_rep_matrix stays
+as the independent check.  Assembly and accumulation use numpy operations
+over a fixed node ordering (pairwise summation in the reductions), so
+repeated runs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -179,6 +182,36 @@ def sym_rep_matrix(g: np.ndarray, d: int) -> np.ndarray:
     return m * w[:, None] / w[None, :]
 
 
+def sym_rep_stack(gs: np.ndarray, d: int) -> np.ndarray:
+    """sym_rep_matrix for every element of a (K, 2, 2) stack in one pass:
+    (K, d+1, d+1).
+
+    The same formula with the node as the leading axis of every array:
+    the entries of each adjugate inverse are raised to the powers 0..d at
+    once, and each column's product of two binomial expansions is summed by
+    slice-adds over all nodes instead of one np.convolve per node.  The two
+    differ only in summation order, so entries agree to a few ulp."""
+    det = gs[:, 0, 0] * gs[:, 1, 1] - gs[:, 0, 1] * gs[:, 1, 0]
+    inv = np.stack([gs[:, 1, 1], -gs[:, 0, 1], -gs[:, 1, 0], gs[:, 0, 0]]) / det
+    # pw[i][:, t] = inv_i ** t, in the order inv00, inv01, inv10, inv11
+    pw = inv[:, :, None] ** np.arange(d + 1)
+    m = np.zeros((len(gs), d + 1, d + 1), dtype=complex)
+    for j in range(d + 1):
+        # monomial x^(d-j) y^j pulled back through inv: column j is the
+        # product of (inv00 x + inv01 y)^(d-j) and (inv10 x + inv11 y)^j
+        n1 = d - j
+        binom1 = np.array([comb(n1, t) for t in range(n1 + 1)])
+        p1 = binom1 * pw[0][:, n1::-1] * pw[1][:, : n1 + 1]
+        for t in range(j + 1):
+            p2 = comb(j, t) * pw[2][:, j - t] * pw[3][:, t]
+            m[:, t : t + n1 + 1, j] += p2[:, None] * p1
+    w = np.array([sqrt(factorial(d - i) * factorial(i)) for i in range(d + 1)])
+    # in place: a scaled copy would double the stack's peak memory
+    m *= w[:, None]
+    m /= w[None, :]
+    return m
+
+
 def _euler_su2(nodes: np.ndarray) -> np.ndarray:
     """(K, 2, 2) elements k = z(phi1) r(theta) z(phi2) for (K, 3) rows
     (phi1, v, phi2) with v = cos(2 theta)."""
@@ -231,10 +264,9 @@ class QuadratureScheme:
 
     def rep_blocks(self, m: int) -> np.ndarray:
         """(K, m+1, m+1) matrices of the action on homogeneous degree m,
-        in the unitarized monomial basis."""
+        in the unitarized monomial basis, built for all nodes at once."""
         if m not in self._mats:
-            ks = self.matrices()
-            self._mats[m] = np.stack([sym_rep_matrix(k, m) for k in ks])
+            self._mats[m] = sym_rep_stack(self.matrices(), m)
         return self._mats[m]
 
     def block_operator(self, delta: int, m: int) -> np.ndarray:

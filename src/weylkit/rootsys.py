@@ -315,19 +315,36 @@ class Group:
         # column j of ad(b_i) is [b_i, b_j]
         return [column_stack(row) for row in self.bracket_table]
 
+    @cached_property
+    def _ad_entries(self) -> list[list[tuple[int, int, Fraction]]]:
+        # the nonzero (i, j, value) of each ad(b_k): at most 10 of G2's 196
+        return [[(i, j, a[i, j]) for i, j in zip(*np.nonzero(a))] for a in self.ad_basis]
+
     def ad(self, x: np.ndarray) -> np.ndarray:
-        return combine(x, self.ad_basis, (self.dim, self.dim))
+        m = zeros(self.dim, self.dim)
+        for k in range(self.dim):
+            if x[k] != 0:
+                for i, j, v in self._ad_entries[k]:
+                    m[i, j] += x[k] * v
+        return m
 
     def exp_ad(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """exp(ad x) v, summed exactly on the columns of v: ad x must be
         nilpotent on them.  No dim x dim exponential is formed; pass
-        eye(dim) for the whole matrix."""
-        m = self.ad(x)
-        out = term = v
+        eye(dim) for the whole matrix.  ad x and the terms are mostly zero,
+        so each entry of a term is summed over the products of nonzero
+        entries only."""
+        rows = [[(j, c) for j, c in enumerate(r) if c != 0] for r in self.ad(x)]
+        out = term = v.reshape(self.dim, -1)
         for k in range(1, self.dim + 2):
-            term = (m @ term) / fr(k)
+            nxt = zeros(*term.shape)
+            for q in range(term.shape[1]):
+                col = term[:, q]
+                for i, row in enumerate(rows):
+                    nxt[i, q] = sum((c * col[j] for j, c in row if col[j] != 0), F0)
+            term = nxt / fr(k)
             if is_zero(term):
-                return out
+                return out.reshape(v.shape)
             out = out + term
         raise NonNilpotentDirectionError("direction is not ad-nilpotent")
 

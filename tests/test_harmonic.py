@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylkit.errors import BandLimitError, DegenerateInputError
 from weylkit.harmonic import (
@@ -14,6 +16,8 @@ from weylkit.harmonic import (
     project_torus,
     su2_quadrature,
     su2_sample,
+    sym_rep_matrix,
+    sym_rep_stack,
     torus_sample,
     verify_projector_algebra,
 )
@@ -51,6 +55,48 @@ class TestQuadrature:
     def test_negative_band_rejected(self):
         with pytest.raises(DegenerateInputError):
             su2_quadrature(-1)
+
+
+ENTRIES = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+def _det(e):
+    return e[0] * e[3] - e[1] * e[2]
+
+
+# invertible and off SU(2), so the adjugate really is divided by det
+GL2 = st.tuples(ENTRIES, ENTRIES, ENTRIES, ENTRIES).filter(
+    lambda e: abs(_det(e)) > 0.1 and abs(_det(e) - 1.0) > 1e-3
+)
+
+
+class TestBatchedBlocks:
+    """The node-batched blocks against the scalar sym_rep_matrix, which
+    sums each column by np.convolve in another order: the two agree to
+    roundoff, not bit for bit."""
+
+    def test_blocks_match_scalar_oracle_at_every_node(self):
+        q = su2_quadrature(20)
+        ks = q.matrices()
+        for m in range(11):
+            want = np.stack([sym_rep_matrix(k, m) for k in ks])
+            got = q.rep_blocks(m)
+            assert got.shape == (len(ks), m + 1, m + 1)
+            assert np.max(np.abs(got - want)) <= 1e-12, m
+
+    def test_degree_zero_is_all_ones(self, q12):
+        blocks = q12.rep_blocks(0)
+        assert blocks.shape == (len(q12.nodes), 1, 1)
+        assert np.all(blocks == 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(GL2, min_size=1, max_size=4), st.integers(0, 8))
+    def test_stack_matches_scalar_oracle_off_su2(self, entries, d):
+        gs = np.array(entries, dtype=complex).reshape(-1, 2, 2)
+        want = np.stack([sym_rep_matrix(g, d) for g in gs])
+        got = sym_rep_stack(gs, d)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestTorusProjection:

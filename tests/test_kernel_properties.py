@@ -8,6 +8,7 @@ replaced, which are kept here as references.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -341,3 +342,35 @@ def test_density_rule_equals_borel_rank(name, picks, e, s, f):
     npos = len(g.posroots)
     params = {"e": e[:npos], "s": s[: g.rank], "f": f[:npos]}
     assert _certifies(g, h, params) == _orbit_is_dense(g, h, params)
+
+
+EXP_GROUPS = ("A1", "A2", "B2", "G2", "A1xA1", "A1xA2", "A1xA1xA1", "A2+T1", "T1")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(EXP_GROUPS), st.sampled_from("ef"), st.data())
+def test_ad_and_exp_ad_equal_dense_forms(name, kind, data):
+    g = parse_group(name)
+    npos = len(g.posroots)
+    coeffs = data.draw(st.lists(rationals, min_size=npos, max_size=npos))
+    x = combine(coeffs, [g.gen_vector(kind, c) for c in g.posroots], (g.dim,))
+    # reference: ad x as the dense combination of the ad(b_k), and
+    # sum (ad x)^k / k! with dense powers, until a power vanishes
+    m = combine(x, g.ad_basis, (g.dim, g.dim))
+    assert all(a == b and isinstance(a, Fraction) for a, b in zip(g.ad(x).flat, m.flat))
+    want = power = eye(g.dim)
+    for k in range(1, g.dim + 1):
+        power = power @ m
+        if is_zero(power):
+            break
+        want = want + power * Fraction(1, factorial(k))
+    got = g.exp_ad(x, eye(g.dim))
+    assert got.shape == want.shape
+    assert all(isinstance(e, Fraction) for e in got.flat)
+    assert all(a == b for a, b in zip(got.flat, want.flat))
+    v = data.draw(vectors(g.dim))
+    dense = combine(v, g.ad_basis, (g.dim, g.dim))
+    assert all(a == b and isinstance(a, Fraction) for a, b in zip(g.ad(v).flat, dense.flat))
+    col = g.exp_ad(x, v)
+    assert all(isinstance(e, Fraction) for e in col)
+    assert list(col) == list(want @ v)

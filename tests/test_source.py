@@ -1,6 +1,7 @@
 """Rules over the library's own source."""
 
 import ast
+import sys
 from pathlib import Path
 
 import weylkit
@@ -17,3 +18,19 @@ def test_library_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_harmonic_imports_only_stdlib_numpy_and_errors():
+    # the analytic layer sits below the exact and bundle layers: it may use
+    # the shared error codes but nothing else of the package
+    path = Path(weylkit.__file__).parent / "harmonic.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("weylkit." if node.level else "") + (node.module or "")
+            found += [base] if node.module else [base + alias.name for alias in node.names]
+    allowed = sys.stdlib_module_names | {"numpy"}
+    bad = [n for n in found if n != "weylkit.errors" and n.split(".")[0] not in allowed]
+    assert found and bad == []
