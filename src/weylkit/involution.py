@@ -26,12 +26,19 @@ from .errors import (
     ensure,
 )
 from .harmonic import sym_rep_matrix
-from .linalg import column_stack, combine, eye, fmat, fr, is_zero, nullspace, zeros
+from .linalg import column_stack, combine, eye, fmat, fr, is_zero, matmul, nullspace, zeros
 from .repthy import build_module, check_label
 from .rootsys import Group, Subalgebra
 from .sympoly import check_reductive
 
 Weight = tuple[int, ...]
+
+# _nu_kernel takes one nullspace of n^2 dim h rows in n^2 unknowns (n the
+# fiber dimension); its time follows the n^4 dim h entries at 10-16 us each
+# on one x86 core: A1 cartan w[20] (194,481 entries) 1.8 s, A1 cartan w[26]
+# (531,441) 6.9 s, G2 full adjoint (537,824) 8.7 s.  A larger system, such
+# as A1 cartan w[63] (16.8 M), is refused before any block is built.
+MAX_NU_ENTRIES = 600_000
 
 
 # ---- involution specs --------------------------------------------------------
@@ -53,7 +60,7 @@ class InvolutionSpec:
     antilinear: bool
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
+        return matmul(self.matrix, v)
 
     def action_on_weights(self, label) -> Weight:
         """Highest-weight involution lambda -> -w0(lambda)."""
@@ -62,15 +69,15 @@ class InvolutionSpec:
     def squares_to_identity(self) -> bool:
         # For an antilinear map with rational matrix M the square is the
         # linear map M conj(M) = M M, the same formula as the linear case.
-        return is_zero(self.matrix @ self.matrix - eye(self.group.dim))
+        return is_zero(matmul(self.matrix, self.matrix) - eye(self.group.dim))
 
     def is_automorphism(self) -> bool:
         g = self.group
         vecs = [g.gen_vector(*lab) for lab in g.basis_labels]
         for i, x in enumerate(vecs):
             for y in vecs[i + 1 :]:
-                lhs = self.matrix @ g.bracket(x, y)
-                rhs = g.bracket(self.matrix @ x, self.matrix @ y)
+                lhs = self.apply(g.bracket(x, y))
+                rhs = g.bracket(self.apply(x), self.apply(y))
                 if not is_zero(lhs - rhs):
                     return False
         return True
@@ -115,9 +122,10 @@ def build_sigma(group: Group, theta: InvolutionSpec | None = None) -> Involution
     """The antiholomorphic sigma = tau . theta fixing a split real form."""
     theta = theta if theta is not None else build_weyl_involution(group)
     tau = build_cartan_conjugation(group)
-    if not is_zero(tau.matrix @ theta.matrix - theta.matrix @ tau.matrix):
+    prod = matmul(tau.matrix, theta.matrix)
+    if not is_zero(prod - matmul(theta.matrix, tau.matrix)):
         raise DegenerateInputError("tau and theta do not commute")
-    spec = InvolutionSpec("sigma_product", group, tau.matrix @ theta.matrix, True)
+    spec = InvolutionSpec("sigma_product", group, prod, True)
     if not spec.squares_to_identity():
         raise DegenerateInputError("sigma squared is not the identity")
     return spec
@@ -286,8 +294,8 @@ class AntilinearMap:
     def compose(self, other: "AntilinearMap") -> tuple[np.ndarray, np.ndarray]:
         """The linear map (self . other); returns exact (re, im) parts of
         A conj(B) for self = A conj, other = B conj."""
-        re = self.re @ other.re + self.im @ other.im
-        im = self.im @ other.re - self.re @ other.im
+        re = matmul(self.re, other.re) + matmul(self.im, other.im)
+        im = matmul(self.im, other.re) - matmul(self.re, other.im)
         return re, im
 
     def is_involutive(self) -> bool:
@@ -319,7 +327,7 @@ class HModule:
                 if c is None:
                     raise NotSubalgebraError("fiber module over a non-closed span")
                 lhs = self.action_coords(c)
-                rhs = mats[i] @ mats[j] - mats[j] @ mats[i]
+                rhs = matmul(mats[i], mats[j]) - matmul(mats[j], mats[i])
                 if not is_zero(lhs - rhs):
                     raise DegenerateInputError("fiber matrices do not represent h")
 
@@ -365,18 +373,23 @@ def _nu_kernel(module: HModule, theta: InvolutionSpec) -> list[np.ndarray]:
     """
     g = module.group
     h = module.h
+    n = module.dim
+    if n**4 * h.dim > MAX_NU_ENTRIES:
+        raise DegenerateInputError(
+            f"intertwiner system of {n * n} unknowns and {n * n * h.dim} rows "
+            f"exceeds {MAX_NU_ENTRIES} entries"
+        )
     # Compose tau.theta directly: the equivariance equation makes sense for
     # any linear theta, and a non-automorphism should surface as an empty
     # kernel (no intertwiner), not as a malformed-sigma error.
-    sigma_matrix = build_cartan_conjugation(g).matrix @ theta.matrix
-    n = module.dim
+    sigma_matrix = matmul(build_cartan_conjugation(g).matrix, theta.matrix)
     if not h.basis:
         # no constraints: the kernel is the full matrix space
         return [u.reshape(n, n).copy() for u in eye(n * n)]
     blocks = []
     for x in h.basis:
         rho = module.action_of(x)
-        c = h.coords(sigma_matrix @ x)
+        c = h.coords(matmul(sigma_matrix, x))
         if c is None:
             raise DegenerateInputError("sigma does not stabilize the subalgebra")
         rho_s = module.action_coords(c)
@@ -422,7 +435,7 @@ def solve_nu(module: HModule, theta: InvolutionSpec) -> AntilinearMap:
     a0 = None
     scale2 = None
     for cand in kernel:
-        sq = cand @ cand  # rational, so conj() is a no-op
+        sq = matmul(cand, cand)  # rational, so conj() is a no-op
         s = sq[0, 0]
         if is_zero(sq - s * eye(n)) and s != 0:
             a0, scale2 = cand, s
@@ -484,18 +497,18 @@ class BundleCertificate:
         g = self.group
         tau = build_cartan_conjugation(g)
         sq_ok = self.sigma.squares_to_identity()
-        prod = tau.matrix @ self.theta.matrix
-        comm_ok = is_zero(prod - self.theta.matrix @ tau.matrix) and is_zero(
+        prod = matmul(tau.matrix, self.theta.matrix)
+        comm_ok = is_zero(prod - matmul(self.theta.matrix, tau.matrix)) and is_zero(
             self.sigma.matrix - prod
         )
         equi_ok = True
         for x in self.h.basis:
             rho = self.fiber.action_of(x)
-            rho_s = self.fiber.action_of(self.sigma.matrix @ x)
+            rho_s = self.fiber.action_of(self.sigma.apply(x))
             # complex A = re + i im against rational rho: both parts intertwine
-            if not is_zero(self.nu.re @ rho - rho_s @ self.nu.re):
+            if not is_zero(matmul(self.nu.re, rho) - matmul(rho_s, self.nu.re)):
                 equi_ok = False
-            if not is_zero(self.nu.im @ rho - rho_s @ self.nu.im):
+            if not is_zero(matmul(self.nu.im, rho) - matmul(rho_s, self.nu.im)):
                 equi_ok = False
         return {
             "sigma_squares_to_identity": sq_ok,

@@ -1,19 +1,21 @@
 """Exact linear algebra over the rationals.
 
 Matrices are numpy object arrays filled with ``fractions.Fraction``; numpy
-supplies shape bookkeeping and matmul dispatch while all arithmetic stays
-exact.  Everything downstream (bracket tables, module construction, rank
-certificates) runs through the small kernel here, so these routines favor
-clarity over asymptotic cleverness; at rank <= 3 the matrices are tiny.
+supplies shape bookkeeping while all arithmetic stays exact.  Everything
+downstream (bracket tables, module construction, rank certificates) runs
+through the small kernel here, so these routines favor clarity over
+asymptotic cleverness; at rank <= 3 the matrices are tiny.
 
-Two helpers are the kernel's vocabulary for the loops the rest of the
+Three helpers are the kernel's vocabulary for the loops the rest of the
 package would otherwise write by hand (de Graaf, *Lie Algebras: Theory and
 Algorithms*, 2000, ch. 1): ``combine`` forms a linear combination of
-vectors or matrices (an action, an ad matrix, a bracket, a sparse matvec),
-and ``eliminate`` reduces a vector by echelon rows, returning the
-remainder and the multiple of each row taken (membership, coordinates,
-quotients).  Because the arithmetic is exact, any algebraically equal
-rewrite through them gives bit-for-bit the same numbers.
+vectors or matrices (a module action, a vector from its coordinates),
+``eliminate`` reduces a vector by echelon rows, returning the remainder
+and the multiple of each row taken (membership, coordinates, quotients),
+and ``matmul`` forms a matrix product from the nonzero entries of its
+factors (a commutator, a bracket, a series term, a change of basis).
+Because the arithmetic is exact, any algebraically equal rewrite through
+them gives bit-for-bit the same numbers.
 """
 
 from __future__ import annotations
@@ -160,6 +162,25 @@ def combine(coeffs: Iterable, terms: Iterable[np.ndarray], shape: tuple[int, ...
     return out
 
 
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for an exact matrix a and an exact matrix or vector b, driven by
+    nonzero entries (Gustavson, *ACM TOMS* 4(3), 1978): each nonzero b[j, l]
+    adds b[j, l] times the nonzero part of column j of a, found once per j,
+    to column l of zeros(...), so every entry is a Fraction."""
+    if a.shape[1] != len(b):
+        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
+    b2 = b[:, None] if b.ndim == 1 else b
+    out = zeros(len(a), b2.shape[1])
+    cols: dict[int, list[tuple[int, Fraction]]] = {}
+    for j, l in zip(*np.nonzero(b2)):
+        if j not in cols:
+            cols[j] = [(i, a[i, j]) for i in np.flatnonzero(a[:, j])]
+        x = b2[j, l]
+        for i, c in cols[j]:
+            out[i, l] += c * x
+    return out.reshape(a.shape[:1] + b.shape[1:])
+
+
 def eliminate(
     v: np.ndarray, rows: Sequence[np.ndarray], pivots: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +200,7 @@ def eliminate(
 
 
 class SpanBasis:
-    """Incremental echelonized span with expansion bookkeeping.
+    """Incremental echelon span with expansion bookkeeping.
 
     ``add`` keeps, for every retained row, its expression in terms of the
     vectors that enlarged the span (the retained vectors, in the order they
@@ -190,7 +211,9 @@ class SpanBasis:
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.rows: list[np.ndarray] = []          # echelonized copies
+        # rows[i] is retained vector i reduced by the rows before it: 1 at
+        # pivots[i], 0 at the earlier pivots, as eliminate requires
+        self.rows: list[np.ndarray] = []
         self.combos: list[np.ndarray] = []        # rows[i] = sum combos[i][k] * retained[k]
         self.pivots: list[int] = []
 
@@ -206,18 +229,9 @@ class SpanBasis:
         k = len(self.rows)
         # v2 = v - sum mult[i] * rows[i], and v is retained vector k
         c2 = np.append(-combine(mult, self.combos, (k,)), F1)
-        scale = v2[piv]
-        v2 = v2 / scale
-        c2 = c2 / scale
-        # back-substitute to keep rows fully reduced
-        for i in range(k):
-            self.combos[i] = np.append(self.combos[i], F0)
-            if self.rows[i][piv] != 0:
-                coef = self.rows[i][piv]
-                self.rows[i] = self.rows[i] - coef * v2
-                self.combos[i] = self.combos[i] - coef * c2
-        self.rows.append(v2)
-        self.combos.append(c2)
+        self.combos = [np.append(c, F0) for c in self.combos]
+        self.rows.append(v2 / v2[piv])
+        self.combos.append(c2 / v2[piv])
         self.pivots.append(piv)
         return True
 

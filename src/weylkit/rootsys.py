@@ -34,7 +34,7 @@ from .errors import (
     ensure,
 )
 from .linalg import F0, F1, SpanBasis, column_stack, combine, eliminate, eye, fmat, fr, fvec
-from .linalg import is_zero, rref, zeros
+from .linalg import is_zero, matmul, rref, zeros
 
 # Cartan matrices use the convention A[i][j] = <alpha_j, alpha_i^vee>, so
 # column j holds the fundamental-weight coordinates of alpha_j.  d[i] is the
@@ -148,8 +148,8 @@ def _factor(letter: str) -> dict:
         p = 0
         while tuple(y - (p + 1) * x for y, x in zip(eta, xi)) in allroots:
             p += 1
-        e[gamma] = (e[xi] @ e[eta] - e[eta] @ e[xi]) / fr(p + 1)
-        f[gamma] = -(f[xi] @ f[eta] - f[eta] @ f[xi]) / fr(p + 1)
+        e[gamma] = (matmul(e[xi], e[eta]) - matmul(e[eta], e[xi])) / fr(p + 1)
+        f[gamma] = -(matmul(f[xi], f[eta]) - matmul(f[eta], f[xi])) / fr(p + 1)
 
     return {
         "rank": r,
@@ -294,7 +294,7 @@ class Group:
                 ensure(span.add(m.reshape(-1)), "seed representation not faithful")
             for a, (ia, ma) in enumerate(local):
                 for ib, mb in local[a + 1 :]:
-                    br = ma @ mb - mb @ ma
+                    br = matmul(ma, mb) - matmul(mb, ma)
                     coords = span.express(br.reshape(-1))
                     ensure(coords is not None, "bracket left the algebra span")
                     v = zeros(dim)
@@ -304,11 +304,7 @@ class Group:
         return table
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # [x, y] = sum_i x_i sum_j y_j [b_i, b_j]; inner sums only where x_i != 0
-        table = self.bracket_table
-        nz = [i for i in range(self.dim) if x[i] != 0]
-        inner = [combine(y, table[i], (self.dim,)) for i in nz]
-        return combine([x[i] for i in nz], inner, (self.dim,))
+        return matmul(self.ad(x), y)
 
     @cached_property
     def ad_basis(self) -> list[np.ndarray]:
@@ -329,22 +325,15 @@ class Group:
         return m
 
     def exp_ad(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """exp(ad x) v, summed exactly on the columns of v: ad x must be
-        nilpotent on them.  No dim x dim exponential is formed; pass
-        eye(dim) for the whole matrix.  ad x and the terms are mostly zero,
-        so each entry of a term is summed over the products of nonzero
-        entries only."""
-        rows = [[(j, c) for j, c in enumerate(r) if c != 0] for r in self.ad(x)]
-        out = term = v.reshape(self.dim, -1)
+        """exp(ad x) v, summed exactly on v or its columns: ad x must be
+        nilpotent there.  No dim x dim exponential is formed (pass eye(dim)
+        for it); term k is ad x times term k - 1 by linalg.matmul, over k."""
+        ad = self.ad(x)
+        out = term = v
         for k in range(1, self.dim + 2):
-            nxt = zeros(*term.shape)
-            for q in range(term.shape[1]):
-                col = term[:, q]
-                for i, row in enumerate(rows):
-                    nxt[i, q] = sum((c * col[j] for j, c in row if col[j] != 0), F0)
-            term = nxt / fr(k)
+            term = matmul(ad, term) / fr(k)
             if is_zero(term):
-                return out.reshape(v.shape)
+                return out
             out = out + term
         raise NonNilpotentDirectionError("direction is not ad-nilpotent")
 
@@ -376,7 +365,7 @@ class Group:
         # tr(ad_i ad_j) = vec(ad_i) . vec(ad_j^T): one product of stacked rows
         rows = np.array([a.reshape(-1) for a in self.ad_basis])
         cols = np.array([a.T.reshape(-1) for a in self.ad_basis])
-        return rows @ cols.T
+        return matmul(rows, cols.T)
 
     @cached_property
     def invariant_form(self) -> np.ndarray:
@@ -437,8 +426,6 @@ class Group:
         # Breadth-first closure over simple reflections.  Because each level
         # appends one letter, the recorded word for an element is reduced.
         r = self.rank
-        if r == 0:
-            return [zeros(0, 0)], [()]
         gens = []
         for i in range(r):
             s = eye(r)
@@ -452,7 +439,7 @@ class Group:
             nxt = []
             for word, w in frontier:
                 for i, s in enumerate(gens):
-                    prod = s @ w
+                    prod = matmul(s, w)
                     key = tuple(prod.reshape(-1))
                     if key not in seen:
                         entry = ((i,) + word, prod)
@@ -497,12 +484,9 @@ class Group:
         return tuple(out) + tuple(int(weight[r + j]) for j in range(self.torus_dim))
 
     def dual_label(self, label: Sequence[int]) -> tuple[int, ...]:
-        """Highest weight of the dual module: -w0(label), torus negated."""
-        if self.rank == 0:
-            return tuple(-int(x) for x in label)
-        w0 = self.longest_weyl
-        img = self.apply_weyl(w0, label)
-        return tuple(-x for x in img)
+        """Highest weight of the dual module, -w0(label) with the torus part
+        negated: the one dominant weight in the Weyl orbit of -label."""
+        return self.dom_rep(tuple(-int(x) for x in label))
 
 
 _GROUP_CACHE: dict[str, Group] = {}
@@ -646,7 +630,7 @@ def standard_subalgebra(group: Group, name: str) -> Subalgebra:
     # hence h = sum c_j h_j with A^T c = 2*ones, and f = sum c_i f_i.
     if g.rank == 0:
         raise DegenerateInputError("principal needs a semisimple part")
-    c = g.cartan_inverse.T @ fvec([2] * g.rank)
+    c = matmul(g.cartan_inverse.T, fvec([2] * g.rank))
     simple = [g.simple_root(i) for i in range(g.rank)]
     e = combine([F1] * g.rank, [g.gen_vector("e", root) for root in simple], (g.dim,))
     f = combine(c, [g.gen_vector("f", root) for root in simple], (g.dim,))

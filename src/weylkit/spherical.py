@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError
-from .linalg import column_stack, combine, fr, nullspace, rank, zeros
+from .linalg import column_stack, combine, fr, matmul, nullspace, rank, zeros
 from .rootsys import Group, Subalgebra, standard_subalgebra
 
 DEFAULT_TRIALS = 32
@@ -77,7 +77,7 @@ def _adjoint_of_sample(group: Group, params: dict, h: Subalgebra) -> np.ndarray:
     xf = combine([fr(t) for t in params["f"]], fs, shape)
     cols = column_stack(h.basis) if h.basis else zeros(group.dim, 0)
     torus = group.torus_ad([fr(x) for x in params["s"]])
-    return group.exp_ad(xe, torus @ group.exp_ad(xf, cols))
+    return group.exp_ad(xe, matmul(torus, group.exp_ad(xf, cols)))
 
 
 def _certifies(group: Group, h: Subalgebra, params: dict) -> bool:

@@ -21,7 +21,7 @@ from .errors import (
     NonReductiveError,
     ensure,
 )
-from .linalg import column_stack, nullspace, rank
+from .linalg import column_stack, matmul, nullspace, rank
 from .repthy import (
     DIM_CAP,
     build_module,
@@ -201,7 +201,7 @@ def check_reductive(group: Group, h: Subalgebra) -> None:
     if h.dim == 0:
         return
     basis = column_stack(h.basis)
-    gram = basis.T @ group.invariant_form @ basis
+    gram = matmul(basis.T, matmul(group.invariant_form, basis))
     if rank(gram) != h.dim:
         raise NonReductiveError(
             "invariant form degenerates on the subalgebra; not reductive"

@@ -295,6 +295,30 @@ class TestInvolution:
         assert "Traceback" not in proc.stderr
         assert f"usage error ({code}):" in proc.stderr
 
+    def test_oversized_intertwiner_system_refused_before_any_block(self, capsys, monkeypatch):
+        import weylkit.involution as involution
+
+        real_nullspace = involution.nullspace
+
+        def small_nullspace(a):
+            # the adaptedness check solves over h; the 64-dim fiber's system
+            # would have 4096 unknowns
+            if a.shape[1] >= 64:
+                raise AssertionError("the intertwiner system reached nullspace")
+            return real_nullspace(a)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Kronecker block was built for an oversized system")
+
+        monkeypatch.setattr(involution, "nullspace", small_nullspace)
+        monkeypatch.setattr(involution.np, "kron", refuse)
+        code, out, _ = _run(
+            capsys, "involution", "--group", "A1", "--subalgebra", "cartan",
+            "--fiber", "restriction:w[63]",
+        )
+        assert code == 1
+        assert "error degenerate_input: intertwiner system of 4096 unknowns" in out
+
     def test_unadapted_is_computation_error(self, capsys):
         code, out, _ = _run(
             capsys, "involution", "--group", "A1", "--subalgebra", "span:1,1,0",

@@ -318,6 +318,19 @@ class TestSolveNu:
         assert nu.is_involutive()
         assert nu_solution_space_dim(fib, th) == 2
 
+    def test_system_bound_admits_its_own_size(self, monkeypatch):
+        import weylkit.involution as involution
+
+        g = parse_group("A1")
+        fib = fiber_restriction(g, standard_subalgebra(g, "full"), (1,))
+        th = build_weyl_involution(g)
+        # 4 unknowns against 4 rows per basis vector of h: 48 entries
+        monkeypatch.setattr(involution, "MAX_NU_ENTRIES", 48)
+        assert nu_solution_space_dim(fib, th) == 2
+        monkeypatch.setattr(involution, "MAX_NU_ENTRIES", 47)
+        with pytest.raises(DegenerateInputError, match="4 unknowns and 12 rows"):
+            nu_solution_space_dim(fib, th)
+
     def test_defining_fiber_sl3(self):
         # absolutely irreducible, so the rational intertwiner space is a
         # line and the realified space is a plane

@@ -1,14 +1,15 @@
-"""Property tests for the exact kernel's two helpers and their callers.
+"""Property tests for the exact kernel's three helpers and their callers.
 
-``combine`` and ``eliminate`` carry every linear combination and every
-echelon reduction in the package, so their identities are checked here on
-random small rational data rather than on hand-picked cases only.  The two
-coordinate rules of ``spherical`` are checked against the searches they
-replaced, which are kept here as references.
+``combine``, ``eliminate`` and ``matmul`` carry every linear combination,
+every echelon reduction and every exact matrix product in the package, so
+their identities are checked here on random small rational data rather
+than on hand-picked cases only.  The two coordinate rules of ``spherical``
+are checked against the searches they replaced, which are kept here as
+references.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from weylkit.linalg import (
     fr,
     fvec,
     is_zero,
+    matmul,
     nullspace,
     rank,
     zeros,
@@ -116,7 +118,7 @@ def test_span_basis_express_round_trips_over_retained(family, data):
 def test_eliminate_leaves_zeros_at_every_pivot(family, data):
     dim, vecs = family
     sb = SpanBasis(dim)
-    as_added = []  # rows before back-substitution, as Subalgebra.basis keeps them
+    as_added = []  # each row as add first stores it, as Subalgebra.basis keeps them
     for u in vecs:
         if sb.add(u):
             as_added.append(sb.rows[-1])
@@ -126,6 +128,53 @@ def test_eliminate_leaves_zeros_at_every_pivot(family, data):
         assert all(rem[p] == 0 for p in sb.pivots)
         assert is_zero(rem + combine(mult, rows, (dim,)) - v)
     assert sb.contains(v) == is_zero(eliminate(v, sb.rows, sb.pivots)[0])
+
+
+def _check_matmul(a, b):
+    got = matmul(a, b)
+    want = a @ b  # the dense object product, kept here only as the reference
+    assert got.shape == want.shape
+    assert all(isinstance(x, Fraction) for x in got.flat)
+    assert all(x == y for x, y in zip(got.flat, want.flat))
+
+
+@SETTINGS
+@given(
+    st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.booleans()),
+    st.data(),
+)
+def test_matmul_equals_dense_product(shape, data):
+    n, m, p, vector = shape
+    # mostly zero, as the package's exact matrices are
+    entries = st.one_of(st.just(Fraction(0)), rationals)
+
+    def matrix(*dims):
+        flat = data.draw(st.lists(entries, min_size=prod(dims), max_size=prod(dims)))
+        return fvec(flat).reshape(dims)
+
+    _check_matmul(matrix(n, m), matrix(m) if vector else matrix(m, p))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (zeros(3, 4), zeros(4, 2)),
+        (zeros(3, 0), zeros(0, 2)),
+        (zeros(0, 3), eye(3)),
+        (eye(3), zeros(3, 0)),
+        (zeros(2, 0), zeros(0)),
+        (zeros(0, 2), fvec([1, 2])),
+        (fvec(range(6)).reshape(2, 3), fvec([1, 0, Fraction(-1, 2)])),
+    ],
+    ids=["zero", "inner_0", "rows_0", "cols_0", "vector_inner_0", "vector_rows_0", "vector"],
+)
+def test_matmul_equals_dense_product_on_edge_shapes(a, b):
+    _check_matmul(a, b)
+
+
+def test_matmul_refuses_mismatched_shapes():
+    with pytest.raises(ValueError):
+        matmul(zeros(2, 3), zeros(2, 2))
 
 
 def _sparse_vectors(dim: int):
@@ -168,7 +217,7 @@ def test_subalgebra_coords_round_trip_over_basis(name, data):
     n_vecs = data.draw(st.integers(0, 4))
     vecs = [data.draw(vectors(g.dim)) for _ in range(n_vecs)]
     h = Subalgebra(g, vecs)
-    # reference: each kept row as a back-substituting SpanBasis first holds it
+    # reference: each kept row as SpanBasis first holds it
     sb = SpanBasis(g.dim)
     as_added = [sb.rows[-1] for v in vecs if sb.add(v)]
     assert h.pivots == sb.pivots

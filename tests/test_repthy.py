@@ -137,6 +137,28 @@ def test_is_homomorphism_catches_one_flipped_entry():
 
 
 @pytest.mark.parametrize(
+    "kind,message",
+    [("e", r"\[e_i, f_i\] != h_i"), ("h", "h_i is not diagonal")],
+)
+def test_generator_check_catches_one_changed_entry(kind, message):
+    g = parse_group("A2")
+    mod = build_module(g, (1, 1))
+    repthy._verify_generators(mod)
+    # double one nonzero entry of the second simple e, or put one
+    # off-diagonal entry into the second coroot
+    k = g._index[(kind, g.simple_root(1) if kind == "e" else 1)]
+    m = mod.act[k].copy()
+    if kind == "e":
+        r, c = next((r, c) for r in range(mod.dim) for c in range(mod.dim) if m[r, c] != 0)
+        m[r, c] = 2 * m[r, c]
+    else:
+        m[0, 1] = m[0, 1] + 1
+    act = mod.act[:k] + [m] + mod.act[k + 1 :]
+    with pytest.raises(InternalInvariantError, match=message):
+        repthy._verify_generators(repthy.Module(g, mod.label, mod.weights, act))
+
+
+@pytest.mark.parametrize(
     "name,label",
     [
         ("A1", (3,)),

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -242,6 +243,34 @@ def test_dual_labels():
     assert b2.dual_label((2, 1)) == (2, 1)
     t = parse_group("A2+T1")
     assert t.dual_label((1, 0, 5)) == ((0, 1, -5))
+
+
+def _supported_names():
+    """Every canonical descriptor parse_group accepts: simple factors in any
+    order and a central torus, simple ranks plus torus dimension at most 3."""
+    ranks = {"A1": 1, "A2": 2, "B2": 2, "G2": 2}
+    names = []
+    for count in range(4):
+        for letters in itertools.product(ranks, repeat=count):
+            r = sum(ranks[x] for x in letters)
+            for k in range(max(1 - r, 0), 4 - r):
+                base = "x".join(letters)
+                names.append(f"{base}+T{k}" if base and k else base or f"T{k}")
+    return names
+
+
+@pytest.mark.parametrize("name", _supported_names())
+def test_dual_label_is_minus_w0_of_label(name):
+    g = parse_group(name)
+    labels = [
+        lab
+        for lab in itertools.product(range(-6, 7), repeat=g.weight_len)
+        if sum(map(abs, lab)) <= 6 and g.is_dominant(lab)
+    ]
+    for lab in labels:
+        # the formula dual_label replaced: -w0(label), torus part negated
+        img = g.apply_weyl(g.longest_weyl, lab) if g.rank else lab
+        assert g.dual_label(lab) == tuple(-x for x in img)
 
 
 def test_longest_weyl_torus_only_degenerate():

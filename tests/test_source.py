@@ -34,3 +34,16 @@ def test_harmonic_imports_only_stdlib_numpy_and_errors():
     allowed = sys.stdlib_module_names | {"numpy"}
     bad = [n for n in found if n != "weylkit.errors" and n.split(".")[0] not in allowed]
     assert found and bad == []
+
+
+def test_exact_modules_multiply_only_through_matmul():
+    # the exact-only modules have one matrix product, linalg.matmul: a dense
+    # object @ spends nearly all of its time on zero entries
+    root = Path(weylkit.__file__).parent
+    found = [
+        f"{name}.py:{node.lineno}"
+        for name in ("linalg", "rootsys", "repthy", "spherical", "sympoly")
+        for node in ast.walk(ast.parse((root / f"{name}.py").read_text()))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
+    assert found == []
