@@ -28,12 +28,13 @@ from .harmonic import (
 )
 from .involution import (
     assemble_bundle_involution,
+    check_nu_size,
     fiber_character,
     fiber_restriction,
     fiber_trivial,
 )
 from .linalg import fr_input, fvec
-from .repthy import check_label, decompose_character
+from .repthy import check_label, decompose_character, weyl_dim
 from .rootsys import MAX_RANK, Group, Subalgebra, parse_group, standard_subalgebra
 from .spherical import DEFAULT_TRIALS, classify_torus_fibration, is_spherical_pair
 from .sympoly import DEFAULT_DEGREE_BOUND, homog_coordinate_mf_crosscheck, is_mf_coordinate_ring
@@ -97,16 +98,19 @@ def _parse_subalgebra(group: Group, text: str) -> Subalgebra:
 
 
 def _parse_fiber(group: Group, h: Subalgebra, text: str):
+    """(dimension, build) for a fiber spec, where build() returns the fiber:
+    the dimension is known before the fiber's module is built."""
     if text == "trivial":
-        return fiber_trivial(group, h)
+        return 1, lambda: fiber_trivial(group, h)
     if text.startswith("character:"):
         values = [fr_input(p.strip(), ParseError) for p in text[len("character:"):].split(",")]
-        return fiber_character(group, h, values)
+        return 1, lambda: fiber_character(group, h, values)
     if text.startswith("restriction:"):
         summands = parse_module_spec(group, text[len("restriction:"):])
         if len(summands) != 1 or summands[0][1] != 1:
             raise ParseError("restriction fiber takes a single irreducible label")
-        return fiber_restriction(group, h, summands[0][0])
+        label = summands[0][0]
+        return weyl_dim(group, label), lambda: fiber_restriction(group, h, label)
     raise ParseError(f"unknown fiber spec {text!r}")
 
 
@@ -253,7 +257,16 @@ def cmd_involution(args) -> int:
     try:
         g = parse_group(args.group)
         h = _parse_subalgebra(g, args.subalgebra)
-        fiber = _parse_fiber(g, h, args.fiber)
+        fiber_dim, build_fiber = _parse_fiber(g, h, args.fiber)
+    except ToolkitError as exc:
+        return _usage_error(exc)
+    try:
+        # refused like the solve itself (exit 1), before the fiber module is built
+        check_nu_size(fiber_dim, h.dim)
+    except ToolkitError as exc:
+        return _emit_error(args, exc)
+    try:
+        fiber = build_fiber()
     except ToolkitError as exc:
         return _usage_error(exc)
     try:

@@ -37,7 +37,8 @@ Weight = tuple[int, ...]
 # fiber dimension); its time follows the n^4 dim h entries at 10-16 us each
 # on one x86 core: A1 cartan w[20] (194,481 entries) 1.8 s, A1 cartan w[26]
 # (531,441) 6.9 s, G2 full adjoint (537,824) 8.7 s.  A larger system, such
-# as A1 cartan w[63] (16.8 M), is refused before any block is built.
+# as A1 cartan w[63] (16.8 M), is refused by check_nu_size before any block
+# is built, and by the CLI before the fiber module is built.
 MAX_NU_ENTRIES = 600_000
 
 
@@ -362,6 +363,17 @@ def fiber_restriction(group: Group, h: Subalgebra, label) -> HModule:
     return HModule(group, h, mats, ("restriction", label))
 
 
+def check_nu_size(n: int, h_dim: int) -> None:
+    """Refuse the intertwiner system of an n-dimensional fiber over an
+    h of dimension h_dim if it exceeds MAX_NU_ENTRIES; both sizes are known
+    before the fiber is built."""
+    if n**4 * h_dim > MAX_NU_ENTRIES:
+        raise DegenerateInputError(
+            f"intertwiner system of {n * n} unknowns and {n * n * h_dim} rows "
+            f"exceeds {MAX_NU_ENTRIES} entries"
+        )
+
+
 def _nu_kernel(module: HModule, theta: InvolutionSpec) -> list[np.ndarray]:
     """Rational basis of {A : A rho(x) = rho(sigma x) A for all x in h}.
 
@@ -374,11 +386,7 @@ def _nu_kernel(module: HModule, theta: InvolutionSpec) -> list[np.ndarray]:
     g = module.group
     h = module.h
     n = module.dim
-    if n**4 * h.dim > MAX_NU_ENTRIES:
-        raise DegenerateInputError(
-            f"intertwiner system of {n * n} unknowns and {n * n * h.dim} rows "
-            f"exceeds {MAX_NU_ENTRIES} entries"
-        )
+    check_nu_size(n, h.dim)
     # Compose tau.theta directly: the equivariance equation makes sense for
     # any linear theta, and a non-automorphism should surface as an empty
     # kernel (no intertwiner), not as a malformed-sigma error.

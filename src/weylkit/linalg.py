@@ -205,7 +205,8 @@ class SpanBasis:
     ``add`` keeps, for every retained row, its expression in terms of the
     vectors that enlarged the span (the retained vectors, in the order they
     were added); ``express`` then rewrites any member of the span in those
-    coordinates.  Used by the module builder to name basis vectors by the
+    coordinates.  The module builder keeps one per weight space, over that
+    weight's positions, to name the basis vectors of that weight by the
     lowering words that produced them.
     """
 

@@ -6,7 +6,10 @@ all elimination done over the rationals (de Graaf, *Lie Algebras: Theory
 and Algorithms*, 2000).  There is one rule for that vector: it spans the
 vectors of weight lambda in the tensor product that every simple raising
 operator kills, a kernel that must be one-dimensional.  The tensor product
-is never formed as matrices; its action is applied factor by factor.
+is never formed as matrices; its action is applied factor by factor.  The
+span is kept one weight space at a time: every vector the builder meets
+has a known weight, so it is reduced only against the retained vectors of
+that weight, over that weight's positions in the tensor product.
 Dimensions come from the Weyl formula and weight multiplicities from the
 Freudenthal recursion, and the builder cross-checks itself against both
 before returning.
@@ -183,20 +186,43 @@ def _tensor_apply(x1: np.ndarray, x2: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out.reshape(-1)
 
 
+def _basis_weight(group: Group, lab: tuple[str, object]) -> Weight:
+    """The weight of a Lie algebra basis element: its root for e, minus its
+    root for f, zero for h and t."""
+    kind, which = lab
+    if kind == "e":
+        return group.root_fc(which)
+    if kind == "f":
+        return tuple(-x for x in group.root_fc(which))
+    return (0,) * group.weight_len
+
+
 def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> Module:
     """The irreducible of highest weight label inside m1 (x) m2.
 
     Its highest weight vector spans the weight-label vectors of m1 (x) m2
     killed by every simple raising operator; the module is the cyclic span
     of that vector under the lowering operators, with the action of every
-    basis element restricted to it and rewritten in the new basis."""
+    basis element restricted to it and rewritten in the new basis.
+
+    The span is kept one weight at a time: every vector met is a weight
+    vector of known weight (a lowering image f_i . v has the weight of v
+    minus alpha_i, an image x . v the weight of v plus that of x), so it is
+    reduced only against the retained vectors of its own weight, over that
+    weight's ambient positions.  Weight spaces are independent, so these
+    coordinates are the coordinates over the whole basis."""
     amb = list(zip(m1.act, m2.act))  # the ambient action, in basis order
     amb_weights = [_add(w1, w2) for w1 in m1.weights for w2 in m2.weights]
     adim = len(amb_weights)
+    where: dict[Weight, list[int]] = {}  # the ambient positions of each weight
+    for k, w in enumerate(amb_weights):
+        where.setdefault(w, []).append(k)
+    wid = {w: i for i, w in enumerate(where)}
+    amb_wid = np.array([wid[w] for w in amb_weights])
     es = [amb[group._index[("e", group.simple_root(i))]] for i in range(group.rank)]
     fs = [amb[group._index[("f", group.simple_root(i))]] for i in range(group.rank)]
 
-    positions = [k for k, w in enumerate(amb_weights) if w == label]
+    positions = where[label]
     cols = []
     for p in positions:
         unit = zeros(adim)
@@ -208,19 +234,34 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
     v0 = zeros(adim)
     v0[positions] = ker[0]
 
-    span = SpanBasis(adim)
-    ensure(span.add(v0), "highest weight vector is zero")
-    basis = [v0]
-    bweights = [label]
+    def part(v: np.ndarray, w: Weight) -> np.ndarray | None:
+        """v at the positions of weight w, or None if v is zero; v must lie
+        in that weight space."""
+        nz = np.flatnonzero(v)
+        ensure(bool((amb_wid[nz] == wid.get(w, -1)).all()), "image left its weight space")
+        return v[where[w]] if len(nz) else None
+
+    spans: dict[Weight, SpanBasis] = {}
+    members: dict[Weight, list[int]] = {}  # the basis index of each retained vector
+    basis: list[np.ndarray] = []
+    bweights: list[Weight] = []
+
+    def retain(v: np.ndarray, w: Weight) -> bool:
+        vw = part(v, w)
+        if vw is None or not spans.setdefault(w, SpanBasis(len(vw))).add(vw):
+            return False
+        members.setdefault(w, []).append(len(basis))
+        basis.append(v)
+        bweights.append(w)
+        return True
+
+    ensure(retain(v0, label), "highest weight vector is zero")
     queue = [0]
     alphas = [group.root_fc(group.simple_root(i)) for i in range(group.rank)]
     while queue:
         b = queue.pop(0)
         for i in range(group.rank):
-            w = _tensor_apply(*fs[i], basis[b])
-            if not is_zero(w) and span.add(w):
-                basis.append(w)
-                bweights.append(_sub(bweights[b], alphas[i]))
+            if retain(_tensor_apply(*fs[i], basis[b]), _sub(bweights[b], alphas[i])):
                 queue.append(len(basis) - 1)
     n = len(basis)
     expect = weyl_dim(group, label)
@@ -231,12 +272,17 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
     ensure(mults == weight_multiplicities(group, label), f"weights of {label} miss Freudenthal's")
 
     act = []
-    for x in amb:
+    for x, lab in zip(amb, group.basis_labels):
+        dx = _basis_weight(group, lab)
         mat = zeros(n, n)
         for k in range(n):
-            coords = span.express(_tensor_apply(*x, basis[k]))
+            w = _add(bweights[k], dx)
+            vw = part(_tensor_apply(*x, basis[k]), w)
+            if vw is None:
+                continue
+            coords = spans[w].express(vw) if w in spans else None
             ensure(coords is not None, "action left the generated submodule")
-            mat[:, k] = coords
+            mat[members[w], k] = coords
         act.append(mat)
     mod = Module(group, label, bweights, act)
     _verify_generators(mod)

@@ -297,6 +297,7 @@ class TestInvolution:
 
     def test_oversized_intertwiner_system_refused_before_any_block(self, capsys, monkeypatch):
         import weylkit.involution as involution
+        import weylkit.repthy as repthy
 
         real_nullspace = involution.nullspace
 
@@ -310,8 +311,14 @@ class TestInvolution:
         def refuse(*args, **kwargs):
             raise AssertionError("a Kronecker block was built for an oversized system")
 
+        def refuse_module(*args, **kwargs):
+            # n = weyl_dim and dim h are known before the 64-dim module
+            raise AssertionError("the fiber module was built for an oversized system")
+
         monkeypatch.setattr(involution, "nullspace", small_nullspace)
         monkeypatch.setattr(involution.np, "kron", refuse)
+        monkeypatch.setattr(repthy, "build_module", refuse_module)
+        monkeypatch.setattr(involution, "build_module", refuse_module)
         code, out, _ = _run(
             capsys, "involution", "--group", "A1", "--subalgebra", "cartan",
             "--fiber", "restriction:w[63]",

@@ -117,17 +117,21 @@ def test_span_basis_express_round_trips_over_retained(family, data):
 @given(vector_families(), st.data())
 def test_eliminate_leaves_zeros_at_every_pivot(family, data):
     dim, vecs = family
-    sb = SpanBasis(dim)
-    as_added = []  # each row as add first stores it, as Subalgebra.basis keeps them
+    # two echelon sets of one span, with their own pivots: the vectors added
+    # in order and in reverse
+    sb, rev = SpanBasis(dim), SpanBasis(dim)
     for u in vecs:
-        if sb.add(u):
-            as_added.append(sb.rows[-1])
+        sb.add(u)
+    for u in reversed(vecs):
+        rev.add(u)
+    assert len(sb) == len(rev)
     v = data.draw(vectors(dim))
-    for rows in (sb.rows, as_added):
-        rem, mult = eliminate(v, rows, sb.pivots)
-        assert all(rem[p] == 0 for p in sb.pivots)
-        assert is_zero(rem + combine(mult, rows, (dim,)) - v)
-    assert sb.contains(v) == is_zero(eliminate(v, sb.rows, sb.pivots)[0])
+    for span in (sb, rev):
+        rem, mult = eliminate(v, span.rows, span.pivots)
+        assert all(rem[p] == 0 for p in span.pivots)
+        assert is_zero(rem + combine(mult, span.rows, (dim,)) - v)
+        assert span.contains(v) == is_zero(rem)
+    assert sb.contains(v) == rev.contains(v)
 
 
 def _check_matmul(a, b):

@@ -1,12 +1,14 @@
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from weylkit import repthy
 from weylkit.errors import DimensionCapError, InternalInvariantError, NonDominantError, ParseError
-from weylkit.linalg import combine, is_zero
+from weylkit.linalg import F1, SpanBasis, column_stack, combine, is_zero, nullspace, zeros
 from weylkit.repthy import (
     build_module,
     decompose_character,
@@ -240,6 +242,110 @@ def test_invariant_checks_survive_python_O():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False internal_invariant"
+
+
+def _ambient_wide_extract(group, m1, m2, label):
+    """_extract_submodule with one span over the whole ambient space, kept
+    here only as the reference for the builder's span per weight."""
+    amb = list(zip(m1.act, m2.act))
+    amb_weights = [repthy._add(w1, w2) for w1 in m1.weights for w2 in m2.weights]
+    adim = len(amb_weights)
+    es = [amb[group._index[("e", group.simple_root(i))]] for i in range(group.rank)]
+    fs = [amb[group._index[("f", group.simple_root(i))]] for i in range(group.rank)]
+    positions = [k for k, w in enumerate(amb_weights) if w == label]
+    cols = []
+    for p in positions:
+        unit = zeros(adim)
+        unit[p] = F1
+        cols.append(np.concatenate([repthy._tensor_apply(*e, unit) for e in es]))
+    raising = column_stack(cols)
+    (ker,) = nullspace(raising[[not is_zero(row) for row in raising]])
+    v0 = zeros(adim)
+    v0[positions] = ker
+    span = SpanBasis(adim)
+    assert span.add(v0)
+    basis, bweights, queue = [v0], [label], [0]
+    alphas = [group.root_fc(group.simple_root(i)) for i in range(group.rank)]
+    while queue:
+        b = queue.pop(0)
+        for i in range(group.rank):
+            w = repthy._tensor_apply(*fs[i], basis[b])
+            if not is_zero(w) and span.add(w):
+                basis.append(w)
+                bweights.append(repthy._sub(bweights[b], alphas[i]))
+                queue.append(len(basis) - 1)
+    n = len(basis)
+    act = []
+    for x in amb:
+        mat = zeros(n, n)
+        for k in range(n):
+            coords = span.express(repthy._tensor_apply(*x, basis[k]))
+            assert coords is not None
+            mat[:, k] = coords
+        act.append(mat)
+    return repthy.Module(group, label, bweights, act)
+
+
+@pytest.mark.parametrize(
+    "name,label",
+    [("A1", (16,)), ("B2", (1, 2)), ("G2", (2, 0)), ("A2+T1", (1, 1, 3)), ("A1xA2", (1, 1, 1))],
+)
+def test_span_per_weight_matches_ambient_wide_reference(monkeypatch, name, label):
+    g = parse_group(name)
+    monkeypatch.setattr(repthy, "_MODULE_CACHE", {})
+    got = build_module(g, label)
+    # every intermediate module is rebuilt by the reference too
+    monkeypatch.setattr(repthy, "_MODULE_CACHE", {})
+    monkeypatch.setattr(repthy, "_extract_submodule", _ambient_wide_extract)
+    want = build_module(g, label)
+    assert got.weights == want.weights
+    assert all(type(c) is int for w in got.weights for c in w)
+    assert len(got.act) == len(want.act) == g.dim
+    for a, b in zip(got.act, want.act):
+        assert a.shape == b.shape == (got.dim, got.dim)
+        assert all(type(x) is Fraction and type(y) is Fraction for x, y in zip(a.flat, b.flat))
+        assert all(x == y for x, y in zip(a.flat, b.flat))
+
+
+def _off_weight_factor(kind):
+    """(A1, the defining module with one entry of f or h moved off the
+    weight grading, the defining module): the f entry sends the top vector
+    to itself, which the lowering pass meets; the h entry sends it to the
+    bottom vector, which only the action pass meets."""
+    g = parse_group("A1")
+    good = build_module(g, (1,))
+    k = g._index[(kind, g.simple_root(0) if kind == "f" else 0)]
+    m = good.act[k].copy()
+    m[0 if kind == "f" else 1, 0] = F1
+    act = good.act[:k] + [m] + good.act[k + 1 :]
+    return g, repthy.Module(g, good.label, good.weights, act), good
+
+
+@pytest.mark.parametrize("kind", ["f", "h"])
+def test_image_off_its_weight_space_raises(kind):
+    g, bad, good = _off_weight_factor(kind)
+    with pytest.raises(InternalInvariantError, match="image left its weight space"):
+        repthy._extract_submodule(g, bad, good, (2,))
+
+
+def test_weight_space_check_survives_python_O():
+    src = str(Path(repthy.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    code = (
+        f"import sys; sys.path[:0] = [{src!r}, {tests!r}]\n"
+        "from test_repthy import _off_weight_factor\n"
+        "from weylkit import repthy\n"
+        "from weylkit.errors import InternalInvariantError\n"
+        "for kind in 'fh':\n"
+        "    try:\n"
+        "        repthy._extract_submodule(*_off_weight_factor(kind), (2,))\n"
+        "    except InternalInvariantError as exc:\n"
+        "        print(__debug__, exc)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == ["False image left its weight space"] * 2
 
 
 def test_module_cache():
