@@ -138,10 +138,7 @@ def weight_multiplicities(group: Group, label: Sequence[int]) -> dict[Weight, in
         m = total / den
         ensure(m.denominator == 1 and m >= 1, "Freudenthal multiplicity is not a positive integer")
         mdom[mu] = int(m)
-    full: dict[Weight, int] = {}
-    for mu, m in mdom.items():
-        for w in group.weyl_elements:
-            full[group.apply_weyl(w, mu)] = m
+    full = {w: m for mu, m in mdom.items() for w in group.orbit(mu)}
     ensure(sum(full.values()) == weyl_dim(group, lab), f"multiplicities of {lab} miss weyl_dim")
     _MULT_CACHE[key] = full
     return full
@@ -394,26 +391,25 @@ def convolve_characters(c1: dict[Weight, int], c2: dict[Weight, int]) -> dict[We
 def decompose_character(group: Group, char: dict[Weight, int]) -> dict[Weight, int]:
     """Write a genuine character as a sum of irreducibles.
 
-    Strips from the top: among remaining dominant weights, any one with
-    maximal (mu+rho, mu+rho) must be a highest weight of a constituent.
+    By the Weyl character formula, the multiplicity of V(lam) in a
+    W-invariant character chi is the alternating sum
+    m_lam = sum_w sign(w) chi(lam + rho - w rho)
+    (the Brauer-Klimyk / Racah-Speiser rule; Humphreys, *Introduction to Lie
+    Algebras and Representation Theory*, sec. 24).  A constituent's highest
+    weight is a dominant weight of chi, so one pass over those, with |W|
+    lookups each, finds every m_lam.  The sum trusts chi to be a character:
+    a negative m_lam or a dimension that does not add up is refused.
     """
-    work = {w: m for w, m in char.items() if m}
+    shifts = [(_sub(group.rho, wrho), (-1) ** len(word)) for wrho, word in group.weyl_elements]
     out: dict[Weight, int] = {}
-    rho = group.rho
-    while work:
-        doms = [w for w in work if group.is_dominant(w)]
-        ensure(bool(doms), "character has no dominant weight left")
-        top = max(doms, key=lambda w: (group.wform(_add(w, rho), _add(w, rho)), w))
-        mult = work[top]
-        ensure(mult > 0, "negative multiplicity: not a character")
-        out[top] = out.get(top, 0) + mult
-        for w, m in weight_multiplicities(group, top).items():
-            rem = work.get(w, 0) - mult * m
-            ensure(rem >= 0, "character stripping went negative")
-            if rem:
-                work[w] = rem
-            else:
-                work.pop(w, None)
+    for lam in char:
+        if group.is_dominant(lam):
+            m = sum(sign * char.get(_add(lam, s), 0) for s, sign in shifts)
+            ensure(m >= 0, "negative multiplicity: not a character")
+            if m:
+                out[lam] = m
+    total, expect = sum(m * weyl_dim(group, lam) for lam, m in out.items()), sum(char.values())
+    ensure(total == expect, f"constituents have dimension {total}, not {expect}")
     return out
 
 

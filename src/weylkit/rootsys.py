@@ -5,9 +5,11 @@ optional central torus suffix "+Tk"; total rank (simple ranks plus k) at
 most 3.  Weights and root-space labels use fundamental-weight coordinates
 for the semisimple part followed by k integer torus coordinates.
 
-The roots of each simple type are the Weyl orbit of its simple roots, and
-the longest Weyl element is the last one the breadth-first closure of the
-Weyl group reaches.  Structure constants come from hand-coded faithful seed
+The Weyl group is held on integers only: one breadth-first closure under
+the simple reflections gives the roots of each simple type (the orbit of its
+simple roots), the orbit of any weight, and W itself as the orbit of rho,
+each element w as w(rho) and a reduced word; w0 is the last element that
+closure reaches.  Structure constants come from hand-coded faithful seed
 representations of each simple type (defining modules for A1/A2, the
 4-dimensional spinor for B2, the 7-dimensional fundamental for G2).  Root
 vectors for non-simple roots are generated by the extraspecial-pair
@@ -79,6 +81,8 @@ _SEED_DATA = {
 _FACTOR_NAMES = ("A1", "A2", "B2", "G2")
 MAX_RANK = 3  # simple ranks plus torus dimension
 
+Weight = tuple[int, ...]
+
 
 def _sparse_matrix(n: int, entries: Sequence[tuple[int, int, int]]) -> np.ndarray:
     m = zeros(n, n)
@@ -91,6 +95,27 @@ def _unit(r: int, i: int) -> tuple[int, ...]:
     return tuple(1 if k == i else 0 for k in range(r))
 
 
+def _closure(seeds: Iterable[Weight], reflect, rank: int) -> dict[Weight, tuple[int, ...]]:
+    """Breadth-first closure of seeds under the simple reflections.
+
+    Maps each point reached to a word (i_1, ..., i_k) with s_i1 ... s_ik
+    taking a seed to it, in the order reached; reflect(point, i) is s_i.
+    Each level prepends one letter, so a word is as short as any other
+    word reaching that point from the seeds."""
+    seen = {p: () for p in seeds}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for i in range(rank):
+                img = reflect(p, i)
+                if img not in seen:
+                    seen[img] = (i,) + seen[p]
+                    nxt.append(img)
+        frontier = nxt
+    return seen
+
+
 def _positive_roots(A: np.ndarray) -> list[tuple[int, ...]]:
     """Positive roots in simple coordinates, in (height, lex) order.
 
@@ -98,16 +123,12 @@ def _positive_roots(A: np.ndarray) -> list[tuple[int, ...]]:
     Lie Algebras and Representation Theory*, sec. 10.3), so the roots are the
     closure of the simple roots under s_i(c) = c - (Ac)_i alpha_i."""
     r = A.shape[0]
-    roots = {_unit(r, i) for i in range(r)}
-    frontier = list(roots)
-    while frontier:
-        c = frontier.pop()
-        for i in range(r):
-            pairing = sum(int(A[i, k]) * c[k] for k in range(r))
-            img = tuple(x - pairing if k == i else x for k, x in enumerate(c))
-            if img not in roots:
-                roots.add(img)
-                frontier.append(img)
+
+    def reflect(c: tuple[int, ...], i: int) -> tuple[int, ...]:
+        pairing = sum(int(A[i, k]) * c[k] for k in range(r))
+        return tuple(x - pairing if k == i else x for k, x in enumerate(c))
+
+    roots = _closure([_unit(r, i) for i in range(r)], reflect, r)
     return sorted((c for c in roots if min(c) >= 0), key=lambda c: (sum(c), c))
 
 
@@ -422,66 +443,18 @@ class Group:
             w = self.reflect(w, i)
 
     @cached_property
-    def _weyl_table(self) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
-        # Breadth-first closure over simple reflections.  Because each level
-        # appends one letter, the recorded word for an element is reduced.
-        r = self.rank
-        gens = []
-        for i in range(r):
-            s = eye(r)
-            for k in range(r):
-                s[k, i] = s[k, i] - self.cartan_matrix[k, i]
-            gens.append(s)
-        ident = eye(r)
-        seen = {tuple(ident.reshape(-1)): ((), ident)}
-        frontier = [((), ident)]
-        while frontier:
-            nxt = []
-            for word, w in frontier:
-                for i, s in enumerate(gens):
-                    prod = matmul(s, w)
-                    key = tuple(prod.reshape(-1))
-                    if key not in seen:
-                        entry = ((i,) + word, prod)
-                        seen[key] = entry
-                        nxt.append(entry)
-            frontier = nxt
-        mats = [w for _, w in seen.values()]
-        words = [word for word, _ in seen.values()]
-        return mats, words
+    def weyl_elements(self) -> list[tuple[Weight, tuple[int, ...]]]:
+        """The Weyl group W as the orbit of rho: each element w as (w(rho), a
+        reduced word for w), in breadth-first order.
 
-    @cached_property
-    def weyl_elements(self) -> list[np.ndarray]:
-        return self._weyl_table[0]
+        rho is regular, so w -> w(rho) is a bijection of W onto the orbit;
+        the sign of w is (-1) ** len(word), and the last element reached is
+        the longest one, w0, with w0(rho) = -rho."""
+        return list(_closure([self.rho], self.reflect, self.rank).items())
 
-    @cached_property
-    def longest_weyl(self) -> np.ndarray:
-        return self._longest_entry[0]
-
-    @cached_property
-    def longest_weyl_word(self) -> tuple[int, ...]:
-        """A reduced word in simple reflections mapping all positive roots
-        to negative ones; its length equals the number of positive roots."""
-        return self._longest_entry[1]
-
-    @cached_property
-    def _longest_entry(self) -> tuple[np.ndarray, tuple[int, ...]]:
-        # w0 is the unique longest element of W, so the breadth-first closure
-        # reaches it last; its length is the number of positive roots.
-        if self.rank == 0:
-            raise DegenerateInputError("torus-only group has no longest Weyl element")
-        mats, words = self._weyl_table
-        ensure(len(words[-1]) == len(self.posroots), "last Weyl element is not the longest")
-        return mats[-1], words[-1]
-
-    def apply_weyl(self, w: np.ndarray, weight: Sequence[int]) -> tuple[int, ...]:
-        r = self.rank
-        out = []
-        for i in range(r):
-            x = sum(w[i, j] * fr(weight[j]) for j in range(r)) if r else F0
-            ensure(x.denominator == 1, "Weyl image of an integral weight is not integral")
-            out.append(int(x))
-        return tuple(out) + tuple(int(weight[r + j]) for j in range(self.torus_dim))
+    def orbit(self, weight: Sequence[int]) -> list[Weight]:
+        """The Weyl orbit of a weight, in breadth-first order from it."""
+        return list(_closure([tuple(weight)], self.reflect, self.rank))
 
     def dual_label(self, label: Sequence[int]) -> tuple[int, ...]:
         """Highest weight of the dual module, -w0(label) with the torus part

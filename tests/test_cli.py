@@ -5,6 +5,7 @@ expectations met), 1 for disagreements or computation failures, 2 for
 usage errors.  Structured output must be byte-identical across runs.
 """
 
+import hashlib
 import inspect
 import json
 import os
@@ -240,6 +241,19 @@ class TestMF:
         )
         assert code == 0
         assert "multiplicity_free_up_to_D (degree bound 12)" in out
+
+    def test_g2_adjoint_at_cap_is_frozen(self, capsys):
+        # the slowest module-form call: 14 decompositions of G2 symmetric
+        # powers, up to degree 12
+        code, out, _ = _run(
+            capsys, "mf", "--group", "G2", "--module", "adjoint", "--degree", "12",
+            "--format", "structured",
+        )
+        assert code == 0
+        assert json.loads(out)["witness"] == {"degree": 12, "label": [2, 2], "multiplicity": 42}
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4eca6890b4b5a228e41734cc74778b89091fb3e8f88c8cee526765c4f3b15aec"
+        )
 
 
 class TestInvolution:

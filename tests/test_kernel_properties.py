@@ -41,6 +41,7 @@ from weylkit.linalg import (
 from weylkit.repthy import _tensor_apply
 from weylkit.rootsys import Subalgebra, parse_group, standard_subalgebra
 from weylkit.spherical import _certifies, _contains_some_borel, normalizer
+from weyl_references import apply_word
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -336,8 +337,8 @@ def _weyl_sweep(g, p):
     if not all(p.contains(v) for v in cartan):
         return False
     pos_fc = {g.root_fc(c)[: g.rank]: c for c in g.posroots}
-    for w in g.weyl_elements:
-        images = [g.apply_weyl(w, g.root_fc(c))[: g.rank] for c in g.posroots]
+    for _, word in g.weyl_elements:
+        images = [apply_word(g, word, g.root_fc(c))[: g.rank] for c in g.posroots]
         vecs = [
             g.gen_vector("e", pos_fc[img]) if img in pos_fc
             else g.gen_vector("f", pos_fc[tuple(-x for x in img)])

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import subprocess
 import sys
 from fractions import Fraction
@@ -5,12 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylkit import repthy
 from weylkit.errors import DimensionCapError, InternalInvariantError, NonDominantError, ParseError
 from weylkit.linalg import F1, SpanBasis, column_stack, combine, is_zero, nullspace, zeros
 from weylkit.repthy import (
     build_module,
+    convolve_characters,
     decompose_character,
     module_character,
     tensor_decompose,
@@ -18,6 +23,7 @@ from weylkit.repthy import (
     weyl_dim,
 )
 from weylkit.rootsys import parse_group
+from weyl_references import strip_decompose
 
 
 # ---- Weyl dimension formula (frozen values) ---------------------------------
@@ -194,11 +200,19 @@ def test_g2_adjoint_build_matches_ad():
     assert _is_homomorphism(mod)
 
 
-def test_dimension_cap():
+def test_dimension_cap(monkeypatch):
+    # the cap is checked before any build, so a stub builder shows that the
+    # bound itself is admitted without building the 64-dimensional module
+    built = []
+    monkeypatch.setattr(repthy, "_MODULE_CACHE", {})
+    monkeypatch.setattr(repthy, "_build_ss", lambda group, lab: built.append(lab) or "built")
+    g = parse_group("A1")
+    assert (weyl_dim(g, (63,)), weyl_dim(g, (64,))) == (64, 65)
     with pytest.raises(DimensionCapError):
-        build_module(parse_group("A1"), (64,))
-    # the bound itself is fine
-    assert build_module(parse_group("A1"), (63,)).dim == 64
+        build_module(g, (64,))
+    assert built == []
+    assert build_module(g, (63,)) == "built"
+    assert built == [(63,)]
 
 
 def _flip_top_multiplicity(true):
@@ -385,3 +399,96 @@ def test_decompose_character_roundtrip():
     g = parse_group("B2")
     char = module_character(g, [(1, 0), (0, 1), (0, 1)])
     assert decompose_character(g, char) == {(1, 0): 1, (0, 1): 2}
+
+
+# A1 characters that are no characters: (0,) is not a weight of the first, so
+# its one dominant weight (2,) gives V(2), of dimension 3 instead of 2; the
+# second has odd dimension 1 for V(1); the third is 2 V(2) - V(0).
+NON_CHARACTERS = [
+    ({(2,): 1, (-2,): 1}, "constituents have dimension 3, not 2"),
+    ({(1,): 1}, "constituents have dimension 2, not 1"),
+    ({(2,): 2, (0,): 1, (-2,): 2}, "negative multiplicity: not a character"),
+]
+
+
+@pytest.mark.parametrize("char,message", NON_CHARACTERS)
+def test_non_character_is_refused(char, message):
+    with pytest.raises(InternalInvariantError, match=message):
+        decompose_character(parse_group("A1"), char)
+
+
+def test_decomposition_guards_survive_python_O():
+    src = str(Path(repthy.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path[:0] = [{src!r}]\n"
+        "from weylkit.repthy import decompose_character\n"
+        "from weylkit.errors import InternalInvariantError\n"
+        "from weylkit.rootsys import parse_group\n"
+        f"for char in {[char for char, _ in NON_CHARACTERS]!r}:\n"
+        "    try:\n"
+        "        decompose_character(parse_group('A1'), char)\n"
+        "    except InternalInvariantError as exc:\n"
+        "        print(__debug__, exc.code)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == ["False internal_invariant"] * len(NON_CHARACTERS)
+
+
+# ---- character arithmetic properties -------------------------------------------
+
+PROPERTY_GROUPS = ("A1", "A2", "B2", "G2", "A1xA1", "A2+T1", "T1")
+
+
+@functools.cache
+def _small_labels(name):
+    """Dominant labels of dimension at most 27, entries boxed."""
+    g = parse_group(name)
+    box = itertools.product(*([range(4)] * g.rank + [range(-2, 3)] * g.torus_dim))
+    return [lab for lab in box if weyl_dim(g, lab) <= 27]
+
+
+def _draw_labels(data, count):
+    name = data.draw(st.sampled_from(PROPERTY_GROUPS))
+    labels = st.sampled_from(_small_labels(name))
+    return parse_group(name), [data.draw(labels) for _ in range(count)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_alternation_equals_stripping_on_sums_of_irreducibles(data):
+    g, labels = _draw_labels(data, data.draw(st.integers(1, 4)))
+    mults = [data.draw(st.integers(1, 3)) for _ in labels]
+    char, expect = {}, {}
+    for lab, mult in zip(labels, mults):
+        expect[lab] = expect.get(lab, 0) + mult
+        for w, m in weight_multiplicities(g, lab).items():
+            char[w] = char.get(w, 0) + mult * m
+    assert decompose_character(g, char) == strip_decompose(g, char) == expect
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_tensor_decompose_commutes_and_conserves_dimension(data):
+    g, (l1, l2) = _draw_labels(data, 2)
+    out = tensor_decompose(g, l1, l2)
+    assert out == tensor_decompose(g, l2, l1)
+    assert sum(m * weyl_dim(g, lab) for lab, m in out.items()) == weyl_dim(g, l1) * weyl_dim(g, l2)
+    char = convolve_characters(weight_multiplicities(g, l1), weight_multiplicities(g, l2))
+    assert out == strip_decompose(g, char)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PROPERTY_GROUPS), st.lists(st.integers(-6, 6), min_size=3, max_size=3))
+def test_dual_label_is_an_involution(name, entries):
+    g = parse_group(name)
+    lab = tuple(abs(x) for x in entries[: g.rank]) + tuple(entries[g.rank : g.weight_len])
+    assert g.dual_label(g.dual_label(lab)) == lab
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_weyl_dim_is_the_sum_of_weight_multiplicities(data):
+    g, (lab,) = _draw_labels(data, 1)
+    assert sum(weight_multiplicities(g, lab).values()) == weyl_dim(g, lab)

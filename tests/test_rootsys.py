@@ -13,6 +13,7 @@ from weylkit.errors import (
 )
 from weylkit.linalg import F0, F1, eye, fr, fvec, is_zero, zeros
 from weylkit.rootsys import Group, Subalgebra, parse_group, standard_subalgebra
+from weyl_references import apply_matrix, apply_word, weyl_matrices, word_matrix
 
 
 # ---- parsing ---------------------------------------------------------------
@@ -218,7 +219,31 @@ WEYL_ORDERS = {"A1": 2, "A2": 6, "B2": 8, "G2": 12, "A1xA1": 4, "A2+T1": 6}
 
 @pytest.mark.parametrize("name,order", WEYL_ORDERS.items())
 def test_weyl_group_order(name, order):
-    assert len(parse_group(name).weyl_elements) == order
+    g = parse_group(name)
+    assert len(g.weyl_elements) == order == len(weyl_matrices(g))
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A1xA1", "A1xA2", "A2+T1", "A1xA1xA1"])
+def test_weyl_elements_match_reflection_matrices(name):
+    # each entry's w(rho) is its word's matrix product applied to rho, the
+    # entries are the whole matrix group once each, and each word is as
+    # short as the reference's for the same element: it is reduced
+    g = parse_group(name)
+    ref = weyl_matrices(g)
+    keys = set()
+    for wrho, word in g.weyl_elements:
+        m = word_matrix(g, word)
+        assert apply_matrix(g, m, g.rho) == wrho == apply_word(g, word, g.rho)
+        key = tuple(m.reshape(-1))
+        assert len(word) == len(ref[key][0])
+        keys.add(key)
+    assert keys == set(ref)
+
+
+def test_torus_only_weyl_group_is_trivial():
+    for name in ("T1", "T3"):
+        g = parse_group(name)
+        assert g.weyl_elements == [(g.rho, ())]
 
 
 @pytest.mark.parametrize(
@@ -227,10 +252,12 @@ def test_weyl_group_order(name, order):
 def test_longest_element_negates_positive_roots(name):
     # w0 is the last Weyl element reached; check what defines it
     g = parse_group(name)
-    w0 = g.longest_weyl
+    w0rho, word = g.weyl_elements[-1]
+    w0 = word_matrix(g, word)
     negatives = {tuple(-x for x in g.root_fc(c)) for c in g.posroots}
-    assert all(g.apply_weyl(w0, g.root_fc(c)) in negatives for c in g.posroots)
-    assert len(g.longest_weyl_word) == len(g.posroots)
+    assert all(apply_matrix(g, w0, g.root_fc(c)) in negatives for c in g.posroots)
+    assert w0rho == tuple(-x for x in g.rho[: g.rank]) + g.rho[g.rank :]
+    assert len(word) == len(g.posroots)
     if name in ("A1", "B2", "G2"):  # there w0 = -1
         assert is_zero(w0 + eye(g.rank))
 
@@ -262,6 +289,7 @@ def _supported_names():
 @pytest.mark.parametrize("name", _supported_names())
 def test_dual_label_is_minus_w0_of_label(name):
     g = parse_group(name)
+    w0 = word_matrix(g, g.weyl_elements[-1][1])
     labels = [
         lab
         for lab in itertools.product(range(-6, 7), repeat=g.weight_len)
@@ -269,36 +297,26 @@ def test_dual_label_is_minus_w0_of_label(name):
     ]
     for lab in labels:
         # the formula dual_label replaced: -w0(label), torus part negated
-        img = g.apply_weyl(g.longest_weyl, lab) if g.rank else lab
+        img = apply_matrix(g, w0, lab)
         assert g.dual_label(lab) == tuple(-x for x in img)
-
-
-def test_longest_weyl_torus_only_degenerate():
-    with pytest.raises(DegenerateInputError):
-        parse_group("T1").longest_weyl
 
 
 def test_longest_word_lengths():
     # reduced length equals the number of positive roots
-    assert len(parse_group("A1").longest_weyl_word) == 1
-    assert len(parse_group("A2").longest_weyl_word) == 3
-    assert len(parse_group("B2").longest_weyl_word) == 4
-    assert len(parse_group("G2").longest_weyl_word) == 6
+    for name, length in (("A1", 1), ("A2", 3), ("B2", 4), ("G2", 6)):
+        assert len(parse_group(name).weyl_elements[-1][1]) == length
 
 
 def test_longest_word_matches_matrix():
+    # the reference w0: the one matrix taking every positive root negative
     for name in ["A2", "B2", "A1xA1"]:
         g = parse_group(name)
-        m = eye(g.rank)
-        gens = []
-        for i in range(g.rank):
-            s = eye(g.rank)
-            for k in range(g.rank):
-                s[k, i] = s[k, i] - g.cartan_matrix[k, i]
-            gens.append(s)
-        for i in g.longest_weyl_word:
-            m = m @ gens[i]
-        assert is_zero(m - g.longest_weyl)
+        negatives = {tuple(-x for x in g.root_fc(c)) for c in g.posroots}
+        (w0,) = [
+            m for _, m in weyl_matrices(g).values()
+            if all(apply_matrix(g, m, g.root_fc(c)) in negatives for c in g.posroots)
+        ]
+        assert is_zero(word_matrix(g, g.weyl_elements[-1][1]) - w0)
 
 
 def test_fundamental_weights_pair_to_delta():
@@ -315,7 +333,8 @@ def test_dom_rep():
     g = parse_group("A2")
     assert g.dom_rep((-1, 1)) == (1, 0)
     assert g.dom_rep((0, 0)) == (0, 0)
-    orbit = {g.apply_weyl(w, (1, 0)) for w in g.weyl_elements}
+    orbit = {apply_matrix(g, w, (1, 0)) for _, w in weyl_matrices(g).values()}
+    assert set(g.orbit((1, 0))) == orbit
     assert all(g.dom_rep(w) == (1, 0) for w in orbit)
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from weylkit import sympoly
 from weylkit.errors import DegenerateInputError, NonReductiveError
-from weylkit.repthy import decompose_character, weight_multiplicities, weyl_dim
+from weylkit.repthy import weight_multiplicities, weyl_dim
 from weylkit.rootsys import parse_group, standard_subalgebra
 from weylkit.sympoly import (
     MAX_MF_DEGREE,
@@ -15,6 +15,7 @@ from weylkit.sympoly import (
     sym_power_decompose,
     summands_dim,
 )
+from weyl_references import strip_decompose
 
 
 def brute_force_sym_power(group, summands, d):
@@ -28,7 +29,7 @@ def brute_force_sym_power(group, summands, d):
     for combo in combinations_with_replacement(range(len(weights)), d):
         tot = tuple(sum(weights[i][k] for i in combo) for k in range(group.weight_len))
         char[tot] = char.get(tot, 0) + 1
-    return decompose_character(group, char)
+    return strip_decompose(group, char)
 
 
 # ---- symmetric powers --------------------------------------------------------
