@@ -68,6 +68,8 @@ def parse_module_spec(group: Group, text: str) -> list:
         elif token == "adjoint":
             items = _adjoint_summands(group)
         elif token.startswith("w[") and token.endswith("]"):
+            if len(token) > 100:  # its dimension could not be printed
+                raise ParseError(f"weight token longer than 100 characters: {token[:40]!r}")
             body = token[2:-1].replace("|", ",")
             try:
                 lab = tuple(int(p) for p in body.split(",") if p.strip() != "")
@@ -227,9 +229,9 @@ def cmd_mf(args) -> int:
         g = parse_group(args.group)
         if (args.module is None) == (args.subalgebra is None):
             raise ParseError("give exactly one of --module or --subalgebra")
-        summands = parse_module_spec(g, args.module) if args.module else None
-        h = _parse_subalgebra(g, args.subalgebra) if args.subalgebra else None
-        ambient = parse_module_spec(g, args.ambient) if args.ambient else None
+        summands = parse_module_spec(g, args.module) if args.module is not None else None
+        h = _parse_subalgebra(g, args.subalgebra) if args.subalgebra is not None else None
+        ambient = parse_module_spec(g, args.ambient) if args.ambient is not None else None
         if ambient and summands:
             raise ParseError("--ambient only applies to the --subalgebra form")
     except ToolkitError as exc:

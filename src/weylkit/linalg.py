@@ -20,6 +20,7 @@ them gives bit-for-bit the same numbers.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -40,7 +41,11 @@ def fr(x) -> Fraction:
 
 def fr_input(x, error: type[Exception]) -> Fraction:
     """fr for a literal from outside the program: a malformed one raises
-    ``error`` with a message instead of a bare TypeError/ValueError."""
+    ``error`` with a message instead of a bare TypeError/ValueError, as does
+    one over 400 characters or with an exponent above 999, whose value could
+    be too slow to expand or too long to print (Python prints 4300 digits)."""
+    if isinstance(x, str) and (len(x) > 400 or re.search(r"[eE][-+]?[0_]*[1-9](_?[0-9]){3}", x)):
+        raise error(f"literal too large: {x[:40]!r}")
     try:
         return fr(x)
     except (TypeError, ValueError, ZeroDivisionError) as exc:

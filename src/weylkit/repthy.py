@@ -3,16 +3,16 @@
 Irreducible modules are built by generating the cyclic submodule of a
 highest weight vector inside a tensor product of two smaller modules, with
 all elimination done over the rationals (de Graaf, *Lie Algebras: Theory
-and Algorithms*, 2000).  There is one rule for that vector: it spans the
-vectors of weight lambda in the tensor product that every simple raising
-operator kills, a kernel that must be one-dimensional.  The tensor product
-is never formed as matrices; its action is applied factor by factor.  The
-span is kept one weight space at a time: every vector the builder meets
-has a known weight, so it is reduced only against the retained vectors of
-that weight, over that weight's positions in the tensor product.
-Dimensions come from the Weyl formula and weight multiplicities from the
-Freudenthal recursion, and the builder cross-checks itself against both
-before returning.
+and Algorithms*, 2000).  That vector spans the weight-lambda vectors of the
+tensor product that every simple raising operator kills, a kernel that must
+be one-dimensional.  Each module keeps a column table of its matrices (the
+nonzero (row, entry) pairs of every column); the tensor product's action is
+applied factor by factor from those tables to sparse vectors, never formed
+as matrices.  Each vector has a known weight, so it is densified and reduced
+only over that weight's positions, against that weight's retained vectors.
+Dimensions come from the Weyl formula (on integers) and weight
+multiplicities from the Freudenthal recursion, and the builder checks
+itself against both, and its sl2 pairs, before returning.
 
 Module descriptors elsewhere in the package are plain lists of dominant
 labels (repetition encodes multiplicity); only this file hands out actual
@@ -22,13 +22,14 @@ matrices.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionCapError, NonDominantError, ParseError, ensure
-from .linalg import F0, F1, SpanBasis, column_stack, combine, eye, fr, fvec, is_zero
-from .linalg import matmul, nullspace, zeros
+from .linalg import F0, F1, SpanBasis, eye, fr, fvec, matmul, nullspace, zeros
 from .linalg import rref  # noqa: F401  (unused here; the benchmark tracer and its tests patch repthy.rref)
 from .rootsys import Group
 
@@ -55,16 +56,15 @@ def check_label(group: Group, label: Sequence[int]) -> Weight:
 
 
 def weyl_dim(group: Group, label: Sequence[int]) -> int:
+    """prod (lam + rho, alpha) / prod (rho, alpha) over the positive roots, on
+    integers: (mu, sum_j c_j alpha_j) = sum_j c_j d_j mu_j, d = group.dvec."""
     lab = check_label(group, label)
-    num = F1
-    den = F1
+    num = den = 1
     for c in group.posroots:
-        a = group.root_fc(c)
-        num *= group.wform(_add(lab, group.rho), a)
-        den *= group.wform(group.rho, a)
-    d = num / den
-    ensure(d.denominator == 1 and d > 0, f"Weyl dimension of {lab} is {d}")
-    return int(d)
+        num *= sum(cj * dj * (lj + 1) for cj, dj, lj in zip(c, group.dvec, lab))
+        den *= sum(cj * dj for cj, dj in zip(c, group.dvec))
+    ensure(num % den == 0 and num > 0, f"Weyl dimension of {lab} is {num}/{den}")
+    return num // den
 
 
 def _add(u: Sequence[int], v: Sequence[int]) -> Weight:
@@ -149,7 +149,10 @@ class Module:
 
     ``act[i]`` is the matrix of the i-th Lie algebra basis element of
     ``group``; ``weights[k]`` is the weight of the k-th basis vector, and
-    basis vector 0 is a highest weight vector.
+    basis vector 0 is a highest weight vector.  ``columns[i][k]`` lists the
+    nonzero (row, entry) pairs of column k of ``act[i]``; every product the
+    library forms with module matrices runs over this table, built once
+    (h_i is diagonal, e_i and f_i have about one entry per column).
     """
 
     def __init__(self, group: Group, label: Weight, weights: list[Weight], act: list[np.ndarray]):
@@ -159,28 +162,36 @@ class Module:
         self.act = act
         self.dim = len(weights)
 
+    @cached_property
+    def columns(self) -> list[list[list[tuple[int, Fraction]]]]:
+        table = [[[] for _ in range(self.dim)] for _ in self.act]
+        for cols, a in zip(table, self.act):
+            for k, i in zip(*np.nonzero(a.T)):
+                cols[k].append((int(i), a[i, k]))
+        return table
+
     def action(self, x: np.ndarray) -> np.ndarray:
-        return combine(x, self.act, (self.dim, self.dim))
+        out = zeros(self.dim, self.dim)
+        for c, cols in zip(x, self.columns):
+            if c != 0:
+                for k, col in enumerate(cols):
+                    for i, entry in col:
+                        out[i, k] += c * entry
+        return out
 
     def __repr__(self) -> str:
         return f"Module({self.group.name}, {self.label}, dim={self.dim})"
 
 
-def _tensor_apply(x1: np.ndarray, x2: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(x1 (x) 1 + 1 (x) x2) v, without forming either Kronecker product.
-
-    Coordinate a * n2 + b of v is e_a (x) e_b.  Only nonzero coordinates of
-    v and nonzero entries of x1 and x2 are visited: module vectors and
-    matrices are supported on few of theirs."""
-    n1, n2 = len(x1), len(x2)
-    out = zeros(n1, n2)
-    for k in np.flatnonzero(v):
+def _tensor_apply(cols1: list, cols2: list, v: dict, n2: int) -> dict[int, Fraction]:
+    """(x1 (x) 1 + 1 (x) x2) v for x1, x2 given by their column tables, where
+    coordinate a * n2 + b of v is e_a (x) e_b; entries that cancel are dropped."""
+    out: dict[int, Fraction] = {}
+    for k, c in v.items():
         a, b = divmod(k, n2)
-        i = np.flatnonzero(x1[:, a])
-        out[i, b] += v[k] * x1[i, a]
-        j = np.flatnonzero(x2[:, b])
-        out[a, j] += v[k] * x2[j, b]
-    return out.reshape(-1)
+        for p, x in [(i * n2 + b, x) for i, x in cols1[a]] + [(a * n2 + j, x) for j, x in cols2[b]]:
+            out[p] = out.get(p, F0) + c * x
+    return {p: c for p, c in out.items() if c}
 
 
 def _basis_weight(group: Group, lab: tuple[str, object]) -> Weight:
@@ -205,45 +216,41 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
     The span is kept one weight at a time: every vector met is a weight
     vector of known weight (a lowering image f_i . v has the weight of v
     minus alpha_i, an image x . v the weight of v plus that of x), so it is
-    reduced only against the retained vectors of its own weight, over that
-    weight's ambient positions.  Weight spaces are independent, so these
-    coordinates are the coordinates over the whole basis."""
-    amb = list(zip(m1.act, m2.act))  # the ambient action, in basis order
+    kept sparse and densified only over that weight's ambient positions, to
+    be reduced against the retained vectors of its own weight.  Weight
+    spaces are independent, so these coordinates are the coordinates over
+    the whole basis."""
+    amb = list(zip(m1.columns, m2.columns))  # the ambient action, in basis order
     amb_weights = [_add(w1, w2) for w1 in m1.weights for w2 in m2.weights]
-    adim = len(amb_weights)
     where: dict[Weight, list[int]] = {}  # the ambient positions of each weight
     for k, w in enumerate(amb_weights):
         where.setdefault(w, []).append(k)
-    wid = {w: i for i, w in enumerate(where)}
-    amb_wid = np.array([wid[w] for w in amb_weights])
+    slot = {k: j for ps in where.values() for j, k in enumerate(ps)}  # k's index among them
     es = [amb[group._index[("e", group.simple_root(i))]] for i in range(group.rank)]
     fs = [amb[group._index[("f", group.simple_root(i))]] for i in range(group.rank)]
 
     positions = where[label]
-    cols = []
-    for p in positions:
-        unit = zeros(adim)
-        unit[p] = F1
-        cols.append(np.concatenate([_tensor_apply(*e, unit) for e in es]))
-    raising = column_stack(cols)
-    ker = nullspace(raising[[not is_zero(row) for row in raising]])
+    images = [[_tensor_apply(*e, {p: F1}, m2.dim) for p in positions] for e in es]
+    rows = sorted({(i, q) for i, col in enumerate(images) for im in col for q in im})
+    raising = np.array([[im.get(q, F0) for im in images[i]] for i, q in rows], dtype=object)
+    ker = nullspace(raising.reshape(len(rows), len(positions)))
     ensure(len(ker) == 1, f"highest weight vector of {label} is not unique")
-    v0 = zeros(adim)
-    v0[positions] = ker[0]
+    v0 = {p: c for p, c in zip(positions, ker[0]) if c}
 
-    def part(v: np.ndarray, w: Weight) -> np.ndarray | None:
-        """v at the positions of weight w, or None if v is zero; v must lie
-        in that weight space."""
-        nz = np.flatnonzero(v)
-        ensure(bool((amb_wid[nz] == wid.get(w, -1)).all()), "image left its weight space")
-        return v[where[w]] if len(nz) else None
+    def part(v: dict[int, Fraction], w: Weight) -> np.ndarray | None:
+        """v densified over the positions of weight w (None if v is zero)."""
+        ensure(all(amb_weights[k] == w for k in v), "image left its weight space")
+        vw = zeros(len(where.get(w, ())))
+        for k, c in v.items():
+            vw[slot[k]] = c
+        return vw if v else None
 
     spans: dict[Weight, SpanBasis] = {}
     members: dict[Weight, list[int]] = {}  # the basis index of each retained vector
-    basis: list[np.ndarray] = []
+    basis: list[dict[int, Fraction]] = []
     bweights: list[Weight] = []
 
-    def retain(v: np.ndarray, w: Weight) -> bool:
+    def retain(v: dict[int, Fraction], w: Weight) -> bool:
         vw = part(v, w)
         if vw is None or not spans.setdefault(w, SpanBasis(len(vw))).add(vw):
             return False
@@ -258,7 +265,7 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
     while queue:
         b = queue.pop(0)
         for i in range(group.rank):
-            if retain(_tensor_apply(*fs[i], basis[b]), _sub(bweights[b], alphas[i])):
+            if retain(_tensor_apply(*fs[i], basis[b], m2.dim), _sub(bweights[b], alphas[i])):
                 queue.append(len(basis) - 1)
     n = len(basis)
     expect = weyl_dim(group, label)
@@ -274,7 +281,7 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
         mat = zeros(n, n)
         for k in range(n):
             w = _add(bweights[k], dx)
-            vw = part(_tensor_apply(*x, basis[k]), w)
+            vw = part(_tensor_apply(*x, basis[k], m2.dim), w)
             if vw is None:
                 continue
             coords = spans[w].express(vw) if w in spans else None
@@ -295,12 +302,18 @@ def _verify_generators(mod: Module) -> None:
     restriction of a representation to an invariant subspace is one."""
     g = mod.group
     for i in range(g.rank):
-        e = mod.act[g._index[("e", g.simple_root(i))]]
-        f = mod.act[g._index[("f", g.simple_root(i))]]
-        h = mod.act[g._index[("h", i)]]
-        weights = np.diag([fr(w[i]) for w in mod.weights])
-        ensure(is_zero(h - weights), "h_i is not diagonal with the weights on the basis")
-        ensure(is_zero(matmul(e, f) - matmul(f, e) - h), "[e_i, f_i] != h_i")
+        e = mod.columns[g._index[("e", g.simple_root(i))]]
+        f = mod.columns[g._index[("f", g.simple_root(i))]]
+        h = mod.columns[g._index[("h", i)]]
+        for k, w in enumerate(mod.weights):
+            ensure(h[k] == ([(k, w[i])] if w[i] else []), "h_i is not diagonal with the weights on the basis")
+            ef, fe_h = {}, {k: fr(w[i])}  # column k of e f and of f e + h
+            for x, y, out in ((e, f, ef), (f, e, fe_h)):
+                for j, c in y[k]:
+                    for r, a in x[j]:
+                        out[r] = out.get(r, F0) + a * c
+            diff = (ef.get(r, F0) - fe_h.get(r, F0) for r in ef.keys() | fe_h.keys())
+            ensure(not any(diff), "[e_i, f_i] != h_i")
 
 
 _MODULE_CACHE: dict[tuple[str, Weight], Module] = {}

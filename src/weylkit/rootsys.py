@@ -175,7 +175,7 @@ def _factor(letter: str) -> dict:
     return {
         "rank": r,
         "A": A,
-        "d": [fr(x) for x in data["d"]],
+        "d": list(data["d"]),
         "posroots": posroots,
         "h": hmats,
         "e": e,
@@ -239,8 +239,8 @@ class Group:
         return A
 
     @cached_property
-    def dvec(self) -> list[Fraction]:
-        out: list[Fraction] = []
+    def dvec(self) -> list[int]:
+        out: list[int] = []
         for f in self.factors:
             out.extend(f["d"])
         return out

@@ -5,17 +5,24 @@ expectations met), 1 for disagreements or computation failures, 2 for
 usage errors.  Structured output must be byte-identical across runs.
 """
 
+import contextlib
 import hashlib
 import inspect
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import weylkit.errors as errors_mod
+from weylkit import involution
 from weylkit.cli import main
 from weylkit.errors import ToolkitError
 from weylkit.spherical import MAX_TRIALS
@@ -649,3 +656,114 @@ class TestDeterminism:
         w9 = json.loads(out9)["certificate"]["witness"]
         assert json.loads(out0)["status"] == json.loads(out9)["status"] == "spherical"
         assert w0 != w9
+
+
+# ---- fuzzing: generated malformed and oversized input -------------------------
+
+
+def _mostly(valid, malformed):
+    """valid nine times as often as malformed, so that most examples get past
+    the parser and a few carry one fault each."""
+    return st.sampled_from([False] * 9 + [True]).flatmap(lambda bad: malformed if bad else valid)
+
+
+_ENTRY = _mostly(
+    st.integers(-1, 2).map(str),
+    st.sampled_from(["", " ", "x", "1.5", "1/2", "-0", "+1", "1_0", "64", "10" * 20, "9" * 3000, "9" * 5000]),
+)
+_LITERAL = _mostly(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).map(str),
+    st.sampled_from(
+        ["", "x", "1/0", "1.5", "nan", "inf", "1e3", "2E-5", "1_000", "7" * 400, "7" * 401, "1e999", "1e9999",
+         "1e999999999"]
+    ),
+)
+_GROUP_DIMS = {"A1": 3, "A2": 8, "A1+T1": 4}
+_GROUPS = _mostly(
+    st.sampled_from(sorted(_GROUP_DIMS)),
+    st.sampled_from([" A1 ", "", "A", "E8", "A1x", "A1+T", "T0", "a1", "A1xA1xA1xA1"]),
+)
+
+
+@st.composite
+def _module_specs(draw):
+    def token():
+        simple = ",".join(draw(st.lists(_ENTRY, min_size=1, max_size=3)))
+        torus = draw(st.one_of(st.none(), st.lists(_ENTRY, max_size=2).map(",".join)))
+        return "w[" + simple + ("" if torus is None else "|" + torus) + "]"
+
+    named = _mostly(st.sampled_from(["defining", "adjoint", "trivial"]), st.sampled_from(["", "w[", "w[1", "bogus"]))
+    tokens = [token() if draw(st.booleans()) else draw(named) for _ in range(draw(st.integers(1, 3)))]
+    return "+".join(tokens)
+
+
+@st.composite
+def _subalgebras(draw, dim):
+    if draw(st.booleans()):
+        names = st.sampled_from(["cartan", "borel", "full", "nilradical", "principal"])
+        return draw(_mostly(names, st.sampled_from(["bogus", "", "span:"])))
+    chunks = []
+    for _ in range(draw(st.integers(1, 2))):
+        size = draw(_mostly(st.just(dim), st.integers(0, 9)))
+        chunks.append(",".join(draw(st.lists(_LITERAL, min_size=size, max_size=size))))
+    return "span:" + ";".join(chunks)
+
+
+@st.composite
+def _fibers(draw):
+    kind = draw(_mostly(st.sampled_from(["trivial", "character", "restriction"]), st.just("bogus")))
+    if kind == "character":
+        return "character:" + ",".join(draw(st.lists(_LITERAL, min_size=1, max_size=4)))
+    if kind == "restriction":
+        return "restriction:" + draw(_module_specs())
+    return kind
+
+
+@st.composite
+def _cli_argv(draw):
+    name = draw(_GROUPS)
+    group = "--group=" + name
+    verb = draw(st.sampled_from(["spherical", "fibration", "mf", "mf-orbit", "involution"]))
+    fmt = "--format=" + draw(st.sampled_from(["table", "structured"]))
+    sub = "--subalgebra=" + draw(_subalgebras(_GROUP_DIMS.get(name.strip(), 3)))
+    if verb == "spherical":
+        return ["spherical", group, sub, "--trials", str(draw(st.integers(0, 2))), fmt]
+    if verb == "fibration":
+        return ["fibration", group, sub, fmt]
+    degree = "--degree=" + str(draw(_mostly(st.integers(1, 3), st.integers(-1, 0))))
+    if verb == "mf":
+        return ["mf", group, "--module=" + draw(_module_specs()), degree, fmt]
+    if verb == "mf-orbit":
+        return ["mf", group, sub, degree, fmt]
+    return ["involution", group, sub, "--fiber=" + draw(_fibers()), fmt]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cli_argv())
+# inputs that once ended in a traceback or a runaway expansion: an empty
+# spec skipped the parser, a nine-digit exponent expanded into a
+# billion-digit integer, and values past Python's 4300-digit limit on
+# int-to-str conversion could not be printed
+@example(["mf", "--group=A1", "--subalgebra=", "--degree=1"])
+@example(["mf", "--group=A1", "--module=", "--degree=1"])
+@example(["fibration", "--group=A1", "--subalgebra=span:1e999999999,0,0"])
+@example(["involution", "--group=A1", "--subalgebra=cartan", "--fiber=character:1e9999", "--format=structured"])
+@example(["mf", "--group=A2", "--module=w[" + "9" * 3000 + ",1]", "--degree=2"])
+def test_generated_input_exits_with_a_known_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    # a smaller intertwiner bound keeps every admitted fiber cheap; larger
+    # ones take the same refusal path
+    with mock.patch.object(involution, "MAX_NU_ENTRIES", 20_000):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        text = out.getvalue()
+        if "--format=structured" in argv:
+            found = json.loads(text)["error"]
+        else:
+            found = re.search(r"^error (\w+):", text, re.M).group(1)
+        assert found in KNOWN_ERROR_CODES
+    elif code == 2:
+        usage = re.fullmatch(r"usage error \((\w+)\): .*\n", err.getvalue(), re.S)
+        assert usage.group(1) in KNOWN_ERROR_CODES

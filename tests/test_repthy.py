@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from weylkit import repthy
 from weylkit.errors import DimensionCapError, InternalInvariantError, NonDominantError, ParseError
-from weylkit.linalg import F1, SpanBasis, column_stack, combine, is_zero, nullspace, zeros
+from weylkit.linalg import F1, SpanBasis, column_stack, combine, fvec, is_zero, nullspace, zeros
 from weylkit.repthy import (
     build_module,
     convolve_characters,
@@ -23,7 +23,7 @@ from weylkit.repthy import (
     weyl_dim,
 )
 from weylkit.rootsys import parse_group
-from weyl_references import strip_decompose
+from weyl_references import dense_tensor_apply, strip_decompose
 
 
 # ---- Weyl dimension formula (frozen values) ---------------------------------
@@ -62,6 +62,29 @@ def test_label_validation():
         weyl_dim(g, (-1, 0))
     with pytest.raises(ParseError):
         weyl_dim(g, (1, 0, 0))
+
+
+def _wform_weyl_dim(g, lab):
+    """The Weyl dimension formula as products of wform values, over Fraction."""
+    num = den = Fraction(1)
+    for c in g.posroots:
+        a = g.root_fc(c)
+        num *= g.wform(repthy._add(lab, g.rho), a)
+        den *= g.wform(g.rho, a)
+    return num / den
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "B2", "G2", "A1xA1", "A1xA2", "A1xB2", "A1xG2", "A1+T1", "B2+T1", "T1"]
+)
+def test_integer_weyl_dim_equals_wform_product(name):
+    g = parse_group(name)
+    assert all(type(d) is int for d in g.dvec)
+    for simple in itertools.product(range(7), repeat=g.rank):
+        for torus in itertools.product((-2, 0, 5), repeat=g.torus_dim):
+            lab = simple + torus
+            got = weyl_dim(g, lab)
+            assert type(got) is int and got == _wform_weyl_dim(g, lab)
 
 
 # ---- Freudenthal multiplicities (frozen) -------------------------------------
@@ -161,6 +184,23 @@ def test_generator_check_catches_one_changed_entry(kind, message):
         m[r, c] = 2 * m[r, c]
     else:
         m[0, 1] = m[0, 1] + 1
+    act = mod.act[:k] + [m] + mod.act[k + 1 :]
+    with pytest.raises(InternalInvariantError, match=message):
+        repthy._verify_generators(repthy.Module(g, mod.label, mod.weights, act))
+
+
+@pytest.mark.parametrize("kind,message", [("f", r"\[e_i, f_i\] != h_i"), ("h", "h_i is not diagonal")])
+def test_generator_check_catches_changed_f_entry_and_h_diagonal(kind, message):
+    g = parse_group("A2")
+    mod = build_module(g, (1, 1))
+    # add one to a nonzero entry of the first simple f, or to a diagonal
+    # entry of the first coroot
+    k = g._index[(kind, g.simple_root(0) if kind == "f" else 0)]
+    m = mod.act[k].copy()
+    r, c = next((r, c) for r in range(mod.dim) for c in range(mod.dim) if m[r, c] != 0)
+    if kind == "h":
+        c = r
+    m[r, c] = m[r, c] + 1
     act = mod.act[:k] + [m] + mod.act[k + 1 :]
     with pytest.raises(InternalInvariantError, match=message):
         repthy._verify_generators(repthy.Module(g, mod.label, mod.weights, act))
@@ -271,7 +311,7 @@ def _ambient_wide_extract(group, m1, m2, label):
     for p in positions:
         unit = zeros(adim)
         unit[p] = F1
-        cols.append(np.concatenate([repthy._tensor_apply(*e, unit) for e in es]))
+        cols.append(np.concatenate([dense_tensor_apply(*e, unit) for e in es]))
     raising = column_stack(cols)
     (ker,) = nullspace(raising[[not is_zero(row) for row in raising]])
     v0 = zeros(adim)
@@ -283,7 +323,7 @@ def _ambient_wide_extract(group, m1, m2, label):
     while queue:
         b = queue.pop(0)
         for i in range(group.rank):
-            w = repthy._tensor_apply(*fs[i], basis[b])
+            w = dense_tensor_apply(*fs[i], basis[b])
             if not is_zero(w) and span.add(w):
                 basis.append(w)
                 bweights.append(repthy._sub(bweights[b], alphas[i]))
@@ -293,7 +333,7 @@ def _ambient_wide_extract(group, m1, m2, label):
     for x in amb:
         mat = zeros(n, n)
         for k in range(n):
-            coords = span.express(repthy._tensor_apply(*x, basis[k]))
+            coords = span.express(dense_tensor_apply(*x, basis[k]))
             assert coords is not None
             mat[:, k] = coords
         act.append(mat)
@@ -492,3 +532,27 @@ def test_dual_label_is_an_involution(name, entries):
 def test_weyl_dim_is_the_sum_of_weight_multiplicities(data):
     g, (lab,) = _draw_labels(data, 1)
     assert sum(weight_multiplicities(g, lab).values()) == weyl_dim(g, lab)
+
+
+ACTION_MODULES = [
+    ("A1", (3,)),
+    ("A2", (1, 1)),
+    ("B2", (1, 0)),
+    ("G2", (1, 0)),
+    ("A1xA1", (1, 2)),
+    ("A1+T1", (2, 3)),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ACTION_MODULES), st.data())
+def test_action_equals_dense_combination(module, data):
+    name, label = module
+    g = parse_group(name)
+    mod = build_module(g, label)
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    x = fvec(data.draw(st.lists(st.one_of(st.just(0), rationals), min_size=g.dim, max_size=g.dim)))
+    got = mod.action(x)
+    want = combine(x, mod.act, (mod.dim, mod.dim))
+    assert got.shape == want.shape
+    assert all(type(a) is Fraction and a == b for a, b in zip(got.flat, want.flat))

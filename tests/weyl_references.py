@@ -1,14 +1,19 @@
-"""Test-side references for the Weyl group and for character decomposition.
+"""Test-side references for the Weyl group, character decomposition and
+the tensor product action.
 
-The library holds the Weyl group on integers only (the orbit of rho) and
-decomposes characters by the Weyl alternation.  The models they replaced
-are kept here as independent references: the group as exact reflection
-matrices on fundamental coordinates, and decomposition by stripping
-irreducible characters from the top.
+The library holds the Weyl group on integers only (the orbit of rho),
+decomposes characters by the Weyl alternation and applies a tensor
+product's action to sparse vectors from tables of nonzero entries.  The
+models they replaced are kept here as independent references: the group
+as exact reflection matrices on fundamental coordinates, decomposition by
+stripping irreducible characters from the top, the action on dense
+vectors, and the tables as a scan of every entry.
 """
 
+import numpy as np
+
 from weylkit.errors import ensure
-from weylkit.linalg import eye
+from weylkit.linalg import eye, zeros
 from weylkit.repthy import _add, weight_multiplicities
 
 
@@ -90,3 +95,27 @@ def strip_decompose(group, char):
             else:
                 work.pop(w, None)
     return out
+
+
+def nonzero_columns(a):
+    """The nonzero (row, entry) pairs of each column of a square matrix, by
+    a scan of every entry: the reference for ``Module.columns``."""
+    n = len(a)
+    return [[(i, a[i, k]) for i in range(n) if a[i, k] != 0] for k in range(n)]
+
+
+def dense_tensor_apply(x1, x2, v):
+    """(x1 (x) 1 + 1 (x) x2) v on dense vectors, without forming either
+    Kronecker product.
+
+    Coordinate a * n2 + b of v is e_a (x) e_b.  Only nonzero coordinates of
+    v and nonzero entries of x1 and x2 are visited."""
+    n1, n2 = len(x1), len(x2)
+    out = zeros(n1, n2)
+    for k in np.flatnonzero(v):
+        a, b = divmod(k, n2)
+        i = np.flatnonzero(x1[:, a])
+        out[i, b] += v[k] * x1[i, a]
+        j = np.flatnonzero(x2[:, b])
+        out[a, j] += v[k] * x2[j, b]
+    return out.reshape(-1)
