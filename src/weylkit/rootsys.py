@@ -13,8 +13,9 @@ closure reaches.  Structure constants come from hand-coded faithful seed
 representations of each simple type (defining modules for A1/A2, the
 4-dimensional spinor for B2, the 7-dimensional fundamental for G2).  Root
 vectors for non-simple roots are generated by the extraspecial-pair
-recursion, which pins every sign; the resulting table is exact over the
-rationals.
+recursion, which pins every sign.  Each seed commutator is expressed within
+its weight space, and one table of the nonzero constants, exact over the
+rationals, drives ad, the bracket and exp(ad x).
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations, product
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,7 +38,7 @@ from .errors import (
     UnsupportedTypeError,
     ensure,
 )
-from .linalg import F0, F1, SpanBasis, column_stack, combine, eliminate, eye, fmat, fr, fvec
+from .linalg import F0, F1, SpanBasis, combine, eliminate, eye, fmat, fr, fvec
 from .linalg import is_zero, matmul, rref, zeros
 
 # Cartan matrices use the convention A[i][j] = <alpha_j, alpha_i^vee>, so
@@ -89,6 +92,16 @@ def _sparse_matrix(n: int, entries: Sequence[tuple[int, int, int]]) -> np.ndarra
     for i, j, v in entries:
         m[i, j] = fr(v)
     return m
+
+
+def _commutator(a: dict, b: dict) -> dict[tuple[int, int], Fraction]:
+    """ab - ba for sparse matrices {(row, col): nonzero entry}, as one."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for ((i, j), s), ((k, l), t) in product(x.items(), y.items()):
+            if j == k:
+                out[i, l] = out.get((i, l), 0) + sign * s * t
+    return {p: v for p, v in out.items() if v != 0}
 
 
 def _unit(r: int, i: int) -> tuple[int, ...]:
@@ -304,59 +317,97 @@ class Group:
         return _unit(self.rank, i)
 
     @cached_property
-    def bracket_table(self) -> list[list[np.ndarray]]:
-        dim = self.dim
-        table = [[zeros(dim) for _ in range(dim)] for _ in range(dim)]
-
+    def _ad_columns(self) -> list[dict[int, list[tuple[int, Fraction]]]]:
+        """The nonzero structure constants: table[k][j] lists the (i, c) with
+        [b_k, b_j] = sum c b_i, so it is column j of ad(b_k).  Seeds of two
+        weights (h -> 0, e_c -> c, f_c -> -c) occupy disjoint positions, and a
+        commutator lies on, and is expressed over, the seeds of its weight."""
+        table: list[dict[int, list[tuple[int, Fraction]]]] = [{} for _ in range(self.dim)]
         for seeds in self.factor_seeds:
-            local = [(self._index[lab], m) for lab, m in seeds.items()]
-            span = SpanBasis(local[0][1].size)
-            for _, m in local:
-                ensure(span.add(m.reshape(-1)), "seed representation not faithful")
-            for a, (ia, ma) in enumerate(local):
-                for ib, mb in local[a + 1 :]:
-                    br = matmul(ma, mb) - matmul(mb, ma)
-                    coords = span.express(br.reshape(-1))
-                    ensure(coords is not None, "bracket left the algebra span")
-                    v = zeros(dim)
-                    v[[ik for ik, _ in local]] = coords
-                    table[ia][ib] = v
-                    table[ib][ia] = -v
+            spaces: dict = {}  # weight -> [(basis index, nonzero {(row, col): entry})]
+            for (kind, c), m in seeds.items():
+                wt = (0,) * self.rank if kind == "h" else tuple(-x for x in c) if kind == "f" else c
+                ents = {(i, j): m[i, j] for i, j in zip(*np.nonzero(m))}
+                spaces.setdefault(wt, []).append((self._index[(kind, c)], ents))
+            local = [(ik, wt, ents) for wt, members in spaces.items() for ik, ents in members]
+            for wt, members in spaces.items():
+                pos = dict.fromkeys(sorted(set().union(*(ents for _, ents in members))))
+                span = SpanBasis(len(pos))
+                for _, ents in members:
+                    ensure(span.add(fvec(ents.get(p, 0) for p in pos)), "seed representation not faithful")
+                spaces[wt] = ([ik for ik, _ in members], pos, span)
+            pos = [p for _, ps, _ in spaces.values() for p in ps]
+            ensure(len(pos) == len(set(pos)), "seeds of two weights overlap")
+            for (ia, wa, ea), (ib, wb, eb) in combinations(local, 2):
+                br = _commutator(ea, eb)
+                if not br:
+                    continue
+                members, pos, span = spaces.get(tuple(map(sum, zip(wa, wb))), ([], {}, None))
+                ensure(br.keys() <= pos.keys(), "bracket left its weight space")
+                coords = span.express(fvec(br.get(p, 0) for p in pos))
+                ensure(coords is not None, "bracket left the algebra span")
+                table[ia][ib] = [(ik, c) for ik, c in zip(members, coords) if c != 0]
+                table[ib][ia] = [(ik, -c) for ik, c in table[ia][ib]]
         return table
 
-    def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return matmul(self.ad(x), y)
-
     @cached_property
-    def ad_basis(self) -> list[np.ndarray]:
-        # column j of ad(b_i) is [b_i, b_j]
-        return [column_stack(row) for row in self.bracket_table]
+    def bracket_table(self) -> list[list[np.ndarray]]:
+        """[b_i, b_j] as a dense coordinate vector, for every pair i, j."""
+        basis = eye(self.dim)
+        return [[self.bracket(x, y) for y in basis] for x in basis]
 
-    @cached_property
-    def _ad_entries(self) -> list[list[tuple[int, int, Fraction]]]:
-        # the nonzero (i, j, value) of each ad(b_k): at most 10 of G2's 196
-        return [[(i, j, a[i, j]) for i, j in zip(*np.nonzero(a))] for a in self.ad_basis]
+    def _ad_sparse(self, x: np.ndarray) -> dict[int, dict[int, Fraction]]:
+        """ad x by columns, {j: {i: (ad x)[i, j]}}, from the structure constants."""
+        out: dict[int, dict[int, Fraction]] = {}
+        for k, xk in enumerate(x):
+            if xk != 0:
+                for j, col in self._ad_columns[k].items():
+                    cj = out.setdefault(j, {})
+                    for i, c in col:
+                        cj[i] = cj.get(i, 0) + xk * c
+        return out
 
     def ad(self, x: np.ndarray) -> np.ndarray:
         m = zeros(self.dim, self.dim)
-        for k in range(self.dim):
-            if x[k] != 0:
-                for i, j, v in self._ad_entries[k]:
-                    m[i, j] += x[k] * v
+        for j, cj in self._ad_sparse(x).items():
+            m[list(cj), j] = list(cj.values())
         return m
 
+    def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = zeros(self.dim)
+        for j, cj in self._ad_sparse(x).items():
+            if y[j] != 0:
+                for i, a in cj.items():
+                    out[i] += a * y[j]
+        return out
+
     def exp_ad(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """exp(ad x) v, summed exactly on v or its columns: ad x must be
-        nilpotent there.  No dim x dim exponential is formed (pass eye(dim)
-        for it); term k is ad x times term k - 1 by linalg.matmul, over k."""
-        ad = self.ad(x)
-        out = term = v
-        for k in range(1, self.dim + 2):
-            term = matmul(ad, term) / fr(k)
-            if is_zero(term):
-                return out
-            out = out + term
-        raise NonNilpotentDirectionError("direction is not ad-nilpotent")
+        """exp(ad x) v on v or each of its columns, exactly: ad x must be
+        nilpotent there, or NonNilpotentDirectionError after dim + 1 terms.
+        With ad x = A / D and a column u / E, the int terms A^k u run until
+        A^(n+1) u = 0; sum_k (n!/k!) D^(n-k) A^k u is divided once by n! D^n E."""
+        adx = self._ad_sparse(x)
+        D = lcm(*(a.denominator for cj in adx.values() for a in cj.values()))
+        A = {j: [(i, int(a * D)) for i, a in cj.items()] for j, cj in adx.items()}
+        out = v.astype(object)
+        cols = out.reshape(len(v), -1)
+        for l in range(cols.shape[1]):
+            den = lcm(*(a.denominator for a in cols[:, l]))
+            acc = term = {i: int(a * den) for i, a in enumerate(cols[:, l]) if a != 0}
+            for k in range(1, self.dim + 2):
+                nxt: dict[int, int] = {}
+                for j, a in term.items():
+                    for i, c in A.get(j, ()):
+                        nxt[i] = nxt.get(i, 0) + c * a
+                term = {i: a for i, a in nxt.items() if a}
+                if not term:
+                    break
+                acc = {i: acc.get(i, 0) * k * D + term.get(i, 0) for i in acc.keys() | term.keys()}
+                den *= k * D
+            else:
+                raise NonNilpotentDirectionError("direction is not ad-nilpotent")
+            cols[:, l] = [Fraction(acc[i], den) if acc.get(i) else F0 for i in range(len(v))]
+        return out
 
     def torus_ad(self, s: Sequence[Fraction]) -> np.ndarray:
         """Adjoint action of the torus point with coroot parameters s.
@@ -372,11 +423,7 @@ class Group:
             raise DegenerateInputError("torus parameters must be nonzero")
         m = eye(self.dim)
         for c in self.posroots:
-            fc = self.root_fc(c)
-            scale = F1
-            for i in range(self.rank):
-                e = fc[i]
-                scale *= vals[i] ** e
+            scale = prod((v**e for v, e in zip(vals, self.root_fc(c))), start=F1)
             m[self._index[("e", c)], self._index[("e", c)]] = scale
             m[self._index[("f", c)], self._index[("f", c)]] = 1 / scale
         return m
@@ -384,8 +431,8 @@ class Group:
     @cached_property
     def killing_form(self) -> np.ndarray:
         # tr(ad_i ad_j) = vec(ad_i) . vec(ad_j^T): one product of stacked rows
-        rows = np.array([a.reshape(-1) for a in self.ad_basis])
-        cols = np.array([a.T.reshape(-1) for a in self.ad_basis])
+        rows = np.array([self.ad(b).reshape(-1) for b in eye(self.dim)])
+        cols = rows.reshape((self.dim,) * 3).transpose(0, 2, 1).reshape(self.dim, -1)
         return matmul(rows, cols.T)
 
     @cached_property

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weylkit.errors import DegenerateInputError
+from weylkit.errors import DegenerateInputError, NonNilpotentDirectionError
 from weylkit.involution import (
     InvolutionSpec,
     _chevalley_matrix,
@@ -41,7 +41,7 @@ from weylkit.linalg import (
 from weylkit.repthy import _tensor_apply
 from weylkit.rootsys import Subalgebra, parse_group, standard_subalgebra
 from weylkit.spherical import _certifies, _contains_some_borel, normalizer
-from weyl_references import apply_word, nonzero_columns
+from weyl_references import apply_word, dense_ad_basis, dense_exp_ad, nonzero_columns
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -410,7 +410,7 @@ def test_ad_and_exp_ad_equal_dense_forms(name, kind, data):
     x = combine(coeffs, [g.gen_vector(kind, c) for c in g.posroots], (g.dim,))
     # reference: ad x as the dense combination of the ad(b_k), and
     # sum (ad x)^k / k! with dense powers, until a power vanishes
-    m = combine(x, g.ad_basis, (g.dim, g.dim))
+    m = combine(x, dense_ad_basis(g), (g.dim, g.dim))
     assert all(a == b and isinstance(a, Fraction) for a, b in zip(g.ad(x).flat, m.flat))
     want = power = eye(g.dim)
     for k in range(1, g.dim + 1):
@@ -423,8 +423,58 @@ def test_ad_and_exp_ad_equal_dense_forms(name, kind, data):
     assert all(isinstance(e, Fraction) for e in got.flat)
     assert all(a == b for a, b in zip(got.flat, want.flat))
     v = data.draw(vectors(g.dim))
-    dense = combine(v, g.ad_basis, (g.dim, g.dim))
+    dense = combine(v, dense_ad_basis(g), (g.dim, g.dim))
     assert all(a == b and isinstance(a, Fraction) for a, b in zip(g.ad(v).flat, dense.flat))
     col = g.exp_ad(x, v)
     assert all(isinstance(e, Fraction) for e in col)
     assert list(col) == list(want @ v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(EXP_GROUPS), st.data())
+def test_bracket_equals_ad_product(name, data):
+    # x and y with rational h, t, e and f parts
+    g = parse_group(name)
+    x, y = data.draw(vectors(g.dim)), data.draw(vectors(g.dim))
+    got, want = g.bracket(x, y), matmul(g.ad(x), y)
+    assert got.shape == want.shape
+    assert all(a == b and type(a) is Fraction for a, b in zip(got, want))
+
+
+nonzero_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([n for n in EXP_GROUPS if n != "T1"]),
+    st.data(),
+    nonzero_rationals,
+    nonzero_rationals,
+)
+def test_exp_ad_refuses_a_direction_mixing_e_and_f(name, data, a, b):
+    # a e_c + b f_c is semisimple in the sl2 of the root c
+    g = parse_group(name)
+    c = data.draw(st.sampled_from(g.posroots))
+    x = a * g.gen_vector("e", c) + b * g.gen_vector("f", c)
+    with pytest.raises(NonNilpotentDirectionError):
+        g.exp_ad(x, eye(g.dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(EXP_GROUPS),
+    st.sampled_from("ef"),
+    st.data(),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12).filter(lambda q: q.denominator > 1),
+)
+def test_exp_ad_on_rational_columns_equals_dense_series(name, kind, data, q):
+    g = parse_group(name)
+    npos = len(g.posroots)
+    coeffs = data.draw(st.lists(rationals, min_size=npos, max_size=npos))
+    x = combine(coeffs, [g.gen_vector(kind, c) for c in g.posroots], (g.dim,))
+    v = column_stack([data.draw(vectors(g.dim)) for _ in range(3)])
+    # at least one column whose entries have a common denominator above 1
+    v[data.draw(st.integers(0, g.dim - 1)), 0] = q
+    got, want = g.exp_ad(x, v), dense_exp_ad(g, x, v)
+    assert got.shape == want.shape
+    assert all(a == b and type(a) is Fraction for a, b in zip(got.flat, want.flat))

@@ -1,19 +1,28 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from weylkit.errors import (
     DegenerateInputError,
+    InternalInvariantError,
     NonNilpotentDirectionError,
     NotSubalgebraError,
     ParseError,
     UnknownNameError,
     UnsupportedTypeError,
 )
-from weylkit.linalg import F0, F1, eye, fr, fvec, is_zero, zeros
+from weylkit.linalg import F0, F1, eye, fr, fvec, is_zero, matmul, zeros
 from weylkit.rootsys import Group, Subalgebra, parse_group, standard_subalgebra
-from weyl_references import apply_matrix, apply_word, weyl_matrices, word_matrix
+from weyl_references import (
+    apply_matrix,
+    apply_word,
+    dense_ad_basis,
+    flat_span_bracket_table,
+    weyl_matrices,
+    word_matrix,
+)
 
 
 # ---- parsing ---------------------------------------------------------------
@@ -336,6 +345,58 @@ def test_dom_rep():
     orbit = {apply_matrix(g, w, (1, 0)) for _, w in weyl_matrices(g).values()}
     assert set(g.orbit((1, 0))) == orbit
     assert all(g.dom_rep(w) == (1, 0) for w in orbit)
+
+
+TABLE_GROUPS = ["A1", "A2", "B2", "G2", "A1xA1", "A1xA2", "A1xA1xA1", "A2+T1", "A1+T2", "T1"]
+
+
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_bracket_table_equals_flat_span_reference(name):
+    # per weight space, against one span of all flattened seed matrices
+    g = parse_group(name)
+    ref = flat_span_bracket_table(g)
+    for row, ref_row in zip(g.bracket_table, ref):
+        for v, w in zip(row, ref_row):
+            assert all(a == b and type(a) is Fraction for a, b in zip(v, w))
+
+
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_killing_form_equals_trace_of_dense_products(name):
+    g = parse_group(name)
+    # tr(ad_a ad_b) = vec(ad_a) . vec(ad_b^T): one product of stacked rows
+    ads = dense_ad_basis(g)
+    rows = np.array([a.reshape(-1) for a in ads])
+    cols = np.array([a.T.reshape(-1) for a in ads])
+    want = matmul(rows, cols.T)
+    assert all(a == b and type(a) is Fraction for a, b in zip(g.killing_form.flat, want.flat))
+
+
+# G2's seed module leaves (0, 6) and the diagonal entry of weight 0 unused;
+# (0, 2) is held by the seed of root (0, 1)
+@pytest.mark.parametrize(
+    "label, position, message",
+    [
+        (("h", 0), (0, 6), "bracket left its weight space"),
+        (("e", (1, 0)), (0, 6), "bracket left the algebra span"),
+        (("e", (1, 0)), (0, 2), "seeds of two weights overlap"),
+    ],
+)
+def test_corrupted_seed_is_refused(label, position, message):
+    seeds = {lab: m.copy() for lab, m in parse_group("G2").factor_seeds[0].items()}
+    seeds[label][position] += 1
+    g = Group(("G2",), 0, "G2")
+    g.__dict__["factor_seeds"] = [seeds]
+    with pytest.raises(InternalInvariantError, match=message):
+        g.bracket_table
+
+
+def test_dependent_seeds_of_one_weight_are_not_faithful():
+    seeds = {lab: m.copy() for lab, m in parse_group("A2").factor_seeds[0].items()}
+    seeds[("h", 1)] = seeds[("h", 0)] * 2
+    g = Group(("A2",), 0, "A2")
+    g.__dict__["factor_seeds"] = [seeds]
+    with pytest.raises(InternalInvariantError, match="seed representation not faithful"):
+        g.bracket_table
 
 
 # ---- Killing form, torus action, exponentials -------------------------------

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from weylkit import spherical
@@ -107,6 +109,50 @@ def test_determinism():
     r1 = is_spherical_pair(g, h, seed=7)
     r2 = is_spherical_pair(g, h, seed=7)
     assert r1.as_dict() == r2.as_dict()
+
+
+
+def _principal_witness():
+    g, h = _std("A2", "principal")
+    return g, h, is_spherical_pair(g, h).certificate["witness"]
+
+
+def test_recorded_witness_replays():
+    g, h, witness = _principal_witness()
+    assert verify_witness(g, h, witness)
+
+
+@pytest.mark.parametrize(
+    "key, change",
+    [
+        ("e", lambda w: w + [1, 1]),  # five entries where |posroots| = 3
+        ("e", lambda w: w[:-1]),
+        ("f", lambda w: w + [0]),
+        ("f", lambda w: w[:1]),
+        ("s", lambda w: w + [1]),
+        ("s", lambda w: w[:1]),
+    ],
+)
+def test_witness_of_the_wrong_length_is_refused(key, change):
+    g, h, witness = _principal_witness()
+    with pytest.raises(DegenerateInputError, match=repr(key)):
+        verify_witness(g, h, {**witness, key: change(witness[key])})
+
+
+@pytest.mark.parametrize(
+    "key, bad", [("e", Fraction(1, 2)), ("e", Fraction(2)), ("f", 1.0), ("s", "2"), ("f", True)]
+)
+def test_witness_with_a_non_integer_entry_is_refused(key, bad):
+    g, h, witness = _principal_witness()
+    with pytest.raises(DegenerateInputError, match=repr(key)):
+        verify_witness(g, h, {**witness, key: [bad] + witness[key][1:]})
+
+
+@pytest.mark.parametrize("witness", [{}, {"e": [1, 1, 1], "s": [1, 1]}, [1, 2], None])
+def test_witness_without_every_list_is_refused(witness):
+    g, h = _std("A2", "principal")
+    with pytest.raises(DegenerateInputError):
+        verify_witness(g, h, witness)
 
 
 # ---- normalizer ------------------------------------------------------------

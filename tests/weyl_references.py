@@ -1,19 +1,24 @@
-"""Test-side references for the Weyl group, character decomposition and
-the tensor product action.
+"""Test-side references for the Weyl group, character decomposition, the
+tensor product action and the structure constants.
 
 The library holds the Weyl group on integers only (the orbit of rho),
-decomposes characters by the Weyl alternation and applies a tensor
-product's action to sparse vectors from tables of nonzero entries.  The
-models they replaced are kept here as independent references: the group
-as exact reflection matrices on fundamental coordinates, decomposition by
-stripping irreducible characters from the top, the action on dense
-vectors, and the tables as a scan of every entry.
+decomposes characters by the Weyl alternation, applies a tensor product's
+action to sparse vectors from tables of nonzero entries, expresses each
+seed commutator within its weight space and sums exp(ad x) on integers.
+The models they replaced are kept here as independent references: the
+group as exact reflection matrices on fundamental coordinates,
+decomposition by stripping irreducible characters from the top, the action
+on dense vectors, the tables as a scan of every entry, the bracket table
+through one span of all of a factor's flattened seed matrices, and
+exp(ad x) as a dense series.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
-from weylkit.errors import ensure
-from weylkit.linalg import eye, zeros
+from weylkit.errors import NonNilpotentDirectionError, ensure
+from weylkit.linalg import SpanBasis, column_stack, combine, eye, fr, is_zero, matmul, zeros
 from weylkit.repthy import _add, weight_multiplicities
 
 
@@ -119,3 +124,46 @@ def dense_tensor_apply(x1, x2, v):
         j = np.flatnonzero(x2[:, b])
         out[a, j] += v[k] * x2[j, b]
     return out.reshape(-1)
+
+
+@lru_cache(maxsize=None)
+def flat_span_bracket_table(g):
+    """[b_i, b_j] for every pair, each seed commutator formed densely and
+    expressed through one SpanBasis over all of its factor's flattened seed
+    matrices."""
+    dim = g.dim
+    table = [[zeros(dim) for _ in range(dim)] for _ in range(dim)]
+    index = {lab: i for i, lab in enumerate(g.basis_labels)}
+    for seeds in g.factor_seeds:
+        local = [(index[lab], m) for lab, m in seeds.items()]
+        span = SpanBasis(local[0][1].size)
+        for _, m in local:
+            ensure(span.add(m.reshape(-1)), "seed representation not faithful")
+        for a, (ia, ma) in enumerate(local):
+            for ib, mb in local[a + 1 :]:
+                br = matmul(ma, mb) - matmul(mb, ma)
+                coords = span.express(br.reshape(-1))
+                ensure(coords is not None, "bracket left the algebra span")
+                v = zeros(dim)
+                v[[ik for ik, _ in local]] = coords
+                table[ia][ib] = v
+                table[ib][ia] = -v
+    return table
+
+
+def dense_ad_basis(g):
+    """ad(b_i) as dense matrices: column j is [b_i, b_j]."""
+    return [column_stack(row) for row in flat_span_bracket_table(g)]
+
+
+def dense_exp_ad(g, x, v):
+    """exp(ad x) v as a dense series: term k is ad x times term k - 1,
+    divided by k, over every entry, until a term vanishes."""
+    ad = combine(x, dense_ad_basis(g), (g.dim, g.dim))
+    out = term = v
+    for k in range(1, g.dim + 2):
+        term = matmul(ad, term) / fr(k)
+        if is_zero(term):
+            return out
+        out = out + term
+    raise NonNilpotentDirectionError("direction is not ad-nilpotent")
