@@ -115,6 +115,24 @@ def _validate_module(module, label: str) -> None:
         )
 
 
+def _validate_fiber(fiber, label: str) -> None:
+    """A fiber is ["trivial"], ["character", [exact values]] or
+    ["restriction", [integer label]].  A label past the dimension cap still
+    loads; the run skips it."""
+    shaped = isinstance(fiber, list) and (
+        fiber == ["trivial"]
+        or len(fiber) == 2 and fiber[0] in ("character", "restriction") and isinstance(fiber[1], list)
+    )
+    if not shaped or fiber[0] == "restriction" and not all(_is_int(x) for x in fiber[1]):
+        raise CatalogFormatError(
+            f'entry {label}: fiber {fiber!r} is not ["trivial"], ["character", [values]] '
+            'or ["restriction", [integer label]]'
+        )
+    if fiber[0] == "character":
+        for x in fiber[1]:
+            fr_input(x, CatalogFormatError)
+
+
 def _checks_applicable(entry: CatalogEntry) -> set:
     module = entry.module or {}
     out = set()
@@ -151,13 +169,8 @@ def _validate_entry(raw: dict, position: int) -> CatalogEntry:
         entry.h = _expand_subalgebra(entry.group_obj, entry.subalgebra)
     if entry.module is not None:
         _validate_module(entry.module, label)
-    fiber = (entry.module or {}).get("fiber")
-    if isinstance(fiber, list) and fiber[:1] == ["character"]:
-        values = fiber[1] if len(fiber) == 2 else None
-        if not isinstance(values, list):
-            raise CatalogFormatError(f"entry {label}: a character fiber needs a list of values")
-        for x in values:
-            fr_input(x, CatalogFormatError)
+    if "fiber" in (entry.module or {}):
+        _validate_fiber(entry.module["fiber"], label)
     applicable = _checks_applicable(entry)
     for check, expectation in entry.expected.items():
         if check not in CHECKS:
@@ -185,10 +198,14 @@ def load_catalog(path: str | None = None) -> list[CatalogEntry]:
             doc = json.load(fh)
     except FileNotFoundError as exc:
         raise CatalogFormatError(f"catalog file not found: {path}") from exc
+    except OSError as exc:  # a directory, or a file this process may not read
+        raise CatalogFormatError(f"catalog file cannot be read: {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise CatalogFormatError(
             f"catalog does not parse at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit, or bytes that are not text
+        raise CatalogFormatError(f"catalog does not parse: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
         raise CatalogFormatError(
             f"expected schema_version {SCHEMA_VERSION}, got {doc.get('schema_version')!r}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm, sqrt
+from math import factorial, isqrt, lcm, sqrt
 
 import numpy as np
 
@@ -26,9 +26,9 @@ from .errors import (
     ensure,
 )
 from .harmonic import sym_rep_matrix
-from .linalg import column_stack, combine, eye, fmat, fr, is_zero, matmul, nullspace, zeros
+from .linalg import column_stack, combine, eye, fmat, fr, is_zero, matmul, nullspace, solve, zeros
 from .repthy import build_module, check_label
-from .rootsys import Group, Subalgebra
+from .rootsys import Group, Subalgebra, parse_group, standard_subalgebra
 from .sympoly import check_reductive
 
 Weight = tuple[int, ...]
@@ -86,14 +86,13 @@ class InvolutionSpec:
 
 def _chevalley_matrix(group: Group) -> np.ndarray:
     m = zeros(group.dim, group.dim)
-    idx = {lab: k for k, lab in enumerate(group.basis_labels)}
     for k, (kind, tag) in enumerate(group.basis_labels):
         if kind in ("h", "t"):
             m[k, k] = fr(-1)
         elif kind == "e":
-            m[idx[("f", tag)], k] = fr(-1)
+            m[group._index[("f", tag)], k] = fr(-1)
         else:
-            m[idx[("e", tag)], k] = fr(-1)
+            m[group._index[("e", tag)], k] = fr(-1)
     return m
 
 
@@ -415,8 +414,6 @@ def nu_solution_space_dim(module: HModule, theta: InvolutionSpec) -> int:
 
 
 def _rational_sqrt(x: Fraction) -> Fraction | None:
-    from math import isqrt
-
     if x < 0:
         return None
     pn, pd = isqrt(x.numerator), isqrt(x.denominator)
@@ -451,8 +448,6 @@ def solve_nu(module: HModule, theta: InvolutionSpec) -> AntilinearMap:
     if a0 is None and len(kernel) > 1:
         # reducible case: the identity may live in the kernel span even
         # though no single basis element squares to a scalar
-        from .linalg import solve
-
         cols = column_stack([cand.reshape(-1) for cand in kernel])
         if solve(cols, eye(n).reshape(-1)) is not None:
             a0, scale2 = eye(n), fr(1)
@@ -661,8 +656,6 @@ def bundle_cartan_weight2() -> BundleModel:
     coordinate ring here is not multiplicity-free, and that diagonal
     member is exactly what catches a corrupted fiber involution.
     """
-    from .rootsys import parse_group, standard_subalgebra
-
     g = parse_group("A1")
     h = standard_subalgebra(g, "cartan")
     fiber = fiber_character(g, h, [2])
@@ -721,8 +714,6 @@ def bundle_cartan_weight2() -> BundleModel:
 
 def bundle_full_defining() -> BundleModel:
     """G = H = SL2 with the defining fiber: the bundle is the module itself."""
-    from .rootsys import parse_group, standard_subalgebra
-
     g = parse_group("A1")
     h = standard_subalgebra(g, "full")
     fiber = fiber_restriction(g, h, (1,))
@@ -757,8 +748,6 @@ def bundle_full_defining() -> BundleModel:
 
 def bundle_diagonal_trivial() -> BundleModel:
     """G = SL2 x SL2, H = diagonal, trivial fiber: the group manifold."""
-    from .rootsys import parse_group, standard_subalgebra
-
     g = parse_group("A1xA1")
     h = standard_subalgebra(g, "diagonal")
     fiber = fiber_trivial(g, h)

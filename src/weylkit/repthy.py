@@ -5,11 +5,13 @@ highest weight vector inside a tensor product of two smaller modules, with
 all elimination done over the rationals (de Graaf, *Lie Algebras: Theory
 and Algorithms*, 2000).  That vector spans the weight-lambda vectors of the
 tensor product that every simple raising operator kills, a kernel that must
-be one-dimensional.  Each module keeps a column table of its matrices (the
-nonzero (row, entry) pairs of every column); the tensor product's action is
-applied factor by factor from those tables to sparse vectors, never formed
-as matrices.  Each vector has a known weight, so it is densified and reduced
-only over that weight's positions, against that weight's retained vectors.
+be one-dimensional.  A module is the column table of its matrices (the
+nonzero (row, entry) pairs of every column), written as each image is
+expressed in the new basis; dense matrices come only from
+``Module.action``.  The tensor product's action is applied factor by factor
+from those tables to sparse vectors, never formed as matrices.  Each vector
+has a known weight, so it is densified and reduced only over that weight's
+positions, against that weight's retained vectors.
 Dimensions come from the Weyl formula (on integers) and weight
 multiplicities from the Freudenthal recursion, and the builder checks
 itself against both, and its sl2 pairs, before returning.
@@ -23,19 +25,19 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionCapError, NonDominantError, ParseError, ensure
-from .linalg import F0, F1, SpanBasis, eye, fr, fvec, matmul, nullspace, zeros
+from .linalg import F0, F1, SpanBasis, fr, fvec, matmul, nullspace, zeros
 from .linalg import rref  # noqa: F401  (unused here; the benchmark tracer and its tests patch repthy.rref)
 from .rootsys import Group
 
 DIM_CAP = 64
 
 Weight = tuple[int, ...]
+Table = list[list[tuple[int, Fraction]]]  # one matrix: each column's nonzero (row, entry) pairs
 
 
 def check_label(group: Group, label: Sequence[int]) -> Weight:
@@ -145,30 +147,23 @@ def weight_multiplicities(group: Group, label: Sequence[int]) -> dict[Weight, in
 
 
 class Module:
-    """An irreducible module in an explicit weight basis.
+    """An irreducible module in an explicit weight basis, held only as the
+    column table its builder writes.
 
-    ``act[i]`` is the matrix of the i-th Lie algebra basis element of
+    ``columns[i][k]`` lists the nonzero (row, entry) pairs, rows ascending,
+    of column k of the matrix of the i-th Lie algebra basis element of
     ``group``; ``weights[k]`` is the weight of the k-th basis vector, and
-    basis vector 0 is a highest weight vector.  ``columns[i][k]`` lists the
-    nonzero (row, entry) pairs of column k of ``act[i]``; every product the
-    library forms with module matrices runs over this table, built once
-    (h_i is diagonal, e_i and f_i have about one entry per column).
+    basis vector 0 is a highest weight vector.  Every product the library
+    forms runs over this table (h_i is diagonal, e_i and f_i have about one
+    entry per column); ``action(x)`` is the one place a dense matrix is made.
     """
 
-    def __init__(self, group: Group, label: Weight, weights: list[Weight], act: list[np.ndarray]):
+    def __init__(self, group: Group, label: Weight, weights: list[Weight], columns: list[Table]):
         self.group = group
         self.label = label
         self.weights = weights
-        self.act = act
+        self.columns = columns
         self.dim = len(weights)
-
-    @cached_property
-    def columns(self) -> list[list[list[tuple[int, Fraction]]]]:
-        table = [[[] for _ in range(self.dim)] for _ in self.act]
-        for cols, a in zip(table, self.act):
-            for k, i in zip(*np.nonzero(a.T)):
-                cols[k].append((int(i), a[i, k]))
-        return table
 
     def action(self, x: np.ndarray) -> np.ndarray:
         out = zeros(self.dim, self.dim)
@@ -275,10 +270,10 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
         mults[w] = mults.get(w, 0) + 1
     ensure(mults == weight_multiplicities(group, label), f"weights of {label} miss Freudenthal's")
 
-    act = []
+    columns = []
     for x, lab in zip(amb, group.basis_labels):
         dx = _basis_weight(group, lab)
-        mat = zeros(n, n)
+        cols: Table = [[] for _ in range(n)]
         for k in range(n):
             w = _add(bweights[k], dx)
             vw = part(_tensor_apply(*x, basis[k], m2.dim), w)
@@ -286,9 +281,10 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
                 continue
             coords = spans[w].express(vw) if w in spans else None
             ensure(coords is not None, "action left the generated submodule")
-            mat[members[w], k] = coords
-        act.append(mat)
-    mod = Module(group, label, bweights, act)
+            # members[w] ascends, so the rows of the column do too
+            cols[k] = [(members[w][j], c) for j, c in enumerate(coords) if c]
+        columns.append(cols)
+    mod = Module(group, label, bweights, columns)
     _verify_generators(mod)
     return mod
 
@@ -338,10 +334,10 @@ def build_module(group: Group, label: Sequence[int]) -> Module:
     if group.torus_dim:
         chi = lab[group.rank :]
         weights = [w[: group.rank] + chi for w in mod.weights]
-        act = list(mod.act)
-        for j in range(group.torus_dim):
-            act[group._index[("t", j)]] = fr(chi[j]) * eye(mod.dim)
-        mod = Module(group, lab, weights, act)
+        columns = list(mod.columns)
+        for j, c in enumerate(chi):
+            columns[group._index[("t", j)]] = [[(k, fr(c))] if c else [] for k in range(mod.dim)]
+        mod = Module(group, lab, weights, columns)
     _MODULE_CACHE[key] = mod
     return mod
 
@@ -355,8 +351,7 @@ def _build_ss(group: Group, lab: Weight) -> Module:
         return _MODULE_CACHE[key]
     height = sum(lab[: group.rank])
     if height == 0:
-        act = [zeros(1, 1) for _ in range(group.dim)]
-        mod = Module(group, lab, [lab], act)
+        mod = Module(group, lab, [lab], [[[]] for _ in range(group.dim)])
     else:
         i0 = next(i for i in range(group.rank) if lab[i] > 0)
         if height == 1:
@@ -374,10 +369,11 @@ def _seed_module(group: Group, seeds: dict) -> Module:
     """The seed fundamental of one factor (an entry of group.factor_seeds),
     zero on the other factors; its weights are the diagonals of the h_i."""
     n = len(next(iter(seeds.values())))
-    act = [seeds.get(lab, zeros(n, n)) for lab in group.basis_labels]
-    hs = act[: group.rank]  # the basis starts with h_0 .. h_{r-1}
+    mats = [seeds.get(lab, zeros(n, n)) for lab in group.basis_labels]
+    hs = mats[: group.rank]  # the basis starts with h_0 .. h_{r-1}
     weights = [tuple(int(h[a, a]) for h in hs) + (0,) * group.torus_dim for a in range(n)]
-    return Module(group, weights[0], weights, act)
+    columns = [[[(i, m[i, k]) for i in range(n) if m[i, k]] for k in range(n)] for m in mats]
+    return Module(group, weights[0], weights, columns)
 
 
 # ---- character arithmetic ---------------------------------------------------

@@ -512,6 +512,16 @@ class Group:
 _GROUP_CACHE: dict[str, Group] = {}
 
 
+def _torus_dim(digits: str) -> int:
+    """The torus dimension a T suffix names.  One with more significant
+    digits than MAX_RANK exceeds the rank bound, so it is refused before
+    int() meets a string too long to convert."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_RANK)):
+        raise UnsupportedTypeError(f"a {len(digits)}-digit torus dimension exceeds total rank {MAX_RANK}")
+    return int(digits)
+
+
 def parse_group(name: str) -> Group:
     """Parse a descriptor like "A2", "A1xA1", "B2+T1", "T2"."""
     s = name.strip()
@@ -526,13 +536,13 @@ def parse_group(name: str) -> Group:
         m = re.fullmatch(r"T([0-9]+)", parts[1])
         if not m:
             raise ParseError(f"torus suffix must look like T1, got {parts[1]!r}")
-        torus = int(m.group(1))
+        torus = _torus_dim(m.group(1))
     letters: list[str] = []
     m = re.fullmatch(r"T([0-9]+)", base)
     if m:
         if len(parts) == 2:
             raise ParseError(f"two torus blocks in {name!r}")
-        torus = int(m.group(1))
+        torus = _torus_dim(m.group(1))
     else:
         for tok in base.split("x"):
             tok = tok.strip()

@@ -82,6 +82,10 @@ class TestLoading:
         with pytest.raises(CatalogFormatError, match="line"):
             load_catalog(path)
 
+    def test_directory_is_refused(self, tmp_path):
+        with pytest.raises(CatalogFormatError, match="cannot be read"):
+            load_catalog(str(tmp_path))
+
     def test_wrong_schema_version(self, tmp_path):
         path = _write(tmp_path, {"schema_version": 99, "entries": []})
         with pytest.raises(CatalogFormatError, match="schema_version"):
@@ -117,6 +121,18 @@ class TestLoading:
         doc["entries"].append(json.loads(json.dumps(doc["entries"][0])))
         with pytest.raises(CatalogFormatError, match="duplicate"):
             load_catalog(_write(tmp_path, doc))
+
+    @pytest.mark.parametrize("fiber", [[], ["restriction"], ["restriction", 5], {"a": 1}, 5])
+    def test_malformed_fiber_refused(self, tmp_path, fiber):
+        doc = _minimal_entry(module={"fiber": fiber})
+        with pytest.raises(CatalogFormatError, match="fiber"):
+            load_catalog(_write(tmp_path, doc))
+
+    def test_integer_past_the_digit_limit_refused(self, tmp_path):
+        doc = _minimal_entry(module={"summands": [[[1], 1]]})
+        text = json.dumps(doc).replace("[[[1], 1]]", "[[[" + "9" * 5000 + "], 1]]")
+        with pytest.raises(CatalogFormatError, match="does not parse"):
+            load_catalog(_write(tmp_path, text))
 
     def test_env_var_overrides_default(self, tmp_path, monkeypatch):
         path = _write(tmp_path, _minimal_entry())
@@ -200,6 +216,17 @@ class TestRunning:
         assert "dimension" in row["reason"]
         assert res["summary"]["skipped"] == 1
         assert res["summary"]["disagreements"] == 0
+
+    def test_restriction_fiber_past_the_cap_loads_and_is_skipped(self, tmp_path):
+        doc = _minimal_entry(
+            module={"fiber": ["restriction", [70]]},
+            expected={
+                "involution": {"verdict": "verified", "provenance": "derived_oracle", "note": "never runs"}
+            },
+        )
+        res = run_catalog(load_catalog(_write(tmp_path, doc)))
+        assert res["rows"][0]["skipped"] is True
+        assert "dimension" in res["rows"][0]["reason"]
 
     def test_errors_recorded_not_fatal(self, tmp_path):
         # the nilradical fails the reductivity gate inside the involution

@@ -532,6 +532,18 @@ class TestCatalog:
             {"module": {"summands": [[[1], 1]], "degree_bound": "2"}, "expected": _MF_PROBE},
             {"module": {"summands": [[[1], 1]], "degree_bound": 0}, "expected": _MF_PROBE},
             {"module": {"summands": [[[1], 1]], "degree_bound": 13}, "expected": _MF_PROBE},
+            {"group": "A1+T" + "9" * 5000},
+            {
+                "subalgebra": "cartan",
+                "module": {"fiber": ["restriction", 5]},
+                "expected": {
+                    "involution": {
+                        "verdict": "verified",
+                        "provenance": "derived_oracle",
+                        "note": "a fiber label is a list",
+                    }
+                },
+            },
         ],
     )
     def test_malformed_catalog_literal_reports_code(self, capsys, tmp_path, overrides):
@@ -681,7 +693,9 @@ _LITERAL = _mostly(
 _GROUP_DIMS = {"A1": 3, "A2": 8, "A1+T1": 4}
 _GROUPS = _mostly(
     st.sampled_from(sorted(_GROUP_DIMS)),
-    st.sampled_from([" A1 ", "", "A", "E8", "A1x", "A1+T", "T0", "a1", "A1xA1xA1xA1"]),
+    st.sampled_from(
+        [" A1 ", "", "A", "E8", "A1x", "A1+T", "T0", "a1", "A1xA1xA1xA1", "T" + "9" * 5000, "A1+T" + "9" * 5000]
+    ),
 )
 
 
@@ -742,13 +756,15 @@ def _cli_argv(draw):
 @given(_cli_argv())
 # inputs that once ended in a traceback or a runaway expansion: an empty
 # spec skipped the parser, a nine-digit exponent expanded into a
-# billion-digit integer, and values past Python's 4300-digit limit on
-# int-to-str conversion could not be printed
+# billion-digit integer, values past Python's 4300-digit limit on
+# int-to-str conversion could not be printed, and a torus suffix past that
+# limit could not be converted
 @example(["mf", "--group=A1", "--subalgebra=", "--degree=1"])
 @example(["mf", "--group=A1", "--module=", "--degree=1"])
 @example(["fibration", "--group=A1", "--subalgebra=span:1e999999999,0,0"])
 @example(["involution", "--group=A1", "--subalgebra=cartan", "--fiber=character:1e9999", "--format=structured"])
 @example(["mf", "--group=A2", "--module=w[" + "9" * 3000 + ",1]", "--degree=2"])
+@example(["spherical", "--group=T" + "9" * 5000, "--subalgebra=cartan"])
 def test_generated_input_exits_with_a_known_code(argv):
     out, err = io.StringIO(), io.StringIO()
     # a smaller intertwiner bound keeps every admitted fiber cheap; larger

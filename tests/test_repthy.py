@@ -23,7 +23,7 @@ from weylkit.repthy import (
     weyl_dim,
 )
 from weylkit.rootsys import parse_group
-from weyl_references import dense_tensor_apply, strip_decompose
+from weyl_references import dense_matrices, dense_tensor_apply, nonzero_columns, strip_decompose
 
 
 # ---- Weyl dimension formula (frozen values) ---------------------------------
@@ -141,11 +141,12 @@ def _is_homomorphism(mod):
     b, the sparse matvec combine(b[:, l], a.T)."""
     g = mod.group
     n = mod.dim
-    cols = [[m[:, l] for m in mod.act] for l in range(n)]
+    act = dense_matrices(mod)
+    cols = [[m[:, l] for m in act] for l in range(n)]
     for i in range(g.dim):
-        a = mod.act[i]
+        a = act[i]
         for j in range(i + 1, g.dim):
-            b = mod.act[j]
+            b = act[j]
             v = g.bracket_table[i][j]
             for l in range(n):
                 lhs = combine(b[:, l], a.T, (n,)) - combine(a[:, l], b.T, (n,))
@@ -154,17 +155,23 @@ def _is_homomorphism(mod):
     return True
 
 
+def _with_matrix(mod, k, m):
+    """mod with the matrix of basis element k replaced by the dense m."""
+    columns = list(mod.columns)
+    columns[k] = nonzero_columns(m)
+    return repthy.Module(mod.group, mod.label, mod.weights, columns)
+
+
 def test_is_homomorphism_catches_one_flipped_entry():
     g = parse_group("B2")
     mod = build_module(g, (1, 0))
     assert _is_homomorphism(mod)
     # negate one nonzero entry of the highest root's raising matrix
     k = g._index[("e", g.posroots[-1])]
-    m = mod.act[k].copy()
+    m = dense_matrices(mod)[k]
     r, c = next((r, c) for r in range(mod.dim) for c in range(mod.dim) if m[r, c] != 0)
     m[r, c] = -m[r, c]
-    act = mod.act[:k] + [m] + mod.act[k + 1 :]
-    assert not _is_homomorphism(repthy.Module(g, mod.label, mod.weights, act))
+    assert not _is_homomorphism(_with_matrix(mod, k, m))
 
 
 @pytest.mark.parametrize(
@@ -178,15 +185,14 @@ def test_generator_check_catches_one_changed_entry(kind, message):
     # double one nonzero entry of the second simple e, or put one
     # off-diagonal entry into the second coroot
     k = g._index[(kind, g.simple_root(1) if kind == "e" else 1)]
-    m = mod.act[k].copy()
+    m = dense_matrices(mod)[k]
     if kind == "e":
         r, c = next((r, c) for r in range(mod.dim) for c in range(mod.dim) if m[r, c] != 0)
         m[r, c] = 2 * m[r, c]
     else:
         m[0, 1] = m[0, 1] + 1
-    act = mod.act[:k] + [m] + mod.act[k + 1 :]
     with pytest.raises(InternalInvariantError, match=message):
-        repthy._verify_generators(repthy.Module(g, mod.label, mod.weights, act))
+        repthy._verify_generators(_with_matrix(mod, k, m))
 
 
 @pytest.mark.parametrize("kind,message", [("f", r"\[e_i, f_i\] != h_i"), ("h", "h_i is not diagonal")])
@@ -196,14 +202,13 @@ def test_generator_check_catches_changed_f_entry_and_h_diagonal(kind, message):
     # add one to a nonzero entry of the first simple f, or to a diagonal
     # entry of the first coroot
     k = g._index[(kind, g.simple_root(0) if kind == "f" else 0)]
-    m = mod.act[k].copy()
+    m = dense_matrices(mod)[k]
     r, c = next((r, c) for r in range(mod.dim) for c in range(mod.dim) if m[r, c] != 0)
     if kind == "h":
         c = r
     m[r, c] = m[r, c] + 1
-    act = mod.act[:k] + [m] + mod.act[k + 1 :]
     with pytest.raises(InternalInvariantError, match=message):
-        repthy._verify_generators(repthy.Module(g, mod.label, mod.weights, act))
+        repthy._verify_generators(_with_matrix(mod, k, m))
 
 
 @pytest.mark.parametrize(
@@ -228,8 +233,9 @@ def test_build_module_is_representation(name, label):
     assert _is_homomorphism(mod)
     # highest weight vector sits at index 0 and is killed by raising ops
     assert mod.weights[0] == tuple(label)
+    act = dense_matrices(mod)
     for i in range(g.rank):
-        e = mod.act[g._index[("e", g.simple_root(i))]]
+        e = act[g._index[("e", g.simple_root(i))]]
         assert all(e[k, 0] == 0 for k in range(mod.dim))
 
 
@@ -301,7 +307,7 @@ def test_invariant_checks_survive_python_O():
 def _ambient_wide_extract(group, m1, m2, label):
     """_extract_submodule with one span over the whole ambient space, kept
     here only as the reference for the builder's span per weight."""
-    amb = list(zip(m1.act, m2.act))
+    amb = list(zip(dense_matrices(m1), dense_matrices(m2)))
     amb_weights = [repthy._add(w1, w2) for w1 in m1.weights for w2 in m2.weights]
     adim = len(amb_weights)
     es = [amb[group._index[("e", group.simple_root(i))]] for i in range(group.rank)]
@@ -337,7 +343,7 @@ def _ambient_wide_extract(group, m1, m2, label):
             assert coords is not None
             mat[:, k] = coords
         act.append(mat)
-    return repthy.Module(group, label, bweights, act)
+    return repthy.Module(group, label, bweights, [nonzero_columns(a) for a in act])
 
 
 @pytest.mark.parametrize(
@@ -354,11 +360,11 @@ def test_span_per_weight_matches_ambient_wide_reference(monkeypatch, name, label
     want = build_module(g, label)
     assert got.weights == want.weights
     assert all(type(c) is int for w in got.weights for c in w)
-    assert len(got.act) == len(want.act) == g.dim
-    for a, b in zip(got.act, want.act):
-        assert a.shape == b.shape == (got.dim, got.dim)
-        assert all(type(x) is Fraction and type(y) is Fraction for x, y in zip(a.flat, b.flat))
-        assert all(x == y for x, y in zip(a.flat, b.flat))
+    assert len(got.columns) == len(want.columns) == g.dim
+    for a, b in zip(got.columns, want.columns):
+        assert len(a) == len(b) == got.dim
+        assert all(type(x) is Fraction for col in a + b for _, x in col)
+        assert a == b
 
 
 def _off_weight_factor(kind):
@@ -369,10 +375,9 @@ def _off_weight_factor(kind):
     g = parse_group("A1")
     good = build_module(g, (1,))
     k = g._index[(kind, g.simple_root(0) if kind == "f" else 0)]
-    m = good.act[k].copy()
+    m = dense_matrices(good)[k]
     m[0 if kind == "f" else 1, 0] = F1
-    act = good.act[:k] + [m] + good.act[k + 1 :]
-    return g, repthy.Module(g, good.label, good.weights, act), good
+    return g, _with_matrix(good, k, m), good
 
 
 @pytest.mark.parametrize("kind", ["f", "h"])
@@ -410,7 +415,7 @@ def test_module_cache():
 def test_torus_action_is_scalar():
     g = parse_group("A1+T1")
     mod = build_module(g, (1, 7))
-    t = mod.act[g._index[("t", 0)]]
+    t = dense_matrices(mod)[g._index[("t", 0)]]
     assert all(t[k, k] == 7 for k in range(mod.dim))
     assert set(mod.weights) == {(1, 7), (-1, 7)}
 
@@ -553,6 +558,6 @@ def test_action_equals_dense_combination(module, data):
     rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     x = fvec(data.draw(st.lists(st.one_of(st.just(0), rationals), min_size=g.dim, max_size=g.dim)))
     got = mod.action(x)
-    want = combine(x, mod.act, (mod.dim, mod.dim))
+    want = combine(x, dense_matrices(mod), (mod.dim, mod.dim))
     assert got.shape == want.shape
     assert all(type(a) is Fraction and a == b for a, b in zip(got.flat, want.flat))

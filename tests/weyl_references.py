@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from weylkit.errors import NonNilpotentDirectionError, ensure
-from weylkit.linalg import SpanBasis, column_stack, combine, eye, fr, is_zero, matmul, zeros
+from weylkit.linalg import SpanBasis, column_stack, combine, eye, fr, fvec, is_zero, matmul, zeros
 from weylkit.repthy import _add, weight_multiplicities
 
 
@@ -107,6 +107,13 @@ def nonzero_columns(a):
     a scan of every entry: the reference for ``Module.columns``."""
     n = len(a)
     return [[(i, a[i, k]) for i in range(n) if a[i, k] != 0] for k in range(n)]
+
+
+def dense_matrices(mod):
+    """The dense matrix of every Lie algebra basis element on mod, each read
+    through ``mod.action`` of a unit vector."""
+    dim = mod.group.dim
+    return [mod.action(fvec([1 if j == k else 0 for j in range(dim)])) for k in range(dim)]
 
 
 def dense_tensor_apply(x1, x2, v):
