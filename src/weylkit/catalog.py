@@ -69,19 +69,28 @@ def default_catalog_path() -> str:
     return str(resources.files("weylkit") / "data" / "catalog.json")
 
 
+def _clip(x) -> str:
+    """A field from the file as an error message echoes it: at most 40
+    characters of it, as ``linalg.fr_input`` does."""
+    return repr(x[:40]) if isinstance(x, str) else repr(x)[:40]
+
+
 def _expand_subalgebra(group: Group, spec) -> Subalgebra:
     if isinstance(spec, str):
         return standard_subalgebra(group, spec)
     if isinstance(spec, dict) and "span" in spec:
+        rows = spec["span"]
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise CatalogFormatError(f"span {_clip(rows)} is not a list of vectors")
         vectors = []
-        for row in spec["span"]:
+        for row in rows:
             if len(row) != group.dim:
                 raise CatalogFormatError(
                     f"span vector has {len(row)} entries, the algebra has dimension {group.dim}"
                 )
             vectors.append(fvec([fr_input(str(x), CatalogFormatError) for x in row]))
         return Subalgebra(group, vectors, name="span")
-    raise CatalogFormatError(f"subalgebra spec {spec!r} is neither a name nor a span")
+    raise CatalogFormatError(f"subalgebra spec {_clip(spec)} is neither a name nor a span")
 
 
 def _parse_summands(raw) -> list:
@@ -145,14 +154,18 @@ def _checks_applicable(entry: CatalogEntry) -> set:
     return out
 
 
-def _validate_entry(raw: dict, position: int) -> CatalogEntry:
-    label = raw.get("id", f"#{position}")
-    for key in ("id", "group", "expected"):
+def _validate_entry(raw, position: int) -> CatalogEntry:
+    if not isinstance(raw, dict):
+        raise CatalogFormatError(f"entry #{position} is not an object")
+    label = raw["id"][:40] if isinstance(raw.get("id"), str) else f"#{position}"
+    for key, kind, name in (("id", str, "a string"), ("group", str, "a string"), ("expected", dict, "an object")):
         if key not in raw:
             raise CatalogFormatError(f"entry {label}: missing required field {key!r}")
+        if not isinstance(raw[key], kind):
+            raise CatalogFormatError(f"entry {label}: {key} {_clip(raw[key])} is not {name}")
     extra = set(raw) - {"id", "group", "subalgebra", "module", "expected"}
     if extra:
-        raise CatalogFormatError(f"entry {label}: unknown fields {sorted(extra)}")
+        raise CatalogFormatError(f"entry {label}: unknown fields {_clip(sorted(extra))}")
     entry = CatalogEntry(
         id=raw["id"],
         group=raw["group"],
@@ -163,7 +176,7 @@ def _validate_entry(raw: dict, position: int) -> CatalogEntry:
     try:
         entry.group_obj = parse_group(entry.group)
     except ToolkitError as exc:
-        raise CatalogFormatError(f"entry {label}: bad group {entry.group!r}: {exc}") from exc
+        raise CatalogFormatError(f"entry {label}: bad group {_clip(entry.group)}: {exc}") from exc
     if entry.subalgebra is not None:
         # unknown symbolic names surface as their own error kind
         entry.h = _expand_subalgebra(entry.group_obj, entry.subalgebra)
@@ -206,10 +219,9 @@ def load_catalog(path: str | None = None) -> list[CatalogEntry]:
         ) from exc
     except ValueError as exc:  # an integer literal past Python's digit limit, or bytes that are not text
         raise CatalogFormatError(f"catalog does not parse: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
-        raise CatalogFormatError(
-            f"expected schema_version {SCHEMA_VERSION}, got {doc.get('schema_version')!r}"
-        )
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if version != SCHEMA_VERSION:
+        raise CatalogFormatError(f"expected schema_version {SCHEMA_VERSION}, got {_clip(version)}")
     raw_entries = doc.get("entries")
     if not isinstance(raw_entries, list):
         raise CatalogFormatError("catalog needs an entries list")
@@ -217,7 +229,7 @@ def load_catalog(path: str | None = None) -> list[CatalogEntry]:
     seen = set()
     for e in entries:
         if e.id in seen:
-            raise CatalogFormatError(f"duplicate entry id {e.id!r}")
+            raise CatalogFormatError(f"duplicate entry id {_clip(e.id)}")
         seen.add(e.id)
     return entries
 

@@ -12,13 +12,14 @@ expressed in the new basis; dense matrices come only from
 from those tables to sparse vectors, never formed as matrices.  Each vector
 has a known weight, so it is densified and reduced only over that weight's
 positions, against that weight's retained vectors.
-Dimensions come from the Weyl formula (on integers) and weight
-multiplicities from the Freudenthal recursion, and the builder checks
-itself against both, and its sl2 pairs, before returning.
+Dimensions come from the Weyl formula and weight multiplicities from the
+Freudenthal recursion, both on integers (every inner product is a
+``Group.root_pairing`` of a weight with a combination of simple roots), and
+the builder checks itself against both, and its sl2 pairs, before
+returning.
 
-Module descriptors elsewhere in the package are plain lists of dominant
-labels (repetition encodes multiplicity); only this file hands out actual
-matrices.
+Module descriptors elsewhere in the package are lists of (dominant label,
+count) pairs; only this file hands out actual matrices.
 """
 
 from __future__ import annotations
@@ -59,12 +60,13 @@ def check_label(group: Group, label: Sequence[int]) -> Weight:
 
 def weyl_dim(group: Group, label: Sequence[int]) -> int:
     """prod (lam + rho, alpha) / prod (rho, alpha) over the positive roots, on
-    integers: (mu, sum_j c_j alpha_j) = sum_j c_j d_j mu_j, d = group.dvec."""
+    integers through group.root_pairing."""
     lab = check_label(group, label)
+    shifted = tuple(x + y for x, y in zip(lab, group.rho))
     num = den = 1
     for c in group.posroots:
-        num *= sum(cj * dj * (lj + 1) for cj, dj, lj in zip(c, group.dvec, lab))
-        den *= sum(cj * dj for cj, dj in zip(c, group.dvec))
+        num *= group.root_pairing(shifted, c)
+        den *= group.root_pairing(group.rho, c)
     ensure(num % den == 0 and num > 0, f"Weyl dimension of {lab} is {num}/{den}")
     return num // den
 
@@ -77,15 +79,15 @@ def _sub(u: Sequence[int], v: Sequence[int]) -> Weight:
     return tuple(x - y for x, y in zip(u, v))
 
 
-def dominant_weights(group: Group, label: Weight) -> list[Weight]:
-    """Dominant weights below label: lam - sum c_i alpha_i with c_i >= 0.
+def dominant_weights(group: Group, label: Weight) -> list[tuple[tuple[int, ...], Weight]]:
+    """Dominant weights below label as pairs (c, lam - sum c_i alpha_i), c_i >= 0.
 
     The inverse Cartan matrix of each simple factor has positive entries,
     so c = A^{-1}(fc(lam) - fc(mu)) is boxed by A^{-1} fc(lam).
     """
     r = group.rank
     if r == 0:
-        return [label]
+        return [((), label)]
     A = group.cartan_matrix
     bound = [int(x) for x in matmul(group.cartan_inverse, fvec(label[:r]))]  # floor, >= 0
     out = []
@@ -96,12 +98,12 @@ def dominant_weights(group: Group, label: Weight) -> list[Weight]:
                 for i in range(r):
                     fc[i] -= cj * int(A[i, j])
         if all(x >= 0 for x in fc):
-            out.append((sum(cs), tuple(fc) + tuple(label[r:])))
-    # Sort by root height sum(cs), not by the fundamental-coordinate drop:
+            out.append((cs, tuple(fc) + tuple(label[r:])))
+    # Sort by root height sum(c), not by the fundamental-coordinate drop:
     # the two disagree whenever a Cartan column sum is nonpositive (G2), and
     # the Freudenthal recursion needs every strictly-higher weight first.
-    out.sort(key=lambda pair: pair[0])
-    return [mu for _, mu in out]
+    out.sort(key=lambda pair: sum(pair[0]))
+    return out
 
 
 _MULT_CACHE: dict[tuple[str, Weight], dict[Weight, int]] = {}
@@ -111,35 +113,35 @@ def weight_multiplicities(group: Group, label: Sequence[int]) -> dict[Weight, in
     """All weights of the irreducible module with the given highest weight,
 
     with multiplicities, by the Freudenthal recursion over dominant weights
-    followed by Weyl-orbit expansion."""
+    followed by Weyl-orbit expansion.  Every inner product is an integer
+    group.root_pairing: for mu = lam - sum c_i alpha_i the denominator
+    (lam + rho)^2 - (mu + rho)^2 is (lam + mu + 2 rho, sum c_i alpha_i)."""
     lab = check_label(group, label)
     key = (group.name, lab)
     if key in _MULT_CACHE:
         return _MULT_CACHE[key]
-    doms = dominant_weights(group, lab)
-    rho = group.rho
-    lam_norm = group.wform(_add(lab, rho), _add(lab, rho))
+    shift = _add(lab, tuple(2 * x for x in group.rho))
+    roots = [(c, group.root_fc(c)) for c in group.posroots]
     mdom: dict[Weight, int] = {}
-    for mu in doms:
+    for cs, mu in dominant_weights(group, lab):
         if mu == lab:
             mdom[mu] = 1
             continue
-        total = F0
-        for c in group.posroots:
-            a = group.root_fc(c)
+        total = 0
+        for c, a in roots:
             k = 1
             while True:
                 nu = _add(mu, tuple(k * x for x in a))
                 m = mdom.get(group.dom_rep(nu))
                 if m is None:
                     break
-                total += 2 * m * group.wform(nu, a)
+                total += 2 * m * group.root_pairing(nu, c)
                 k += 1
-        den = lam_norm - group.wform(_add(mu, rho), _add(mu, rho))
+        den = group.root_pairing(_add(shift, mu), cs)
         ensure(den > 0, "Freudenthal denominator is not positive")
-        m = total / den
-        ensure(m.denominator == 1 and m >= 1, "Freudenthal multiplicity is not a positive integer")
-        mdom[mu] = int(m)
+        m, rem = divmod(total, den)
+        ensure(rem == 0 and m >= 1, "Freudenthal multiplicity is not a positive integer")
+        mdom[mu] = m
     full = {w: m for mu, m in mdom.items() for w in group.orbit(mu)}
     ensure(sum(full.values()) == weyl_dim(group, lab), f"multiplicities of {lab} miss weyl_dim")
     _MULT_CACHE[key] = full
@@ -379,12 +381,13 @@ def _seed_module(group: Group, seeds: dict) -> Module:
 # ---- character arithmetic ---------------------------------------------------
 
 
-def module_character(group: Group, labels: Sequence[Sequence[int]]) -> dict[Weight, int]:
-    """Weight multiset of a direct sum of irreducibles."""
+def module_character(group: Group, summands: Sequence[tuple[Sequence[int], int]]) -> dict[Weight, int]:
+    """Weight multiset of a direct sum of irreducibles, given as (label,
+    count) pairs; a count scales multiplicities, so its size costs nothing."""
     char: dict[Weight, int] = {}
-    for lab in labels:
+    for lab, count in summands:
         for w, m in weight_multiplicities(group, lab).items():
-            char[w] = char.get(w, 0) + m
+            char[w] = char.get(w, 0) + count * m
     return char
 
 

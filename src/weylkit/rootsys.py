@@ -449,26 +449,10 @@ class Group:
 
     # ---- weights and the Weyl group ----------------------------------------
 
-    @cached_property
-    def _wform_matrix(self) -> np.ndarray:
-        # (omega_i, omega_j) = d_i (A^{-1})_{ij}; symmetric since DA is.
-        return fvec(self.dvec)[:, None] * self.cartan_inverse
-
-    def wform(self, mu: Sequence[int], nu: Sequence[int]) -> Fraction:
-        """Weyl-invariant inner product on weights, normalized so short roots
-
-        of each factor have squared length 2; torus coordinates pair by the
-        standard dot product."""
-        m = self._wform_matrix
-        r = self.rank
-        total = F0
-        for i in range(r):
-            for j in range(r):
-                if mu[i] and nu[j]:
-                    total += fr(mu[i]) * m[i, j] * fr(nu[j])
-        for j in range(self.torus_dim):
-            total += fr(mu[r + j]) * fr(nu[r + j])
-        return total
+    def root_pairing(self, mu: Sequence[int], c: Sequence[int]) -> int:
+        """(mu, sum_j c_j alpha_j) = sum_j c_j d_j mu_j on integers, since
+        (omega_i, alpha_j) = d_j delta_ij (short roots of squared length 2)."""
+        return sum(cj * dj * mj for cj, dj, mj in zip(c, self.dvec, mu))
 
     def reflect(self, weight: Sequence[int], i: int) -> tuple[int, ...]:
         A = self.cartan_matrix
@@ -529,19 +513,19 @@ def parse_group(name: str) -> Group:
         raise ParseError("empty group descriptor")
     parts = [p.strip() for p in s.split("+")]
     if len(parts) > 2:
-        raise ParseError(f"too many '+' blocks in {name!r}")
+        raise ParseError(f"too many '+' blocks in {name[:40]!r}")
     base = parts[0]
     torus = 0
     if len(parts) == 2:
         m = re.fullmatch(r"T([0-9]+)", parts[1])
         if not m:
-            raise ParseError(f"torus suffix must look like T1, got {parts[1]!r}")
+            raise ParseError(f"torus suffix must look like T1, got {parts[1][:40]!r}")
         torus = _torus_dim(m.group(1))
     letters: list[str] = []
     m = re.fullmatch(r"T([0-9]+)", base)
     if m:
         if len(parts) == 2:
-            raise ParseError(f"two torus blocks in {name!r}")
+            raise ParseError(f"two torus blocks in {name[:40]!r}")
         torus = _torus_dim(m.group(1))
     else:
         for tok in base.split("x"):
@@ -549,9 +533,9 @@ def parse_group(name: str) -> Group:
             if tok in _FACTOR_NAMES:
                 letters.append(tok)
             elif re.fullmatch(r"[A-Za-z][0-9]+", tok):
-                raise UnsupportedTypeError(f"simple type {tok!r} is not supported")
+                raise UnsupportedTypeError(f"simple type {tok[:40]!r} is not supported")
             else:
-                raise ParseError(f"cannot parse factor {tok!r}")
+                raise ParseError(f"cannot parse factor {tok[:40]!r}")
     rank = sum(_factor(s)["rank"] for s in letters)
     if rank + torus == 0:
         raise ParseError("group has rank zero")

@@ -1,10 +1,12 @@
 """Truncated coordinate rings of modules and multiplicity-freeness.
 
-Symmetric powers are computed on characters with the Newton/Adams
-recursion d*h_d = sum_k psi^k(chi) * h_{d-k}, so no large module is ever
-materialized.  Verdicts are explicitly truncated: "multiplicity_free_up_to_D"
-claims nothing beyond the inspected degrees, and a failure always carries a
-witness that can be recomputed from the per-degree table.
+Symmetric powers are computed on integer characters, as the coefficients
+of the generating function sum_d S^d(V) t^d = prod_w (1 - x^w t)^(-m_w)
+over the weights w of V with multiplicities m_w, one weight at a time, so
+no large module is ever materialized.  Verdicts are explicitly truncated:
+"multiplicity_free_up_to_D" claims nothing beyond the inspected degrees, and
+a failure always carries a witness that can be recomputed from the
+per-degree table.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from .errors import (
 from .linalg import column_stack, matmul, nullspace, rank
 from .repthy import (
     DIM_CAP,
+    _add,
     build_module,
     check_label,
-    convolve_characters,
     decompose_character,
     module_character,
     weyl_dim,
@@ -39,8 +41,9 @@ Summands = list[tuple[Weight, int]]
 DEFAULT_DEGREE_BOUND = 8
 # Largest degree bound the multiplicity-freeness checks accept (the catalog
 # also checks it at load time).  The symmetric-power characters grow with the
-# degree: on one x86 core the G2 adjoint takes 0.5 s at degree 12 and 1.4 s at
-# 16, two thirds of it in the Newton recursion and the rest in decomposition.
+# degree: on one x86 core (Python 3.11) the G2 adjoint takes 0.12 s at degree
+# 12 and 0.28 s at 16 in-process, three quarters of it in the symmetric powers
+# and the rest in decomposition.
 MAX_MF_DEGREE = 12
 
 
@@ -75,35 +78,29 @@ def dual_summands(group: Group, summands: Summands) -> Summands:
     return [(group.dual_label(lab), m) for lab, m in summands]
 
 
-def _adams(char: dict[Weight, int], k: int) -> dict[Weight, int]:
-    out: dict[Weight, int] = {}
-    for w, m in char.items():
-        kw = tuple(k * x for x in w)
-        out[kw] = out.get(kw, 0) + m
-    return out
-
-
 def sym_power_characters(group: Group, summands: Summands, d: int) -> list[dict[Weight, int]]:
-    """Characters of S^0(V) .. S^d(V) by the Newton/Adams recursion."""
+    """Characters of S^0(V) .. S^d(V): H[n] is the t^n coefficient of
+    prod_w (1 - x^w t)^(-m_w), built one weight w (multiplicity m) at a time
+    by H[n] += sum_{j=1..min(m,n)} (-1)^(j+1) binomial(m, j) x^(j w) H[n-j]
+    for n ascending, each H[n-j] already multiplied."""
     summands = check_summands(group, summands)
     if d < 0:
         raise DegenerateInputError("degree must be nonnegative")
-    chi = module_character(group, [lab for lab, mult in summands for _ in range(mult)])
-    powers = [_adams(chi, k) for k in range(d + 1)]  # powers[0] unused
-    zero = (0,) * group.weight_len
-    hs: list[dict[Weight, int]] = [{zero: 1}]
+    chi = module_character(group, summands)
+    hs: list[dict[Weight, int]] = [{(0,) * group.weight_len: 1}] + [{} for _ in range(d)]
+    for w, m in chi.items():
+        for n in range(1, d + 1):
+            h = hs[n]
+            for j in range(1, min(m, n) + 1):
+                coeff = (-1) ** (j + 1) * comb(m, j)
+                jw = tuple(j * x for x in w)
+                for v, c in hs[n - j].items():
+                    u = _add(v, jw)
+                    h[u] = h.get(u, 0) + coeff * c
+            hs[n] = {u: c for u, c in h.items() if c}
+    dim = sum(chi.values())
     for n in range(1, d + 1):
-        acc: dict[Weight, int] = {}
-        for k in range(1, n + 1):
-            for w, m in convolve_characters(powers[k], hs[n - k]).items():
-                acc[w] = acc.get(w, 0) + m
-        h: dict[Weight, int] = {}
-        for w, m in acc.items():
-            q, r = divmod(m, n)
-            ensure(r == 0, "Newton recursion produced a non-integer multiplicity")
-            if q:
-                h[w] = q
-        hs.append(h)
+        ensure(sum(hs[n].values()) == comb(dim + n - 1, n), "a symmetric power has the wrong dimension")
     return hs
 
 

@@ -1,8 +1,19 @@
 """Catalog loading, validation, round-trip, and the verdict sweep."""
 
+import contextlib
+import inspect
+import io
 import json
+import os
+import re
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from weylkit import errors
+from weylkit.cli import main
 
 from weylkit.catalog import (
     CHECKS,
@@ -268,6 +279,102 @@ class TestRunning:
         assert by_id["fine"]["agree"] is True
         assert res["summary"]["errors"] == 1
         assert res["summary"]["disagreements"] == 1
+
+
+# ---- malformed documents ----------------------------------------------------------
+
+KNOWN_CODES = {
+    cls.code
+    for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(cls, errors.ToolkitError) and cls is not errors.ToolkitError
+}
+
+# (what is replaced, its value): "document", "entries" and "entry" replace the
+# whole document, its entries list and its first entry; any other name is a
+# field of the first entry.
+MALFORMED = [
+    ("group", 5),
+    ("id", 5),  # beside the second entry's string id
+    ("expected", []),
+    ("subalgebra", {"span": 5}),
+    ("subalgebra", {"span": [5]}),
+    ("entry", 5),
+    ("document", ["a"]),
+]
+
+
+def _two_entry_document(where, value):
+    doc = _minimal_entry()
+    doc["entries"].append(dict(doc["entries"][0], id="probe-2"))
+    if where == "document":
+        return value
+    if where == "entries":
+        doc["entries"] = value
+    elif where == "entry":
+        doc["entries"][0] = value
+    else:
+        doc["entries"][0][where] = value
+    return doc
+
+
+def _run_catalog_file(doc):
+    """main(["catalog", "run", "--catalog", path]) on doc, as (exit, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "catalog.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["catalog", "run", "--catalog", path])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("where, value", MALFORMED)
+def test_malformed_document_is_a_catalog_format_error(where, value):
+    code, out, err = _run_catalog_file(_two_entry_document(where, value))
+    assert code == 1 and err == ""
+    assert out.splitlines()[1].startswith("error catalog_format: ")
+
+
+@pytest.mark.parametrize(
+    "where, value", [("group", "T" + "9" * 5000), ("id", "x" * 5000)], ids=["long-group", "long-id"]
+)
+def test_long_fields_are_echoed_clipped(where, value):
+    doc = _two_entry_document(where, value)
+    doc["entries"][0]["group"] = doc["entries"][0]["group"] if where == "group" else "Q"
+    code, out, _ = _run_catalog_file(doc)
+    assert code == 1
+    line = out.splitlines()[1]
+    assert line.startswith("error catalog_format: ") and len(line) < 200
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["document", "entries", "entry", "id", "group", "subalgebra", "module", "expected"]), JSON_VALUES)
+@example("group", 5)
+@example("id", 5)
+@example("expected", [])
+@example("subalgebra", {"span": 5})
+@example("subalgebra", {"span": [5]})
+@example("entry", 5)
+@example("document", ["a"])
+def test_catalog_fuzzed_field_exits_with_a_known_code(where, value):
+    # any JSON value in place of one field, or of the whole document, ends in
+    # exit 0, 1 or 2 with a registered error code and never a traceback (an
+    # exception escaping main fails the test)
+    code, out, err = _run_catalog_file(_two_entry_document(where, value))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    found = re.findall(r"error[ :]([a-z_]+)", out) + re.findall(r"usage error \(([a-z_]+)\)", err)
+    assert set(found) <= KNOWN_CODES
+    if code == 2:
+        assert found
 
 
 class TestComputeCheck:

@@ -23,7 +23,14 @@ from weylkit.repthy import (
     weyl_dim,
 )
 from weylkit.rootsys import parse_group
-from weyl_references import dense_matrices, dense_tensor_apply, nonzero_columns, strip_decompose
+from weyl_references import (
+    dense_matrices,
+    dense_tensor_apply,
+    fraction_weight_multiplicities,
+    nonzero_columns,
+    strip_decompose,
+    wform,
+)
 
 
 # ---- Weyl dimension formula (frozen values) ---------------------------------
@@ -69,8 +76,8 @@ def _wform_weyl_dim(g, lab):
     num = den = Fraction(1)
     for c in g.posroots:
         a = g.root_fc(c)
-        num *= g.wform(repthy._add(lab, g.rho), a)
-        den *= g.wform(g.rho, a)
+        num *= wform(g, repthy._add(lab, g.rho), a)
+        den *= wform(g, g.rho, a)
     return num / den
 
 
@@ -284,24 +291,42 @@ def test_wrong_multiplicities_raise_internal_invariant(monkeypatch):
 
 
 def test_invariant_checks_survive_python_O():
+    # three faults, each caught by its own guard: a wrong character in the
+    # builder, a virtual character (a negative multiplicity) whose symmetric
+    # powers miss binomial(dim + n - 1, n), and root pairings off by one, so
+    # that a Freudenthal quotient is not an integer
     src = str(Path(repthy.__file__).resolve().parents[1])
     tests = str(Path(__file__).resolve().parent)
     code = (
         f"import sys; sys.path[:0] = [{src!r}, {tests!r}]\n"
         "from test_repthy import _flip_top_multiplicity\n"
-        "from weylkit import repthy\n"
+        "from weylkit import repthy, sympoly\n"
         "from weylkit.errors import InternalInvariantError\n"
         "from weylkit.rootsys import parse_group\n"
-        "repthy.weight_multiplicities = _flip_top_multiplicity(repthy.weight_multiplicities)\n"
-        "try:\n"
-        "    repthy.build_module(parse_group('A2'), (1, 1))\n"
-        "except InternalInvariantError as exc:\n"
-        "    print(__debug__, exc.code)\n"
+        "a1, a2 = parse_group('A1'), parse_group('A2')\n"
+        "true = repthy.weight_multiplicities\n"
+        "repthy.weight_multiplicities = _flip_top_multiplicity(true)\n"
+        "sympoly.module_character = lambda group, summands: {(1,): 1, (-1,): 1, (0,): -1}\n"
+        "pairing = a1.root_pairing\n"
+        "faults = [\n"
+        "    lambda: repthy.build_module(a2, (1, 1)),\n"
+        "    lambda: sympoly.sym_power_characters(a1, [((1,), 1)], 3),\n"
+        "    lambda: (setattr(a1, 'root_pairing', lambda mu, c: pairing(mu, c) + 1), true(a1, (2,))),\n"
+        "]\n"
+        "for fault in faults:\n"
+        "    try:\n"
+        "        fault()\n"
+        "    except InternalInvariantError as exc:\n"
+        "        print(__debug__, exc.code, exc)\n"
     )
     out = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "False internal_invariant"
+    assert out.splitlines() == [
+        "False internal_invariant weights of (0, 1) miss Freudenthal's",
+        "False internal_invariant a symmetric power has the wrong dimension",
+        "False internal_invariant Freudenthal multiplicity is not a positive integer",
+    ]
 
 
 def _ambient_wide_extract(group, m1, m2, label):
@@ -442,7 +467,7 @@ def test_tensor_decompose(name, l1, l2, expect):
 
 def test_decompose_character_roundtrip():
     g = parse_group("B2")
-    char = module_character(g, [(1, 0), (0, 1), (0, 1)])
+    char = module_character(g, [((1, 0), 1), ((0, 1), 2)])
     assert decompose_character(g, char) == {(1, 0): 1, (0, 1): 2}
 
 
@@ -530,6 +555,26 @@ def test_dual_label_is_an_involution(name, entries):
     g = parse_group(name)
     lab = tuple(abs(x) for x in entries[: g.rank]) + tuple(entries[g.rank : g.weight_len])
     assert g.dual_label(g.dual_label(lab)) == lab
+
+
+@functools.cache
+def _labels_to_64(name):
+    """Dominant labels of dimension at most 64, entries boxed."""
+    g = parse_group(name)
+    top = 64 if g.rank == 1 else 16
+    box = itertools.product(*([range(top)] * g.rank + [range(-3, 4)] * g.torus_dim))
+    return [lab for lab in box if weyl_dim(g, lab) <= 64]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_integer_freudenthal_equals_the_fraction_recursion(data):
+    name = data.draw(st.sampled_from(["A1", "A2", "B2", "G2", "A1xA1", "A2+T1"]))
+    g = parse_group(name)
+    lab = data.draw(st.sampled_from(_labels_to_64(name)))
+    got = weight_multiplicities(g, lab)
+    assert got == fraction_weight_multiplicities(g, lab)
+    assert all(type(m) is int for m in got.values())
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylkit.errors import (
     DegenerateInputError,
@@ -22,6 +24,7 @@ from weyl_references import (
     flat_span_bracket_table,
     weyl_matrices,
     word_matrix,
+    wform,
 )
 
 
@@ -103,25 +106,35 @@ def test_root_fc():
 
 def test_wform_a2():
     g = parse_group("A2")
-    assert g.wform((1, 0), (1, 0)) == Fraction(2, 3)
-    assert g.wform((1, 0), (0, 1)) == Fraction(1, 3)
+    assert wform(g, (1, 0), (1, 0)) == Fraction(2, 3)
+    assert wform(g, (1, 0), (0, 1)) == Fraction(1, 3)
     a1 = g.root_fc((1, 0))
-    assert g.wform(a1, a1) == 2
+    assert wform(g, a1, a1) == 2
 
 
 def test_wform_lengths_b2_g2():
     b2 = parse_group("B2")
-    assert b2.wform(b2.root_fc((1, 0)), b2.root_fc((1, 0))) == 4  # long
-    assert b2.wform(b2.root_fc((0, 1)), b2.root_fc((0, 1))) == 2  # short
+    assert wform(b2, b2.root_fc((1, 0)), b2.root_fc((1, 0))) == 4  # long
+    assert wform(b2, b2.root_fc((0, 1)), b2.root_fc((0, 1))) == 2  # short
     g2 = parse_group("G2")
-    assert g2.wform(g2.root_fc((1, 0)), g2.root_fc((1, 0))) == 2
-    assert g2.wform(g2.root_fc((0, 1)), g2.root_fc((0, 1))) == 6
+    assert wform(g2, g2.root_fc((1, 0)), g2.root_fc((1, 0))) == 2
+    assert wform(g2, g2.root_fc((0, 1)), g2.root_fc((0, 1))) == 6
 
 
 def test_wform_torus_block():
     g = parse_group("A1+T1")
-    assert g.wform((0, 3), (0, 2)) == 6
-    assert g.wform((1, 0), (0, 5)) == 0
+    assert wform(g, (0, 3), (0, 2)) == 6
+    assert wform(g, (1, 0), (0, 5)) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_root_pairing_is_wform_with_a_root_combination(data):
+    g = parse_group(data.draw(st.sampled_from(["A1", "A2", "B2", "G2", "A1xA1", "A2+T1", "A1xB2", "G2+T1"])))
+    mu = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=g.weight_len, max_size=g.weight_len)))
+    c = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=g.rank, max_size=g.rank)))
+    got = g.root_pairing(mu, c)
+    assert type(got) is int and got == wform(g, mu, g.root_fc(c))
 
 
 # ---- bracket table ----------------------------------------------------------
@@ -163,7 +176,7 @@ def test_coroot_pairings(name):
         gfc = g.root_fc(c)
         for d in g.posroots:
             dfc = g.root_fc(d)
-            expect = 2 * g.wform(dfc, gfc) / g.wform(gfc, gfc)
+            expect = 2 * wform(g, dfc, gfc) / wform(g, gfc, gfc)
             ed = g.gen_vector("e", d)
             assert is_zero(g.bracket(hg, ed) - expect * ed)
 

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import weylkit
+from weylkit.rootsys import Group
 
 
 def test_library_has_no_assert():
@@ -47,3 +48,37 @@ def test_exact_modules_multiply_only_through_matmul():
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
     ]
     assert found == []
+
+
+CHARACTER_LAYER = {
+    "sympoly": ("sym_power_characters",),
+    "repthy": (
+        "weyl_dim",
+        "weight_multiplicities",
+        "decompose_character",
+        "convolve_characters",
+        "module_character",
+    ),
+}
+
+
+def test_character_layer_is_integer_only():
+    # characters, Weyl dimensions and Freudenthal multiplicities are integer
+    # arithmetic: no exact rational scalar or matrix in any of them, and no
+    # rational weight form left on Group
+    root = Path(weylkit.__file__).parent
+    rational = {"Fraction", "fr", "F0", "F1", "fvec", "matmul"}
+    found, seen = [], []
+    for name, functions in CHARACTER_LAYER.items():
+        for node in ast.parse((root / f"{name}.py").read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name in functions:
+                seen.append(node.name)
+                found += [
+                    f"{name}.{node.name}:{sub.lineno} {sub.id if isinstance(sub, ast.Name) else sub.attr}"
+                    for sub in ast.walk(node)
+                    if isinstance(sub, ast.Name) and sub.id in rational
+                    or isinstance(sub, ast.Attribute) and sub.attr in rational
+                ]
+    assert sorted(seen) == sorted(f for fs in CHARACTER_LAYER.values() for f in fs)
+    assert found == []
+    assert not hasattr(Group, "wform") and not hasattr(Group, "_wform_matrix")

@@ -1,6 +1,14 @@
-from itertools import combinations_with_replacement
+import ast
+import functools
+import subprocess
+import sys
+from itertools import combinations_with_replacement, product
+from math import comb
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylkit import sympoly
 from weylkit.errors import DegenerateInputError, NonReductiveError
@@ -12,10 +20,11 @@ from weylkit.sympoly import (
     invariant_multiplicity,
     is_mf_coordinate_ring,
     check_reductive,
+    sym_power_characters,
     sym_power_decompose,
     summands_dim,
 )
-from weyl_references import strip_decompose
+from weyl_references import newton_sym_power_characters, strip_decompose
 
 
 def brute_force_sym_power(group, summands, d):
@@ -78,12 +87,53 @@ def test_sym_power_matches_brute_force(name, summands, d):
 @pytest.mark.parametrize("name,summands,d", ORACLE_INSTANCES)
 def test_sym_power_conserves_dimension(name, summands, d):
     # the implementation asserts this internally; recompute independently
-    from math import comb
-
     g = parse_group(name)
     out = sym_power_decompose(g, summands, d)
     n = summands_dim(g, list(summands))
     assert sum(m * weyl_dim(g, lab) for lab, m in out.items()) == comb(n + d - 1, d)
+
+
+@functools.cache
+def _summand_labels(name):
+    """Dominant labels of dimension at most 8, entries boxed."""
+    g = parse_group(name)
+    box = product(*([range(4)] * g.rank + [range(-2, 3)] * g.torus_dim))
+    return [lab for lab in box if weyl_dim(g, lab) <= 8]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sym_power_characters_equal_the_newton_recursion(data):
+    name = data.draw(st.sampled_from(["A1", "A2", "B2", "G2", "A1xA1", "A2+T1", "T1", "A1+T1"]))
+    g = parse_group(name)
+    labels = data.draw(st.lists(st.sampled_from(_summand_labels(name)), min_size=1, max_size=3))
+    summands = [(lab, data.draw(st.integers(1, 2))) for lab in labels]
+    d = data.draw(st.integers(0, 5 if summands_dim(g, summands) <= 12 else 3))
+    assert sym_power_characters(g, summands, d) == newton_sym_power_characters(g, summands, d)
+
+
+def test_a_huge_summand_count_is_never_expanded():
+    # k copies of the A1 defining module: S^n has the weight a - b (a + b = n)
+    # with multiplicity binomial(k + a - 1, a) binomial(k + b - 1, b).  The
+    # child's address space is capped, so a count expanded into k copies
+    # fails there instead of exhausting the machine's memory.
+    src = str(Path(sympoly.__file__).resolve().parents[1])
+    code = (
+        "import resource; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        f"import sys; sys.path[:0] = [{src!r}]\n"
+        "from weylkit.rootsys import parse_group\n"
+        "from weylkit.sympoly import sym_power_characters\n"
+        "print(sym_power_characters(parse_group('A1'), [((1,), 10**12)], 3))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    k = 10**12
+    want = [
+        {(2 * a - n,): comb(k + a - 1, a) * comb(k + n - a - 1, n - a) for a in range(n + 1)}
+        for n in range(4)
+    ]
+    assert ast.literal_eval(out) == want
 
 
 def test_sym_power_rejects_negative_degree_and_bad_mult():

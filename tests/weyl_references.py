@@ -1,5 +1,6 @@
 """Test-side references for the Weyl group, character decomposition, the
-tensor product action and the structure constants.
+tensor product action, the structure constants, the weight form, weight
+multiplicities and symmetric powers.
 
 The library holds the Weyl group on integers only (the orbit of rho),
 decomposes characters by the Weyl alternation, applies a tensor product's
@@ -10,16 +11,28 @@ group as exact reflection matrices on fundamental coordinates,
 decomposition by stripping irreducible characters from the top, the action
 on dense vectors, the tables as a scan of every entry, the bracket table
 through one span of all of a factor's flattened seed matrices, and
-exp(ad x) as a dense series.
+exp(ad x) as a dense series.  The library pairs weights with roots on
+integers (``Group.root_pairing``) and builds symmetric powers one weight at
+a time; here are the scalar ``Fraction`` weight form, the Freudenthal
+recursion run on it, and the Newton/Adams recursion for symmetric powers.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from weylkit.errors import NonNilpotentDirectionError, ensure
-from weylkit.linalg import SpanBasis, column_stack, combine, eye, fr, fvec, is_zero, matmul, zeros
-from weylkit.repthy import _add, weight_multiplicities
+from weylkit.errors import DegenerateInputError, NonNilpotentDirectionError, ensure
+from weylkit.linalg import F0, SpanBasis, column_stack, combine, eye, fr, fvec, is_zero, matmul, zeros
+from weylkit.repthy import (
+    _add,
+    check_label,
+    convolve_characters,
+    dominant_weights,
+    module_character,
+    weight_multiplicities,
+    weyl_dim,
+)
+from weylkit.sympoly import check_summands
 
 
 def reflection_matrices(g):
@@ -78,6 +91,96 @@ def apply_word(g, word, weight):
     return tuple(weight)
 
 
+@lru_cache(maxsize=None)
+def wform_matrix(g):
+    # (omega_i, omega_j) = d_i (A^{-1})_{ij}; symmetric since DA is.
+    return fvec(g.dvec)[:, None] * g.cartan_inverse
+
+
+def wform(g, mu, nu):
+    """Weyl-invariant inner product on weights, normalized so short roots
+
+    of each factor have squared length 2; torus coordinates pair by the
+    standard dot product."""
+    m = wform_matrix(g)
+    r = g.rank
+    total = F0
+    for i in range(r):
+        for j in range(r):
+            if mu[i] and nu[j]:
+                total += fr(mu[i]) * m[i, j] * fr(nu[j])
+    for j in range(g.torus_dim):
+        total += fr(mu[r + j]) * fr(nu[r + j])
+    return total
+
+
+def fraction_weight_multiplicities(group, label):
+    """All weights of the irreducible module with the given highest weight,
+
+    with multiplicities, by the Freudenthal recursion over dominant weights
+    followed by Weyl-orbit expansion, on the scalar Fraction form wform."""
+    lab = check_label(group, label)
+    doms = [mu for _, mu in dominant_weights(group, lab)]
+    rho = group.rho
+    lam_norm = wform(group, _add(lab, rho), _add(lab, rho))
+    mdom = {}
+    for mu in doms:
+        if mu == lab:
+            mdom[mu] = 1
+            continue
+        total = F0
+        for c in group.posroots:
+            a = group.root_fc(c)
+            k = 1
+            while True:
+                nu = _add(mu, tuple(k * x for x in a))
+                m = mdom.get(group.dom_rep(nu))
+                if m is None:
+                    break
+                total += 2 * m * wform(group, nu, a)
+                k += 1
+        den = lam_norm - wform(group, _add(mu, rho), _add(mu, rho))
+        ensure(den > 0, "Freudenthal denominator is not positive")
+        m = total / den
+        ensure(m.denominator == 1 and m >= 1, "Freudenthal multiplicity is not a positive integer")
+        mdom[mu] = int(m)
+    full = {w: m for mu, m in mdom.items() for w in group.orbit(mu)}
+    ensure(sum(full.values()) == weyl_dim(group, lab), f"multiplicities of {lab} miss weyl_dim")
+    return full
+
+
+def _adams(char, k):
+    out = {}
+    for w, m in char.items():
+        kw = tuple(k * x for x in w)
+        out[kw] = out.get(kw, 0) + m
+    return out
+
+
+def newton_sym_power_characters(group, summands, d):
+    """Characters of S^0(V) .. S^d(V) by the Newton/Adams recursion."""
+    summands = check_summands(group, summands)
+    if d < 0:
+        raise DegenerateInputError("degree must be nonnegative")
+    chi = module_character(group, summands)
+    powers = [_adams(chi, k) for k in range(d + 1)]  # powers[0] unused
+    zero = (0,) * group.weight_len
+    hs = [{zero: 1}]
+    for n in range(1, d + 1):
+        acc = {}
+        for k in range(1, n + 1):
+            for w, m in convolve_characters(powers[k], hs[n - k]).items():
+                acc[w] = acc.get(w, 0) + m
+        h = {}
+        for w, m in acc.items():
+            q, r = divmod(m, n)
+            ensure(r == 0, "Newton recursion produced a non-integer multiplicity")
+            if q:
+                h[w] = q
+        hs.append(h)
+    return hs
+
+
 def strip_decompose(group, char):
     """Decompose a genuine character by stripping from the top: among the
     remaining dominant weights, one with maximal (mu+rho, mu+rho) is the
@@ -88,7 +191,7 @@ def strip_decompose(group, char):
     while work:
         doms = [w for w in work if group.is_dominant(w)]
         ensure(bool(doms), "character has no dominant weight left")
-        top = max(doms, key=lambda w: (group.wform(_add(w, rho), _add(w, rho)), w))
+        top = max(doms, key=lambda w: (wform(group, _add(w, rho), _add(w, rho)), w))
         mult = work[top]
         ensure(mult > 0, "negative multiplicity: not a character")
         out[top] = out.get(top, 0) + mult
