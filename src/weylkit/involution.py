@@ -34,11 +34,12 @@ from .sympoly import check_reductive
 Weight = tuple[int, ...]
 
 # _nu_kernel takes one nullspace of n^2 dim h rows in n^2 unknowns (n the
-# fiber dimension); its time follows the n^4 dim h entries at 10-16 us each
-# on one x86 core: A1 cartan w[20] (194,481 entries) 1.8 s, A1 cartan w[26]
-# (531,441) 6.9 s, G2 full adjoint (537,824) 8.7 s.  A larger system, such
-# as A1 cartan w[63] (16.8 M), is refused by check_nu_size before any block
-# is built, and by the CLI before the fiber module is built.
+# fiber dimension); a whole involution call takes 9-11 us per each of the
+# n^4 dim h entries on one x86 core: A1 cartan w[20] (194,481 entries)
+# 2.2 s, A1 cartan w[26] (531,441) 4.8 s, G2 full adjoint (537,824) 5.7 s.
+# A larger system, such as A1 cartan w[63] (16.8 M), is refused by
+# check_nu_size before any block is built, and by the CLI before the fiber
+# module is built.
 MAX_NU_ENTRIES = 600_000
 
 

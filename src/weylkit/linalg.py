@@ -1,21 +1,22 @@
 """Exact linear algebra over the rationals.
 
-Matrices are numpy object arrays filled with ``fractions.Fraction``; numpy
-supplies shape bookkeeping while all arithmetic stays exact.  Everything
-downstream (bracket tables, module construction, rank certificates) runs
-through the small kernel here, so these routines favor clarity over
-asymptotic cleverness; at rank <= 3 the matrices are tiny.
+At the boundary, matrices and vectors are numpy object arrays of
+``fractions.Fraction``: numpy keeps the shapes, the arithmetic stays exact.
+Inside, elimination runs on sparse rows, dicts {position: Fraction} of the
+nonzero entries, since the matrices reduced here are mostly zeros: ``rref``
+makes one dense matrix at the end, ``SpanBasis`` and the module builder
+never leave the sparse form, and ``sparse`` and ``densify`` convert.
 
 Three helpers are the kernel's vocabulary for the loops the rest of the
 package would otherwise write by hand (de Graaf, *Lie Algebras: Theory and
 Algorithms*, 2000, ch. 1): ``combine`` forms a linear combination of
 vectors or matrices (a module action, a vector from its coordinates),
-``eliminate`` reduces a vector by echelon rows, returning the remainder
-and the multiple of each row taken (membership, coordinates, quotients),
-and ``matmul`` forms a matrix product from the nonzero entries of its
-factors (a commutator, a bracket, a series term, a change of basis).
-Because the arithmetic is exact, any algebraically equal rewrite through
-them gives bit-for-bit the same numbers.
+``eliminate`` reduces a sparse vector by sparse echelon rows, returning the
+remainder and the multiple of each row taken (the one reduction loop: rref,
+membership, coordinates, quotients), and ``matmul`` forms a matrix product
+from the nonzero entries of its factors (a commutator, a bracket, a series
+term, a change of basis).  Because the arithmetic is exact, any
+algebraically equal rewrite through them gives bit-for-bit the same numbers.
 """
 
 from __future__ import annotations
@@ -89,27 +90,42 @@ def is_zero(a: np.ndarray) -> bool:
     return all(x == 0 for x in a.flat)
 
 
+def sparse(v: Iterable) -> dict[int, Fraction]:
+    """The nonzero entries of an exact vector by position, each through fr."""
+    return {j: fr(x) for j, x in enumerate(v) if x}
+
+
+def densify(entries: dict, shape: tuple[int, ...]) -> np.ndarray:
+    """zeros(*shape) with these entries set, keyed by index or (row, col)."""
+    out = zeros(*shape)
+    for k, x in entries.items():
+        out[k] = x
+    return out
+
+
 def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices)."""
-    r = a.copy()
-    n, m = r.shape
+    """Reduced row echelon form; returns (R, pivot column indices).  Gauss-Jordan
+    in column order on sparse rows: the pivot row is the first at or below the
+    current one that holds the column, and only the rows holding it are
+    cleared.  Entries go through fr: an int becomes a Fraction, a float raises."""
+    n, m = a.shape
+    rows = [sparse(row) for row in a.tolist()]
     pivots: list[int] = []
-    row = 0
     for col in range(m):
-        piv = next((i for i in range(row, n) if r[i, col] != 0), None)
+        k = len(pivots)
+        piv = next((i for i in range(k, n) if col in rows[i]), None)
         if piv is None:
             continue
-        if piv != row:
-            r[[row, piv]] = r[[piv, row]]
-        r[row] = r[row] / r[row, col]
+        rows[k], rows[piv] = rows[piv], rows[k]
+        d = rows[k][col]
+        prow = rows[k] = {j: x / d for j, x in rows[k].items()}
         for i in range(n):
-            if i != row and r[i, col] != 0:
-                r[i] = r[i] - r[i, col] * r[row]
+            if i != k and col in rows[i]:
+                rows[i] = eliminate(rows[i], [prow], [col])[0]
         pivots.append(col)
-        row += 1
-        if row == n:
+        if len(pivots) == n:
             break
-    return r, pivots
+    return densify({(i, j): x for i, row in enumerate(rows) for j, x in row.items()}, (n, m)), pivots
 
 
 def rank(a: np.ndarray) -> int:
@@ -186,68 +202,74 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(a.shape[:1] + b.shape[1:])
 
 
-def eliminate(
-    v: np.ndarray, rows: Sequence[np.ndarray], pivots: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce v by echelon rows, in order: rows[i] has a 1 at pivots[i] and
-    zeros at the pivots of the rows before it.
-
-    Returns (remainder, multiple of each row taken); the remainder is zero
-    at every pivot, and v = remainder + sum multiple[i] * rows[i].
-    """
-    rem = v.copy()
-    mult = zeros(len(rows))
+def eliminate(v: dict, rows: Sequence[dict], pivots: Sequence) -> tuple[dict, dict[int, Fraction]]:
+    """Reduce the sparse vector v by sparse echelon rows, in order: rows[i]
+    has a 1 at pivots[i] and no entry at the pivots of the rows before it.
+    Returns (remainder, {i: multiple of rows[i] taken}), zero entries
+    dropped: v = remainder + sum multiple[i] * rows[i], and the remainder
+    has no entry at any pivot."""
+    rem = {j: x for j, x in v.items() if x}
+    mult: dict[int, Fraction] = {}
     for i, (row, p) in enumerate(zip(rows, pivots)):
-        if rem[p] != 0:
-            mult[i] = rem[p]
-            rem = rem - rem[p] * row
+        c = rem.get(p)
+        if c:
+            mult[i] = c
+            for j, x in row.items():
+                rem[j] = rem.get(j, F0) - c * x
+                if not rem[j]:
+                    del rem[j]
     return rem, mult
 
 
 class SpanBasis:
-    """Incremental echelon span with expansion bookkeeping.
+    """Incremental echelon span of sparse vectors ({position: entry}, any
+    sortable positions), with expansion bookkeeping.
 
     ``add`` keeps, for every retained row, its expression in terms of the
     vectors that enlarged the span (the retained vectors, in the order they
     were added); ``express`` then rewrites any member of the span in those
-    coordinates.  The module builder keeps one per weight space, over that
-    weight's positions, to name the basis vectors of that weight by the
-    lowering words that produced them.
+    coordinates.  The module builder keeps one per weight space, to name the
+    basis vectors of that weight by the lowering words that produced them.
     """
 
-    def __init__(self, dim: int):
-        self.dim = dim
+    def __init__(self):
         # rows[i] is retained vector i reduced by the rows before it: 1 at
-        # pivots[i], 0 at the earlier pivots, as eliminate requires
-        self.rows: list[np.ndarray] = []
-        self.combos: list[np.ndarray] = []        # rows[i] = sum combos[i][k] * retained[k]
-        self.pivots: list[int] = []
+        # pivots[i], no entry at the earlier pivots, as eliminate requires
+        self.rows: list[dict] = []
+        self.combos: list[dict[int, Fraction]] = []  # rows[i] = sum combos[i][k] * retained[k]
+        self.pivots: list = []
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def add(self, v: np.ndarray) -> bool:
+    def _expand(self, mult: dict[int, Fraction]) -> dict[int, Fraction]:
+        """sum mult[i] * combos[i], zero entries dropped."""
+        out: dict[int, Fraction] = {}
+        for i, c in mult.items():
+            for k, x in self.combos[i].items():
+                out[k] = out.get(k, F0) + c * x
+        return {k: x for k, x in out.items() if x}
+
+    def add(self, v: dict) -> bool:
         """Returns True iff v enlarged the span."""
-        v2, mult = eliminate(v, self.rows, self.pivots)
-        piv = next((j for j in range(self.dim) if v2[j] != 0), None)
-        if piv is None:
+        rem, mult = eliminate(v, self.rows, self.pivots)
+        if not rem:
             return False
-        k = len(self.rows)
-        # v2 = v - sum mult[i] * rows[i], and v is retained vector k
-        c2 = np.append(-combine(mult, self.combos, (k,)), F1)
-        self.combos = [np.append(c, F0) for c in self.combos]
-        self.rows.append(v2 / v2[piv])
-        self.combos.append(c2 / v2[piv])
+        piv = min(rem)
+        d = rem[piv]
+        # rem = v - sum mult[i] * rows[i], and v is retained vector len(rows)
+        self.combos.append({k: -x / d for k, x in self._expand(mult).items()} | {len(self.rows): F1 / d})
+        self.rows.append({j: x / d for j, x in rem.items()})
         self.pivots.append(piv)
         return True
 
-    def contains(self, v: np.ndarray) -> bool:
-        return is_zero(eliminate(v, self.rows, self.pivots)[0])
+    def contains(self, v: dict) -> bool:
+        return not eliminate(v, self.rows, self.pivots)[0]
 
-    def express(self, v: np.ndarray) -> np.ndarray | None:
-        """Coordinates of v over the retained vectors, or None if v is not
-        in the span."""
+    def express(self, v: dict) -> list[tuple[int, Fraction]] | None:
+        """The nonzero coordinates of v over the retained vectors, as
+        ascending (index, entry) pairs, or None if v is not in the span."""
         rem, mult = eliminate(v, self.rows, self.pivots)
-        if not is_zero(rem):
+        if rem:
             return None
-        return combine(mult, self.combos, (len(self.rows),))
+        return sorted(self._expand(mult).items())

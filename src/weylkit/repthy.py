@@ -10,8 +10,9 @@ nonzero (row, entry) pairs of every column), written as each image is
 expressed in the new basis; dense matrices come only from
 ``Module.action``.  The tensor product's action is applied factor by factor
 from those tables to sparse vectors, never formed as matrices.  Each vector
-has a known weight, so it is densified and reduced only over that weight's
-positions, against that weight's retained vectors.
+has a known weight, so it is reduced, as a sparse {position: entry} dict,
+only against that weight's retained vectors, and the lowering pass that
+finds the basis writes the simple f_i columns as it goes.
 Dimensions come from the Weyl formula and weight multiplicities from the
 Freudenthal recursion, both on integers (every inner product is a
 ``Group.root_pairing`` of a weight with a combination of simple roots), and
@@ -31,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionCapError, NonDominantError, ParseError, ensure
-from .linalg import F0, F1, SpanBasis, fr, fvec, matmul, nullspace, zeros
+from .linalg import F0, F1, SpanBasis, densify, fr, fvec, matmul, nullspace, zeros
 from .linalg import rref  # noqa: F401  (unused here; the benchmark tracer and its tests patch repthy.rref)
 from .rootsys import Group
 
@@ -210,46 +211,54 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
     of that vector under the lowering operators, with the action of every
     basis element restricted to it and rewritten in the new basis.
 
-    The span is kept one weight at a time: every vector met is a weight
-    vector of known weight (a lowering image f_i . v has the weight of v
-    minus alpha_i, an image x . v the weight of v plus that of x), so it is
-    kept sparse and densified only over that weight's ambient positions, to
-    be reduced against the retained vectors of its own weight.  Weight
+    The span is kept one weight at a time: every vector met is a sparse
+    vector of known weight (that of v plus that of x for an image x . v),
+    reduced only against the retained vectors of its own weight.  Weight
     spaces are independent, so these coordinates are the coordinates over
-    the whole basis."""
+    the whole basis.  The lowering pass holds every f_i . v, so it writes
+    the simple f_i columns as it goes: a retained image is its own basis
+    vector, any other is expressed at once."""
     amb = list(zip(m1.columns, m2.columns))  # the ambient action, in basis order
     amb_weights = [_add(w1, w2) for w1 in m1.weights for w2 in m2.weights]
-    where: dict[Weight, list[int]] = {}  # the ambient positions of each weight
-    for k, w in enumerate(amb_weights):
-        where.setdefault(w, []).append(k)
-    slot = {k: j for ps in where.values() for j, k in enumerate(ps)}  # k's index among them
     es = [amb[group._index[("e", group.simple_root(i))]] for i in range(group.rank)]
-    fs = [amb[group._index[("f", group.simple_root(i))]] for i in range(group.rank)]
+    fidx = [group._index[("f", group.simple_root(i))] for i in range(group.rank)]
+    dws = [_basis_weight(group, lab) for lab in group.basis_labels]
 
-    positions = where[label]
-    images = [[_tensor_apply(*e, {p: F1}, m2.dim) for p in positions] for e in es]
-    rows = sorted({(i, q) for i, col in enumerate(images) for im in col for q in im})
-    raising = np.array([[im.get(q, F0) for im in images[i]] for i, q in rows], dtype=object)
-    ker = nullspace(raising.reshape(len(rows), len(positions)))
+    positions = [k for k, w in enumerate(amb_weights) if w == label]
+    # row (i, q) of the raising system holds entry q of e_i . positions[c] in
+    # column c; the kernel does not depend on the order of the rows
+    raising: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for c, p in enumerate(positions):
+        for i, e in enumerate(es):
+            for q, x in _tensor_apply(*e, {p: F1}, m2.dim).items():
+                raising.setdefault((i, q), {})[c] = x
+    system = {(r, c): x for r, row in enumerate(raising.values()) for c, x in row.items()}
+    ker = nullspace(densify(system, (len(raising), len(positions))))
     ensure(len(ker) == 1, f"highest weight vector of {label} is not unique")
     v0 = {p: c for p, c in zip(positions, ker[0]) if c}
 
-    def part(v: dict[int, Fraction], w: Weight) -> np.ndarray | None:
-        """v densified over the positions of weight w (None if v is zero)."""
-        ensure(all(amb_weights[k] == w for k in v), "image left its weight space")
-        vw = zeros(len(where.get(w, ())))
-        for k, c in v.items():
-            vw[slot[k]] = c
-        return vw if v else None
-
-    spans: dict[Weight, SpanBasis] = {}
+    spans: dict[Weight, SpanBasis] = {}  # over ambient positions, one per weight
     members: dict[Weight, list[int]] = {}  # the basis index of each retained vector
     basis: list[dict[int, Fraction]] = []
     bweights: list[Weight] = []
 
+    def act(j: int, k: int) -> tuple[dict[int, Fraction], Weight]:
+        """Basis element j applied to basis vector k, and the weight of the image."""
+        im, w = _tensor_apply(*amb[j], basis[k], m2.dim), _add(bweights[k], dws[j])
+        ensure(all(amb_weights[q] == w for q in im), "image left its weight space")
+        return im, w
+
+    def column(v: dict[int, Fraction], w: Weight) -> list[tuple[int, Fraction]]:
+        """The column of an image v of weight w over the retained vectors."""
+        if not v:
+            return []
+        coords = spans[w].express(v) if w in spans else None
+        ensure(coords is not None, "action left the generated submodule")
+        # members[w] ascends, so the rows of the column do too
+        return [(members[w][j], c) for j, c in coords]
+
     def retain(v: dict[int, Fraction], w: Weight) -> bool:
-        vw = part(v, w)
-        if vw is None or not spans.setdefault(w, SpanBasis(len(vw))).add(vw):
+        if not v or not spans.setdefault(w, SpanBasis()).add(v):
             return False
         members.setdefault(w, []).append(len(basis))
         basis.append(v)
@@ -257,13 +266,17 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
         return True
 
     ensure(retain(v0, label), "highest weight vector is zero")
+    lowered: dict[int, Table] = {j: [] for j in fidx}  # the simple f_i columns
     queue = [0]
-    alphas = [group.root_fc(group.simple_root(i)) for i in range(group.rank)]
     while queue:
-        b = queue.pop(0)
-        for i in range(group.rank):
-            if retain(_tensor_apply(*fs[i], basis[b], m2.dim), _sub(bweights[b], alphas[i])):
+        b = queue.pop(0)  # b runs through 0, 1, 2, ..., so columns come in order
+        for j in fidx:
+            im, w = act(j, b)
+            if retain(im, w):
                 queue.append(len(basis) - 1)
+                lowered[j].append([(len(basis) - 1, F1)])
+            else:
+                lowered[j].append(column(im, w))
     n = len(basis)
     expect = weyl_dim(group, label)
     ensure(n == expect, f"built {n} vectors for {label}, expected {expect}")
@@ -272,20 +285,9 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
         mults[w] = mults.get(w, 0) + 1
     ensure(mults == weight_multiplicities(group, label), f"weights of {label} miss Freudenthal's")
 
-    columns = []
-    for x, lab in zip(amb, group.basis_labels):
-        dx = _basis_weight(group, lab)
-        cols: Table = [[] for _ in range(n)]
-        for k in range(n):
-            w = _add(bweights[k], dx)
-            vw = part(_tensor_apply(*x, basis[k], m2.dim), w)
-            if vw is None:
-                continue
-            coords = spans[w].express(vw) if w in spans else None
-            ensure(coords is not None, "action left the generated submodule")
-            # members[w] ascends, so the rows of the column do too
-            cols[k] = [(members[w][j], c) for j, c in enumerate(coords) if c]
-        columns.append(cols)
+    columns = [
+        lowered[j] if j in lowered else [column(*act(j, k)) for k in range(n)] for j in range(group.dim)
+    ]
     mod = Module(group, label, bweights, columns)
     _verify_generators(mod)
     return mod
@@ -320,8 +322,11 @@ _MODULE_CACHE: dict[tuple[str, Weight], Module] = {}
 def build_module(group: Group, label: Sequence[int]) -> Module:
     """Exact matrix model of the irreducible module with this highest weight.
 
-    Raises DimensionCapError above dimension 64: everything downstream does
-    dense rational elimination, and the cap keeps worst cases desk-scale.
+    Raises DimensionCapError above dimension 64.  The builder eliminates on
+    sparse rows, but two consumers of a module still take dense rational
+    nullspaces whose size grows with its dimension: involution._nu_kernel
+    and invariant_multiplicity's stack of Module.action matrices.  The cap
+    keeps their worst cases desk-scale.
     """
     lab = check_label(group, label)
     key = (group.name, lab)

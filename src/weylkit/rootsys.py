@@ -38,8 +38,8 @@ from .errors import (
     UnsupportedTypeError,
     ensure,
 )
-from .linalg import F0, F1, SpanBasis, combine, eliminate, eye, fmat, fr, fvec
-from .linalg import is_zero, matmul, rref, zeros
+from .linalg import F0, F1, SpanBasis, combine, densify, eliminate, eye, fmat, fr, fvec
+from .linalg import matmul, rref, sparse, zeros
 
 # Cartan matrices use the convention A[i][j] = <alpha_j, alpha_i^vee>, so
 # column j holds the fundamental-weight coordinates of alpha_j.  d[i] is the
@@ -331,22 +331,21 @@ class Group:
                 spaces.setdefault(wt, []).append((self._index[(kind, c)], ents))
             local = [(ik, wt, ents) for wt, members in spaces.items() for ik, ents in members]
             for wt, members in spaces.items():
-                pos = dict.fromkeys(sorted(set().union(*(ents for _, ents in members))))
-                span = SpanBasis(len(pos))
+                span = SpanBasis()
                 for _, ents in members:
-                    ensure(span.add(fvec(ents.get(p, 0) for p in pos)), "seed representation not faithful")
-                spaces[wt] = ([ik for ik, _ in members], pos, span)
+                    ensure(span.add(ents), "seed representation not faithful")
+                spaces[wt] = ([ik for ik, _ in members], set().union(*(ents for _, ents in members)), span)
             pos = [p for _, ps, _ in spaces.values() for p in ps]
             ensure(len(pos) == len(set(pos)), "seeds of two weights overlap")
             for (ia, wa, ea), (ib, wb, eb) in combinations(local, 2):
                 br = _commutator(ea, eb)
                 if not br:
                     continue
-                members, pos, span = spaces.get(tuple(map(sum, zip(wa, wb))), ([], {}, None))
-                ensure(br.keys() <= pos.keys(), "bracket left its weight space")
-                coords = span.express(fvec(br.get(p, 0) for p in pos))
+                members, pos, span = spaces.get(tuple(map(sum, zip(wa, wb))), ([], set(), None))
+                ensure(br.keys() <= pos, "bracket left its weight space")
+                coords = span.express(br)
                 ensure(coords is not None, "bracket left the algebra span")
-                table[ia][ib] = [(ik, c) for ik, c in zip(members, coords) if c != 0]
+                table[ia][ib] = [(members[k], c) for k, c in coords]
                 table[ib][ia] = [(ik, -c) for ik, c in table[ia][ib]]
         return table
 
@@ -558,15 +557,17 @@ class Subalgebra:
 
     def __init__(self, group: Group, vectors: Iterable[np.ndarray], name: str | None = None):
         self.group = group
-        # basis[i] is 1 at pivots[i] (its first nonzero entry) and 0 at the
-        # pivots before it: each vector reduced by the rows kept so far
+        # rows[i] (basis[i] densified) is 1 at pivots[i], its least position, and
+        # 0 at the pivots before it: each vector reduced by the rows kept so far
+        self.rows: list[dict[int, Fraction]] = []
         self.basis: list[np.ndarray] = []
         self.pivots: list[int] = []
         for v in vectors:
-            rem = self.reduce(v)
-            piv = next((j for j, x in enumerate(rem) if x != 0), None)
-            if piv is not None:
-                self.basis.append(rem / rem[piv])
+            rem = eliminate(sparse(v), self.rows, self.pivots)[0]
+            if rem:
+                piv = min(rem)
+                self.rows.append({j: x / rem[piv] for j, x in rem.items()})
+                self.basis.append(densify(self.rows[-1], (group.dim,)))
                 self.pivots.append(piv)
         self.name = name
 
@@ -575,16 +576,16 @@ class Subalgebra:
         return len(self.basis)
 
     def contains(self, v: np.ndarray) -> bool:
-        return is_zero(self.reduce(v))
+        return not eliminate(sparse(v), self.rows, self.pivots)[0]
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
         """v modulo this subspace: the representative vanishing at every pivot."""
-        return eliminate(v, self.basis, self.pivots)[0]
+        return densify(eliminate(sparse(v), self.rows, self.pivots)[0], (self.group.dim,))
 
     def coords(self, v: np.ndarray) -> np.ndarray | None:
         """Coordinates of v over self.basis, or None if v lies outside."""
-        rem, out = eliminate(v, self.basis, self.pivots)
-        return out if is_zero(rem) else None
+        rem, mult = eliminate(sparse(v), self.rows, self.pivots)
+        return None if rem else densify(mult, (self.dim,))
 
     def is_closed(self) -> bool:
         g = self.group

@@ -3,9 +3,11 @@
 ``combine``, ``eliminate`` and ``matmul`` carry every linear combination,
 every echelon reduction and every exact matrix product in the package, so
 their identities are checked here on random small rational data rather
-than on hand-picked cases only.  The two coordinate rules of ``spherical``
-are checked against the searches they replaced, which are kept here as
-references.
+than on hand-picked cases only.  The sparse ``rref``, ``SpanBasis`` and
+``Subalgebra`` are checked against the dense object-array versions in
+``weyl_references`` on random sparse rational matrices.  The two
+coordinate rules of ``spherical`` are checked against the searches they
+replaced, which are kept here as references.
 """
 
 from fractions import Fraction
@@ -28,6 +30,7 @@ from weylkit.linalg import (
     SpanBasis,
     column_stack,
     combine,
+    densify,
     eliminate,
     eye,
     fr,
@@ -36,12 +39,22 @@ from weylkit.linalg import (
     matmul,
     nullspace,
     rank,
+    rref,
+    sparse,
     zeros,
 )
 from weylkit.repthy import _tensor_apply
 from weylkit.rootsys import Subalgebra, parse_group, standard_subalgebra
 from weylkit.spherical import _certifies, _contains_some_borel, normalizer
-from weyl_references import apply_word, dense_ad_basis, dense_exp_ad, nonzero_columns
+from weyl_references import (
+    DenseSpanBasis,
+    apply_word,
+    dense_ad_basis,
+    dense_eliminate,
+    dense_exp_ad,
+    dense_rref,
+    nonzero_columns,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -93,25 +106,75 @@ def test_combine_equals_dense_sum(data):
     assert is_zero(got - _dense_sum(coeffs, terms, shape))
 
 
+def sparse_matrices(max_rows: int = 6, max_cols: int = 6):
+    """Rational matrices that are mostly zero: zero rows, zero columns and
+    0 x m or n x 0 shapes all come up."""
+    return st.tuples(st.integers(0, max_rows), st.integers(0, max_cols), st.integers(1, 4)).flatmap(
+        lambda s: st.lists(
+            st.one_of(*[st.just(Fraction(0))] * s[2], rationals),
+            min_size=s[0] * s[1],
+            max_size=s[0] * s[1],
+        ).map(lambda xs: fvec(xs).reshape(s[0], s[1]))
+    )
+
+
+def _typed(xs):
+    return [(type(x), x) for x in xs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+@example(zeros(0, 3))
+@example(zeros(3, 0))
+@example(fvec([0, 0, 0, 0, 2, 1, 0, 4, 2]).reshape(3, 3))
+def test_rref_equals_the_dense_reference(a):
+    got, pivots = rref(a)
+    want, want_pivots = dense_rref(a)
+    assert pivots == want_pivots
+    assert got.shape == want.shape == a.shape
+    assert _typed(got.flat) == _typed(want.flat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(max_rows=7), st.data())
+def test_span_basis_agrees_with_the_dense_reference(a, data):
+    n, dim = a.shape
+    got, want = SpanBasis(), DenseSpanBasis(dim)
+    for v in a:
+        assert got.add(sparse(v)) == want.add(v)
+    assert got.pivots == want.pivots
+    assert got.rows == [sparse(r) for r in want.rows]
+    coeffs = data.draw(st.lists(rationals, min_size=n, max_size=n))
+    for v in [*a, combine(coeffs, list(a), (dim,)), data.draw(vectors(dim))]:
+        got_coords, want_coords = got.express(sparse(v)), want.express(v)
+        if want_coords is None:
+            assert got_coords is None
+        else:
+            typed = [(k, type(x), x) for k, x in enumerate(want_coords) if x]
+            assert [(k, type(x), x) for k, x in got_coords] == typed
+        assert got.contains(sparse(v)) == want.contains(v)
+
+
 @SETTINGS
 @given(vector_families(), st.data())
 def test_span_basis_express_round_trips_over_retained(family, data):
     dim, vecs = family
-    sb = SpanBasis(dim)
-    retained = [v for v in vecs if sb.add(v)]
+    sb = SpanBasis()
+    retained = [v for v in vecs if sb.add(sparse(v))]
     assert len(sb) == len(retained)
     # every combination of the inputs lies in the span ...
     coeffs = data.draw(st.lists(rationals, min_size=len(vecs), max_size=len(vecs)))
     target = combine(coeffs, vecs, (dim,))
-    coords = sb.express(target)
-    assert coords is not None and len(coords) == len(retained)
-    assert is_zero(combine(coords, retained, (dim,)) - target)
+    coords = sb.express(sparse(target))
+    assert coords is not None and all(0 <= k < len(retained) and c != 0 for k, c in coords)
+    assert [k for k, _ in coords] == sorted({k for k, _ in coords})
+    assert is_zero(combine(densify(dict(coords), (len(retained),)), retained, (dim,)) - target)
     # ... and a retained vector is its own unit coordinate vector
     for k, v in enumerate(retained):
-        assert [x for x in sb.express(v)] == [1 if j == k else 0 for j in range(len(retained))]
+        assert sb.express(sparse(v)) == [(k, 1)]
     # express refuses exactly the vectors outside the span
     probe = data.draw(vectors(dim))
-    assert (sb.express(probe) is None) == (not sb.contains(probe))
+    assert (sb.express(sparse(probe)) is None) == (not sb.contains(sparse(probe)))
 
 
 @SETTINGS
@@ -120,19 +183,21 @@ def test_eliminate_leaves_zeros_at_every_pivot(family, data):
     dim, vecs = family
     # two echelon sets of one span, with their own pivots: the vectors added
     # in order and in reverse
-    sb, rev = SpanBasis(dim), SpanBasis(dim)
+    sb, rev = SpanBasis(), SpanBasis()
     for u in vecs:
-        sb.add(u)
+        sb.add(sparse(u))
     for u in reversed(vecs):
-        rev.add(u)
+        rev.add(sparse(u))
     assert len(sb) == len(rev)
     v = data.draw(vectors(dim))
     for span in (sb, rev):
-        rem, mult = eliminate(v, span.rows, span.pivots)
-        assert all(rem[p] == 0 for p in span.pivots)
-        assert is_zero(rem + combine(mult, span.rows, (dim,)) - v)
-        assert span.contains(v) == is_zero(rem)
-    assert sb.contains(v) == rev.contains(v)
+        rem, mult = eliminate(sparse(v), span.rows, span.pivots)
+        assert all(p not in rem for p in span.pivots)
+        assert all(x != 0 for x in [*rem.values(), *mult.values()])
+        rows = [densify(row, (dim,)) for row in span.rows]
+        assert is_zero(densify(rem, (dim,)) + combine(densify(mult, (len(rows),)), rows, (dim,)) - v)
+        assert span.contains(sparse(v)) == (not rem)
+    assert sb.contains(sparse(v)) == rev.contains(sparse(v))
 
 
 def _check_matmul(a, b):
@@ -222,11 +287,13 @@ def test_subalgebra_coords_round_trip_over_basis(name, data):
     n_vecs = data.draw(st.integers(0, 4))
     vecs = [data.draw(vectors(g.dim)) for _ in range(n_vecs)]
     h = Subalgebra(g, vecs)
-    # reference: each kept row as SpanBasis first holds it
-    sb = SpanBasis(g.dim)
+    # reference: each kept row as the dense SpanBasis first holds it
+    sb = DenseSpanBasis(g.dim)
     as_added = [sb.rows[-1] for v in vecs if sb.add(v)]
     assert h.pivots == sb.pivots
     assert [list(b) for b in h.basis] == [list(r) for r in as_added]
+    assert all(type(x) is Fraction for b in h.basis for x in b)
+    assert h.rows == [sparse(b) for b in h.basis]
     coeffs = data.draw(st.lists(rationals, min_size=h.dim, max_size=h.dim))
     target = combine(coeffs, h.basis, (g.dim,))
     c = h.coords(target)
@@ -240,6 +307,15 @@ def test_subalgebra_coords_round_trip_over_basis(name, data):
     rem = h.reduce(probe)
     assert h.contains(probe - rem)
     assert all(rem[p] == 0 for p in h.pivots)
+    # reduce and coords equal the dense elimination, entry types included
+    for v in (target, probe):
+        want_rem, want_mult = dense_eliminate(v, sb.rows, sb.pivots)
+        got_rem, got_coords = h.reduce(v), h.coords(v)
+        assert _typed(got_rem) == _typed(want_rem)
+        if is_zero(want_rem):
+            assert _typed(got_coords) == _typed(want_mult)
+        else:
+            assert got_coords is None
 
 
 def _nu_kernel_loop(module, theta):

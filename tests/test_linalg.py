@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from weylkit.linalg import (
@@ -14,6 +15,7 @@ from weylkit.linalg import (
     rank,
     rref,
     solve,
+    sparse,
     zeros,
 )
 
@@ -62,28 +64,54 @@ def test_solve_consistent_and_inconsistent():
 
 
 def test_span_basis_tracks_combos():
-    sb = SpanBasis(3)
+    sb = SpanBasis()
     v1 = fvec([1, 1, 0])
     v2 = fvec([0, 1, 1])
     v3 = fvec([1, 2, 1])  # v1 + v2
-    assert sb.add(v1)
-    assert sb.add(v2)
-    assert not sb.add(v3)
+    assert sb.add(sparse(v1))
+    assert sb.add(sparse(v2))
+    assert not sb.add(sparse(v3))
     assert len(sb) == 2
-    coords = sb.express(fvec([2, 3, 1]))  # 2*v1 + v2
-    assert coords is not None
+    coords = sb.express(sparse(fvec([2, 3, 1])))  # 2*v1 + v2
+    assert coords == [(0, 2), (1, 1)]
     got = zeros(3)
-    for c, v in zip(coords, [v1, v2, v3]):
-        got = got + c * v
+    for k, c in coords:
+        got = got + c * [v1, v2][k]
     assert all(got[i] == fvec([2, 3, 1])[i] for i in range(3))
-    assert sb.express(fvec([1, 0, 0])) is None
+    assert sb.express(sparse(fvec([1, 0, 0]))) is None
 
 
 def test_span_basis_contains():
-    sb = SpanBasis(2)
-    sb.add(fvec([1, 2]))
-    assert sb.contains(fvec([2, 4]))
-    assert not sb.contains(fvec([1, 0]))
+    sb = SpanBasis()
+    sb.add(sparse(fvec([1, 2])))
+    assert sb.contains(sparse(fvec([2, 4])))
+    assert not sb.contains(sparse(fvec([1, 0])))
+
+
+def test_rref_of_integer_entries_is_exact():
+    r, piv = rref(np.array([[2, 1], [4, 3]], dtype=object))
+    assert piv == [0, 1]
+    assert all(type(x) is Fraction for x in r.flat)
+    r, piv = rref(np.array([[2, 1]], dtype=object))
+    assert r[0, 1] == Fraction(1, 2) and type(r[0, 0]) is Fraction
+
+
+def test_nullspace_of_integer_entries_is_exact():
+    u, v = nullspace(np.array([[2, 1, 1]], dtype=object))
+    assert list(u) == [Fraction(-1, 2), 1, 0] and list(v) == [Fraction(-1, 2), 0, 1]
+    assert all(type(x) is Fraction for x in [*u, *v])
+
+
+def test_solve_of_integer_entries_is_exact():
+    x = solve(np.array([[3]], dtype=object), np.array([1], dtype=object))
+    assert list(x) == [Fraction(1, 3)] and type(x[0]) is Fraction
+
+
+def test_kernel_refuses_floats():
+    with pytest.raises(TypeError):
+        rank(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    with pytest.raises(TypeError):
+        rref(np.array([[Fraction(1), 0.5]], dtype=object))
 
 
 def test_column_stack_shape():

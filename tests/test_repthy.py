@@ -7,12 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylkit import repthy
 from weylkit.errors import DimensionCapError, InternalInvariantError, NonDominantError, ParseError
-from weylkit.linalg import F1, SpanBasis, column_stack, combine, fvec, is_zero, nullspace, zeros
+from weylkit.linalg import F1, column_stack, combine, fvec, is_zero, nullspace, zeros
 from weylkit.repthy import (
     build_module,
     convolve_characters,
@@ -24,6 +24,8 @@ from weylkit.repthy import (
 )
 from weylkit.rootsys import parse_group
 from weyl_references import (
+    DenseSpanBasis,
+    columns_by_tensor_apply,
     dense_matrices,
     dense_tensor_apply,
     fraction_weight_multiplicities,
@@ -347,7 +349,7 @@ def _ambient_wide_extract(group, m1, m2, label):
     (ker,) = nullspace(raising[[not is_zero(row) for row in raising]])
     v0 = zeros(adim)
     v0[positions] = ker
-    span = SpanBasis(adim)
+    span = DenseSpanBasis(adim)
     assert span.add(v0)
     basis, bweights, queue = [v0], [label], [0]
     alphas = [group.root_fc(group.simple_root(i)) for i in range(group.rank)]
@@ -430,6 +432,76 @@ def test_weight_space_check_survives_python_O():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.splitlines() == ["False image left its weight space"] * 2
+
+
+@functools.cache
+def _labels_under_the_cap(name):
+    """Every dominant label of dimension at most 64, torus entries in -2..2."""
+    g = parse_group(name)
+    ranges = [range(64 if g.rank == 1 else 8)] * g.rank + [range(-2, 3)] * g.torus_dim
+    return [lab for lab in itertools.product(*ranges) if weyl_dim(g, lab) <= 64]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(("A1", "A2", "B2", "G2", "A1xA1", "A2+T1")).flatmap(
+        lambda name: st.tuples(st.just(name), st.sampled_from(_labels_under_the_cap(name)))
+    )
+)
+@example(("A1", (63,)))
+@example(("B2", (1, 3)))
+@example(("G2", (1, 1)))
+@example(("A1xA1", (7, 7)))
+@example(("A2+T1", (3, 3, -2)))
+def test_f_columns_from_the_lowering_pass_equal_the_tensor_apply_loop(case):
+    name, label = case
+    extract, pairs = repthy._extract_submodule, []
+
+    def both(group, m1, m2, lab):
+        got = extract(group, m1, m2, lab)
+        pairs.append((got, columns_by_tensor_apply(group, m1, m2, lab)))
+        return got
+
+    # every module on the way is built afresh, by the builder and the reference
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repthy, "_MODULE_CACHE", {})
+        mp.setattr(repthy, "_extract_submodule", both)
+        build_module(parse_group(name), label)
+    for got, want in pairs:
+        assert got.weights == want.weights
+        typed = [[[(i, type(x), x) for i, x in col] for col in m] for m in want.columns]
+        assert [[[(i, type(x), x) for i, x in col] for col in m] for m in got.columns] == typed
+
+
+def _doubled_e_factor():
+    """(A1, the defining module with its e entry doubled, the defining
+    module): lowering the top vector of the tensor square still spans three
+    vectors of the right weights, but e sends the bottom one out of it."""
+    g = parse_group("A1")
+    good = build_module(g, (1,))
+    k = g._index[("e", g.simple_root(0))]
+    m = dense_matrices(good)[k]
+    m[0, 1] *= 2
+    return g, _with_matrix(good, k, m), good
+
+
+def test_submodule_check_survives_python_O():
+    src = str(Path(repthy.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    code = (
+        f"import sys; sys.path[:0] = [{src!r}, {tests!r}]\n"
+        "from test_repthy import _doubled_e_factor\n"
+        "from weylkit import repthy\n"
+        "from weylkit.errors import InternalInvariantError\n"
+        "try:\n"
+        "    repthy._extract_submodule(*_doubled_e_factor(), (2,))\n"
+        "except InternalInvariantError as exc:\n"
+        "    print(__debug__, exc)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == ["False action left the generated submodule"]
 
 
 def test_module_cache():

@@ -82,3 +82,36 @@ def test_character_layer_is_integer_only():
     assert sorted(seen) == sorted(f for fs in CHARACTER_LAYER.values() for f in fs)
     assert found == []
     assert not hasattr(Group, "wform") and not hasattr(Group, "_wform_matrix")
+
+
+SPARSE_ELIMINATION = {
+    "linalg": ("eliminate", "SpanBasis"),
+    "rootsys": ("Subalgebra.reduce", "Subalgebra.coords", "Subalgebra.contains"),
+    "repthy": ("_extract_submodule",),
+}
+
+
+def test_elimination_stays_off_object_arrays():
+    # the reduction loop, the span bookkeeping, subspace membership and the
+    # module builder run on sparse {position: entry} rows: no dense object
+    # array (zeros, fvec, np), dense combination or dense zero test in their
+    # bodies (an np.ndarray annotation marks a public boundary, not a use)
+    root = Path(weylkit.__file__).parent
+    dense = {"zeros", "combine", "is_zero", "fvec", "np"}
+    found, seen = [], []
+    for name, targets in SPARSE_ELIMINATION.items():
+        tree = ast.parse((root / f"{name}.py").read_text())
+        nodes = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for cls in [n for n in tree.body if isinstance(n, ast.ClassDef)]:
+            nodes.update({f"{cls.name}.{n.name}": n for n in cls.body if isinstance(n, ast.FunctionDef)})
+        for target in targets:
+            seen.append(target)
+            found += [
+                f"{name}.{target}:{sub.lineno} {sub.id if isinstance(sub, ast.Name) else sub.attr}"
+                for stmt in nodes[target].body
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and sub.id in dense
+                or isinstance(sub, ast.Attribute) and sub.attr in dense
+            ]
+    assert len(seen) == 6
+    assert found == []

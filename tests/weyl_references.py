@@ -15,6 +15,10 @@ exp(ad x) as a dense series.  The library pairs weights with roots on
 integers (``Group.root_pairing``) and builds symmetric powers one weight at
 a time; here are the scalar ``Fraction`` weight form, the Freudenthal
 recursion run on it, and the Newton/Adams recursion for symmetric powers.
+The library eliminates on sparse rows and writes the module builder's f_i
+columns during its lowering pass; here are the dense object-array
+``rref``, ``eliminate`` and ``SpanBasis`` it used before, and the builder's
+column loop over every generator.
 """
 
 from functools import lru_cache
@@ -22,9 +26,14 @@ from functools import lru_cache
 import numpy as np
 
 from weylkit.errors import DegenerateInputError, NonNilpotentDirectionError, ensure
-from weylkit.linalg import F0, SpanBasis, column_stack, combine, eye, fr, fvec, is_zero, matmul, zeros
+from weylkit.linalg import F0, F1, column_stack, combine, eye, fr, fvec, is_zero, matmul, zeros
 from weylkit.repthy import (
+    Module,
     _add,
+    _basis_weight,
+    _sub,
+    _tensor_apply,
+    _verify_generators,
     check_label,
     convolve_characters,
     dominant_weights,
@@ -239,14 +248,14 @@ def dense_tensor_apply(x1, x2, v):
 @lru_cache(maxsize=None)
 def flat_span_bracket_table(g):
     """[b_i, b_j] for every pair, each seed commutator formed densely and
-    expressed through one SpanBasis over all of its factor's flattened seed
+    expressed through one DenseSpanBasis over all of its factor's flattened seed
     matrices."""
     dim = g.dim
     table = [[zeros(dim) for _ in range(dim)] for _ in range(dim)]
     index = {lab: i for i, lab in enumerate(g.basis_labels)}
     for seeds in g.factor_seeds:
         local = [(index[lab], m) for lab, m in seeds.items()]
-        span = SpanBasis(local[0][1].size)
+        span = DenseSpanBasis(local[0][1].size)
         for _, m in local:
             ensure(span.add(m.reshape(-1)), "seed representation not faithful")
         for a, (ia, ma) in enumerate(local):
@@ -277,3 +286,161 @@ def dense_exp_ad(g, x, v):
             return out
         out = out + term
     raise NonNilpotentDirectionError("direction is not ad-nilpotent")
+
+
+# ---- the dense exact kernel ---------------------------------------------------
+
+
+def dense_rref(a):
+    """Reduced row echelon form; returns (R, pivot column indices)."""
+    r = a.copy()
+    n, m = r.shape
+    pivots: list[int] = []
+    row = 0
+    for col in range(m):
+        piv = next((i for i in range(row, n) if r[i, col] != 0), None)
+        if piv is None:
+            continue
+        if piv != row:
+            r[[row, piv]] = r[[piv, row]]
+        r[row] = r[row] / r[row, col]
+        for i in range(n):
+            if i != row and r[i, col] != 0:
+                r[i] = r[i] - r[i, col] * r[row]
+        pivots.append(col)
+        row += 1
+        if row == n:
+            break
+    return r, pivots
+
+
+def dense_eliminate(v, rows, pivots):
+    """Reduce v by echelon rows, in order: rows[i] has a 1 at pivots[i] and
+    zeros at the pivots of the rows before it.
+
+    Returns (remainder, multiple of each row taken); the remainder is zero
+    at every pivot, and v = remainder + sum multiple[i] * rows[i].
+    """
+    rem = v.copy()
+    mult = zeros(len(rows))
+    for i, (row, p) in enumerate(zip(rows, pivots)):
+        if rem[p] != 0:
+            mult[i] = rem[p]
+            rem = rem - rem[p] * row
+    return rem, mult
+
+
+class DenseSpanBasis:
+    """Incremental echelon span with expansion bookkeeping.
+
+    ``add`` keeps, for every retained row, its expression in terms of the
+    vectors that enlarged the span (the retained vectors, in the order they
+    were added); ``express`` then rewrites any member of the span in those
+    coordinates.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        # rows[i] is retained vector i reduced by the rows before it: 1 at
+        # pivots[i], 0 at the earlier pivots, as dense_eliminate requires
+        self.rows: list[np.ndarray] = []
+        self.combos: list[np.ndarray] = []        # rows[i] = sum combos[i][k] * retained[k]
+        self.pivots: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def add(self, v: np.ndarray) -> bool:
+        """Returns True iff v enlarged the span."""
+        v2, mult = dense_eliminate(v, self.rows, self.pivots)
+        piv = next((j for j in range(self.dim) if v2[j] != 0), None)
+        if piv is None:
+            return False
+        k = len(self.rows)
+        # v2 = v - sum mult[i] * rows[i], and v is retained vector k
+        c2 = np.append(-combine(mult, self.combos, (k,)), F1)
+        self.combos = [np.append(c, F0) for c in self.combos]
+        self.rows.append(v2 / v2[piv])
+        self.combos.append(c2 / v2[piv])
+        self.pivots.append(piv)
+        return True
+
+    def contains(self, v: np.ndarray) -> bool:
+        return is_zero(dense_eliminate(v, self.rows, self.pivots)[0])
+
+    def express(self, v: np.ndarray) -> np.ndarray | None:
+        """Coordinates of v over the retained vectors, or None if v is not
+        in the span."""
+        rem, mult = dense_eliminate(v, self.rows, self.pivots)
+        if not is_zero(rem):
+            return None
+        return combine(mult, self.combos, (len(self.rows),))
+
+
+def columns_by_tensor_apply(group, m1, m2, label):
+    """The irreducible of highest weight label inside m1 (x) m2 as the
+    builder made it before it wrote the f_i columns during the lowering
+    pass: the cyclic span per weight in a DenseSpanBasis over that weight's
+    positions, then one column loop over every basis element, f_i included,
+    each image formed by _tensor_apply and expressed in the new basis."""
+    amb = list(zip(m1.columns, m2.columns))
+    amb_weights = [_add(w1, w2) for w1 in m1.weights for w2 in m2.weights]
+    where = {}
+    for k, w in enumerate(amb_weights):
+        where.setdefault(w, []).append(k)
+    slot = {k: j for ps in where.values() for j, k in enumerate(ps)}
+    es = [amb[group._index[("e", group.simple_root(i))]] for i in range(group.rank)]
+    fs = [amb[group._index[("f", group.simple_root(i))]] for i in range(group.rank)]
+
+    positions = where[label]
+    images = [[_tensor_apply(*e, {p: F1}, m2.dim) for p in positions] for e in es]
+    rows = sorted({(i, q) for i, col in enumerate(images) for im in col for q in im})
+    raising = np.array([[im.get(q, F0) for im in images[i]] for i, q in rows], dtype=object)
+    r, pivots = dense_rref(raising.reshape(len(rows), len(positions)))
+    (free,) = [j for j in range(len(positions)) if j not in pivots]
+    ker = {free: F1} | {p: -r[i, free] for i, p in enumerate(pivots)}
+    v0 = {positions[j]: c for j, c in ker.items() if c}
+
+    def part(v, w):
+        ensure(all(amb_weights[k] == w for k in v), "image left its weight space")
+        vw = zeros(len(where.get(w, ())))
+        for k, c in v.items():
+            vw[slot[k]] = c
+        return vw if v else None
+
+    spans, members, basis, bweights = {}, {}, [], []
+
+    def retain(v, w):
+        vw = part(v, w)
+        if vw is None or not spans.setdefault(w, DenseSpanBasis(len(vw))).add(vw):
+            return False
+        members.setdefault(w, []).append(len(basis))
+        basis.append(v)
+        bweights.append(w)
+        return True
+
+    ensure(retain(v0, label), "highest weight vector is zero")
+    queue = [0]
+    alphas = [group.root_fc(group.simple_root(i)) for i in range(group.rank)]
+    while queue:
+        b = queue.pop(0)
+        for i in range(group.rank):
+            if retain(_tensor_apply(*fs[i], basis[b], m2.dim), _sub(bweights[b], alphas[i])):
+                queue.append(len(basis) - 1)
+    n = len(basis)
+    columns = []
+    for x, lab in zip(amb, group.basis_labels):
+        dx = _basis_weight(group, lab)
+        cols = [[] for _ in range(n)]
+        for k in range(n):
+            w = _add(bweights[k], dx)
+            vw = part(_tensor_apply(*x, basis[k], m2.dim), w)
+            if vw is None:
+                continue
+            coords = spans[w].express(vw) if w in spans else None
+            ensure(coords is not None, "action left the generated submodule")
+            cols[k] = [(members[w][j], c) for j, c in enumerate(coords) if c]
+        columns.append(cols)
+    mod = Module(group, label, bweights, columns)
+    _verify_generators(mod)
+    return mod
