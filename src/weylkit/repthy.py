@@ -12,7 +12,10 @@ expressed in the new basis; dense matrices come only from
 from those tables to sparse vectors, never formed as matrices.  Each vector
 has a known weight, so it is reduced, as a sparse {position: entry} dict,
 only against that weight's retained vectors, and the lowering pass that
-finds the basis writes the simple f_i columns as it goes.
+finds the basis writes the simple f_i columns as it goes.  Only the simple
+e_i and f_i are applied in the tensor product: the h_i and t_j columns are
+the weights, and each other root vector's columns are a commutator of
+columns already written, scaled by the structure constants.
 Dimensions come from the Weyl formula and weight multiplicities from the
 Freudenthal recursion, both on integers (every inner product is a
 ``Group.root_pairing`` of a weight with a combination of simple roots), and
@@ -203,13 +206,30 @@ def _basis_weight(group: Group, lab: tuple[str, object]) -> Weight:
     return (0,) * group.weight_len
 
 
+def _apply(a: Table, col: list[tuple[int, Fraction]], out: dict[int, Fraction], sign: int = 1) -> None:
+    """out += sign * (the matrix of table a applied to the sparse column col)."""
+    for j, c in col:
+        for r, x in a[j]:
+            out[r] = out.get(r, F0) + sign * x * c
+
+
+def _commutator(a: Table, b: Table, n: Fraction) -> Table:
+    """The table of (a b - b a) / n: rows ascending, zero entries dropped."""
+    out = []
+    for k in range(len(a)):
+        col: dict[int, Fraction] = {}
+        _apply(a, b[k], col)
+        _apply(b, a[k], col, -1)
+        out.append([(r, x / n) for r, x in sorted(col.items()) if x])
+    return out
+
+
 def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> Module:
     """The irreducible of highest weight label inside m1 (x) m2.
 
     Its highest weight vector spans the weight-label vectors of m1 (x) m2
     killed by every simple raising operator; the module is the cyclic span
-    of that vector under the lowering operators, with the action of every
-    basis element restricted to it and rewritten in the new basis.
+    of that vector under the lowering operators.
 
     The span is kept one weight at a time: every vector met is a sparse
     vector of known weight (that of v plus that of x for an image x . v),
@@ -217,10 +237,23 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
     spaces are independent, so these coordinates are the coordinates over
     the whole basis.  The lowering pass holds every f_i . v, so it writes
     the simple f_i columns as it goes: a retained image is its own basis
-    vector, any other is expressed at once."""
+    vector, any other is expressed at once.  The simple e_i columns are the
+    only other images taken in the ambient space.  Every other column
+    follows from these: h_i and t_j act on each basis vector by its weight
+    (checked on both factors first), and for a root c = alpha_i + c' of
+    height 2 or more, [x_alpha_i, x_c'] = N x_c (x = e or f, N from the
+    structure constants) gives x_c as a commutator of columns already written
+    (Humphreys, *Introduction to Lie Algebras and Representation Theory*,
+    sec. 25)."""
+    # the h_i and t_j columns are written from the weights, which restricts
+    # the ambient action only if both factors' h_i and t_j act by theirs
+    for m in (m1, m2):
+        for a in range(group.weight_len):  # h_0 .. h_{r-1}, t_0 .. t_{k-1}
+            diagonal = ([(k, w[a])] if w[a] else [] for k, w in enumerate(m.weights))
+            ensure(all(col == d for col, d in zip(m.columns[a], diagonal)), "image left its weight space")
     amb = list(zip(m1.columns, m2.columns))  # the ambient action, in basis order
     amb_weights = [_add(w1, w2) for w1 in m1.weights for w2 in m2.weights]
-    es = [amb[group._index[("e", group.simple_root(i))]] for i in range(group.rank)]
+    eidx = [group._index[("e", group.simple_root(i))] for i in range(group.rank)]
     fidx = [group._index[("f", group.simple_root(i))] for i in range(group.rank)]
     dws = [_basis_weight(group, lab) for lab in group.basis_labels]
 
@@ -229,8 +262,8 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
     # column c; the kernel does not depend on the order of the rows
     raising: dict[tuple[int, int], dict[int, Fraction]] = {}
     for c, p in enumerate(positions):
-        for i, e in enumerate(es):
-            for q, x in _tensor_apply(*e, {p: F1}, m2.dim).items():
+        for i, j in enumerate(eidx):
+            for q, x in _tensor_apply(*amb[j], {p: F1}, m2.dim).items():
                 raising.setdefault((i, q), {})[c] = x
     system = {(r, c): x for r, row in enumerate(raising.values()) for c, x in row.items()}
     ker = nullspace(densify(system, (len(raising), len(positions))))
@@ -266,7 +299,7 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
         return True
 
     ensure(retain(v0, label), "highest weight vector is zero")
-    lowered: dict[int, Table] = {j: [] for j in fidx}  # the simple f_i columns
+    columns: list[Table] = [[] for _ in range(group.dim)]
     queue = [0]
     while queue:
         b = queue.pop(0)  # b runs through 0, 1, 2, ..., so columns come in order
@@ -274,9 +307,9 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
             im, w = act(j, b)
             if retain(im, w):
                 queue.append(len(basis) - 1)
-                lowered[j].append([(len(basis) - 1, F1)])
+                columns[j].append([(len(basis) - 1, F1)])
             else:
-                lowered[j].append(column(im, w))
+                columns[j].append(column(im, w))
     n = len(basis)
     expect = weyl_dim(group, label)
     ensure(n == expect, f"built {n} vectors for {label}, expected {expect}")
@@ -285,9 +318,18 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
         mults[w] = mults.get(w, 0) + 1
     ensure(mults == weight_multiplicities(group, label), f"weights of {label} miss Freudenthal's")
 
-    columns = [
-        lowered[j] if j in lowered else [column(*act(j, k)) for k in range(n)] for j in range(group.dim)
-    ]
+    for a in range(group.weight_len):
+        columns[a] = [[(k, fr(w[a]))] if w[a] else [] for k, w in enumerate(bweights)]
+    for j in eidx:
+        columns[j] = [column(*act(j, k)) for k in range(n)]
+    posroots = set(group.posroots)
+    for c in group.posroots[group.rank :]:  # height 2 and up, in height order
+        alpha = next(a for a in map(group.simple_root, range(group.rank)) if _sub(c, a) in posroots)
+        for kind in "ef":
+            x, y, z = (group._index[(kind, root)] for root in (alpha, _sub(c, alpha), c))
+            bracket = group._ad_columns[x][y]  # [x, y] = N z
+            ensure(len(bracket) == 1 and bracket[0][0] == z, "bracket of two root vectors left its root space")
+            columns[z] = _commutator(columns[x], columns[y], bracket[0][1])
     mod = Module(group, label, bweights, columns)
     _verify_generators(mod)
     return mod
@@ -296,10 +338,12 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
 def _verify_generators(mod: Module) -> None:
     """Spot checks at construction time: weight grading and the sl2 pairs.
 
-    The full homomorphism property needs no check here: every matrix is the
-    restriction of a tensor product of representations to a subspace that
-    _extract_submodule found invariant under every basis element, and a
-    restriction of a representation to an invariant subspace is one."""
+    The full homomorphism property needs no check here: the h_i, t_j, e_i
+    and f_i columns are the restriction of a tensor product of
+    representations to a subspace that _extract_submodule found invariant
+    under the e_i and f_i, which generate the algebra, and every other
+    column is the commutator the structure constants prescribe, so the
+    module is that restriction of a representation."""
     g = mod.group
     for i in range(g.rank):
         e = mod.columns[g._index[("e", g.simple_root(i))]]
@@ -308,10 +352,8 @@ def _verify_generators(mod: Module) -> None:
         for k, w in enumerate(mod.weights):
             ensure(h[k] == ([(k, w[i])] if w[i] else []), "h_i is not diagonal with the weights on the basis")
             ef, fe_h = {}, {k: fr(w[i])}  # column k of e f and of f e + h
-            for x, y, out in ((e, f, ef), (f, e, fe_h)):
-                for j, c in y[k]:
-                    for r, a in x[j]:
-                        out[r] = out.get(r, F0) + a * c
+            _apply(e, f[k], ef)
+            _apply(f, e[k], fe_h)
             diff = (ef.get(r, F0) - fe_h.get(r, F0) for r in ef.keys() | fe_h.keys())
             ensure(not any(diff), "[e_i, f_i] != h_i")
 
@@ -322,11 +364,13 @@ _MODULE_CACHE: dict[tuple[str, Weight], Module] = {}
 def build_module(group: Group, label: Sequence[int]) -> Module:
     """Exact matrix model of the irreducible module with this highest weight.
 
-    Raises DimensionCapError above dimension 64.  The builder eliminates on
-    sparse rows, but two consumers of a module still take dense rational
-    nullspaces whose size grows with its dimension: involution._nu_kernel
-    and invariant_multiplicity's stack of Module.action matrices.  The cap
-    keeps their worst cases desk-scale.
+    Raises DimensionCapError above dimension 64.  The builder and
+    sympoly.invariant_multiplicity eliminate on sparse rows; the one dense
+    consumer left is the intertwiner solve, where
+    involution.fiber_restriction reads the Module.action matrices and
+    involution._nu_kernel takes a dense rational nullspace whose size grows
+    with the fourth power of the dimension.  The cap keeps its worst cases
+    desk-scale.
     """
     lab = check_label(group, label)
     key = (group.name, lab)

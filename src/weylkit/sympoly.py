@@ -12,10 +12,9 @@ per-degree table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import comb
 from typing import Callable
-
-import numpy as np
 
 from .errors import (
     DegenerateInputError,
@@ -23,7 +22,7 @@ from .errors import (
     NonReductiveError,
     ensure,
 )
-from .linalg import column_stack, matmul, nullspace, rank
+from .linalg import F0, SpanBasis, column_stack, matmul, rank
 from .repthy import (
     DIM_CAP,
     _add,
@@ -207,11 +206,26 @@ def check_reductive(group: Group, h: Subalgebra) -> None:
 
 
 def invariant_multiplicity(group: Group, h: Subalgebra, label: Weight) -> int:
-    """dim of the h-annihilated subspace of the module dual to V(label)."""
-    dual = build_module(group, group.dual_label(label))
-    if h.dim == 0:
-        return dual.dim
-    return len(nullspace(np.vstack([dual.action(x) for x in h.basis])))
+    """dim of the h-annihilated subspace of the module dual to V(label).
+
+    That subspace is the common kernel of the matrices of the basis of h, so
+    its dimension is dim V minus the rank of their stacked rows.  Each row is
+    assembled as a sparse {column: entry} dict straight from the module's
+    column tables and fed to one SpanBasis; the rows it accepts are the rank.
+    """
+    dual = build_module(group, group.dual_label(check_label(group, label)))
+    span = SpanBasis()
+    for x in h.basis:
+        rows: dict[int, dict[int, Fraction]] = {}  # row r of the matrix of x
+        for c, table in zip(x, dual.columns):
+            if c != 0:
+                for k, col in enumerate(table):
+                    for r, a in col:
+                        row = rows.setdefault(r, {})
+                        row[k] = row.get(k, F0) + c * a
+        for row in rows.values():
+            span.add(row)
+    return dual.dim - len(span)
 
 
 def homog_coordinate_mf_crosscheck(

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from weylkit import repthy
 from weylkit.errors import DimensionCapError, InternalInvariantError, NonDominantError, ParseError
-from weylkit.linalg import F1, column_stack, combine, fvec, is_zero, nullspace, zeros
+from weylkit.linalg import F1, column_stack, combine, fvec, is_zero, matmul, nullspace, zeros
 from weylkit.repthy import (
     build_module,
     convolve_characters,
@@ -29,6 +29,7 @@ from weyl_references import (
     dense_matrices,
     dense_tensor_apply,
     fraction_weight_multiplicities,
+    labels_up_to_dim,
     nonzero_columns,
     strip_decompose,
     wform,
@@ -434,18 +435,10 @@ def test_weight_space_check_survives_python_O():
     assert out.splitlines() == ["False image left its weight space"] * 2
 
 
-@functools.cache
-def _labels_under_the_cap(name):
-    """Every dominant label of dimension at most 64, torus entries in -2..2."""
-    g = parse_group(name)
-    ranges = [range(64 if g.rank == 1 else 8)] * g.rank + [range(-2, 3)] * g.torus_dim
-    return [lab for lab in itertools.product(*ranges) if weyl_dim(g, lab) <= 64]
-
-
 @settings(max_examples=20, deadline=None)
 @given(
     st.sampled_from(("A1", "A2", "B2", "G2", "A1xA1", "A2+T1")).flatmap(
-        lambda name: st.tuples(st.just(name), st.sampled_from(_labels_under_the_cap(name)))
+        lambda name: st.tuples(st.just(name), st.sampled_from(labels_up_to_dim(name)))
     )
 )
 @example(("A1", (63,)))
@@ -453,6 +446,8 @@ def _labels_under_the_cap(name):
 @example(("G2", (1, 1)))
 @example(("A1xA1", (7, 7)))
 @example(("A2+T1", (3, 3, -2)))
+@example(("G2+T1", (0, 1, 2)))
+@example(("A1xA2", (1, 1, 1)))
 def test_f_columns_from_the_lowering_pass_equal_the_tensor_apply_loop(case):
     name, label = case
     extract, pairs = repthy._extract_submodule, []
@@ -471,6 +466,31 @@ def test_f_columns_from_the_lowering_pass_equal_the_tensor_apply_loop(case):
         assert got.weights == want.weights
         typed = [[[(i, type(x), x) for i, x in col] for col in m] for m in want.columns]
         assert [[[(i, type(x), x) for i, x in col] for col in m] for m in got.columns] == typed
+
+
+HOMOMORPHISM_GROUPS = ("A1", "A2", "B2", "G2", "A1xA1", "A1xA2", "A1xA1xA1", "A1+T1", "A2+T1", "B2+T1", "G2+T1")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(HOMOMORPHISM_GROUPS).flatmap(
+        lambda name: st.tuples(st.just(name), st.sampled_from(labels_up_to_dim(name, 16)))
+    )
+)
+@example(("G2", (0, 1)))
+@example(("B2+T1", (1, 1, -1)))
+def test_action_is_a_lie_homomorphism(case):
+    # the builder writes the columns of each non-simple root vector as a
+    # commutator of columns it wrote before, divided by a structure
+    # constant; action([x, y]) = [action(x), action(y)] on every pair of
+    # basis elements checks every column against the structure constants
+    name, label = case
+    g = parse_group(name)
+    mod = build_module(g, label)
+    act = dense_matrices(mod)
+    for i, j in itertools.combinations(range(g.dim), 2):
+        want = matmul(act[i], act[j]) - matmul(act[j], act[i])
+        assert np.array_equal(mod.action(g.bracket_table[i][j]), want)
 
 
 def _doubled_e_factor():

@@ -91,27 +91,36 @@ SPARSE_ELIMINATION = {
 }
 
 
+def _names_in(name, targets, names):
+    """'module.target:line name' for each use of one of names (a bare name
+    or an attribute) in the body of each target, a function or a
+    Class.method of the library module name."""
+    tree = ast.parse((Path(weylkit.__file__).parent / f"{name}.py").read_text())
+    nodes = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for cls in [n for n in tree.body if isinstance(n, ast.ClassDef)]:
+        nodes.update({f"{cls.name}.{n.name}": n for n in cls.body if isinstance(n, ast.FunctionDef)})
+    return [
+        f"{name}.{target}:{sub.lineno} {sub.id if isinstance(sub, ast.Name) else sub.attr}"
+        for target in targets
+        for stmt in nodes[target].body
+        for sub in ast.walk(stmt)
+        if isinstance(sub, ast.Name) and sub.id in names
+        or isinstance(sub, ast.Attribute) and sub.attr in names
+    ]
+
+
 def test_elimination_stays_off_object_arrays():
     # the reduction loop, the span bookkeeping, subspace membership and the
     # module builder run on sparse {position: entry} rows: no dense object
     # array (zeros, fvec, np), dense combination or dense zero test in their
     # bodies (an np.ndarray annotation marks a public boundary, not a use)
-    root = Path(weylkit.__file__).parent
     dense = {"zeros", "combine", "is_zero", "fvec", "np"}
-    found, seen = [], []
-    for name, targets in SPARSE_ELIMINATION.items():
-        tree = ast.parse((root / f"{name}.py").read_text())
-        nodes = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-        for cls in [n for n in tree.body if isinstance(n, ast.ClassDef)]:
-            nodes.update({f"{cls.name}.{n.name}": n for n in cls.body if isinstance(n, ast.FunctionDef)})
-        for target in targets:
-            seen.append(target)
-            found += [
-                f"{name}.{target}:{sub.lineno} {sub.id if isinstance(sub, ast.Name) else sub.attr}"
-                for stmt in nodes[target].body
-                for sub in ast.walk(stmt)
-                if isinstance(sub, ast.Name) and sub.id in dense
-                or isinstance(sub, ast.Attribute) and sub.attr in dense
-            ]
-    assert len(seen) == 6
+    assert sum(len(targets) for targets in SPARSE_ELIMINATION.values()) == 6
+    found = [f for name, targets in SPARSE_ELIMINATION.items() for f in _names_in(name, targets, dense)]
     assert found == []
+
+
+def test_invariant_count_reads_the_column_tables():
+    # invariant_multiplicity ranks sparse rows read from the module's column
+    # tables: no dense Module.action matrix, numpy stack or dense nullspace
+    assert _names_in("sympoly", ("invariant_multiplicity",), {"action", "np", "nullspace"}) == []

@@ -7,13 +7,13 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylkit import sympoly
-from weylkit.errors import DegenerateInputError, NonReductiveError
+from weylkit.errors import DegenerateInputError, NonDominantError, NonReductiveError, ParseError
 from weylkit.repthy import weight_multiplicities, weyl_dim
-from weylkit.rootsys import parse_group, standard_subalgebra
+from weylkit.rootsys import _STANDARD_NAMES, Subalgebra, parse_group, standard_subalgebra
 from weylkit.sympoly import (
     MAX_MF_DEGREE,
     homog_coordinate_mf_crosscheck,
@@ -24,7 +24,12 @@ from weylkit.sympoly import (
     sym_power_decompose,
     summands_dim,
 )
-from weyl_references import newton_sym_power_characters, strip_decompose
+from weyl_references import (
+    dense_invariant_multiplicity,
+    labels_up_to_dim,
+    newton_sym_power_characters,
+    strip_decompose,
+)
 
 
 def brute_force_sym_power(group, summands, d):
@@ -255,6 +260,47 @@ def test_invariant_multiplicity_diagonal():
         assert invariant_multiplicity(g, h, (n, n)) == 1
     assert invariant_multiplicity(g, h, (1, 0)) == 0
     assert invariant_multiplicity(g, h, (2, 1)) == 0
+
+
+@pytest.mark.parametrize(
+    "name,label,error",
+    [("A1", (-1,), NonDominantError), ("A1", (1.5,), ParseError), ("A2", (1, -1), NonDominantError)],
+)
+def test_invariant_multiplicity_checks_the_label_before_dualizing(name, label, error):
+    # dual_label would turn each of these into the label of another module
+    # (int() truncates 1.5), whose count would then be returned
+    g = parse_group(name)
+    with pytest.raises(error):
+        invariant_multiplicity(g, standard_subalgebra(g, "cartan"), label)
+
+
+def _test_subalgebras(g):
+    """Every standard subalgebra that g has, and on A1xA1 the closed span
+    {h_0, e_(1,0)}, which is no standard one."""
+    subs = []
+    for name in _STANDARD_NAMES:
+        try:
+            subs.append(standard_subalgebra(g, name))
+        except DegenerateInputError:
+            pass
+    if g.name == "A1xA1":
+        subs.append(Subalgebra(g, [g.gen_vector("h", 0), g.gen_vector("e", (1, 0))]))
+    return subs
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(("A1", "A2", "B2", "G2", "A1xA1", "A2+T1")).flatmap(
+        lambda name: st.tuples(st.just(name), st.sampled_from(labels_up_to_dim(name, 40)))
+    )
+)
+@example(("G2", (0, 1)))
+@example(("A1xA1", (2, 2)))
+def test_invariant_multiplicity_equals_the_dense_kernel(case):
+    name, label = case
+    g = parse_group(name)
+    for h in _test_subalgebras(g):
+        assert invariant_multiplicity(g, h, label) == dense_invariant_multiplicity(g, h, label)
 
 
 def test_crosscheck_sl2_cartan_mf():

@@ -15,18 +15,23 @@ exp(ad x) as a dense series.  The library pairs weights with roots on
 integers (``Group.root_pairing``) and builds symmetric powers one weight at
 a time; here are the scalar ``Fraction`` weight form, the Freudenthal
 recursion run on it, and the Newton/Adams recursion for symmetric powers.
-The library eliminates on sparse rows and writes the module builder's f_i
-columns during its lowering pass; here are the dense object-array
-``rref``, ``eliminate`` and ``SpanBasis`` it used before, and the builder's
-column loop over every generator.
+The library eliminates on sparse rows, and its module builder applies only
+the simple e_i and f_i in the ambient tensor product, writing the h_i and
+t_j columns from the weights and every other root vector's columns as
+commutators; here are the dense object-array ``rref``, ``eliminate`` and
+``SpanBasis`` it used before, and the builder's column loop that applies
+every generator in the ambient space.  It counts h-invariants as the rank
+of sparse rows read from the column tables; here is the dense kernel of the
+stacked ``Module.action`` matrices.
 """
 
-from functools import lru_cache
+import itertools
+from functools import cache, lru_cache
 
 import numpy as np
 
 from weylkit.errors import DegenerateInputError, NonNilpotentDirectionError, ensure
-from weylkit.linalg import F0, F1, column_stack, combine, eye, fr, fvec, is_zero, matmul, zeros
+from weylkit.linalg import F0, F1, column_stack, combine, eye, fr, fvec, is_zero, matmul, nullspace, zeros
 from weylkit.repthy import (
     Module,
     _add,
@@ -34,6 +39,7 @@ from weylkit.repthy import (
     _sub,
     _tensor_apply,
     _verify_generators,
+    build_module,
     check_label,
     convolve_characters,
     dominant_weights,
@@ -41,6 +47,7 @@ from weylkit.repthy import (
     weight_multiplicities,
     weyl_dim,
 )
+from weylkit.rootsys import parse_group
 from weylkit.sympoly import check_summands
 
 
@@ -212,6 +219,38 @@ def strip_decompose(group, char):
             else:
                 work.pop(w, None)
     return out
+
+
+@cache
+def labels_up_to_dim(name, cap=64):
+    """Every dominant label of group name with dimension at most cap, torus
+    entries in -2..2.  The dimension grows with each semisimple entry, so an
+    entry is raised only while the label with zeros after it stays under
+    the cap."""
+    g = parse_group(name)
+    out = []
+
+    def extend(prefix):
+        if len(prefix) == g.rank:
+            out.extend(prefix + t for t in itertools.product(range(-2, 3), repeat=g.torus_dim))
+            return
+        k = 0
+        while weyl_dim(g, prefix + (k,) + (0,) * (g.weight_len - len(prefix) - 1)) <= cap:
+            extend(prefix + (k,))
+            k += 1
+
+    extend(())
+    return out
+
+
+def dense_invariant_multiplicity(group, h, label):
+    """The reference for ``sympoly.invariant_multiplicity``: the dimension of
+    the nullspace of the stacked dense ``Module.action`` matrices of the
+    basis of h on the dual module."""
+    dual = build_module(group, group.dual_label(label))
+    if h.dim == 0:
+        return dual.dim
+    return len(nullspace(np.vstack([dual.action(x) for x in h.basis])))
 
 
 def nonzero_columns(a):
