@@ -304,11 +304,12 @@ def _random_torus_sample(rng, rank: int, degree: int):
 
 
 # The SU(2) check builds su2_quadrature(2 * degree), whose node count grows
-# like degree^3, and its blocks add another factor of degree^2; the torus
-# check's work grows like degree^rank.  At degree 10 either run takes under
-# a second of wall time (0.6 s for SU(2), 0.4 s for a rank-3 torus, about
-# half of it interpreter start-up, on one x86 core), but the growth is
-# steep, so larger degrees are refused before anything is allocated.
+# like degree^3, and contracts every node into each operator E_delta on each
+# degree m <= degree; the torus check's work grows like degree^rank.  At
+# degree 10 either run takes under half a second of wall time (0.41 s for
+# SU(2), 0.26 s for a rank-3 torus, best of five cold processes on one x86
+# core, where `--help` alone takes 0.27 s), but the growth is steep, so
+# larger degrees are refused before anything is allocated.
 MAX_ISOTYPIC_DEGREE = 10
 
 

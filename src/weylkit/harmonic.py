@@ -4,11 +4,17 @@ The torus path is an exact finite Fourier transform and is held to 1e-12.
 The SU(2) path assembles the averaging operators E_delta from an Euler-angle
 product quadrature that integrates every matrix coefficient up to the band
 limit, so the only error is floating-point roundoff; those checks are held
-to 1e-8.  The representation matrices are assembled for all quadrature
-nodes at once, one array pass per degree; the scalar sym_rep_matrix stays
-as the independent check.  Assembly and accumulation use numpy operations
-over a fixed node ordering (pairwise summation in the reductions), so
-repeated runs produce byte-identical reports.
+to 1e-8.  Every node is k = z(phi1) r(theta) z(phi2), so on degree m
+
+    pi_m(k) = diag(e^{i(2a-m) phi1}) d_m(v) diag(e^{i(2b-m) phi2}),
+
+where d_m depends only on v = cos(2 theta).  The operators contract these
+factors directly: d_m is built once per distinct v, the phases once per
+distinct angle, and each v-group of nodes costs one matrix product, so no
+per-node representation matrix is formed.  The scalar sym_rep_matrix stays
+as the independent check (the commutation test uses it).  Assembly and
+accumulation use numpy operations over a fixed node ordering, so repeated
+runs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -253,20 +259,46 @@ class QuadratureScheme:
 
     def character(self, delta: int) -> np.ndarray:
         """chi_delta at every node, by the trace recurrence
-        chi_{d+1} = t chi_d - chi_{d-1} with t the matrix trace."""
+        chi_{d+1} = t chi_d - chi_{d-1} with t the matrix trace, continued
+        from the highest degree already computed."""
+        if delta < 0:
+            raise DegenerateInputError("isotypic index must be a nonnegative integer")
         if delta not in self._chars:
             t = np.real(np.trace(self.matrices(), axis1=1, axis2=2))
-            prev, cur = np.zeros_like(t), np.ones_like(t)
-            for _ in range(delta):
+            self._chars.setdefault(0, np.ones_like(t))
+            top = max(self._chars)
+            prev, cur = self._chars.get(top - 1, np.zeros_like(t)), self._chars[top]
+            for d in range(top + 1, delta + 1):
                 prev, cur = cur, t * cur - prev
-            self._chars[delta] = cur
+                self._chars[d] = cur
         return self._chars[delta]
+
+    def _euler_factors(self, m: int) -> tuple:
+        """pi_m at node k as diag(p1[k]) @ d[group[k]] @ diag(p2[k]).
+
+        p1 and p2 are the (K, m+1) phase diagonals e^{i(2a-m) phi} of the
+        two torus factors, computed on the distinct angles only; d holds
+        d_m(v) for the distinct values of v, and group[k] indexes it."""
+        if "euler" not in self._mats:
+            self._mats["euler"] = [np.unique(x, return_inverse=True) for x in self.nodes.T]
+        (phi1, at1), (vs, group), (phi2, at2) = self._mats["euler"]
+        s = 2 * np.arange(m + 1) - m
+        p1 = np.exp(1j * np.outer(phi1, s))[at1]
+        p2 = np.exp(1j * np.outer(phi2, s))[at2]
+        zeros = np.zeros_like(vs)
+        d = sym_rep_stack(_euler_su2(np.stack([zeros, vs, zeros], axis=1)), m)
+        return p1, d, p2, group
 
     def rep_blocks(self, m: int) -> np.ndarray:
         """(K, m+1, m+1) matrices of the action on homogeneous degree m,
-        in the unitarized monomial basis, built for all nodes at once."""
+        in the unitarized monomial basis, at every node.
+
+        Each is the product of its Euler factors from _euler_factors, the
+        same factorization block_operator contracts; block_operator never
+        builds this stack."""
         if m not in self._mats:
-            self._mats[m] = sym_rep_stack(self.matrices(), m)
+            p1, d, p2, group = self._euler_factors(m)
+            self._mats[m] = p1[:, :, None] * d[group] * p2[:, None, :]
         return self._mats[m]
 
     def block_operator(self, delta: int, m: int) -> np.ndarray:
@@ -274,11 +306,30 @@ class QuadratureScheme:
 
         The averaging kernel is dim(V_delta) times the conjugated trace
         character; without the dimension factor the operator is only
-        1/dim of a projector and idempotence fails."""
+        1/dim of a projector and idempotence fails.
+
+        E_delta = sum_k c_k diag(p1[k]) d_m(v_k) diag(p2[k]) with
+        c_k = (delta+1) w_k conj(chi_delta(k)), so for each distinct v one
+        product over that v's nodes gives sum_k c_k p1[k, a] p2[k, b], which
+        is scaled entrywise by d_m(v) and summed over the values of v.  A
+        miss at degree m assembles every delta the band resolves (delta <=
+        band - m, or the requested delta if larger) in the same products."""
+        if delta < 0 or m < 0:
+            raise DegenerateInputError("isotypic index and degree must be nonnegative")
         key = (delta, m)
         if key not in self._ops:
-            wchi = (delta + 1) * self.weights * np.conj(self.character(delta))
-            self._ops[key] = np.tensordot(wchi, self.rep_blocks(m), axes=1)
+            p1, d, p2, group = self._euler_factors(m)
+            top = max(self.band - m, delta)
+            wchi = np.stack([
+                (j + 1) * self.weights * np.conj(self.character(j)) for j in range(top + 1)
+            ])
+            ops = np.zeros((top + 1, m + 1, m + 1), dtype=complex)
+            for g in range(len(d)):
+                idx = np.flatnonzero(group == g)
+                lhs = (wchi[:, None, idx] * p1[idx].T).reshape(-1, len(idx))
+                ops += (lhs @ p2[idx]).reshape(ops.shape) * d[g]
+            for j in range(top + 1):
+                self._ops.setdefault((j, m), ops[j])
         return self._ops[key]
 
 
@@ -393,11 +444,12 @@ def finite_series_check(
             # one transform gives every delta of the window; project_torus
             # makes a fresh one per call
             grid, los = _torus_coefficient_grid(f)
-            for ix in np.ndindex(grid.shape):
-                delta = tuple(i + lo for i, lo in zip(ix, los))
-                g = _torus_term(f.n, delta, grid[ix])
-                if g.norm() > ZERO_THRESHOLD:
-                    comps[delta] = g
+            # the cells whose one-term sample has norm above the threshold,
+            # in C order; sqrt(|c|^2) is FunctionSample.norm of one term
+            kept = np.sqrt(np.abs(grid) ** 2) > ZERO_THRESHOLD
+            for ix in zip(*np.nonzero(kept)):
+                delta = tuple(int(i) + lo for i, lo in zip(ix, los))
+                comps[delta] = _torus_term(f.n, delta, grid[ix])
         recon = FunctionSample("torus", f.n, {})
         for g in comps.values():
             recon = recon + g
@@ -428,35 +480,23 @@ def verify_projector_algebra(q: QuadratureScheme, degree_cap: int, seed: int = 0
         raise BandLimitError(
             f"band limit {q.band} is below twice the degree cap {degree_cap}"
         )
-    deltas = range(degree_cap + 1)
-    blocks = {
-        (d, m): q.block_operator(d, m)
-        for d in deltas
-        for m in range(degree_cap + 1)
-    }
-    idem = 0.0
-    orth = 0.0
-    selfadj = 0.0
-    for d in deltas:
-        for m in range(degree_cap + 1):
-            e = blocks[(d, m)]
-            idem = max(idem, np.max(np.abs(e @ e - e)))
-            selfadj = max(selfadj, np.max(np.abs(e - e.conj().T)))
-            for d2 in deltas:
-                if d2 != d:
-                    orth = max(orth, np.max(np.abs(e @ blocks[(d2, m)])))
     rng = np.random.default_rng(seed)
     angles = []
     for _ in range(5):
         phi1, phi2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
         angles.append((phi1, rng.uniform(-1.0, 1.0), phi2))
-    comm = 0.0
-    for k in _euler_su2(np.array(angles).reshape(-1, 3)):
-        for m in range(degree_cap + 1):
-            rho = sym_rep_matrix(k, m)
-            for d in deltas:
-                e = blocks[(d, m)]
-                comm = max(comm, np.max(np.abs(e @ rho - rho @ e)))
+    samples = _euler_su2(np.array(angles).reshape(-1, 3))
+    off_diagonal = ~np.eye(degree_cap + 1, dtype=bool)
+    idem = orth = comm = selfadj = 0.0
+    for m in range(degree_cap + 1):
+        # (D, m+1, m+1): E_delta on degree m for every delta <= cap
+        e = np.stack([q.block_operator(d, m) for d in range(degree_cap + 1)])
+        idem = max(idem, float(np.max(np.abs(e @ e - e))))
+        selfadj = max(selfadj, float(np.max(np.abs(e - e.conj().transpose(0, 2, 1)))))
+        pairs = e[:, None] @ e[None, :]
+        orth = max(orth, float(np.max(np.abs(pairs[off_diagonal]), initial=0.0)))
+        rho = np.stack([sym_rep_matrix(k, m) for k in samples])
+        comm = max(comm, float(np.max(np.abs(e[:, None] @ rho - rho @ e[:, None]))))
     worst = max(idem, orth, comm, selfadj)
     return {
         "degree_cap": degree_cap,

@@ -56,6 +56,20 @@ class TestQuadrature:
         with pytest.raises(DegenerateInputError):
             su2_quadrature(-1)
 
+    def test_characters_continue_the_recurrence_bitwise(self):
+        q = su2_quadrature(12)
+        t = np.real(np.trace(q.matrices(), axis1=1, axis2=2))
+        want = [np.ones_like(t)]
+        prev = np.zeros_like(t)
+        for _ in range(20):
+            prev, cur = want[-1], t * want[-1] - prev
+            want.append(cur)
+        # out of order, so later calls continue from a cached degree
+        for d in (5, 2, 20, 11, 0, 17, 6):
+            assert np.all(q.character(d) == want[d]), d
+        for d in range(21):
+            assert np.all(q.character(d) == want[d]), d
+
 
 ENTRIES = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
@@ -71,9 +85,11 @@ GL2 = st.tuples(ENTRIES, ENTRIES, ENTRIES, ENTRIES).filter(
 
 
 class TestBatchedBlocks:
-    """The node-batched blocks against the scalar sym_rep_matrix, which
-    sums each column by np.convolve in another order: the two agree to
-    roundoff, not bit for bit."""
+    """The blocks against the scalar sym_rep_matrix at every node.
+
+    rep_blocks multiplies the Euler factors that block_operator contracts,
+    and sym_rep_matrix pulls each node's matrix back by np.convolve, so the
+    two agree to roundoff, not bit for bit."""
 
     def test_blocks_match_scalar_oracle_at_every_node(self):
         q = su2_quadrature(20)
@@ -97,6 +113,55 @@ class TestBatchedBlocks:
         got = sym_rep_stack(gs, d)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _per_node_operators(q, m, top):
+    """E_delta on degree m for delta <= top as the weighted sum of the
+    per-node matrices, with the node stack from sym_rep_stack."""
+    wchi = np.stack([(d + 1) * q.weights * np.conj(q.character(d)) for d in range(top + 1)])
+    return np.tensordot(wchi, sym_rep_stack(q.matrices(), m), axes=1)
+
+
+class TestBlockOperator:
+    """The factored operators against the sum over per-node matrices."""
+
+    @pytest.mark.parametrize("band", [0, 1, 8, 16])
+    def test_matches_per_node_sum(self, band):
+        q = su2_quadrature(band)
+        for m in range(band + 1):
+            want = _per_node_operators(q, m, band - m)
+            for d in range(band - m + 1):
+                assert np.max(np.abs(q.block_operator(d, m) - want[d])) <= 1e-13, (d, m)
+
+    def test_permuted_nodes_with_distinct_v(self):
+        q = su2_quadrature(8)
+        rng = np.random.default_rng(4)
+        perm = rng.permutation(len(q.weights))
+        nodes = q.nodes[perm].copy()
+        nodes[:, 1] = np.clip(nodes[:, 1] + rng.uniform(-1e-3, 1e-3, len(nodes)), -1.0, 1.0)
+        p = QuadratureScheme(nodes, q.weights[perm], q.band)
+        assert len(np.unique(p.nodes[:, 1])) == len(nodes)
+        for m in range(9):
+            want = _per_node_operators(p, m, 8 - m)
+            for d in range(9 - m):
+                assert np.max(np.abs(p.block_operator(d, m) - want[d])) <= 1e-13, (d, m)
+
+    def test_degree_beyond_the_band_is_assembled(self, q12):
+        want = _per_node_operators(q12, 3, 14)
+        assert np.max(np.abs(q12.block_operator(14, 3) - want[14])) <= 1e-13
+
+    @pytest.mark.parametrize("delta, m", [(-1, 0), (0, -1)])
+    def test_negative_index_or_degree_rejected(self, q12, delta, m):
+        with pytest.raises(DegenerateInputError):
+            q12.block_operator(delta, m)
+        with pytest.raises(DegenerateInputError):
+            q12.character(-1)
+
+    def test_no_per_node_stack_is_built(self):
+        q = su2_quadrature(8)
+        verify_projector_algebra(q, 4)
+        project_su2(su2_sample({(3, 1): 1.0, (0, 2): 2.0}), 2, q)
+        assert not [k for k in q._mats if isinstance(k, int)]
 
 
 class TestTorusProjection:
@@ -232,6 +297,34 @@ class TestProjectorAlgebra:
         q = su2_quadrature(6)
         with pytest.raises(BandLimitError):
             verify_projector_algebra(q, 4)
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_smallest_caps(self, cap):
+        report = verify_projector_algebra(su2_quadrature(4), cap)
+        assert report["within_tolerance"]
+        assert report["degree_cap"] == cap
+        if cap == 0:
+            assert report["orthogonality"] == 0.0
+
+    @pytest.mark.parametrize(
+        "corrupt, key",
+        [
+            (lambda ops: ops[(2, 2)] * 1.1, "idempotence"),
+            (lambda ops: ops[(2, 2)].copy(), "orthogonality"),
+            (lambda ops: ops[(2, 2)] + 1e-3 * np.eye(3, k=1), "self_adjointness"),
+            (lambda ops: ops[(2, 2)] + 1e-3 * np.diag([1.0, 0.0, 0.0]), "commutation"),
+        ],
+        ids=["scaled", "copied", "non_hermitian", "non_equivariant"],
+    )
+    def test_corrupted_block_breaks_its_residual(self, corrupt, key):
+        q = su2_quadrature(8)
+        assert verify_projector_algebra(q, 4)["within_tolerance"]
+        # the copy lands on delta = 1, so E_1 E_2 = E_2^2 on degree 2
+        target = (1, 2) if key == "orthogonality" else (2, 2)
+        q._ops[target] = corrupt(q._ops)
+        report = verify_projector_algebra(q, 4)
+        assert report[key] > 1e-8
+        assert not report["within_tolerance"]
 
     def test_corrupted_weights_break_idempotence(self):
         q = su2_quadrature(8)
