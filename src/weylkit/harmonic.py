@@ -14,7 +14,8 @@ distinct angle, and each v-group of nodes costs one matrix product, so no
 per-node representation matrix is formed.  The scalar sym_rep_matrix stays
 as the independent check (the commutation test uses it).  Assembly and
 accumulation use numpy operations over a fixed node ordering, so repeated
-runs produce byte-identical reports.
+runs produce byte-identical reports at a fixed BLAS thread count; the
+residual digits of the SU(2) checks can change with that count.
 """
 
 from __future__ import annotations

@@ -244,9 +244,7 @@ def is_adapted(group: Group, h: Subalgebra, theta: InvolutionSpec) -> Adaptednes
         ensure(c is not None, "theta does not preserve h")
         restr[:, j] = c
     anti = _subspace_in_h(h, nullspace(restr + eye(k)))
-    abelian_h = all(
-        is_zero(group.bracket(x, y)) for i, x in enumerate(h.basis) for y in h.basis[i + 1 :]
-    )
+    abelian_h = not any(group.sparse_bracket(x, y) for i, x in enumerate(h.rows) for y in h.rows[i + 1 :])
     if abelian_h:
         # h is its own Cartan; theta must negate all of it
         ok = len(anti) == h.dim

@@ -223,7 +223,7 @@ def eliminate(v: dict, rows: Sequence[dict], pivots: Sequence) -> tuple[dict, di
 
 class SpanBasis:
     """Incremental echelon span of sparse vectors ({position: entry}, any
-    sortable positions), with expansion bookkeeping.
+    sortable positions, Fraction or int entries), with expansion bookkeeping.
 
     ``add`` keeps, for every retained row, its expression in terms of the
     vectors that enlarged the span (the retained vectors, in the order they
@@ -256,10 +256,10 @@ class SpanBasis:
         if not rem:
             return False
         piv = min(rem)
-        d = rem[piv]
+        inv = F1 / rem[piv]  # a Fraction, so int entries of v scale exactly
         # rem = v - sum mult[i] * rows[i], and v is retained vector len(rows)
-        self.combos.append({k: -x / d for k, x in self._expand(mult).items()} | {len(self.rows): F1 / d})
-        self.rows.append({j: x / d for j, x in rem.items()})
+        self.combos.append({k: -x * inv for k, x in self._expand(mult).items()} | {len(self.rows): inv})
+        self.rows.append({j: x * inv for j, x in rem.items()})
         self.pivots.append(piv)
         return True
 

@@ -317,12 +317,14 @@ class Group:
         return _unit(self.rank, i)
 
     @cached_property
-    def _ad_columns(self) -> list[dict[int, list[tuple[int, Fraction]]]]:
+    def _ad_columns(self) -> list[dict[int, list[tuple[int, int]]]]:
         """The nonzero structure constants: table[k][j] lists the (i, c) with
         [b_k, b_j] = sum c b_i, so it is column j of ad(b_k).  Seeds of two
         weights (h -> 0, e_c -> c, f_c -> -c) occupy disjoint positions, and a
-        commutator lies on, and is expressed over, the seeds of its weight."""
-        table: list[dict[int, list[tuple[int, Fraction]]]] = [{} for _ in range(self.dim)]
+        commutator lies on, and is expressed over, the seeds of its weight.
+        The constants of a Chevalley basis are integers (Humphreys, sec. 25.2),
+        and each is checked to be one, so the table holds int."""
+        table: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(self.dim)]
         for seeds in self.factor_seeds:
             spaces: dict = {}  # weight -> [(basis index, nonzero {(row, col): entry})]
             for (kind, c), m in seeds.items():
@@ -345,7 +347,8 @@ class Group:
                 ensure(br.keys() <= pos, "bracket left its weight space")
                 coords = span.express(br)
                 ensure(coords is not None, "bracket left the algebra span")
-                table[ia][ib] = [(members[k], c) for k, c in coords]
+                ensure(all(c.denominator == 1 for _, c in coords), "structure constant is not an integer")
+                table[ia][ib] = [(members[k], int(c)) for k, c in coords]
                 table[ib][ia] = [(ik, -c) for ik, c in table[ia][ib]]
         return table
 
@@ -355,44 +358,42 @@ class Group:
         basis = eye(self.dim)
         return [[self.bracket(x, y) for y in basis] for x in basis]
 
-    def _ad_sparse(self, x: np.ndarray) -> dict[int, dict[int, Fraction]]:
-        """ad x by columns, {j: {i: (ad x)[i, j]}}, from the structure constants."""
-        out: dict[int, dict[int, Fraction]] = {}
-        for k, xk in enumerate(x):
-            if xk != 0:
-                for j, col in self._ad_columns[k].items():
-                    cj = out.setdefault(j, {})
-                    for i, c in col:
-                        cj[i] = cj.get(i, 0) + xk * c
-        return out
+    def sparse_bracket(self, x: dict, y: dict) -> dict:
+        """[x, y] for sparse vectors {position: entry}, zero entries dropped:
+        the one loop over the structure constants.  The constants are int,
+        so integer x and y give an integer bracket."""
+        out: dict = {}
+        for k, a in x.items():
+            table = self._ad_columns[k]
+            for j, b in y.items():
+                for i, c in table.get(j, ()):
+                    out[i] = out.get(i, 0) + c * a * b
+        return {i: v for i, v in out.items() if v}
 
     def ad(self, x: np.ndarray) -> np.ndarray:
+        xs = sparse(x)
         m = zeros(self.dim, self.dim)
-        for j, cj in self._ad_sparse(x).items():
-            m[list(cj), j] = list(cj.values())
+        for j in range(self.dim):
+            for i, a in self.sparse_bracket(xs, {j: 1}).items():
+                m[i, j] = a
         return m
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = zeros(self.dim)
-        for j, cj in self._ad_sparse(x).items():
-            if y[j] != 0:
-                for i, a in cj.items():
-                    out[i] += a * y[j]
-        return out
+        return densify(self.sparse_bracket(sparse(x), sparse(y)), (self.dim,))
 
-    def exp_ad(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """exp(ad x) v on v or each of its columns, exactly: ad x must be
-        nilpotent there, or NonNilpotentDirectionError after dim + 1 terms.
-        With ad x = A / D and a column u / E, the int terms A^k u run until
-        A^(n+1) u = 0; sum_k (n!/k!) D^(n-k) A^k u is divided once by n! D^n E."""
-        adx = self._ad_sparse(x)
-        D = lcm(*(a.denominator for cj in adx.values() for a in cj.values()))
-        A = {j: [(i, int(a * D)) for i, a in cj.items()] for j, cj in adx.items()}
-        out = v.astype(object)
-        cols = out.reshape(len(v), -1)
-        for l in range(cols.shape[1]):
-            den = lcm(*(a.denominator for a in cols[:, l]))
-            acc = term = {i: int(a * den) for i, a in enumerate(cols[:, l]) if a != 0}
+    def _exp_ad_int(
+        self, x: dict[int, int], cols: Iterable[dict[int, int]], den: int = 1
+    ) -> list[tuple[dict[int, int], int]]:
+        """exp(ad x / den) on sparse integer columns, for an integer x: one
+        (a, s) per column u, with exp(ad x / den) u = a / s and s > 0.  With
+        A = ad x, built once, the terms A^k u run until A^(n+1) u = 0, and
+        a = sum_k (n!/k!) den^(n-k) A^k u, s = n! den^n.  ad x must be
+        nilpotent there, or NonNilpotentDirectionError after dim + 1 terms."""
+        A = {j: list(col.items()) for j in range(self.dim) if (col := self.sparse_bracket(x, {j: 1}))}
+        out = []
+        for u in cols:
+            acc = term = u
+            s = 1
             for k in range(1, self.dim + 2):
                 nxt: dict[int, int] = {}
                 for j, a in term.items():
@@ -401,12 +402,54 @@ class Group:
                 term = {i: a for i, a in nxt.items() if a}
                 if not term:
                     break
-                acc = {i: acc.get(i, 0) * k * D + term.get(i, 0) for i in acc.keys() | term.keys()}
-                den *= k * D
+                acc = {i: acc.get(i, 0) * k * den + term.get(i, 0) for i in acc.keys() | term.keys()}
+                s *= k * den
             else:
                 raise NonNilpotentDirectionError("direction is not ad-nilpotent")
-            cols[:, l] = [Fraction(acc[i], den) if acc.get(i) else F0 for i in range(len(v))]
+            out.append(({i: a for i, a in acc.items() if a}, s))
         return out
+
+    def exp_ad(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """exp(ad x) v on v or each of its columns, exactly: ad x must be
+        nilpotent there, or NonNilpotentDirectionError after dim + 1 terms.
+        With x = X / D and a column u / E, X and u integer, the integer
+        series of X runs on u and its sum is divided by its scale times E."""
+        D = lcm(*(a.denominator for a in x if a))
+        X = {k: int(a * D) for k, a in enumerate(x) if a}
+        out = v.astype(object)
+        cols = out.reshape(len(v), -1)
+        scales = [lcm(*(a.denominator for a in cols[:, l])) for l in range(cols.shape[1])]
+        ints = [{i: int(a * E) for i, a in enumerate(cols[:, l]) if a} for l, E in enumerate(scales)]
+        for l, ((acc, s), E) in enumerate(zip(self._exp_ad_int(X, ints, D), scales)):
+            cols[:, l] = [Fraction(acc[i], s * E) if i in acc else F0 for i in range(len(v))]
+        return out
+
+    @cached_property
+    def _torus_exponents(self) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+        """(shifted, m): at basis position p of weight wt_p (0 on the Cartan
+        and central torus), shifted[p][i] = <wt_p, alpha_i^vee> + m_i, where
+        m_i >= 0 is the largest -<wt_p, alpha_i^vee>, so every entry is >= 0."""
+        fc = [(0,) * self.rank] * (self.rank + self.torus_dim)
+        fc += [self.root_fc(c)[: self.rank] for c in self.posroots]
+        fc += [tuple(-x for x in self.root_fc(c)[: self.rank]) for c in self.posroots]
+        m = tuple(max(-e[i] for e in fc) for i in range(self.rank))
+        return [tuple(x + k for x, k in zip(e, m)) for e in fc], m
+
+    def _torus_scales(self, s: Sequence) -> tuple[list, object]:
+        """(w, n) with w[p] / n = prod s_i^<wt_p, alpha_i^vee>, the factor by
+        which the torus point with coroot parameters s acts on basis position
+        p, and n = prod |s_i|^m_i > 0 (see _torus_exponents): w[p] =
+        sign * prod s_i^shifted[p][i], so integer s give integer w.  An int
+        parameter stays int; any other goes through fr."""
+        if len(s) != self.rank:
+            raise DegenerateInputError("torus point needs one parameter per simple root")
+        vals = [x if type(x) is int else fr(x) for x in s]
+        if any(v == 0 for v in vals):
+            raise DegenerateInputError("torus parameters must be nonzero")
+        shifted, m = self._torus_exponents
+        sign = (-1) ** sum(k for v, k in zip(vals, m) if v < 0)
+        n = prod(abs(v) ** k for v, k in zip(vals, m))
+        return [sign * prod(v**e for v, e in zip(vals, exps)) for exps in shifted], n
 
     def torus_ad(self, s: Sequence[Fraction]) -> np.ndarray:
         """Adjoint action of the torus point with coroot parameters s.
@@ -415,17 +458,8 @@ class Group:
         trivially on the Cartan; central torus coordinates do not appear
         because they act trivially in the adjoint representation.
         """
-        if len(s) != self.rank:
-            raise DegenerateInputError("torus point needs one parameter per simple root")
-        vals = [fr(x) for x in s]
-        if any(v == 0 for v in vals):
-            raise DegenerateInputError("torus parameters must be nonzero")
-        m = eye(self.dim)
-        for c in self.posroots:
-            scale = prod((v**e for v, e in zip(vals, self.root_fc(c))), start=F1)
-            m[self._index[("e", c)], self._index[("e", c)]] = scale
-            m[self._index[("f", c)], self._index[("f", c)]] = 1 / scale
-        return m
+        w, n = self._torus_scales(s)
+        return densify({(p, p): Fraction(x, n) for p, x in enumerate(w)}, (self.dim, self.dim))
 
     @cached_property
     def killing_form(self) -> np.ndarray:
@@ -588,12 +622,13 @@ class Subalgebra:
         return None if rem else densify(mult, (self.dim,))
 
     def is_closed(self) -> bool:
+        """Each bracket of two rows, reduced by the rows, leaves nothing."""
         g = self.group
-        for i, x in enumerate(self.basis):
-            for y in self.basis[i + 1 :]:
-                if not self.contains(g.bracket(x, y)):
-                    return False
-        return True
+        return not any(
+            eliminate(g.sparse_bracket(x, y), self.rows, self.pivots)[0]
+            for i, x in enumerate(self.rows)
+            for y in self.rows[i + 1 :]
+        )
 
     def require_closed(self) -> None:
         """The guard of every op that needs a subalgebra, not just a span."""

@@ -10,25 +10,35 @@ Both Borel questions are read off Chevalley coordinates.  The standard
 Borel is the coordinate span of the h, t and f basis vectors, so a sample
 is tested on the e-rows of Ad(g)h alone; and a subalgebra holding the
 Cartan is parabolic iff it meets g_c or g_-c for every positive root c.
+
+A trial is integer arithmetic from start to finish: the structure
+constants of the Chevalley basis are integers, the sample's entries and
+torus parameters are integers, and scaling a column of Ad(g)h by a
+positive factor leaves its rank alone.  So the columns stay sparse int
+dicts through both exponentials and the torus, and one SpanBasis counts
+the rank of their e-rows.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import lcm
 
 import numpy as np
 
 from .errors import DegenerateInputError
-from .linalg import column_stack, fr, fvec, nullspace, rank, zeros
+from .linalg import SpanBasis, column_stack, densify, nullspace
 from .rootsys import Group, Subalgebra, standard_subalgebra
 
 DEFAULT_TRIALS = 32
 # Upper bound on a trial count taken from outside the program.  A span that
 # no sample certifies runs every trial; the G2 span {h_0, e_(0,1), e_(1,1),
-# f_(1,0), f_(2,1), f_(3,1)} is one, and costs about 5 ms a trial on a
-# 2-vCPU x86 host (32 trials 0.16 s, 128 trials 0.58 s, one cold process
-# each), so the cap keeps the worst case under a second.
+# f_(1,0), f_(2,1), f_(3,1)} is one.  On a 2-vCPU x86 host it takes 0.035 s
+# for 32 trials and 0.16 s for 128 within a process that has built G2's
+# tables, about 1.2 ms a trial, and 0.19 s and 0.32 s as one cold
+# `weylkit spherical` process each (the import takes 0.16 s), so the cap
+# keeps the worst case under a second.
 MAX_TRIALS = 128
 
 
@@ -63,20 +73,31 @@ def _sample_params(group: Group, rng: random.Random, trial: int) -> dict:
     }
 
 
-def _adjoint_of_sample(group: Group, params: dict, h: Subalgebra) -> np.ndarray:
-    """Ad(g) applied to the basis of h, as columns, for g = exp(sum t_r e_r)
+def _adjoint_of_sample(group: Group, params: dict, h: Subalgebra) -> list[dict[int, int]]:
+    """The e-rows of Ad(g) applied to the basis of h, by columns, for g =
+    exp(sum t_r e_r) . torus(s) . exp(sum u_r f_r); such words fill a dense
+    subset, so generic rank is reached with probability one over growing
+    integer boxes.
 
-    . torus(s) . exp(sum u_r f_r); such words fill a dense subset, so generic
-    rank is reached with probability one over growing integer boxes.  The
-    factors act on the columns one after another, the torus by scaling rows,
-    so no dim x dim matrix is formed."""
-    # the e_c and then the f_c take the last 2 |posroots| basis positions
-    zero = [0] * len(group.posroots)
-    xe = fvec([0] * (group.dim - 2 * len(zero)) + list(params["e"]) + zero)
-    xf = fvec([0] * (group.dim - len(zero)) + list(params["f"]))
-    cols = column_stack(h.basis) if h.basis else zeros(group.dim, 0)
-    torus = group.torus_ad([fr(x) for x in params["s"]]).diagonal()
-    return group.exp_ad(xe, torus[:, None] * group.exp_ad(xf, cols))
+    Everything stays in int: each row of h is scaled by the lcm of its
+    denominators, each exp(ad x) returns its columns times a positive scale,
+    and the torus acts by the integers n prod s_i^<gamma, alpha_i^vee> with
+    n > 0.  So each column is Ad(g)h's times a positive factor, and the rank
+    is Ad(g)h's.  The factors act on sparse columns one after another."""
+    npos = len(group.posroots)
+    borel_dim = group.dim - npos  # the e_c, then the f_c, take the last 2 npos positions
+    xe = {borel_dim - npos + r: t for r, t in enumerate(params["e"]) if t}
+    xf = {borel_dim + r: u for r, u in enumerate(params["f"]) if u}
+    cols = []
+    for row in h.rows:
+        scale = lcm(*(x.denominator for x in row.values()))
+        cols.append({j: x.numerator * (scale // x.denominator) for j, x in row.items()})
+    torus = group._torus_scales(params["s"])[0]
+    cols = [{i: torus[i] * a for i, a in col.items()} for col, _ in group._exp_ad_int(xf, cols)]
+    return [
+        {i: a for i, a in col.items() if borel_dim - npos <= i < borel_dim}
+        for col, _ in group._exp_ad_int(xe, cols)
+    ]
 
 
 def _certifies(group: Group, h: Subalgebra, params: dict) -> bool:
@@ -84,11 +105,12 @@ def _certifies(group: Group, h: Subalgebra, params: dict) -> bool:
 
     The standard Borel b is the coordinate span of the h, t and f basis
     vectors, so rank[b | Ad(g)h] = dim b + rank of the e-rows of Ad(g)h, and
-    the sum is all of g iff those rows have rank |posroots|.  The e-rows
-    are the basis positions from dim b - |posroots| up to dim b."""
-    npos = len(group.posroots)
-    borel_dim = group.dim - npos
-    return rank(_adjoint_of_sample(group, params, h)[borel_dim - npos : borel_dim]) == npos
+    the sum is all of g iff those rows have rank |posroots|: the sparse
+    columns one SpanBasis keeps."""
+    span = SpanBasis()
+    for col in _adjoint_of_sample(group, params, h):
+        span.add(col)
+    return len(span) == len(group.posroots)
 
 
 def is_spherical_pair(
@@ -208,10 +230,11 @@ def _contains_some_borel(group: Group, p: Subalgebra) -> bool:
 
 
 def derived_subalgebra(group: Group, s: Subalgebra) -> Subalgebra:
-    vecs = []
-    for i, x in enumerate(s.basis):
-        for y in s.basis[i + 1 :]:
-            vecs.append(group.bracket(x, y))
+    vecs = [
+        densify(group.sparse_bracket(x, y), (group.dim,))
+        for i, x in enumerate(s.rows)
+        for y in s.rows[i + 1 :]
+    ]
     return Subalgebra(group, vecs, name=f"derived({s.name or 'span'})")
 
 

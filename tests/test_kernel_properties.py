@@ -52,6 +52,7 @@ from weyl_references import (
     dense_ad_basis,
     dense_eliminate,
     dense_exp_ad,
+    dense_is_closed,
     dense_rref,
     nonzero_columns,
 )
@@ -451,13 +452,15 @@ def _orbit_is_dense(g, h, params):
     return rank(column_stack(cols)) == g.dim
 
 
-SMALL = st.lists(st.integers(-2, 2), min_size=6, max_size=6)
-TORUS = st.lists(st.sampled_from((-2, -1, 1, 2)), min_size=3, max_size=3)
+# sample entries: the first trials' box, or up to +-65, the box of trial
+# 127 (the last one MAX_TRIALS allows)
+SMALL = st.lists(st.one_of(st.integers(-2, 2), st.integers(-65, 65)), min_size=6, max_size=6)
+TORUS = st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=3, max_size=3)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(("A1", "A2", "B2", "A1xA1", "A1+T1", "A2+T1", "T1")),
+    st.sampled_from(("A1", "A2", "B2", "G2", "A1xA1", "A1+T1", "A2+T1", "T1")),
     PICKS,
     SMALL,
     TORUS,
@@ -466,6 +469,9 @@ TORUS = st.lists(st.sampled_from((-2, -1, 1, 2)), min_size=3, max_size=3)
 @example("T1", [], [0] * 6, [1] * 3, [0] * 6)
 @example("T1", [0], [0] * 6, [1] * 3, [0] * 6)
 @example("A2", [], [1] * 6, [2] * 3, [1] * 6)
+@example("G2", [0, 3], [65, -65, 64, -1, 0, 65], [-3, 3, 1], [-65, 65, 0, 2, -64, 65])
+@example("G2", [0, 2, 4, 9, 11, 12], [65] * 6, [3, -3, 1], [-65] * 6)
+@example("B2", [1, 6], [-65, 65, 3, -2, 0, 0], [-3, -3, 1], [65, 1, -65, 7, 0, 0])
 def test_density_rule_equals_borel_rank(name, picks, e, s, f):
     g = parse_group(name)
     h = _generated(g, picks)
@@ -504,6 +510,39 @@ def test_ad_and_exp_ad_equal_dense_forms(name, kind, data):
     col = g.exp_ad(x, v)
     assert all(isinstance(e, Fraction) for e in col)
     assert list(col) == list(want @ v)
+
+
+@pytest.mark.parametrize("name", EXP_GROUPS)
+def test_structure_constants_are_int_and_wrappers_return_fractions(name):
+    # the table is integer, and ad, bracket and exp_ad still give Fraction
+    # entries, also on object arrays holding plain ints
+    g = parse_group(name)
+    table = g._ad_columns
+    assert all(type(c) is int for columns in table for col in columns.values() for _, c in col)
+    x = np.array([k % 3 - 1 for k in range(g.dim)], dtype=object)
+    y = np.array([1 - k % 2 for k in range(g.dim)], dtype=object)
+    e = np.array([0] * (g.dim - 2 * len(g.posroots)) + [2] * len(g.posroots) + [0] * len(g.posroots), dtype=object)
+    v = np.array([[1, 0]] * g.dim, dtype=object)
+    for out in (g.ad(x), g.bracket(x, y), g.exp_ad(e, v), g.exp_ad(e, eye(g.dim)), g.exp_ad(fvec(e), y)):
+        assert all(type(a) is Fraction for a in out.flat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(EXP_GROUPS),
+    PICKS,
+    st.lists(st.lists(rationals, min_size=5, max_size=5), max_size=3),
+)
+@example("A1", [1, 2], [])  # e and f: not closed
+@example("A2", [0, 1], [])  # the Cartan: closed
+@example("G2", [2, 3], [[Fraction(1, 2), Fraction(-3)]])  # e_(0,1), e_(1,0), their sum
+def test_is_closed_equals_dense_closure(name, picks, combos):
+    # spans of picked basis vectors and of rational combinations of them,
+    # closed or not, against the dense bracket and span of the reference
+    g = parse_group(name)
+    picked = [g.gen_vector(*g.basis_labels[i % g.dim]) for i in picks]
+    vecs = picked + [combine(c, picked, (g.dim,)) for c in combos]
+    assert Subalgebra(g, vecs).is_closed() == dense_is_closed(g, vecs)
 
 
 @settings(max_examples=60, deadline=None)

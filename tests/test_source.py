@@ -86,36 +86,42 @@ def test_character_layer_is_integer_only():
 
 SPARSE_ELIMINATION = {
     "linalg": ("eliminate", "SpanBasis"),
-    "rootsys": ("Subalgebra.reduce", "Subalgebra.coords", "Subalgebra.contains"),
+    "rootsys": ("Subalgebra.reduce", "Subalgebra.coords", "Subalgebra.contains", "Subalgebra.is_closed"),
     "repthy": ("_extract_submodule",),
 }
 
 
-def _names_in(name, targets, names):
+def _names_in(name, targets, names, calls=False):
     """'module.target:line name' for each use of one of names (a bare name
-    or an attribute) in the body of each target, a function or a
-    Class.method of the library module name."""
+    or an attribute; with calls, only as the function of a call) in the body
+    of each target, a function or a Class.method of the library module name."""
     tree = ast.parse((Path(weylkit.__file__).parent / f"{name}.py").read_text())
     nodes = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     for cls in [n for n in tree.body if isinstance(n, ast.ClassDef)]:
         nodes.update({f"{cls.name}.{n.name}": n for n in cls.body if isinstance(n, ast.FunctionDef)})
-    return [
-        f"{name}.{target}:{sub.lineno} {sub.id if isinstance(sub, ast.Name) else sub.attr}"
-        for target in targets
-        for stmt in nodes[target].body
-        for sub in ast.walk(stmt)
-        if isinstance(sub, ast.Name) and sub.id in names
-        or isinstance(sub, ast.Attribute) and sub.attr in names
-    ]
+    found = []
+    for target in targets:
+        for stmt in nodes[target].body:
+            for sub in ast.walk(stmt):
+                if calls:
+                    if not isinstance(sub, ast.Call):
+                        continue
+                    sub = sub.func
+                if isinstance(sub, ast.Name) and sub.id in names:
+                    found.append(f"{name}.{target}:{sub.lineno} {sub.id}")
+                elif isinstance(sub, ast.Attribute) and sub.attr in names:
+                    found.append(f"{name}.{target}:{sub.lineno} {sub.attr}")
+    return found
 
 
 def test_elimination_stays_off_object_arrays():
-    # the reduction loop, the span bookkeeping, subspace membership and the
-    # module builder run on sparse {position: entry} rows: no dense object
-    # array (zeros, fvec, np), dense combination or dense zero test in their
-    # bodies (an np.ndarray annotation marks a public boundary, not a use)
+    # the reduction loop, the span bookkeeping, subspace membership, the
+    # closure check and the module builder run on sparse {position: entry}
+    # rows: no dense object array (zeros, fvec, np), dense combination or
+    # dense zero test in their bodies (an np.ndarray annotation marks a
+    # public boundary, not a use)
     dense = {"zeros", "combine", "is_zero", "fvec", "np"}
-    assert sum(len(targets) for targets in SPARSE_ELIMINATION.values()) == 6
+    assert sum(len(targets) for targets in SPARSE_ELIMINATION.values()) == 7
     found = [f for name, targets in SPARSE_ELIMINATION.items() for f in _names_in(name, targets, dense)]
     assert found == []
 
@@ -124,3 +130,11 @@ def test_invariant_count_reads_the_column_tables():
     # invariant_multiplicity ranks sparse rows read from the module's column
     # tables: no dense Module.action matrix, numpy stack or dense nullspace
     assert _names_in("sympoly", ("invariant_multiplicity",), {"action", "np", "nullspace"}) == []
+
+
+def test_sphericality_trial_stays_integer_and_sparse():
+    # a trial runs on int structure constants and sparse int columns, and
+    # one SpanBasis counts its rank: no rational scalar, dense object array,
+    # dense torus matrix or dense rank is made in it
+    rational_or_dense = {"Fraction", "fr", "zeros", "column_stack", "fmat", "torus_ad", "rank"}
+    assert _names_in("spherical", ("_adjoint_of_sample", "_certifies"), rational_or_dense, calls=True) == []

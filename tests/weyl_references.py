@@ -22,7 +22,9 @@ commutators; here are the dense object-array ``rref``, ``eliminate`` and
 ``SpanBasis`` it used before, and the builder's column loop that applies
 every generator in the ambient space.  It counts h-invariants as the rank
 of sparse rows read from the column tables; here is the dense kernel of the
-stacked ``Module.action`` matrices.
+stacked ``Module.action`` matrices.  It checks closure of a span by
+bracketing sparse rows on integer structure constants; here is the test on
+dense vectors, through the dense ad basis and a dense span.
 """
 
 import itertools
@@ -325,6 +327,21 @@ def dense_exp_ad(g, x, v):
             return out
         out = out + term
     raise NonNilpotentDirectionError("direction is not ad-nilpotent")
+
+
+def dense_is_closed(g, vectors):
+    """Is the span of vectors closed under the bracket?  Each bracket of two
+    of the vectors is ad x, the dense combination of the ad(b_k), times y,
+    and must lie in a DenseSpanBasis of the vectors."""
+    span = DenseSpanBasis(g.dim)
+    for v in vectors:
+        span.add(v)
+    ads = dense_ad_basis(g)
+    return all(
+        span.contains(matmul(combine(x, ads, (g.dim, g.dim)), y))
+        for i, x in enumerate(vectors)
+        for y in vectors[i + 1 :]
+    )
 
 
 # ---- the dense exact kernel ---------------------------------------------------
