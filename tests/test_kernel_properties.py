@@ -535,7 +535,7 @@ def test_structure_constants_are_int_and_wrappers_return_fractions(name):
 )
 @example("A1", [1, 2], [])  # e and f: not closed
 @example("A2", [0, 1], [])  # the Cartan: closed
-@example("G2", [2, 3], [[Fraction(1, 2), Fraction(-3)]])  # e_(0,1), e_(1,0), their sum
+@example("G2", [2, 3], [[Fraction(1, 2), Fraction(-3)]])  # e_(0,1), e_(1,0): not closed
 def test_is_closed_equals_dense_closure(name, picks, combos):
     # spans of picked basis vectors and of rational combinations of them,
     # closed or not, against the dense bracket and span of the reference
