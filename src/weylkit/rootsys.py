@@ -370,34 +370,32 @@ class Group:
                     out[i] = out.get(i, 0) + c * a * b
         return {i: v for i, v in out.items() if v}
 
+    def _ad_sparse(self, x: dict) -> dict[int, dict]:
+        """ad x by its nonzero columns, {j: {i: (ad x)[i, j]}}, for sparse x."""
+        return {j: col for j in range(self.dim) if (col := self.sparse_bracket(x, {j: 1}))}
+
     def ad(self, x: np.ndarray) -> np.ndarray:
-        xs = sparse(x)
-        m = zeros(self.dim, self.dim)
-        for j in range(self.dim):
-            for i, a in self.sparse_bracket(xs, {j: 1}).items():
-                m[i, j] = a
-        return m
+        cols = self._ad_sparse(sparse(x))
+        return densify({(i, j): a for j, col in cols.items() for i, a in col.items()}, (self.dim, self.dim))
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return densify(self.sparse_bracket(sparse(x), sparse(y)), (self.dim,))
 
-    def _exp_ad_int(
-        self, x: dict[int, int], cols: Iterable[dict[int, int]], den: int = 1
-    ) -> list[tuple[dict[int, int], int]]:
+    def _exp_ad_int(self, x: dict, cols: Iterable[dict], den: int = 1) -> list[tuple[dict, int]]:
         """exp(ad x / den) on sparse integer columns, for an integer x: one
         (a, s) per column u, with exp(ad x / den) u = a / s and s > 0.  With
         A = ad x, built once, the terms A^k u run until A^(n+1) u = 0, and
         a = sum_k (n!/k!) den^(n-k) A^k u, s = n! den^n.  ad x must be
         nilpotent there, or NonNilpotentDirectionError after dim + 1 terms."""
-        A = {j: list(col.items()) for j in range(self.dim) if (col := self.sparse_bracket(x, {j: 1}))}
+        A = self._ad_sparse(x)
         out = []
         for u in cols:
             acc = term = u
             s = 1
             for k in range(1, self.dim + 2):
-                nxt: dict[int, int] = {}
+                nxt: dict = {}
                 for j, a in term.items():
-                    for i, c in A.get(j, ()):
+                    for i, c in A.get(j, {}).items():
                         nxt[i] = nxt.get(i, 0) + c * a
                 term = {i: a for i, a in nxt.items() if a}
                 if not term:
@@ -412,34 +410,32 @@ class Group:
     def exp_ad(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """exp(ad x) v on v or each of its columns, exactly: ad x must be
         nilpotent there, or NonNilpotentDirectionError after dim + 1 terms.
-        With x = X / D and a column u / E, X and u integer, the integer
-        series of X runs on u and its sum is divided by its scale times E."""
+        With x = X / D and v = V / E, X and V integer, the integer series of
+        X runs on the columns of V and each sum is divided by its scale times E."""
         D = lcm(*(a.denominator for a in x if a))
-        X = {k: int(a * D) for k, a in enumerate(x) if a}
+        E = lcm(*(a.denominator for a in v.flat))
         out = v.astype(object)
-        cols = out.reshape(len(v), -1)
-        scales = [lcm(*(a.denominator for a in cols[:, l])) for l in range(cols.shape[1])]
-        ints = [{i: int(a * E) for i, a in enumerate(cols[:, l]) if a} for l, E in enumerate(scales)]
-        for l, ((acc, s), E) in enumerate(zip(self._exp_ad_int(X, ints, D), scales)):
-            cols[:, l] = [Fraction(acc[i], s * E) if i in acc else F0 for i in range(len(v))]
+        cols = out.reshape(len(v), -1).T
+        ints = [{i: int(a * E) for i, a in enumerate(col) if a} for col in cols]
+        for col, (acc, s) in zip(cols, self._exp_ad_int({k: int(a * D) for k, a in enumerate(x) if a}, ints, D)):
+            col[:] = [Fraction(acc.get(i, 0), s * E) for i in range(len(v))]
         return out
 
     @cached_property
-    def _torus_exponents(self) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-        """(shifted, m): at basis position p of weight wt_p (0 on the Cartan
-        and central torus), shifted[p][i] = <wt_p, alpha_i^vee> + m_i, where
-        m_i >= 0 is the largest -<wt_p, alpha_i^vee>, so every entry is >= 0."""
-        fc = [(0,) * self.rank] * (self.rank + self.torus_dim)
-        fc += [self.root_fc(c)[: self.rank] for c in self.posroots]
-        fc += [tuple(-x for x in self.root_fc(c)[: self.rank]) for c in self.posroots]
-        m = tuple(max(-e[i] for e in fc) for i in range(self.rank))
-        return [tuple(x + k for x, k in zip(e, m)) for e in fc], m
+    def _torus_exponents(self) -> tuple[list, list]:
+        """(shifted, m): basis position p, of weight wt_p (0 on the Cartan and
+        central torus), has shifted[p][i] = <wt_p, alpha_i^vee> + m_i >= 0,
+        where m_i is the largest |<c, alpha_i^vee>| over the roots c."""
+        fcs = [self.root_fc(c)[: self.rank] for c in self.posroots]
+        m = [max(abs(e[i]) for e in fcs) for i in range(self.rank)]
+        wts = [(0,) * self.rank] * (self.rank + self.torus_dim) + fcs + [[-x for x in e] for e in fcs]
+        return [[x + k for x, k in zip(e, m)] for e in wts], m
 
     def _torus_scales(self, s: Sequence) -> tuple[list, object]:
         """(w, n) with w[p] / n = prod s_i^<wt_p, alpha_i^vee>, the factor by
         which the torus point with coroot parameters s acts on basis position
-        p, and n = prod |s_i|^m_i > 0 (see _torus_exponents): w[p] =
-        sign * prod s_i^shifted[p][i], so integer s give integer w.  An int
+        p, and n = prod s_i^m_i (see _torus_exponents): w[p] =
+        prod s_i^shifted[p][i], so integer s give integer w.  An int
         parameter stays int; any other goes through fr."""
         if len(s) != self.rank:
             raise DegenerateInputError("torus point needs one parameter per simple root")
@@ -447,9 +443,8 @@ class Group:
         if any(v == 0 for v in vals):
             raise DegenerateInputError("torus parameters must be nonzero")
         shifted, m = self._torus_exponents
-        sign = (-1) ** sum(k for v, k in zip(vals, m) if v < 0)
-        n = prod(abs(v) ** k for v, k in zip(vals, m))
-        return [sign * prod(v**e for v, e in zip(vals, exps)) for exps in shifted], n
+        n = prod(v**k for v, k in zip(vals, m))
+        return [prod(v**e for v, e in zip(vals, exps)) for exps in shifted], n
 
     def torus_ad(self, s: Sequence[Fraction]) -> np.ndarray:
         """Adjoint action of the torus point with coroot parameters s.

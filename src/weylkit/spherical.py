@@ -14,7 +14,7 @@ Cartan is parabolic iff it meets g_c or g_-c for every positive root c.
 A trial is integer arithmetic from start to finish: the structure
 constants of the Chevalley basis are integers, the sample's entries and
 torus parameters are integers, and scaling a column of Ad(g)h by a
-positive factor leaves its rank alone.  So the columns stay sparse int
+nonzero factor leaves its rank alone.  So the columns stay sparse int
 dicts through both exponentials and the torus, and one SpanBasis counts
 the rank of their e-rows.
 """
@@ -81,9 +81,9 @@ def _adjoint_of_sample(group: Group, params: dict, h: Subalgebra) -> list[dict[i
 
     Everything stays in int: each row of h is scaled by the lcm of its
     denominators, each exp(ad x) returns its columns times a positive scale,
-    and the torus acts by the integers n prod s_i^<gamma, alpha_i^vee> with
-    n > 0.  So each column is Ad(g)h's times a positive factor, and the rank
-    is Ad(g)h's.  The factors act on sparse columns one after another."""
+    and the torus acts by the integers n prod s_i^<gamma, alpha_i^vee> for
+    one nonzero n.  So each column is Ad(g)h's times a nonzero factor, and
+    the rank is Ad(g)h's.  The factors act on sparse columns one after another."""
     npos = len(group.posroots)
     borel_dim = group.dim - npos  # the e_c, then the f_c, take the last 2 npos positions
     xe = {borel_dim - npos + r: t for r, t in enumerate(params["e"]) if t}

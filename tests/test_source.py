@@ -91,27 +91,22 @@ SPARSE_ELIMINATION = {
 }
 
 
-def _names_in(name, targets, names, calls=False):
+def _names_in(name, targets, names):
     """'module.target:line name' for each use of one of names (a bare name
-    or an attribute; with calls, only as the function of a call) in the body
-    of each target, a function or a Class.method of the library module name."""
+    or an attribute) in the body of each target, a function or a
+    Class.method of the library module name."""
     tree = ast.parse((Path(weylkit.__file__).parent / f"{name}.py").read_text())
     nodes = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     for cls in [n for n in tree.body if isinstance(n, ast.ClassDef)]:
         nodes.update({f"{cls.name}.{n.name}": n for n in cls.body if isinstance(n, ast.FunctionDef)})
-    found = []
-    for target in targets:
-        for stmt in nodes[target].body:
-            for sub in ast.walk(stmt):
-                if calls:
-                    if not isinstance(sub, ast.Call):
-                        continue
-                    sub = sub.func
-                if isinstance(sub, ast.Name) and sub.id in names:
-                    found.append(f"{name}.{target}:{sub.lineno} {sub.id}")
-                elif isinstance(sub, ast.Attribute) and sub.attr in names:
-                    found.append(f"{name}.{target}:{sub.lineno} {sub.attr}")
-    return found
+    return [
+        f"{name}.{target}:{sub.lineno} {sub.id if isinstance(sub, ast.Name) else sub.attr}"
+        for target in targets
+        for stmt in nodes[target].body
+        for sub in ast.walk(stmt)
+        if isinstance(sub, ast.Name) and sub.id in names
+        or isinstance(sub, ast.Attribute) and sub.attr in names
+    ]
 
 
 def test_elimination_stays_off_object_arrays():
@@ -137,4 +132,4 @@ def test_sphericality_trial_stays_integer_and_sparse():
     # one SpanBasis counts its rank: no rational scalar, dense object array,
     # dense torus matrix or dense rank is made in it
     rational_or_dense = {"Fraction", "fr", "zeros", "column_stack", "fmat", "torus_ad", "rank"}
-    assert _names_in("spherical", ("_adjoint_of_sample", "_certifies"), rational_or_dense, calls=True) == []
+    assert _names_in("spherical", ("_adjoint_of_sample", "_certifies"), rational_or_dense) == []
