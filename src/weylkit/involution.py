@@ -26,19 +26,20 @@ from .errors import (
     ensure,
 )
 from .harmonic import sym_rep_matrix
-from .linalg import column_stack, combine, eye, fmat, fr, is_zero, matmul, nullspace, solve, zeros
+from .linalg import column_stack, combine, eye, fmat, fr, is_zero, matmul, nullspace, solve, sparse, zeros
 from .repthy import build_module, check_label
 from .rootsys import Group, Subalgebra, parse_group, standard_subalgebra
 from .sympoly import check_reductive
 
 Weight = tuple[int, ...]
 
-# _nu_kernel takes one nullspace of n^2 dim h rows in n^2 unknowns (n the
-# fiber dimension); a whole involution call takes 9-11 us per each of the
-# n^4 dim h entries on one x86 core: A1 cartan w[20] (194,481 entries)
-# 2.2 s, A1 cartan w[26] (531,441) 4.8 s, G2 full adjoint (537,824) 5.7 s.
+# _nu_kernel reads the kernel of n^2 sparse columns (n the fiber dimension),
+# n^4 dim h entries if written densely.  On a 2-vCPU x86 host that takes
+# 0.02 s for A1 cartan w[20] (194,481 entries), 0.05-0.06 s for A1 cartan
+# w[26] (531,441), A1 full w[20] (583,443) and G2 full adjoint (537,824), and
+# a cold involution call 0.4 s, 0.64 s for G2 (import and dense fiber checks).
 # A larger system, such as A1 cartan w[63] (16.8 M), is refused by
-# check_nu_size before any block is built, and by the CLI before the fiber
+# check_nu_size before any column is built, and by the CLI before the fiber
 # module is built.
 MAX_NU_ENTRIES = 600_000
 
@@ -74,14 +75,17 @@ class InvolutionSpec:
         return is_zero(matmul(self.matrix, self.matrix) - eye(self.group.dim))
 
     def is_automorphism(self) -> bool:
+        """theta[b_i, b_j] = [theta b_i, theta b_j] for i < j, on the sparse
+        columns theta b_i."""
         g = self.group
-        vecs = [g.gen_vector(*lab) for lab in g.basis_labels]
-        for i, x in enumerate(vecs):
-            for y in vecs[i + 1 :]:
-                lhs = self.apply(g.bracket(x, y))
-                rhs = g.bracket(self.apply(x), self.apply(y))
-                if not is_zero(lhs - rhs):
-                    return False
+        cols = [sparse(c) for c in self.matrix.T]
+        for i, j in itertools.combinations(range(g.dim), 2):
+            lhs: dict = {}
+            for k, c in g.sparse_bracket({i: 1}, {j: 1}).items():
+                for p, x in cols[k].items():
+                    lhs[p] = lhs.get(p, 0) + c * x
+            if {p: x for p, x in lhs.items() if x} != g.sparse_bracket(cols[i], cols[j]):
+                return False
         return True
 
 
@@ -200,10 +204,7 @@ def _subspace_in_h(h: Subalgebra, coord_vectors: list[np.ndarray]) -> list[np.nd
 
 
 def _centralizer_in_h(group: Group, h: Subalgebra, z: np.ndarray) -> list[np.ndarray]:
-    if h.dim == 0:
-        return []
-    cols = [group.bracket(z, v) for v in h.basis]
-    return _subspace_in_h(h, nullspace(column_stack(cols)))
+    return _subspace_in_h(h, nullspace([group.sparse_bracket(sparse(z), b) for b in h.rows]))
 
 
 def _small_tuples(k: int):
@@ -234,16 +235,15 @@ def is_adapted(group: Group, h: Subalgebra, theta: InvolutionSpec) -> Adaptednes
     stable = all(h.contains(theta.apply(v)) for v in h.basis)
     if not stable:
         return AdaptednessReport(False, False, False, None)
-    if h.dim == 0:
-        return AdaptednessReport(True, True, True, [])
-    # theta restricted to h, in h coordinates
-    k = h.dim
-    restr = zeros(k, k)
+    # the (-1)-eigenspace of theta on h is the kernel of theta + 1, whose
+    # column j is theta b_j + b_j in h coordinates
+    cols = []
     for j, v in enumerate(h.basis):
         c = h.coords(theta.apply(v))
         ensure(c is not None, "theta does not preserve h")
-        restr[:, j] = c
-    anti = _subspace_in_h(h, nullspace(restr + eye(k)))
+        c[j] += 1
+        cols.append(sparse(c))
+    anti = _subspace_in_h(h, nullspace(cols))
     abelian_h = not any(group.sparse_bracket(x, y) for i, x in enumerate(h.rows) for y in h.rows[i + 1 :])
     if abelian_h:
         # h is its own Cartan; theta must negate all of it
@@ -389,22 +389,26 @@ def _nu_kernel(module: HModule, theta: InvolutionSpec) -> list[np.ndarray]:
     # any linear theta, and a non-automorphism should surface as an empty
     # kernel (no intertwiner), not as a malformed-sigma error.
     sigma_matrix = matmul(build_cartan_conjugation(g).matrix, theta.matrix)
-    if not h.basis:
-        # no constraints: the kernel is the full matrix space
-        return [u.reshape(n, n).copy() for u in eye(n * n)]
-    blocks = []
+    terms = []  # per basis vector x of h: the sparse rows of rho and columns of rho_s
     for x in h.basis:
-        rho = module.action_of(x)
         c = h.coords(matmul(sigma_matrix, x))
         if c is None:
             raise DegenerateInputError("sigma does not stabilize the subalgebra")
-        rho_s = module.action_coords(c)
-        # (A rho - rho_s A) = 0 with unknowns A_{ab} in row-major order, the
-        # row for entry (a, b) at position a*n + b: vec(A rho) = (1 (x) rho^T)
-        # vec(A) and vec(rho_s A) = (rho_s (x) 1) vec(A)
-        blocks.append(np.kron(eye(n), rho.T) - np.kron(rho_s, eye(n)))
-    sols = nullspace(np.vstack(blocks))
-    return [v.reshape(n, n).copy() for v in sols]
+        terms.append(([sparse(r) for r in module.action_of(x)], [sparse(r) for r in module.action_coords(c).T]))
+    # column a*n + b is E_ab -> E_ab rho - rho_s E_ab at (k, row, col) for the
+    # k-th x: row a of E_ab rho is row b of rho, column b of rho_s E_ab is
+    # column a of rho_s
+    cols = []
+    for a in range(n):
+        for b in range(n):
+            col: dict = {}
+            for k, (rho_rows, rho_s_cols) in enumerate(terms):
+                for j, x in rho_rows[b].items():
+                    col[(k, a, j)] = x
+                for i, x in rho_s_cols[a].items():
+                    col[(k, i, b)] = col.get((k, i, b), 0) - x
+            cols.append({p: x for p, x in col.items() if x})
+    return [v.reshape(n, n).copy() for v in nullspace(cols)]
 
 
 def nu_solution_space_dim(module: HModule, theta: InvolutionSpec) -> int:

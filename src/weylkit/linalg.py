@@ -6,6 +6,8 @@ Inside, elimination runs on sparse rows, dicts {position: Fraction} of the
 nonzero entries, since the matrices reduced here are mostly zeros: ``rref``
 makes one dense matrix at the end, ``SpanBasis`` and the module builder
 never leave the sparse form, and ``sparse`` and ``densify`` convert.
+``nullspace`` reads a kernel off one ``SpanBasis`` pass over the map's
+sparse columns, so no kernel is built as a dense stack.
 
 Three helpers are the kernel's vocabulary for the loops the rest of the
 package would otherwise write by hand (de Graaf, *Lie Algebras: Theory and
@@ -134,18 +136,20 @@ def rank(a: np.ndarray) -> int:
     return len(rref(a)[1])
 
 
-def nullspace(a: np.ndarray) -> list[np.ndarray]:
-    """Basis of {x : a @ x = 0}, one vector per free column."""
-    n, m = a.shape
-    r, pivots = rref(a)
-    free = [j for j in range(m) if j not in pivots]
-    basis = []
-    for j in free:
-        v = zeros(m)
-        v[j] = F1
-        for i, p in enumerate(pivots):
-            v[p] = -r[i, j]
-        basis.append(v)
+def nullspace(cols: Sequence[dict]) -> list[np.ndarray]:
+    """Basis of the kernel of the linear map whose column j is the sparse
+    vector cols[j] ({position: entry}, any sortable positions): one vector
+    per column j in the span of the columns before it, 1 at j and minus the
+    coordinates of cols[j] over the earlier independent columns.  This is
+    the basis read off the reduced echelon form, which is unique."""
+    span, indep, basis = SpanBasis(), [], []
+    for j, col in enumerate(cols):
+        coords = span.express(col)
+        if coords is None:
+            span.add(col)
+            indep.append(j)
+        else:
+            basis.append(densify({j: F1} | {indep[k]: -x for k, x in coords}, (len(cols),)))
     return basis
 
 

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionCapError, NonDominantError, ParseError, ensure
-from .linalg import F0, F1, SpanBasis, densify, fr, fvec, matmul, nullspace, zeros
+from .linalg import F0, F1, SpanBasis, fr, fvec, matmul, nullspace, zeros
 from .linalg import rref  # noqa: F401  (unused here; the benchmark tracer and its tests patch repthy.rref)
 from .rootsys import Group
 
@@ -258,15 +258,12 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
     dws = [_basis_weight(group, lab) for lab in group.basis_labels]
 
     positions = [k for k, w in enumerate(amb_weights) if w == label]
-    # row (i, q) of the raising system holds entry q of e_i . positions[c] in
-    # column c; the kernel does not depend on the order of the rows
-    raising: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for c, p in enumerate(positions):
-        for i, j in enumerate(eidx):
-            for q, x in _tensor_apply(*amb[j], {p: F1}, m2.dim).items():
-                raising.setdefault((i, q), {})[c] = x
-    system = {(r, c): x for r, row in enumerate(raising.values()) for c, x in row.items()}
-    ker = nullspace(densify(system, (len(raising), len(positions))))
+    # column c of the raising system holds entry q of e_i . positions[c] at (i, q)
+    raising = [
+        {(i, q): x for i, j in enumerate(eidx) for q, x in _tensor_apply(*amb[j], {p: F1}, m2.dim).items()}
+        for p in positions
+    ]
+    ker = nullspace(raising)
     ensure(len(ker) == 1, f"highest weight vector of {label} is not unique")
     v0 = {p: c for p, c in zip(positions, ker[0]) if c}
 
@@ -364,13 +361,11 @@ _MODULE_CACHE: dict[tuple[str, Weight], Module] = {}
 def build_module(group: Group, label: Sequence[int]) -> Module:
     """Exact matrix model of the irreducible module with this highest weight.
 
-    Raises DimensionCapError above dimension 64.  The builder and
-    sympoly.invariant_multiplicity eliminate on sparse rows; the one dense
-    consumer left is the intertwiner solve, where
-    involution.fiber_restriction reads the Module.action matrices and
-    involution._nu_kernel takes a dense rational nullspace whose size grows
-    with the fourth power of the dimension.  The cap keeps its worst cases
-    desk-scale.
+    Raises DimensionCapError above dimension 64.  The builder,
+    sympoly.invariant_multiplicity and involution._nu_kernel eliminate on
+    sparse rows; involution.fiber_restriction still reads the dense
+    Module.action matrices, and the intertwiner system has n^2 unknowns for
+    a module of dimension n.  The cap keeps its worst cases desk-scale.
     """
     lab = check_label(group, label)
     key = (group.name, lab)

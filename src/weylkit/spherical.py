@@ -25,11 +25,9 @@ import random
 from dataclasses import dataclass, field
 from math import lcm
 
-import numpy as np
-
 from .errors import DegenerateInputError
-from .linalg import SpanBasis, column_stack, densify, nullspace
-from .rootsys import Group, Subalgebra, standard_subalgebra
+from .linalg import SpanBasis, densify, eliminate, nullspace
+from .rootsys import Group, Subalgebra
 
 DEFAULT_TRIALS = 32
 # Upper bound on a trial count taken from outside the program.  A span that
@@ -178,21 +176,14 @@ def verify_witness(group: Group, h: Subalgebra, witness: dict) -> bool:
 
 
 def normalizer(group: Group, h: Subalgebra) -> Subalgebra:
-    """n(h) = {x : [x, h] <= h}, exactly, as the nullspace of the stacked
-
-    quotient-projected bracket maps.  The condition is linear in x: for each
-    basis vector b of h, ad(b)x reduced modulo h must vanish."""
-    if h.dim == 0:
-        return standard_subalgebra(group, "full")
-    cond_rows = []
-    for b in h.basis:
-        reduced = column_stack([h.reduce(col) for col in group.ad(b).T])
-        # all-zero rows constrain nothing; keeping them would only grow the rref
-        cond_rows += [row for row in reduced if any(x != 0 for x in row)]
-    if not cond_rows:
-        return standard_subalgebra(group, "full")
-    basis = nullspace(np.vstack(cond_rows))
-    return Subalgebra(group, basis, name=f"normalizer({h.name or 'span'})")
+    """n(h) = {x : [x, h] <= h}, exactly, as the kernel of the linear map
+    x -> ([b, x] modulo h) over the basis vectors b of h: column j holds
+    the reduced [b_k, e_j] at positions (k, i)."""
+    cols = []
+    for j in range(group.dim):
+        images = (eliminate(group.sparse_bracket(b, {j: 1}), h.rows, h.pivots)[0] for b in h.rows)
+        cols.append({(k, i): x for k, im in enumerate(images) for i, x in im.items()})
+    return Subalgebra(group, nullspace(cols), name=f"normalizer({h.name or 'span'})")
 
 
 @dataclass

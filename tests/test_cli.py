@@ -322,22 +322,18 @@ class TestInvolution:
 
         real_nullspace = involution.nullspace
 
-        def small_nullspace(a):
+        def small_nullspace(cols):
             # the adaptedness check solves over h; the 64-dim fiber's system
             # would have 4096 unknowns
-            if a.shape[1] >= 64:
+            if len(cols) >= 64:
                 raise AssertionError("the intertwiner system reached nullspace")
-            return real_nullspace(a)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a Kronecker block was built for an oversized system")
+            return real_nullspace(cols)
 
         def refuse_module(*args, **kwargs):
             # n = weyl_dim and dim h are known before the 64-dim module
             raise AssertionError("the fiber module was built for an oversized system")
 
         monkeypatch.setattr(involution, "nullspace", small_nullspace)
-        monkeypatch.setattr(involution.np, "kron", refuse)
         monkeypatch.setattr(repthy, "build_module", refuse_module)
         monkeypatch.setattr(involution, "build_module", refuse_module)
         code, out, _ = _run(

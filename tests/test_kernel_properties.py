@@ -3,9 +3,9 @@
 ``combine``, ``eliminate`` and ``matmul`` carry every linear combination,
 every echelon reduction and every exact matrix product in the package, so
 their identities are checked here on random small rational data rather
-than on hand-picked cases only.  The sparse ``rref``, ``SpanBasis`` and
-``Subalgebra`` are checked against the dense object-array versions in
-``weyl_references`` on random sparse rational matrices.  The two
+than on hand-picked cases only.  The sparse ``rref``, ``nullspace``,
+``SpanBasis`` and ``Subalgebra`` are checked against the dense object-array
+versions in ``weyl_references`` on random sparse rational matrices.  The two
 coordinate rules of ``spherical`` are checked against the searches they
 replaced, which are kept here as references.
 """
@@ -53,6 +53,7 @@ from weyl_references import (
     dense_eliminate,
     dense_exp_ad,
     dense_is_closed,
+    dense_nullspace,
     dense_rref,
     nonzero_columns,
 )
@@ -134,6 +135,37 @@ def test_rref_equals_the_dense_reference(a):
     assert pivots == want_pivots
     assert got.shape == want.shape == a.shape
     assert _typed(got.flat) == _typed(want.flat)
+
+
+def int_or_fraction_matrices(max_rows: int = 6, max_cols: int = 6):
+    """Mostly zero matrices whose entries mix raw int and Fraction."""
+    return st.tuples(st.integers(0, max_rows), st.integers(0, max_cols), st.integers(1, 4)).flatmap(
+        lambda s: st.lists(
+            st.one_of(*[st.just(0)] * s[2], st.integers(-3, 3), rationals),
+            min_size=s[0] * s[1],
+            max_size=s[0] * s[1],
+        ).map(lambda xs: np.array(xs, dtype=object).reshape(s[0], s[1]))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_or_fraction_matrices(), st.booleans())
+@example(np.zeros((0, 0), dtype=object), False)
+@example(np.zeros((3, 0), dtype=object), True)
+@example(np.zeros((0, 3), dtype=object), True)
+@example(np.array([[0, 0, 0, 0], [2, 1, 0, Fraction(1, 2)], [0, 0, 0, 0]], dtype=object), True)
+def test_nullspace_of_sparse_columns_equals_the_dense_reference(a, tuple_positions):
+    # the columns of a as {position: entry}, raw ints kept; tuple positions
+    # sort the rows differently (odd rows last, each half reversed), which
+    # moves the span's pivots but not the kernel
+    key = (lambda r: (r % 2, -r)) if tuple_positions else (lambda r: r)
+    cols = [{key(r): x for r, x in enumerate(col) if x} for col in a.T]
+    got, want = nullspace(cols), dense_nullspace(a)
+    assert len(got) == len(want)
+    for u, v in zip(got, want):
+        assert all(type(x) is Fraction for x in u)
+        assert _typed(u) == _typed(v)
+        assert is_zero(matmul(a, u))
 
 
 @settings(max_examples=100, deadline=None)
@@ -320,8 +352,9 @@ def test_subalgebra_coords_round_trip_over_basis(name, data):
 
 
 def _nu_kernel_loop(module, theta):
-    """The equivariance system written out entry by entry, as _nu_kernel
-    built it before the Kronecker form; kept as an independent reference."""
+    """The equivariance system written out entry by entry, one dense row per
+    entry (a, b) of A rho - rho_s A; kept as an independent reference for
+    _nu_kernel."""
     g = module.group
     h = module.h
     sigma_matrix = build_cartan_conjugation(g).matrix @ theta.matrix
@@ -349,7 +382,7 @@ def _nu_kernel_loop(module, theta):
                 m[a, b] = Fraction(1)
                 units.append(m)
         return units
-    sols = nullspace(column_stack(rows).T)
+    sols = nullspace([{r: row[u] for r, row in enumerate(rows) if row[u]} for u in range(n * n)])
     return [v.reshape(n, n).copy() for v in sols]
 
 
@@ -370,13 +403,13 @@ FIBER_CASES = (
     st.sampled_from(FIBER_CASES),
     st.lists(st.sampled_from([-2, -1, 1, 2, 3]), min_size=2, max_size=2),
 )
-def test_nu_kernel_kronecker_system_matches_entrywise_loop(case, torus):
+def test_nu_kernel_matches_entrywise_loop(case, torus):
     name, sub, label = case
     g = parse_group(name)
     h = standard_subalgebra(g, sub)
     module = fiber_restriction(g, h, label)
     # theta twisted by a torus element: rho(sigma x) differs from rho(x),
-    # so both Kronecker terms are exercised
+    # so both terms of A rho - rho_s A are exercised
     twist = g.torus_ad([Fraction(s) for s in torus[: g.rank]])
     theta = InvolutionSpec("weyl_theta", g, twist @ _chevalley_matrix(g), False)
     try:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from weylkit import repthy
 from weylkit.errors import DimensionCapError, InternalInvariantError, NonDominantError, ParseError
-from weylkit.linalg import F1, column_stack, combine, fvec, is_zero, matmul, nullspace, zeros
+from weylkit.linalg import F1, combine, fvec, is_zero, matmul, nullspace, sparse, zeros
 from weylkit.repthy import (
     build_module,
     convolve_characters,
@@ -346,8 +346,7 @@ def _ambient_wide_extract(group, m1, m2, label):
         unit = zeros(adim)
         unit[p] = F1
         cols.append(np.concatenate([dense_tensor_apply(*e, unit) for e in es]))
-    raising = column_stack(cols)
-    (ker,) = nullspace(raising[[not is_zero(row) for row in raising]])
+    (ker,) = nullspace([sparse(c) for c in cols])
     v0 = zeros(adim)
     v0[positions] = ker
     span = DenseSpanBasis(adim)

@@ -133,3 +133,15 @@ def test_sphericality_trial_stays_integer_and_sparse():
     # dense torus matrix or dense rank is made in it
     rational_or_dense = {"Fraction", "fr", "zeros", "column_stack", "fmat", "torus_ad", "rank"}
     assert _names_in("spherical", ("_adjoint_of_sample", "_certifies"), rational_or_dense) == []
+
+
+def test_exact_kernels_are_taken_from_sparse_columns():
+    # every exact kernel is nullspace of the map's sparse columns: no
+    # Kronecker block, dense stack, densified system or dense ad x is built
+    dense_stack = {"kron", "vstack", "column_stack", "densify", "ad"}
+    kernels = {
+        "involution": ("_nu_kernel", "_centralizer_in_h", "is_adapted"),
+        "spherical": ("normalizer",),
+        "repthy": ("_extract_submodule",),
+    }
+    assert [f for name, targets in kernels.items() for f in _names_in(name, targets, dense_stack)] == []

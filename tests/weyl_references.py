@@ -22,7 +22,9 @@ commutators; here are the dense object-array ``rref``, ``eliminate`` and
 ``SpanBasis`` it used before, and the builder's column loop that applies
 every generator in the ambient space.  It counts h-invariants as the rank
 of sparse rows read from the column tables; here is the dense kernel of the
-stacked ``Module.action`` matrices.  It checks closure of a span by
+stacked ``Module.action`` matrices.  It takes every exact kernel from
+sparse columns in one span; here is the kernel read off the dense reduced
+echelon form.  It checks closure of a span by
 bracketing sparse rows on integer structure constants; here is the test on
 dense vectors, through the dense ad basis and a dense span.
 """
@@ -33,7 +35,7 @@ from functools import cache, lru_cache
 import numpy as np
 
 from weylkit.errors import DegenerateInputError, NonNilpotentDirectionError, ensure
-from weylkit.linalg import F0, F1, column_stack, combine, eye, fr, fvec, is_zero, matmul, nullspace, zeros
+from weylkit.linalg import F0, F1, column_stack, combine, eye, fr, fvec, is_zero, matmul, rref, zeros
 from weylkit.repthy import (
     Module,
     _add,
@@ -252,7 +254,7 @@ def dense_invariant_multiplicity(group, h, label):
     dual = build_module(group, group.dual_label(label))
     if h.dim == 0:
         return dual.dim
-    return len(nullspace(np.vstack([dual.action(x) for x in h.basis])))
+    return len(dense_nullspace(np.vstack([dual.action(x) for x in h.basis])))
 
 
 def nonzero_columns(a):
@@ -368,6 +370,24 @@ def dense_rref(a):
         if row == n:
             break
     return r, pivots
+
+
+def dense_nullspace(a):
+    """Basis of {x : a @ x = 0} for a dense matrix a, one vector per free
+    column of rref(a): 1 there and minus that column of R at the pivots.
+    The reference for ``linalg.nullspace``, which reads the same basis off
+    the sparse columns of a."""
+    m = a.shape[1]
+    r, pivots = rref(a)
+    free = [j for j in range(m) if j not in pivots]
+    basis = []
+    for j in free:
+        v = zeros(m)
+        v[j] = F1
+        for i, p in enumerate(pivots):
+            v[p] = -r[i, j]
+        basis.append(v)
+    return basis
 
 
 def dense_eliminate(v, rows, pivots):
