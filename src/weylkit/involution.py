@@ -3,8 +3,13 @@
 Everything at the Lie-algebra level is exact: the Chevalley involution, the
 compact-form conjugation, and the intertwiner solve all run over rational
 matrices, so every certificate in this module re-verifies to literal zero
-residuals.  Floating point enters only through the Phi-function orbit
-checks, which live on the analytic model and carry explicit tolerances.
+residuals.  A fiber is held as the column tables of ``repthy`` (one per
+basis vector of h), and the fiber checks, the intertwiner system and the
+certificate's equivariance check all read the pairs (rho(x), rho(sigma x))
+of those tables.  The intertwiner nu is one rational matrix: every fiber is
+rational, so its antilinear solutions are two real copies of a rational
+kernel.  Floating point enters only through the Phi-function orbit checks,
+which live on the analytic model and carry explicit tolerances.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, isqrt, lcm, sqrt
+from typing import Iterable
 
 import numpy as np
 
@@ -26,18 +32,19 @@ from .errors import (
     ensure,
 )
 from .harmonic import sym_rep_matrix
-from .linalg import column_stack, combine, eye, fmat, fr, is_zero, matmul, nullspace, solve, sparse, zeros
-from .repthy import build_module, check_label
+from .linalg import F0, combine, eliminate, eye, fr, is_zero, matmul, nullspace, sparse, zeros
+from .repthy import Table, apply_table, build_module, check_label, commutator
 from .rootsys import Group, Subalgebra, parse_group, standard_subalgebra
 from .sympoly import check_reductive
 
 Weight = tuple[int, ...]
 
 # _nu_kernel reads the kernel of n^2 sparse columns (n the fiber dimension),
-# n^4 dim h entries if written densely.  On a 2-vCPU x86 host that takes
-# 0.02 s for A1 cartan w[20] (194,481 entries), 0.05-0.06 s for A1 cartan
-# w[26] (531,441), A1 full w[20] (583,443) and G2 full adjoint (537,824), and
-# a cold involution call 0.4 s, 0.64 s for G2 (import and dense fiber checks).
+# n^4 dim h entries if written densely.  On a 2-vCPU x86 host (Python 3.11)
+# that takes 0.02 s for A1 cartan w[20] (194,481 entries) and G2 full adjoint
+# (537,824), 0.03 s for A1 full w[20] (583,443) and 0.045 s for A1 cartan
+# w[26] (531,441); a cold involution call takes 0.3-0.4 s, most of it the
+# import.
 # A larger system, such as A1 cartan w[63] (16.8 M), is refused by
 # check_nu_size before any column is built, and by the CLI before the fiber
 # module is built.
@@ -256,11 +263,8 @@ def is_adapted(group: Group, h: Subalgebra, theta: InvolutionSpec) -> Adaptednes
         if not _is_semisimple_element(group, z):
             continue
         cent = _centralizer_in_h(group, h, z)
-        if any(
-            not is_zero(group.bracket(x, y))
-            for i, x in enumerate(cent)
-            for y in cent[i + 1 :]
-        ):
+        rows = [sparse(v) for v in cent]
+        if any(group.sparse_bracket(x, y) for i, x in enumerate(rows) for y in rows[i + 1 :]):
             continue
         anti_span = Subalgebra(group, anti)
         if all(anti_span.contains(v) for v in cent):
@@ -273,75 +277,73 @@ def is_adapted(group: Group, h: Subalgebra, theta: InvolutionSpec) -> Adaptednes
 
 @dataclass
 class AntilinearMap:
-    """v -> M conj(v) with M split into exact rational real/imaginary parts."""
+    """v -> M conj(v) for an exact rational matrix M.
 
-    re: np.ndarray
-    im: np.ndarray
+    Every fiber here is rational, so the intertwiner solve looks for M among
+    rational matrices."""
+
+    matrix: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.re.shape[0]
+        return self.matrix.shape[0]
 
     def matrix_complex(self) -> np.ndarray:
-        return np.array(
-            [[float(self.re[i, j]) + 1j * float(self.im[i, j]) for j in range(self.dim)] for i in range(self.dim)]
-        )
-
-    def apply_float(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix_complex() @ np.conj(v)
-
-    def compose(self, other: "AntilinearMap") -> tuple[np.ndarray, np.ndarray]:
-        """The linear map (self . other); returns exact (re, im) parts of
-        A conj(B) for self = A conj, other = B conj."""
-        re = matmul(self.re, other.re) + matmul(self.im, other.im)
-        im = matmul(self.im, other.re) - matmul(self.re, other.im)
-        return re, im
+        return self.matrix.astype(float).astype(complex)
 
     def is_involutive(self) -> bool:
-        re, im = self.compose(self)
-        n = self.dim
-        return is_zero(re - eye(n)) and is_zero(im - zeros(n, n))
+        """(M conj)^2 = M conj(M) = M M for rational M."""
+        return is_zero(matmul(self.matrix, self.matrix) - eye(self.dim))
 
     def negate(self) -> "AntilinearMap":
-        return AntilinearMap(-self.re, -self.im)
+        return AntilinearMap(-self.matrix)
 
 
 class HModule:
-    """A module over a subalgebra h, given by exact matrices on h's basis."""
+    """A module over a subalgebra h: tables[i] is the repthy column table of
+    the matrix of h.basis[i], rows ascending and zero entries dropped, so
+    equal matrices have equal tables.  The bracket check compares, for each
+    pair of basis vectors, the commutator of their tables with the table of
+    their bracket's coordinates over h."""
 
-    def __init__(self, group: Group, h: Subalgebra, mats: list[np.ndarray], descriptor: tuple):
+    def __init__(self, group: Group, h: Subalgebra, tables: list[Table], descriptor: tuple):
         self.group = group
         self.h = h
-        self.mats = mats
+        self.tables = tables
         self.descriptor = descriptor
-        self.dim = mats[0].shape[0] if mats else 1
-        if len(mats) != h.dim or any(m.shape != (self.dim, self.dim) for m in mats):
+        self.dim = len(tables[0]) if tables else 1
+        if len(tables) != h.dim or any(len(t) != self.dim for t in tables):
             raise DegenerateInputError(
                 "fiber needs one square matrix of a common size per basis vector of h"
             )
         # bracket compatibility: rho[x,y] = [rho x, rho y] on the basis
-        for i, x in enumerate(h.basis):
+        for i, x in enumerate(h.rows):
             for j in range(i + 1, h.dim):
-                c = h.coords(group.bracket(x, h.basis[j]))
-                if c is None:
+                rem, coords = eliminate(group.sparse_bracket(x, h.rows[j]), h.rows, h.pivots)
+                if rem:
                     raise NotSubalgebraError("fiber module over a non-closed span")
-                lhs = self.action_coords(c)
-                rhs = matmul(mats[i], mats[j]) - matmul(mats[j], mats[i])
-                if not is_zero(lhs - rhs):
+                if self.combination(coords.items()) != commutator(tables[i], tables[j], 1):
                     raise DegenerateInputError("fiber matrices do not represent h")
 
-    def action_coords(self, coords: np.ndarray) -> np.ndarray:
-        return combine(coords, self.mats, (self.dim, self.dim))
+    def combination(self, coords: Iterable[tuple[int, Fraction]]) -> Table:
+        """The table of sum c rho(h.basis[k]) over the (k, c) pairs."""
+        return _table_sum(((c, self.tables[k]) for k, c in coords), self.dim)
 
-    def action_of(self, vec: np.ndarray) -> np.ndarray:
-        c = self.h.coords(vec)
-        if c is None:
-            raise DegenerateInputError("vector lies outside the acting subalgebra")
-        return self.action_coords(c)
+
+def _table_sum(terms: Iterable[tuple[Fraction, Table]], n: int) -> Table:
+    """The table of sum c * t over the (c, t) pairs with c nonzero, for
+    tables of n columns: rows ascending, zero entries dropped."""
+    cols: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    for c, table in terms:
+        if c:
+            for col, entries in zip(cols, table):
+                for r, x in entries:
+                    col[r] = col.get(r, F0) + c * x
+    return [[(r, x) for r, x in sorted(col.items()) if x] for col in cols]
 
 
 def fiber_trivial(group: Group, h: Subalgebra) -> HModule:
-    return HModule(group, h, [zeros(1, 1) for _ in h.basis], ("trivial",))
+    return HModule(group, h, [[[]] for _ in h.basis], ("trivial",))
 
 
 def fiber_character(group: Group, h: Subalgebra, values) -> HModule:
@@ -350,15 +352,16 @@ def fiber_character(group: Group, h: Subalgebra, values) -> HModule:
     vals = [fr(v) for v in values]
     if len(vals) != h.dim:
         raise DegenerateInputError("need one character value per basis vector")
-    return HModule(group, h, [fmat([[v]]) for v in vals], ("character", tuple(values)))
+    return HModule(group, h, [[[(0, v)] if v else []] for v in vals], ("character", tuple(values)))
 
 
 def fiber_restriction(group: Group, h: Subalgebra, label) -> HModule:
-    """A module of the ambient algebra viewed as an h-module."""
+    """A module of the ambient algebra viewed as an h-module: the table of
+    each basis vector of h combines the module's tables by its entries."""
     label = check_label(group, label)
     mod = build_module(group, label)
-    mats = [mod.action(x) for x in h.basis]
-    return HModule(group, h, mats, ("restriction", label))
+    tables = [_table_sum(((c, mod.columns[p]) for p, c in row.items()), mod.dim) for row in h.rows]
+    return HModule(group, h, tables, ("restriction", label))
 
 
 def check_nu_size(n: int, h_dim: int) -> None:
@@ -372,6 +375,36 @@ def check_nu_size(n: int, h_dim: int) -> None:
         )
 
 
+def _twisted_actions(module: HModule, sigma: np.ndarray) -> list[tuple[Table, Table]]:
+    """(rho(x), rho(sigma x)) as column tables, for each basis vector x of h."""
+    h = module.h
+    out = []
+    for x, rho in zip(h.basis, module.tables):
+        rem, coords = eliminate(sparse(matmul(sigma, x)), h.rows, h.pivots)
+        if rem:
+            raise DegenerateInputError("sigma does not stabilize the subalgebra")
+        out.append((rho, module.combination(coords.items())))
+    return out
+
+
+def _intertwines(a: Table, rho: Table, rho_s: Table) -> bool:
+    """a rho = rho_s a, column by column, for column tables of one size."""
+    for k in range(len(a)):
+        col: dict[int, Fraction] = {}
+        apply_table(a, rho[k], col)
+        apply_table(rho_s, a[k], col, -1)
+        if any(col.values()):
+            return False
+    return True
+
+
+def _sigma_matrix(group: Group, theta: InvolutionSpec) -> np.ndarray:
+    # Compose tau.theta directly: the equivariance equation makes sense for
+    # any linear theta, and a non-automorphism should surface as an empty
+    # kernel (no intertwiner), not as a malformed-sigma error.
+    return matmul(build_cartan_conjugation(group).matrix, theta.matrix)
+
+
 def _nu_kernel(module: HModule, theta: InvolutionSpec) -> list[np.ndarray]:
     """Rational basis of {A : A rho(x) = rho(sigma x) A for all x in h}.
 
@@ -381,34 +414,22 @@ def _nu_kernel(module: HModule, theta: InvolutionSpec) -> list[np.ndarray]:
     Since the module matrices are rational, the realified solution space is
     exactly two copies (real and imaginary part) of this kernel.
     """
-    g = module.group
-    h = module.h
     n = module.dim
-    check_nu_size(n, h.dim)
-    # Compose tau.theta directly: the equivariance equation makes sense for
-    # any linear theta, and a non-automorphism should surface as an empty
-    # kernel (no intertwiner), not as a malformed-sigma error.
-    sigma_matrix = matmul(build_cartan_conjugation(g).matrix, theta.matrix)
-    terms = []  # per basis vector x of h: the sparse rows of rho and columns of rho_s
-    for x in h.basis:
-        c = h.coords(matmul(sigma_matrix, x))
-        if c is None:
-            raise DegenerateInputError("sigma does not stabilize the subalgebra")
-        terms.append(([sparse(r) for r in module.action_of(x)], [sparse(r) for r in module.action_coords(c).T]))
+    check_nu_size(n, module.h.dim)
     # column a*n + b is E_ab -> E_ab rho - rho_s E_ab at (k, row, col) for the
     # k-th x: row a of E_ab rho is row b of rho, column b of rho_s E_ab is
     # column a of rho_s
-    cols = []
-    for a in range(n):
-        for b in range(n):
-            col: dict = {}
-            for k, (rho_rows, rho_s_cols) in enumerate(terms):
-                for j, x in rho_rows[b].items():
-                    col[(k, a, j)] = x
-                for i, x in rho_s_cols[a].items():
+    cols: list[dict] = [{} for _ in range(n * n)]
+    for k, (rho, rho_s) in enumerate(_twisted_actions(module, _sigma_matrix(module.group, theta))):
+        for a in range(n):
+            for j, entries in enumerate(rho):
+                for b, x in entries:  # x = rho[b, j]
+                    cols[a * n + b][(k, a, j)] = x
+            for i, x in rho_s[a]:
+                for b in range(n):
+                    col = cols[a * n + b]
                     col[(k, i, b)] = col.get((k, i, b), 0) - x
-            cols.append({p: x for p, x in col.items() if x})
-    return [v.reshape(n, n).copy() for v in nullspace(cols)]
+    return [v.reshape(n, n).copy() for v in nullspace([{p: x for p, x in c.items() if x} for c in cols])]
 
 
 def nu_solution_space_dim(module: HModule, theta: InvolutionSpec) -> int:
@@ -450,9 +471,10 @@ def solve_nu(module: HModule, theta: InvolutionSpec) -> AntilinearMap:
             break
     if a0 is None and len(kernel) > 1:
         # reducible case: the identity may live in the kernel span even
-        # though no single basis element squares to a scalar
-        cols = column_stack([cand.reshape(-1) for cand in kernel])
-        if solve(cols, eye(n).reshape(-1)) is not None:
+        # though no single basis element squares to a scalar.  The kernel is
+        # the whole solution space, so it does iff rho(x) = rho(sigma x).
+        pairs = _twisted_actions(module, _sigma_matrix(module.group, theta))
+        if all(rho == rho_s for rho, rho_s in pairs):
             a0, scale2 = eye(n), fr(1)
     if a0 is None:
         raise DegenerateInputError(
@@ -469,11 +491,10 @@ def solve_nu(module: HModule, theta: InvolutionSpec) -> AntilinearMap:
             f"normalization scale {scale2} is not a rational square"
         )
     a = a0 / root
-    flat = a.reshape(-1)
-    lead = next(x for x in flat if x != 0)
+    lead = next(x for x in a.flat if x != 0)
     if lead < 0:
         a = -a
-    nu = AntilinearMap(a, zeros(n, n))
+    nu = AntilinearMap(a)
     ensure(nu.is_involutive(), "normalized nu is not an involution")
     return nu
 
@@ -507,15 +528,8 @@ class BundleCertificate:
         comm_ok = is_zero(prod - matmul(self.theta.matrix, tau.matrix)) and is_zero(
             self.sigma.matrix - prod
         )
-        equi_ok = True
-        for x in self.h.basis:
-            rho = self.fiber.action_of(x)
-            rho_s = self.fiber.action_of(self.sigma.apply(x))
-            # complex A = re + i im against rational rho: both parts intertwine
-            if not is_zero(matmul(self.nu.re, rho) - matmul(rho_s, self.nu.re)):
-                equi_ok = False
-            if not is_zero(matmul(self.nu.im, rho) - matmul(rho_s, self.nu.im)):
-                equi_ok = False
+        nu = [[(i, x) for i, x in enumerate(col) if x] for col in self.nu.matrix.T]
+        equi_ok = all(_intertwines(nu, rho, rho_s) for rho, rho_s in _twisted_actions(self.fiber, self.sigma.matrix))
         return {
             "sigma_squares_to_identity": sq_ok,
             "sigma_is_commuting_product": comm_ok,
@@ -529,15 +543,7 @@ class BundleCertificate:
             "fiber": list(self.fiber.descriptor),
             "fiber_dim": self.fiber.dim,
             "adapted": self.adapted.as_dict(),
-            "nu_matrix": [
-                [
-                    str(self.nu.re[i, j])
-                    if self.nu.im[i, j] == 0
-                    else f"{self.nu.re[i, j]}+{self.nu.im[i, j]}i"
-                    for j in range(self.nu.dim)
-                ]
-                for i in range(self.nu.dim)
-            ],
+            "nu_matrix": [[str(x) for x in row] for row in self.nu.matrix],
             "checks": dict(self.checks),
         }
 
@@ -709,7 +715,7 @@ def bundle_cartan_weight2() -> BundleModel:
 
     def mu(sample, nu: AntilinearMap):
         gm, v = sample
-        c = complex(float(nu.re[0, 0]), float(nu.im[0, 0]))
+        c = complex(float(nu.matrix[0, 0]))
         return (np.conj(gm), c * np.conj(v))
 
     return BundleModel("A1 cartan, weight-2 line", cert, phis, sampler, mu)

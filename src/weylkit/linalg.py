@@ -7,7 +7,9 @@ nonzero entries, since the matrices reduced here are mostly zeros: ``rref``
 makes one dense matrix at the end, ``SpanBasis`` and the module builder
 never leave the sparse form, and ``sparse`` and ``densify`` convert.
 ``nullspace`` reads a kernel off one ``SpanBasis`` pass over the map's
-sparse columns, so no kernel is built as a dense stack.
+sparse columns, so no kernel is built as a dense stack; a rank is the
+length of a ``SpanBasis`` and a membership test is its ``express``, so
+there is no dense solve, rank or column stack either.
 
 Three helpers are the kernel's vocabulary for the loops the rest of the
 package would otherwise write by hand (de Graaf, *Lie Algebras: Theory and
@@ -130,12 +132,6 @@ def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return densify({(i, j): x for i, row in enumerate(rows) for j, x in row.items()}, (n, m)), pivots
 
 
-def rank(a: np.ndarray) -> int:
-    if a.size == 0:
-        return 0
-    return len(rref(a)[1])
-
-
 def nullspace(cols: Sequence[dict]) -> list[np.ndarray]:
     """Basis of the kernel of the linear map whose column j is the sparse
     vector cols[j] ({position: entry}, any sortable positions): one vector
@@ -151,30 +147,6 @@ def nullspace(cols: Sequence[dict]) -> list[np.ndarray]:
         else:
             basis.append(densify({j: F1} | {indep[k]: -x for k, x in coords}, (len(cols),)))
     return basis
-
-
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One solution of a @ x = b, or None if inconsistent."""
-    n, m = a.shape
-    aug = zeros(n, m + 1)
-    aug[:, :m] = a
-    aug[:, m] = b
-    r, pivots = rref(aug)
-    if m in pivots:
-        return None
-    x = zeros(m)
-    for i, p in enumerate(pivots):
-        x[p] = r[i, m]
-    return x
-
-
-def column_stack(vecs: Sequence[np.ndarray]) -> np.ndarray:
-    if not vecs:
-        return zeros(0, 0)
-    a = zeros(len(vecs[0]), len(vecs))
-    for j, v in enumerate(vecs):
-        a[:, j] = v
-    return a
 
 
 def combine(coeffs: Iterable, terms: Iterable[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:

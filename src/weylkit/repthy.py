@@ -206,20 +206,20 @@ def _basis_weight(group: Group, lab: tuple[str, object]) -> Weight:
     return (0,) * group.weight_len
 
 
-def _apply(a: Table, col: list[tuple[int, Fraction]], out: dict[int, Fraction], sign: int = 1) -> None:
+def apply_table(a: Table, col: list[tuple[int, Fraction]], out: dict[int, Fraction], sign: int = 1) -> None:
     """out += sign * (the matrix of table a applied to the sparse column col)."""
     for j, c in col:
         for r, x in a[j]:
             out[r] = out.get(r, F0) + sign * x * c
 
 
-def _commutator(a: Table, b: Table, n: Fraction) -> Table:
+def commutator(a: Table, b: Table, n: Fraction) -> Table:
     """The table of (a b - b a) / n: rows ascending, zero entries dropped."""
     out = []
     for k in range(len(a)):
         col: dict[int, Fraction] = {}
-        _apply(a, b[k], col)
-        _apply(b, a[k], col, -1)
+        apply_table(a, b[k], col)
+        apply_table(b, a[k], col, -1)
         out.append([(r, x / n) for r, x in sorted(col.items()) if x])
     return out
 
@@ -326,7 +326,7 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
             x, y, z = (group._index[(kind, root)] for root in (alpha, _sub(c, alpha), c))
             bracket = group._ad_columns[x][y]  # [x, y] = N z
             ensure(len(bracket) == 1 and bracket[0][0] == z, "bracket of two root vectors left its root space")
-            columns[z] = _commutator(columns[x], columns[y], bracket[0][1])
+            columns[z] = commutator(columns[x], columns[y], bracket[0][1])
     mod = Module(group, label, bweights, columns)
     _verify_generators(mod)
     return mod
@@ -349,8 +349,8 @@ def _verify_generators(mod: Module) -> None:
         for k, w in enumerate(mod.weights):
             ensure(h[k] == ([(k, w[i])] if w[i] else []), "h_i is not diagonal with the weights on the basis")
             ef, fe_h = {}, {k: fr(w[i])}  # column k of e f and of f e + h
-            _apply(e, f[k], ef)
-            _apply(f, e[k], fe_h)
+            apply_table(e, f[k], ef)
+            apply_table(f, e[k], fe_h)
             diff = (ef.get(r, F0) - fe_h.get(r, F0) for r in ef.keys() | fe_h.keys())
             ensure(not any(diff), "[e_i, f_i] != h_i")
 
@@ -362,10 +362,10 @@ def build_module(group: Group, label: Sequence[int]) -> Module:
     """Exact matrix model of the irreducible module with this highest weight.
 
     Raises DimensionCapError above dimension 64.  The builder,
-    sympoly.invariant_multiplicity and involution._nu_kernel eliminate on
-    sparse rows; involution.fiber_restriction still reads the dense
-    Module.action matrices, and the intertwiner system has n^2 unknowns for
-    a module of dimension n.  The cap keeps its worst cases desk-scale.
+    sympoly.invariant_multiplicity and involution's fibers read the column
+    tables and eliminate on sparse rows, but the intertwiner system has n^2
+    unknowns for a module of dimension n.  The cap keeps its worst cases
+    desk-scale.
     """
     lab = check_label(group, label)
     key = (group.name, lab)

@@ -22,7 +22,7 @@ from .errors import (
     NonReductiveError,
     ensure,
 )
-from .linalg import F0, SpanBasis, column_stack, matmul, rank
+from .linalg import F0, SpanBasis, matmul
 from .repthy import (
     DIM_CAP,
     _add,
@@ -195,11 +195,11 @@ def is_mf_coordinate_ring(
 def check_reductive(group: Group, h: Subalgebra) -> None:
     """Nondegeneracy of the restricted invariant form, the workhorse test
     for reductivity of a subalgebra in a reductive ambient algebra."""
-    if h.dim == 0:
-        return
-    basis = column_stack(h.basis)
-    gram = matmul(basis.T, matmul(group.invariant_form, basis))
-    if rank(gram) != h.dim:
+    span = SpanBasis()  # the rows of the Gram matrix: row i is (b_i, b_j) over j
+    forms = [matmul(group.invariant_form, b) for b in h.basis]
+    for x in h.rows:
+        span.add({j: sum(c * f[p] for p, c in x.items()) for j, f in enumerate(forms)})
+    if len(span) != h.dim:
         raise NonReductiveError(
             "invariant form degenerates on the subalgebra; not reductive"
         )

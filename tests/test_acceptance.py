@@ -34,7 +34,7 @@ from weylkit.involution import (
     orbit_preservation_check,
     solve_nu,
 )
-from weylkit.linalg import column_stack, eye, is_zero, solve, zeros
+from weylkit.linalg import is_zero, zeros
 from weylkit.repthy import weight_multiplicities, weyl_dim
 from weylkit.rootsys import parse_group, standard_subalgebra
 from weylkit.spherical import classify_torus_fibration, is_spherical_pair, verify_witness
@@ -44,6 +44,7 @@ from weylkit.sympoly import (
     sym_power_decompose,
 )
 from weylkit.repthy import tensor_decompose
+from weyl_references import dense_table
 
 QUADRATURE_TOL = 1e-8
 EXACT_FFT_TOL = 1e-12
@@ -219,21 +220,19 @@ def test_criterion_5_mf_spherical_involution_consistency():
 
 
 def _sigma_equivariance_residuals(module, theta):
-    """Exact residuals M R(x) - R(sigma x) M over the generators, split
-    into real and imaginary rational parts."""
-    g = module.group
+    """Exact residuals M R(x) - R(sigma x) M over the generators, with nu
+    one rational matrix M."""
     nu = solve_nu(module, theta)
-    sigma = build_cartan_conjugation(g).matrix @ theta.matrix
-    basis_mat = column_stack(module.h.basis)
+    sigma = build_cartan_conjugation(module.group).matrix @ theta.matrix
+    mats = [dense_table(t) for t in module.tables]
     out = []
     for i, x in enumerate(module.h.basis):
-        coords = solve(basis_mat, sigma @ x)
+        coords = module.h.coords(sigma @ x)
         r_sigma = zeros(module.dim, module.dim)
         for j, c in enumerate(coords):
             if c != 0:
-                r_sigma = r_sigma + c * module.mats[j]
-        out.append(nu.re @ module.mats[i] - r_sigma @ nu.re)
-        out.append(nu.im @ module.mats[i] - r_sigma @ nu.im)
+                r_sigma = r_sigma + c * mats[j]
+        out.append(nu.matrix @ mats[i] - r_sigma @ nu.matrix)
     return nu, out
 
 

@@ -283,6 +283,25 @@ class TestInvolution:
         assert payload["nu_matrix"] == [["1", "0"], ["0", "1"]]
         assert all(payload["checks"].values())
 
+    # the A1 and B2 cartan fibers decide nu through the identity test
+    # (no single kernel vector squares to a scalar); G2 full runs the largest
+    # fiber bracket check
+    FROZEN_FIBERS = [
+        ("A1", "cartan", "restriction:w[20]", "e15ebb7a1adce70c08161f9dc632bf22116e2529bcc872e779e9961c701905ac"),
+        ("A1", "full", "restriction:w[20]", "b37299848cf6e6bb21567f4f82baf983538704836042b2df48c736a2fe102ef9"),
+        ("B2", "cartan", "restriction:w[1,1]", "0e6886ead793dd8665252be6c59cd6066fd95355ddef5b254488ab50d294c21d"),
+        ("G2", "full", "restriction:adjoint", "e03f8edbb3ef9ea9a265d4609c5ca48a88cb2730bf835a2011c707cf03c36ef2"),
+    ]
+
+    @pytest.mark.parametrize("group,subalgebra,fiber,digest", FROZEN_FIBERS, ids=lambda x: x[:24])
+    def test_structured_certificate_is_frozen(self, capsys, group, subalgebra, fiber, digest):
+        code, out, _ = _run(
+            capsys, "involution", "--group", group, "--subalgebra", subalgebra, "--fiber", fiber,
+            "--format", "structured",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_non_reductive_is_computation_error(self, capsys):
         code, out, _ = _run(
             capsys, "involution", "--group", "A1", "--subalgebra", "nilradical",

@@ -38,7 +38,7 @@ from weylkit.involution import (
     orbit_preservation_check,
     solve_nu,
 )
-from weylkit.linalg import eye, fr, is_zero, zeros
+from weylkit.linalg import eye, fr, is_zero, matmul, zeros
 from weylkit.rootsys import Subalgebra, parse_group, standard_subalgebra
 
 
@@ -256,26 +256,24 @@ class TestSemisimpleElement:
 
 class TestAntilinearMaps:
     def test_identity_map_conjugates(self):
-        a = AntilinearMap(eye(2), zeros(2, 2))
+        a = AntilinearMap(eye(2))
         v = np.array([1 + 2j, -3 + 0.5j])
-        assert np.allclose(a.apply_float(v), np.conj(v))
+        assert np.allclose(a.matrix_complex() @ np.conj(v), np.conj(v))
         assert a.is_involutive()
 
     def test_quaternionic_square_is_minus_identity(self):
         m = zeros(2, 2)
         m[0, 1] = fr(1)
         m[1, 0] = fr(-1)
-        j = AntilinearMap(m, zeros(2, 2))
-        re, im = j.compose(j)
-        assert is_zero(re + eye(2))
-        assert is_zero(im)
+        j = AntilinearMap(m)
+        assert is_zero(matmul(j.matrix, j.matrix) + eye(2))
         assert not j.is_involutive()
 
     def test_negate_flips_both_parts(self):
-        a = AntilinearMap(eye(2), eye(2))
+        # one rational matrix is all there is to flip
+        a = AntilinearMap(eye(2))
         b = a.negate()
-        assert is_zero(b.re + a.re)
-        assert is_zero(b.im + a.im)
+        assert is_zero(b.matrix + a.matrix)
 
 
 class TestSolveNu:
@@ -288,14 +286,13 @@ class TestSolveNu:
         g = parse_group("A1")
         h = standard_subalgebra(g, sub)
         with pytest.raises(DegenerateInputError):
-            HModule(g, h, [zeros(n, n) for n in sizes], ("probe",))
+            HModule(g, h, [[[] for _ in range(n)] for n in sizes], ("probe",))
 
     def test_trivial_fiber(self):
         g = parse_group("A1")
         h = standard_subalgebra(g, "cartan")
         nu = solve_nu(fiber_trivial(g, h), build_weyl_involution(g))
-        assert is_zero(nu.re - eye(1))
-        assert is_zero(nu.im)
+        assert is_zero(nu.matrix - eye(1))
 
     def test_weight_two_character(self):
         g = parse_group("A1")
@@ -303,7 +300,7 @@ class TestSolveNu:
         fib = fiber_character(g, h, [2])
         th = build_weyl_involution(g)
         nu = solve_nu(fib, th)
-        assert is_zero(nu.re - eye(1))
+        assert is_zero(nu.matrix - eye(1))
         assert nu.is_involutive()
         assert nu_solution_space_dim(fib, th) == 2
 
@@ -313,8 +310,7 @@ class TestSolveNu:
         fib = fiber_restriction(g, h, (1,))
         th = build_weyl_involution(g)
         nu = solve_nu(fib, th)
-        assert is_zero(nu.re - eye(2))
-        assert is_zero(nu.im)
+        assert is_zero(nu.matrix - eye(2))
         assert nu.is_involutive()
         assert nu_solution_space_dim(fib, th) == 2
 
@@ -339,7 +335,7 @@ class TestSolveNu:
         fib = fiber_restriction(g, h, (1, 0))
         th = build_weyl_involution(g)
         nu = solve_nu(fib, th)
-        assert is_zero(nu.re - eye(3))
+        assert is_zero(nu.matrix - eye(3))
         assert nu.is_involutive()
         assert nu_solution_space_dim(fib, th) == 2
 
@@ -373,11 +369,21 @@ class TestBundleCertificates:
 
     def test_shipped_nu_matrices_are_identities(self):
         c1 = SHIPPED_BUNDLES["cartan_weight2"]().certificate
-        assert is_zero(c1.nu.re - eye(1))
+        assert is_zero(c1.nu.matrix - eye(1))
         c2 = SHIPPED_BUNDLES["full_defining"]().certificate
-        assert is_zero(c2.nu.re - eye(2))
+        assert is_zero(c2.nu.matrix - eye(2))
         c3 = SHIPPED_BUNDLES["diagonal_trivial"]().certificate
-        assert is_zero(c3.nu.re - eye(1))
+        assert is_zero(c3.nu.matrix - eye(1))
+
+    def test_verify_flags_a_nu_that_does_not_intertwine(self):
+        # the defining fiber is irreducible, so only scalars intertwine
+        cert = SHIPPED_BUNDLES["full_defining"]().certificate
+        m = eye(2)
+        m[0, 1] = fr(1)
+        cert.nu = AntilinearMap(m)
+        assert cert.verify()["nu_equivariant_over_h"] is False
+        cert.nu = AntilinearMap(-eye(2))
+        assert cert.verify()["nu_equivariant_over_h"] is True
 
     def test_certificate_as_dict_shape(self):
         d = SHIPPED_BUNDLES["full_defining"]().certificate.as_dict()

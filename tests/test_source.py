@@ -145,3 +145,12 @@ def test_exact_kernels_are_taken_from_sparse_columns():
         "repthy": ("_extract_submodule",),
     }
     assert [f for name, targets in kernels.items() for f in _names_in(name, targets, dense_stack)] == []
+
+
+def test_bundle_layer_reads_column_tables():
+    # the fiber check, the intertwiner system, its identity test and the
+    # certificate's equivariance check read the fiber's column tables: no
+    # dense combination, column stack, dense solve or Module.action matrix
+    dense = {"combine", "column_stack", "solve", "action"}
+    targets = ("HModule", "_nu_kernel", "solve_nu", "BundleCertificate.verify")
+    assert _names_in("involution", targets, dense) == []

@@ -26,16 +26,28 @@ stacked ``Module.action`` matrices.  It takes every exact kernel from
 sparse columns in one span; here is the kernel read off the dense reduced
 echelon form.  It checks closure of a span by
 bracketing sparse rows on integer structure constants; here is the test on
-dense vectors, through the dense ad basis and a dense span.
+dense vectors, through the dense ad basis and a dense span.  It holds a
+fiber as column tables and decides whether the identity solves the
+intertwiner system by comparing rho(x) with rho(sigma x); here is the dense
+matrix of a table and the intertwiner solve that tested the identity's
+membership in the span of the kernel by dense elimination.
 """
 
 import itertools
 from functools import cache, lru_cache
+from math import isqrt
 
 import numpy as np
 
-from weylkit.errors import DegenerateInputError, NonNilpotentDirectionError, ensure
-from weylkit.linalg import F0, F1, column_stack, combine, eye, fr, fvec, is_zero, matmul, rref, zeros
+from weylkit.errors import (
+    DegenerateInputError,
+    NoIntertwinerError,
+    NonNilpotentDirectionError,
+    NuSquareObstructionError,
+    ensure,
+)
+from weylkit.involution import _nu_kernel
+from weylkit.linalg import F0, F1, combine, eye, fr, fvec, is_zero, matmul, rref, zeros
 from weylkit.repthy import (
     Module,
     _add,
@@ -315,7 +327,7 @@ def flat_span_bracket_table(g):
 
 def dense_ad_basis(g):
     """ad(b_i) as dense matrices: column j is [b_i, b_j]."""
-    return [column_stack(row) for row in flat_span_bracket_table(g)]
+    return [np.column_stack(row) for row in flat_span_bracket_table(g)]
 
 
 def dense_exp_ad(g, x, v):
@@ -520,3 +532,47 @@ def columns_by_tensor_apply(group, m1, m2, label):
     mod = Module(group, label, bweights, columns)
     _verify_generators(mod)
     return mod
+
+
+# ---- the bundle layer ---------------------------------------------------------
+
+
+def dense_table(table):
+    """The dense matrix of a column table: the inverse of ``nonzero_columns``."""
+    n = len(table)
+    out = zeros(n, n)
+    for k, col in enumerate(table):
+        for i, x in col:
+            out[i, k] = x
+    return out
+
+
+def dense_solve_nu(module, theta):
+    """The reference for ``involution.solve_nu``, on the library's kernel:
+    the first kernel vector with a nonzero scalar square, else (for a kernel
+    of two or more) the identity if appending it to the stacked kernel adds
+    no pivot, normalized to square to the identity with a positive leading
+    entry."""
+    kernel = _nu_kernel(module, theta)
+    if not kernel:
+        raise NoIntertwinerError("no intertwiner")
+    n = module.dim
+    a0 = scale2 = None
+    for cand in kernel:
+        sq = matmul(cand, cand)
+        if is_zero(sq - sq[0, 0] * eye(n)) and sq[0, 0] != 0:
+            a0, scale2 = cand, sq[0, 0]
+            break
+    if a0 is None and len(kernel) > 1:
+        stack = np.column_stack([c.reshape(-1) for c in kernel] + [eye(n).reshape(-1)])
+        if len(kernel) not in dense_rref(stack)[1]:
+            a0, scale2 = eye(n), F1
+    if a0 is None:
+        raise DegenerateInputError("no solution with scalar square")
+    if scale2 < 0:
+        raise NuSquareObstructionError("negative square")
+    num, den = isqrt(scale2.numerator), isqrt(scale2.denominator)
+    if num * num != scale2.numerator or den * den != scale2.denominator:
+        raise DegenerateInputError("scale is not a rational square")
+    a = a0 * fr(den) / fr(num)
+    return -a if next(x for x in a.flat if x != 0) < 0 else a
