@@ -300,26 +300,26 @@ class AntilinearMap:
 
 
 class HModule:
-    """A module over a subalgebra h: tables[i] is the repthy column table of
-    the matrix of h.basis[i], rows ascending and zero entries dropped, so
-    equal matrices have equal tables.  The bracket check compares, for each
-    pair of basis vectors, the commutator of their tables with the table of
-    their bracket's coordinates over h."""
+    """A module over a subalgebra h, of the caller's dimension dim: tables[i]
+    is the repthy column table of the matrix of h.basis[i], rows ascending
+    and zero entries dropped, so equal matrices have equal tables.  The
+    bracket check compares, for each pair of basis vectors, the commutator
+    of their tables with the table of their bracket's coordinates over h."""
 
-    def __init__(self, group: Group, h: Subalgebra, tables: list[Table], descriptor: tuple):
+    def __init__(self, group: Group, h: Subalgebra, tables: list[Table], descriptor: tuple, dim: int):
         self.group = group
         self.h = h
         self.tables = tables
         self.descriptor = descriptor
-        self.dim = len(tables[0]) if tables else 1
-        if len(tables) != h.dim or any(len(t) != self.dim for t in tables):
+        self.dim = dim
+        if len(tables) != h.dim or any(len(t) != dim for t in tables):
             raise DegenerateInputError(
                 "fiber needs one square matrix of a common size per basis vector of h"
             )
         # bracket compatibility: rho[x,y] = [rho x, rho y] on the basis
         for i, x in enumerate(h.rows):
             for j in range(i + 1, h.dim):
-                rem, coords = eliminate(group.sparse_bracket(x, h.rows[j]), h.rows, h.pivots)
+                rem, coords, _ = eliminate(group.sparse_bracket(x, h.rows[j]), h.rows, h.pivots)
                 if rem:
                     raise NotSubalgebraError("fiber module over a non-closed span")
                 if self.combination(coords.items()) != commutator(tables[i], tables[j], 1):
@@ -343,7 +343,7 @@ def _table_sum(terms: Iterable[tuple[Fraction, Table]], n: int) -> Table:
 
 
 def fiber_trivial(group: Group, h: Subalgebra) -> HModule:
-    return HModule(group, h, [[[]] for _ in h.basis], ("trivial",))
+    return HModule(group, h, [[[]] for _ in h.basis], ("trivial",), 1)
 
 
 def fiber_character(group: Group, h: Subalgebra, values) -> HModule:
@@ -352,7 +352,7 @@ def fiber_character(group: Group, h: Subalgebra, values) -> HModule:
     vals = [fr(v) for v in values]
     if len(vals) != h.dim:
         raise DegenerateInputError("need one character value per basis vector")
-    return HModule(group, h, [[[(0, v)] if v else []] for v in vals], ("character", tuple(values)))
+    return HModule(group, h, [[[(0, v)] if v else []] for v in vals], ("character", tuple(values)), 1)
 
 
 def fiber_restriction(group: Group, h: Subalgebra, label) -> HModule:
@@ -361,14 +361,14 @@ def fiber_restriction(group: Group, h: Subalgebra, label) -> HModule:
     label = check_label(group, label)
     mod = build_module(group, label)
     tables = [_table_sum(((c, mod.columns[p]) for p, c in row.items()), mod.dim) for row in h.rows]
-    return HModule(group, h, tables, ("restriction", label))
+    return HModule(group, h, tables, ("restriction", label), mod.dim)
 
 
 def check_nu_size(n: int, h_dim: int) -> None:
-    """Refuse the intertwiner system of an n-dimensional fiber over an
-    h of dimension h_dim if it exceeds MAX_NU_ENTRIES; both sizes are known
-    before the fiber is built."""
-    if n**4 * h_dim > MAX_NU_ENTRIES:
+    """Refuse the intertwiner system of an n-dimensional fiber over an h of
+    dimension h_dim (at least 1: over h = 0 the kernel is n^2 dense vectors)
+    if it exceeds MAX_NU_ENTRIES; both are known before the fiber is built."""
+    if n**4 * max(h_dim, 1) > MAX_NU_ENTRIES:
         raise DegenerateInputError(
             f"intertwiner system of {n * n} unknowns and {n * n * h_dim} rows "
             f"exceeds {MAX_NU_ENTRIES} entries"
@@ -380,7 +380,7 @@ def _twisted_actions(module: HModule, sigma: np.ndarray) -> list[tuple[Table, Ta
     h = module.h
     out = []
     for x, rho in zip(h.basis, module.tables):
-        rem, coords = eliminate(sparse(matmul(sigma, x)), h.rows, h.pivots)
+        rem, coords, _ = eliminate(sparse(matmul(sigma, x)), h.rows, h.pivots)
         if rem:
             raise DegenerateInputError("sigma does not stabilize the subalgebra")
         out.append((rho, module.combination(coords.items())))
@@ -446,6 +446,19 @@ def _rational_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
+def _scalar_square(m: np.ndarray) -> Fraction | None:
+    """s if m squares to s I with s nonzero, else None: squared column by
+    column on its nonzero entries, stopping at the first that breaks s I."""
+    a, s = [[(i, x) for i, x in enumerate(col) if x] for col in m.T], 0
+    for k, entries in enumerate(a):
+        col: dict[int, Fraction] = {}
+        apply_table(a, entries, col)
+        s = s or col.get(0, 0)
+        if not s or {r: x for r, x in col.items() if x} != {k: s}:
+            return None
+    return s
+
+
 def solve_nu(module: HModule, theta: InvolutionSpec) -> AntilinearMap:
     """The antilinear intertwiner nu with nu rho(x) = rho(dsigma x) nu.
 
@@ -460,14 +473,11 @@ def solve_nu(module: HModule, theta: InvolutionSpec) -> AntilinearMap:
             "no antilinear intertwiner exists; the involution is not "
             "implementable on this module"
         )
-    n = module.dim
-    a0 = None
-    scale2 = None
+    a0 = scale2 = None
     for cand in kernel:
-        sq = matmul(cand, cand)  # rational, so conj() is a no-op
-        s = sq[0, 0]
-        if is_zero(sq - s * eye(n)) and s != 0:
-            a0, scale2 = cand, s
+        scale2 = _scalar_square(cand)  # rational, so conj() is a no-op
+        if scale2 is not None:
+            a0 = cand
             break
     if a0 is None and len(kernel) > 1:
         # reducible case: the identity may live in the kernel span even
@@ -475,7 +485,7 @@ def solve_nu(module: HModule, theta: InvolutionSpec) -> AntilinearMap:
         # the whole solution space, so it does iff rho(x) = rho(sigma x).
         pairs = _twisted_actions(module, _sigma_matrix(module.group, theta))
         if all(rho == rho_s for rho, rho_s in pairs):
-            a0, scale2 = eye(n), fr(1)
+            a0, scale2 = eye(module.dim), fr(1)
     if a0 is None:
         raise DegenerateInputError(
             "no solution with scalar square; cannot normalize an involution"

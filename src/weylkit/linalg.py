@@ -2,10 +2,11 @@
 
 At the boundary, matrices and vectors are numpy object arrays of
 ``fractions.Fraction``: numpy keeps the shapes, the arithmetic stays exact.
-Inside, elimination runs on sparse rows, dicts {position: Fraction} of the
+Inside, elimination runs on sparse rows, dicts {position: entry} of the
 nonzero entries, since the matrices reduced here are mostly zeros: ``rref``
 makes one dense matrix at the end, ``SpanBasis`` and the module builder
 never leave the sparse form, and ``sparse`` and ``densify`` convert.
+``SpanBasis`` keeps fraction-free int rows; only its ``express`` forms Fractions.
 ``nullspace`` reads a kernel off one ``SpanBasis`` pass over the map's
 sparse columns, so no kernel is built as a dense stack; a rank is the
 length of a ``SpanBasis`` and a membership test is its ``express``, so
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -140,12 +142,10 @@ def nullspace(cols: Sequence[dict]) -> list[np.ndarray]:
     the basis read off the reduced echelon form, which is unique."""
     span, indep, basis = SpanBasis(), [], []
     for j, col in enumerate(cols):
-        coords = span.express(col)
-        if coords is None:
-            span.add(col)
+        if span.add(col):
             indep.append(j)
         else:
-            basis.append(densify({j: F1} | {indep[k]: -x for k, x in coords}, (len(cols),)))
+            basis.append(densify({j: F1} | {indep[k]: -x for k, x in span.express(col)}, (len(cols),)))
     return basis
 
 
@@ -178,74 +178,92 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(a.shape[:1] + b.shape[1:])
 
 
-def eliminate(v: dict, rows: Sequence[dict], pivots: Sequence) -> tuple[dict, dict[int, Fraction]]:
-    """Reduce the sparse vector v by sparse echelon rows, in order: rows[i]
-    has a 1 at pivots[i] and no entry at the pivots of the rows before it.
-    Returns (remainder, {i: multiple of rows[i] taken}), zero entries
-    dropped: v = remainder + sum multiple[i] * rows[i], and the remainder
-    has no entry at any pivot."""
+def eliminate(v: dict, rows: Sequence[dict], pivots: Sequence) -> tuple[dict, dict, int]:
+    """Reduce the sparse vector v by echelon rows: rows[i] has d != 0 at
+    pivots[i], none at the earlier pivots, and is int unless d is 1.  Returns
+    (rem, {i: multiple of rows[i] taken}, scale), zeros dropped, with scale v
+    = rem + sum multiple[i] rows[i] and no entry of rem at a pivot.  An entry
+    a/b at a pivot d != 1 is cleared fraction-free (Bareiss, *Math. Comp.*
+    22, 1968): g = gcd(a, d), everything so far is scaled by (d/g) b, and
+    (a/g) rows[i] is subtracted, so int v stays int, and scale is 1 if d is."""
     rem = {j: x for j, x in v.items() if x}
-    mult: dict[int, Fraction] = {}
+    mult: dict = {}
+    scale = 1
     for i, (row, p) in enumerate(zip(rows, pivots)):
         c = rem.get(p)
         if c:
+            if (d := row[p]) != 1:
+                g = gcd(c.numerator, d)
+                s, c = d // g * c.denominator, c.numerator // g
+                rem, mult, scale = {j: s * x for j, x in rem.items()}, {k: s * x for k, x in mult.items()}, s * scale
             mult[i] = c
             for j, x in row.items():
-                rem[j] = rem.get(j, F0) - c * x
+                rem[j] = rem.get(j, 0) - c * x
                 if not rem[j]:
                     del rem[j]
-    return rem, mult
+    return rem, mult, scale
+
+
+def integral(v: dict) -> tuple[dict, int]:
+    """(d v, d) for the least d >= 1 that makes the sparse vector v int."""
+    d = lcm(*(x.denominator for x in v.values()))
+    return {j: x.numerator * (d // x.denominator) for j, x in v.items() if x}, d
 
 
 class SpanBasis:
     """Incremental echelon span of sparse vectors ({position: entry}, any
     sortable positions, Fraction or int entries), with expansion bookkeeping.
 
-    ``add`` keeps, for every retained row, its expression in terms of the
-    vectors that enlarged the span (the retained vectors, in the order they
-    were added); ``express`` then rewrites any member of the span in those
-    coordinates.  The module builder keeps one per weight space, to name the
-    basis vectors of that weight by the lowering words that produced them.
+    Vectors are cleared to int, and rows[i] is int and primitive (content
+    divided out, pivot entry positive).  records[i] = (scale, content, mult),
+    all int, says content rows[i] = scale u_i - sum mult[k] rows[k], for the
+    retained vectors u_0, u_1, ... (those that enlarged the span, in order);
+    ``express`` back-substitutes through them, and is the only place a
+    Fraction is made.  The module builder keeps one per weight space, to
+    name the basis vectors of that weight by the lowering words that made them.
     """
 
     def __init__(self):
-        # rows[i] is retained vector i reduced by the rows before it: 1 at
+        # rows[i] is u_i reduced by the rows before it: least position
         # pivots[i], no entry at the earlier pivots, as eliminate requires
         self.rows: list[dict] = []
-        self.combos: list[dict[int, Fraction]] = []  # rows[i] = sum combos[i][k] * retained[k]
+        self.records: list[tuple[int, int, dict]] = []
         self.pivots: list = []
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def _expand(self, mult: dict[int, Fraction]) -> dict[int, Fraction]:
-        """sum mult[i] * combos[i], zero entries dropped."""
-        out: dict[int, Fraction] = {}
-        for i, c in mult.items():
-            for k, x in self.combos[i].items():
-                out[k] = out.get(k, F0) + c * x
-        return {k: x for k, x in out.items() if x}
-
     def add(self, v: dict) -> bool:
-        """Returns True iff v enlarged the span."""
-        rem, mult = eliminate(v, self.rows, self.pivots)
+        """Returns True iff v enlarged the span; if not, the span is unchanged."""
+        w, d = integral(v)
+        rem, mult, scale = eliminate(w, self.rows, self.pivots)
         if not rem:
             return False
         piv = min(rem)
-        inv = F1 / rem[piv]  # a Fraction, so int entries of v scale exactly
-        # rem = v - sum mult[i] * rows[i], and v is retained vector len(rows)
-        self.combos.append({k: -x * inv for k, x in self._expand(mult).items()} | {len(self.rows): inv})
-        self.rows.append({j: x * inv for j, x in rem.items()})
+        content = gcd(*rem.values()) * (1 if rem[piv] > 0 else -1)
+        self.records.append((scale * d, content, mult))
+        self.rows.append({j: x // content for j, x in rem.items()})
         self.pivots.append(piv)
         return True
 
     def contains(self, v: dict) -> bool:
-        return not eliminate(v, self.rows, self.pivots)[0]
+        return not eliminate(integral(v)[0], self.rows, self.pivots)[0]
 
     def express(self, v: dict) -> list[tuple[int, Fraction]] | None:
         """The nonzero coordinates of v over the retained vectors, as
-        ascending (index, entry) pairs, or None if v is not in the span."""
-        rem, mult = eliminate(v, self.rows, self.pivots)
+        ascending (index, Fraction) pairs, or None if v is not in the span."""
+        w, d = integral(v)
+        rem, mult, scale = eliminate(w, self.rows, self.pivots)
         if rem:
             return None
-        return sorted(self._expand(mult).items())
+        den, out = scale * d, {}  # v = (sum mult[i] rows[i] + sum out[k] u_k) / den
+        for i in range(max(mult, default=-1), -1, -1):  # records in, last row first
+            if t := mult.pop(i, 0):
+                s, content, earlier = self.records[i]
+                if (f := content // gcd(t, content)) != 1:  # so that content divides f t
+                    den, mult, out = den * f, {k: f * x for k, x in mult.items()}, {k: f * x for k, x in out.items()}
+                t = t * f // content
+                out[i] = t * s
+                for k, x in earlier.items():
+                    mult[k] = mult.get(k, 0) - t * x
+        return sorted((k, Fraction(x, den)) for k, x in out.items())

@@ -2,20 +2,26 @@
 
 Irreducible modules are built by generating the cyclic submodule of a
 highest weight vector inside a tensor product of two smaller modules, with
-all elimination done over the rationals (de Graaf, *Lie Algebras: Theory
-and Algorithms*, 2000).  That vector spans the weight-lambda vectors of the
+exact fraction-free elimination (de Graaf, *Lie Algebras: Theory and
+Algorithms*, 2000).  That vector spans the weight-lambda vectors of the
 tensor product that every simple raising operator kills, a kernel that must
 be one-dimensional.  A module is the column table of its matrices (the
 nonzero (row, entry) pairs of every column), written as each image is
 expressed in the new basis; dense matrices come only from
 ``Module.action``.  The tensor product's action is applied factor by factor
-from those tables to sparse vectors, never formed as matrices.  Each vector
-has a known weight, so it is reduced, as a sparse {position: entry} dict,
-only against that weight's retained vectors, and the lowering pass that
-finds the basis writes the simple f_i columns as it goes.  Only the simple
-e_i and f_i are applied in the tensor product: the h_i and t_j columns are
-the weights, and each other root vector's columns are a commutator of
-columns already written, scaled by the structure constants.
+from those tables to sparse vectors, never formed as matrices, one weight
+space at a time and only for the simple e_i and f_i (``_extract_submodule``
+says how the other columns follow).
+
+That work runs on int vectors: the simple e_i and f_i of both factors are
+scaled by one common d, the lcm of their denominators, and the highest
+weight vector is cleared to int.  Each lowering step multiplies by d, so
+the retained vector of weight w is c d^t times the rational one (c fixed,
+t = height(w), the depth of w below the highest weight).  Then d f_i of it
+has the rational coordinates over the vectors of height t + 1, and d e_i
+of it d^2 times them over those of height t - 1: the f_i columns are
+``express`` as it stands and the e_i columns are ``express`` / d^2.
+
 Dimensions come from the Weyl formula and weight multiplicities from the
 Freudenthal recursion, both on integers (every inner product is a
 ``Group.root_pairing`` of a weight with a combination of simple roots), and
@@ -30,12 +36,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionCapError, NonDominantError, ParseError, ensure
-from .linalg import F0, F1, SpanBasis, fr, fvec, matmul, nullspace, zeros
+from .linalg import F1, SpanBasis, fr, fvec, integral, matmul, nullspace, zeros
 from .linalg import rref  # noqa: F401  (unused here; the benchmark tracer and its tests patch repthy.rref)
 from .rootsys import Group
 
@@ -184,14 +191,14 @@ class Module:
         return f"Module({self.group.name}, {self.label}, dim={self.dim})"
 
 
-def _tensor_apply(cols1: list, cols2: list, v: dict, n2: int) -> dict[int, Fraction]:
+def _tensor_apply(cols1: list, cols2: list, v: dict, n2: int) -> dict:
     """(x1 (x) 1 + 1 (x) x2) v for x1, x2 given by their column tables, where
     coordinate a * n2 + b of v is e_a (x) e_b; entries that cancel are dropped."""
-    out: dict[int, Fraction] = {}
+    out: dict = {}
     for k, c in v.items():
         a, b = divmod(k, n2)
         for p, x in [(i * n2 + b, x) for i, x in cols1[a]] + [(a * n2 + j, x) for j, x in cols2[b]]:
-            out[p] = out.get(p, F0) + c * x
+            out[p] = out.get(p, 0) + c * x
     return {p: c for p, c in out.items() if c}
 
 
@@ -206,21 +213,28 @@ def _basis_weight(group: Group, lab: tuple[str, object]) -> Weight:
     return (0,) * group.weight_len
 
 
-def apply_table(a: Table, col: list[tuple[int, Fraction]], out: dict[int, Fraction], sign: int = 1) -> None:
+def apply_table(a: Table, col: list[tuple[int, Fraction]], out: dict, sign: int = 1) -> None:
     """out += sign * (the matrix of table a applied to the sparse column col)."""
     for j, c in col:
         for r, x in a[j]:
-            out[r] = out.get(r, F0) + sign * x * c
+            out[r] = out.get(r, 0) + sign * x * c
 
 
-def commutator(a: Table, b: Table, n: Fraction) -> Table:
-    """The table of (a b - b a) / n: rows ascending, zero entries dropped."""
+def int_tables(tables: Sequence[Table]) -> tuple[list[Table], int]:
+    """([d t for each table t], d) for the least d >= 1 that makes them int."""
+    d = lcm(*(x.denominator for t in tables for col in t for _, x in col))
+    return [[[(r, x.numerator * (d // x.denominator)) for r, x in col] for col in t] for t in tables], d
+
+
+def commutator(a: Table, b: Table, n: int) -> Table:
+    """The table of (a b - b a) / n, from the int d a and d b: rows ascending."""
+    (a, b), d = int_tables([a, b])
     out = []
     for k in range(len(a)):
-        col: dict[int, Fraction] = {}
+        col: dict[int, int] = {}
         apply_table(a, b[k], col)
         apply_table(b, a[k], col, -1)
-        out.append([(r, x / n) for r, x in sorted(col.items()) if x])
+        out.append([(r, Fraction(x, d * d * n)) for r, x in sorted(col.items()) if x])
     return out
 
 
@@ -250,35 +264,37 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
     for m in (m1, m2):
         for a in range(group.weight_len):  # h_0 .. h_{r-1}, t_0 .. t_{k-1}
             diagonal = ([(k, w[a])] if w[a] else [] for k, w in enumerate(m.weights))
-            ensure(all(col == d for col, d in zip(m.columns[a], diagonal)), "image left its weight space")
-    amb = list(zip(m1.columns, m2.columns))  # the ambient action, in basis order
-    amb_weights = [_add(w1, w2) for w1 in m1.weights for w2 in m2.weights]
+            ensure(all(col == want for col, want in zip(m.columns[a], diagonal)), "image left its weight space")
     eidx = [group._index[("e", group.simple_root(i))] for i in range(group.rank)]
     fidx = [group._index[("f", group.simple_root(i))] for i in range(group.rank)]
+    # the ambient simple e_i and f_i of both factors, times one common d
+    ints, d = int_tables([m.columns[j] for j in eidx + fidx for m in (m1, m2)])
+    amb = dict(zip(eidx + fidx, zip(ints[::2], ints[1::2])))
+    amb_weights = [_add(w1, w2) for w1 in m1.weights for w2 in m2.weights]
     dws = [_basis_weight(group, lab) for lab in group.basis_labels]
 
     positions = [k for k, w in enumerate(amb_weights) if w == label]
     # column c of the raising system holds entry q of e_i . positions[c] at (i, q)
     raising = [
-        {(i, q): x for i, j in enumerate(eidx) for q, x in _tensor_apply(*amb[j], {p: F1}, m2.dim).items()}
+        {(i, q): x for i, j in enumerate(eidx) for q, x in _tensor_apply(*amb[j], {p: 1}, m2.dim).items()}
         for p in positions
     ]
     ker = nullspace(raising)
     ensure(len(ker) == 1, f"highest weight vector of {label} is not unique")
-    v0 = {p: c for p, c in zip(positions, ker[0]) if c}
+    v0 = integral(dict(zip(positions, ker[0])))[0]
 
     spans: dict[Weight, SpanBasis] = {}  # over ambient positions, one per weight
     members: dict[Weight, list[int]] = {}  # the basis index of each retained vector
-    basis: list[dict[int, Fraction]] = []
+    basis: list[dict[int, int]] = []
     bweights: list[Weight] = []
 
-    def act(j: int, k: int) -> tuple[dict[int, Fraction], Weight]:
-        """Basis element j applied to basis vector k, and the weight of the image."""
+    def act(j: int, k: int) -> tuple[dict[int, int], Weight]:
+        """d times basis element j applied to basis vector k, and the weight of the image."""
         im, w = _tensor_apply(*amb[j], basis[k], m2.dim), _add(bweights[k], dws[j])
         ensure(all(amb_weights[q] == w for q in im), "image left its weight space")
         return im, w
 
-    def column(v: dict[int, Fraction], w: Weight) -> list[tuple[int, Fraction]]:
+    def column(v: dict[int, int], w: Weight) -> list[tuple[int, Fraction]]:
         """The column of an image v of weight w over the retained vectors."""
         if not v:
             return []
@@ -287,7 +303,7 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
         # members[w] ascends, so the rows of the column do too
         return [(members[w][j], c) for j, c in coords]
 
-    def retain(v: dict[int, Fraction], w: Weight) -> bool:
+    def retain(v: dict[int, int], w: Weight) -> bool:
         if not v or not spans.setdefault(w, SpanBasis()).add(v):
             return False
         members.setdefault(w, []).append(len(basis))
@@ -317,8 +333,8 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
 
     for a in range(group.weight_len):
         columns[a] = [[(k, fr(w[a]))] if w[a] else [] for k, w in enumerate(bweights)]
-    for j in eidx:
-        columns[j] = [column(*act(j, k)) for k in range(n)]
+    for j in eidx:  # see the module docstring for the d^2
+        columns[j] = [[(r, c / (d * d)) for r, c in column(*act(j, k))] for k in range(n)]
     posroots = set(group.posroots)
     for c in group.posroots[group.rank :]:  # height 2 and up, in height order
         alpha = next(a for a in map(group.simple_root, range(group.rank)) if _sub(c, a) in posroots)
@@ -343,15 +359,14 @@ def _verify_generators(mod: Module) -> None:
     module is that restriction of a representation."""
     g = mod.group
     for i in range(g.rank):
-        e = mod.columns[g._index[("e", g.simple_root(i))]]
-        f = mod.columns[g._index[("f", g.simple_root(i))]]
+        (e, f), d = int_tables([mod.columns[g._index[(kind, g.simple_root(i))]] for kind in "ef"])
         h = mod.columns[g._index[("h", i)]]
         for k, w in enumerate(mod.weights):
             ensure(h[k] == ([(k, w[i])] if w[i] else []), "h_i is not diagonal with the weights on the basis")
-            ef, fe_h = {}, {k: fr(w[i])}  # column k of e f and of f e + h
+            ef, fe_h = {}, {k: d * d * w[i]}  # column k of d^2 e f and of d^2 (f e + h)
             apply_table(e, f[k], ef)
             apply_table(f, e[k], fe_h)
-            diff = (ef.get(r, F0) - fe_h.get(r, F0) for r in ef.keys() | fe_h.keys())
+            diff = (ef.get(r, 0) - fe_h.get(r, 0) for r in ef.keys() | fe_h.keys())
             ensure(not any(diff), "[e_i, f_i] != h_i")
 
 

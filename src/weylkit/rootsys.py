@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedTypeError,
     ensure,
 )
-from .linalg import F0, F1, SpanBasis, combine, densify, eliminate, eye, fmat, fr, fvec
+from .linalg import F1, SpanBasis, combine, densify, eliminate, eye, fmat, fr, fvec
 from .linalg import matmul, rref, sparse, zeros
 
 # Cartan matrices use the convention A[i][j] = <alpha_j, alpha_i^vee>, so
@@ -94,9 +94,9 @@ def _sparse_matrix(n: int, entries: Sequence[tuple[int, int, int]]) -> np.ndarra
     return m
 
 
-def _commutator(a: dict, b: dict) -> dict[tuple[int, int], Fraction]:
-    """ab - ba for sparse matrices {(row, col): nonzero entry}, as one."""
-    out: dict[tuple[int, int], Fraction] = {}
+def _commutator(a: dict, b: dict) -> dict[tuple[int, int], int]:
+    """ab - ba for sparse int matrices {(row, col): nonzero entry}, as one."""
+    out: dict[tuple[int, int], int] = {}
     for x, y, sign in ((a, b, 1), (b, a, -1)):
         for ((i, j), s), ((k, l), t) in product(x.items(), y.items()):
             if j == k:
@@ -322,14 +322,15 @@ class Group:
         [b_k, b_j] = sum c b_i, so it is column j of ad(b_k).  Seeds of two
         weights (h -> 0, e_c -> c, f_c -> -c) occupy disjoint positions, and a
         commutator lies on, and is expressed over, the seeds of its weight.
-        The constants of a Chevalley basis are integers (Humphreys, sec. 25.2),
-        and each is checked to be one, so the table holds int."""
+        The seed entries and the constants of a Chevalley basis (Humphreys,
+        sec. 25.2) are integers, each checked to be one, so all of it is int."""
         table: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(self.dim)]
         for seeds in self.factor_seeds:
             spaces: dict = {}  # weight -> [(basis index, nonzero {(row, col): entry})]
             for (kind, c), m in seeds.items():
                 wt = (0,) * self.rank if kind == "h" else tuple(-x for x in c) if kind == "f" else c
-                ents = {(i, j): m[i, j] for i, j in zip(*np.nonzero(m))}
+                ents = {(i, j): int(m[i, j]) for i, j in zip(*np.nonzero(m))}
+                ensure(all(x == m[p] for p, x in ents.items()), "seed entry is not an integer")
                 spaces.setdefault(wt, []).append((self._index[(kind, c)], ents))
             local = [(ik, wt, ents) for wt, members in spaces.items() for ik, ents in members]
             for wt, members in spaces.items():
@@ -613,7 +614,7 @@ class Subalgebra:
 
     def coords(self, v: np.ndarray) -> np.ndarray | None:
         """Coordinates of v over self.basis, or None if v lies outside."""
-        rem, mult = eliminate(sparse(v), self.rows, self.pivots)
+        rem, mult, _ = eliminate(sparse(v), self.rows, self.pivots)
         return None if rem else densify(mult, (self.dim,))
 
     def is_closed(self) -> bool:

@@ -12,7 +12,6 @@ per-degree table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 from typing import Callable
 
@@ -22,13 +21,14 @@ from .errors import (
     NonReductiveError,
     ensure,
 )
-from .linalg import F0, SpanBasis, matmul
+from .linalg import SpanBasis, integral, matmul
 from .repthy import (
     DIM_CAP,
     _add,
     build_module,
     check_label,
     decompose_character,
+    int_tables,
     module_character,
     weyl_dim,
 )
@@ -211,18 +211,20 @@ def invariant_multiplicity(group: Group, h: Subalgebra, label: Weight) -> int:
     That subspace is the common kernel of the matrices of the basis of h, so
     its dimension is dim V minus the rank of their stacked rows.  Each row is
     assembled as a sparse {column: entry} dict straight from the module's
-    column tables and fed to one SpanBasis; the rows it accepts are the rank.
+    column tables, scaled to int (which changes no rank), and fed to one
+    SpanBasis; the rows it accepts are the rank.
     """
     dual = build_module(group, group.dual_label(check_label(group, label)))
+    used = sorted({p for x in h.rows for p in x})
+    tables = dict(zip(used, int_tables([dual.columns[p] for p in used])[0]))
     span = SpanBasis()
-    for x in h.basis:
-        rows: dict[int, dict[int, Fraction]] = {}  # row r of the matrix of x
-        for c, table in zip(x, dual.columns):
-            if c != 0:
-                for k, col in enumerate(table):
-                    for r, a in col:
-                        row = rows.setdefault(r, {})
-                        row[k] = row.get(k, F0) + c * a
+    for x in h.rows:
+        rows: dict[int, dict[int, int]] = {}  # row r of the matrix of a multiple of x
+        for p, c in integral(x)[0].items():
+            for k, col in enumerate(tables[p]):
+                for r, a in col:
+                    row = rows.setdefault(r, {})
+                    row[k] = row.get(k, 0) + c * a
         for row in rows.values():
             span.add(row)
     return dual.dim - len(span)

@@ -362,6 +362,28 @@ class TestInvolution:
         assert code == 1
         assert "error degenerate_input: intertwiner system of 4096 unknowns" in out
 
+    def test_fiber_over_the_zero_subalgebra_keeps_its_dimension(self, capsys):
+        # the tables of a fiber over h = 0 are empty, so its dimension comes
+        # from the module: the 2-dimensional fiber is fixed by nu = I_2
+        code, out, _ = _run(
+            capsys, "involution", "--group", "A1", "--subalgebra", "zero",
+            "--fiber", "restriction:w[1]", "--format", "structured",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["fiber_dim"] == 2
+        assert payload["nu_matrix"] == [["1", "0"], ["0", "1"]]
+        assert all(payload["checks"].values())
+
+    def test_large_fiber_over_the_zero_subalgebra_is_refused(self, capsys):
+        # over h = 0 the kernel is every one of the 41^2 dense matrices
+        code, out, _ = _run(
+            capsys, "involution", "--group", "A1", "--subalgebra", "zero",
+            "--fiber", "restriction:w[40]", "--format", "structured",
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == "degenerate_input"
+
     def test_unadapted_is_computation_error(self, capsys):
         code, out, _ = _run(
             capsys, "involution", "--group", "A1", "--subalgebra", "span:1,1,0",

@@ -286,7 +286,7 @@ class TestSolveNu:
         g = parse_group("A1")
         h = standard_subalgebra(g, sub)
         with pytest.raises(DegenerateInputError):
-            HModule(g, h, [[[] for _ in range(n)] for n in sizes], ("probe",))
+            HModule(g, h, [[[] for _ in range(n)] for n in sizes], ("probe",), sizes[0])
 
     def test_trivial_fiber(self):
         g = parse_group("A1")

@@ -11,7 +11,7 @@ replaced, which are kept here as references.
 """
 
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 import numpy as np
 import pytest
@@ -185,7 +185,11 @@ def test_span_basis_agrees_with_the_dense_reference(a, data):
     for v in a:
         assert got.add(sparse(v)) == want.add(v)
     assert got.pivots == want.pivots
-    assert got.rows == [sparse(r) for r in want.rows]
+    # the rows are fraction-free, each a multiple of the dense reference's
+    assert all(type(x) is int for row in got.rows for x in row.values())
+    assert [{j: Fraction(x, row[p]) for j, x in row.items()} for row, p in zip(got.rows, got.pivots)] == [
+        sparse(r) for r in want.rows
+    ]
     coeffs = data.draw(st.lists(rationals, min_size=n, max_size=n))
     for v in [*a, combine(coeffs, list(a), (dim,)), data.draw(vectors(dim))]:
         got_coords, want_coords = got.express(sparse(v)), want.express(v)
@@ -233,13 +237,54 @@ def test_eliminate_leaves_zeros_at_every_pivot(family, data):
     assert len(sb) == len(rev)
     v = data.draw(vectors(dim))
     for span in (sb, rev):
-        rem, mult = eliminate(sparse(v), span.rows, span.pivots)
+        assert all(type(x) is int for row in span.rows for x in row.values())
+        rem, mult, scale = eliminate(sparse(v), span.rows, span.pivots)
         assert all(p not in rem for p in span.pivots)
-        assert all(x != 0 for x in [*rem.values(), *mult.values()])
+        assert all(x != 0 for x in [*rem.values(), *mult.values(), scale])
         rows = [densify(row, (dim,)) for row in span.rows]
-        assert is_zero(densify(rem, (dim,)) + combine(densify(mult, (len(rows),)), rows, (dim,)) - v)
+        assert is_zero(densify(rem, (dim,)) + combine(densify(mult, (len(rows),)), rows, (dim,)) - scale * v)
         assert span.contains(sparse(v)) == (not rem)
     assert sb.contains(sparse(v)) == rev.contains(sparse(v))
+
+
+ENTRIES = {
+    "int": st.integers(-3, 3),
+    "fraction": rationals,
+    "mixed": st.one_of(st.integers(-3, 3), rationals),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(ENTRIES)), st.integers(1, 5), st.data())
+def test_span_basis_is_fraction_free_on_int_fraction_and_mixed_input(kind, dim, data):
+    def vector():
+        entries = data.draw(st.lists(ENTRIES[kind], min_size=dim, max_size=dim))
+        return {j: x for j, x in enumerate(entries) if x}
+
+    vecs = [vector() for _ in range(data.draw(st.integers(1, 6)))]
+    sb = SpanBasis()
+    retained = [u for u in vecs if sb.add(u)]
+    # every row is int and primitive with a positive pivot entry at its
+    # least position, and every record is int, whatever the input
+    for row, p in zip(sb.rows, sb.pivots):
+        assert all(type(x) is int for x in row.values())
+        assert p == min(row) and row[p] > 0 and gcd(*row.values()) == 1
+    assert all(type(x) is int for s, c, m in sb.records for x in (s, c, *m.values()))
+    v = data.draw(st.one_of(st.just(dict(retained[0]) if retained else {}), st.builds(vector)))
+    rem, mult, scale = eliminate(v, sb.rows, sb.pivots)
+    if kind == "int":
+        assert all(type(x) is int for x in [*rem.values(), *mult.values(), scale])
+    rows = [densify(row, (dim,)) for row in sb.rows]
+    assert is_zero(
+        densify(rem, (dim,)) + combine(densify(mult, (len(rows),)), rows, (dim,)) - scale * densify(v, (dim,))
+    )
+    # express returns Fractions that rebuild v from the retained vectors
+    coords = sb.express(v)
+    assert (coords is None) == bool(rem) == (not sb.contains(v))
+    if coords is not None:
+        assert all(type(x) is Fraction and x != 0 for _, x in coords)
+        dense = [densify(u, (dim,)) for u in retained]
+        assert is_zero(combine(densify(dict(coords), (len(dense),)), dense, (dim,)) - densify(v, (dim,)))
 
 
 def _check_matmul(a, b):

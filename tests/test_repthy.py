@@ -375,7 +375,19 @@ def _ambient_wide_extract(group, m1, m2, label):
 
 @pytest.mark.parametrize(
     "name,label",
-    [("A1", (16,)), ("B2", (1, 2)), ("G2", (2, 0)), ("A2+T1", (1, 1, 3)), ("A1xA2", (1, 1, 1))],
+    [
+        ("A1", (16,)),
+        ("B2", (1, 2)),
+        ("G2", (2, 0)),
+        ("A2+T1", (1, 1, 3)),
+        ("A1xA2", (1, 1, 1)),
+        # tables with denominators: A2 (3, 0) is built from factors scaled by
+        # d = 2, and all three have simple e_i and f_i tables of common
+        # denominator 6, which their commutators and sl2 check scale away
+        ("A2", (3, 0)),
+        ("B2", (2, 0)),
+        ("G2", (0, 1)),
+    ],
 )
 def test_span_per_weight_matches_ambient_wide_reference(monkeypatch, name, label):
     g = parse_group(name)

@@ -154,3 +154,12 @@ def test_bundle_layer_reads_column_tables():
     dense = {"combine", "column_stack", "solve", "action"}
     targets = ("HModule", "_nu_kernel", "solve_nu", "BundleCertificate.verify")
     assert _names_in("involution", targets, dense) == []
+
+
+def test_reduction_and_tensor_action_form_no_fraction():
+    # the reduction loop, the span's add and membership test and the
+    # tensor action run on int rows and vectors: no Fraction is formed in
+    # them (SpanBasis.express forms one per coordinate it returns)
+    rational = {"Fraction", "fr", "F0", "F1"}
+    targets = {"linalg": ("eliminate", "SpanBasis.add", "SpanBasis.contains"), "repthy": ("_tensor_apply",)}
+    assert [f for name, ts in targets.items() for f in _names_in(name, ts, rational)] == []
