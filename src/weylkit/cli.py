@@ -304,12 +304,14 @@ def _random_torus_sample(rng, rank: int, degree: int):
 
 
 # The SU(2) check builds su2_quadrature(2 * degree), whose node count grows
-# like degree^3, and contracts every node into each operator E_delta on each
-# degree m <= degree; the torus check's work grows like degree^rank.  At
-# degree 10 either run takes under half a second of wall time (0.41 s for
-# SU(2), 0.26 s for a rank-3 torus, best of five cold processes on one x86
-# core, where `--help` alone takes 0.27 s), but the growth is steep, so
-# larger degrees are refused before anything is allocated.
+# like degree^3, scatters the nodes' weighted characters once onto the grid
+# of distinct Euler angles, and transforms that grid into each operator
+# E_delta on each degree m <= degree; the torus check's work grows like
+# degree^rank.  At degree 10 either run takes about a quarter of a second of
+# wall time, most of it the import (best of five cold processes, in three
+# rounds on a shared 2-vCPU x86 host: 0.22-0.30 s for SU(2), 0.19-0.24 s
+# for a rank-3 torus, 0.18-0.24 s for `--help` alone), but the growth is
+# steep, so larger degrees are refused before anything is allocated.
 MAX_ISOTYPIC_DEGREE = 10
 
 

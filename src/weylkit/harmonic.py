@@ -8,14 +8,20 @@ to 1e-8.  Every node is k = z(phi1) r(theta) z(phi2), so on degree m
 
     pi_m(k) = diag(e^{i(2a-m) phi1}) d_m(v) diag(e^{i(2b-m) phi2}),
 
-where d_m depends only on v = cos(2 theta).  The operators contract these
-factors directly: d_m is built once per distinct v, the phases once per
-distinct angle, and each v-group of nodes costs one matrix product, so no
-per-node representation matrix is formed.  The scalar sym_rep_matrix stays
-as the independent check (the commutation test uses it).  Assembly and
+where d_m depends only on v = cos(2 theta).  The sum over the nodes is
+separable (Kostelec and Rockmore, J. Fourier Anal. Appl. 14, 2008): the
+weighted characters are scattered once onto the grid of distinct
+(v, phi1, phi2) values, and each degree costs two phase products over the
+distinct angles and one sum over v against d_m(v), so no per-node
+representation matrix is formed.  The scalar sym_rep_matrix stays as the
+independent check (the commutation test uses it).  Assembly and
 accumulation use numpy operations over a fixed node ordering, so repeated
-runs produce byte-identical reports at a fixed BLAS thread count; the
-residual digits of the SU(2) checks can change with that count.
+runs produce byte-identical reports.  The phase sums are one (m+1) x n x n
+matrix product per (index, v) pair, small enough that BLAS keeps each on
+one thread (with scipy-openblas 0.3.31 the operators were bit for bit the
+same at one and two threads through band 40, twice the CLI's cap), and the
+sum over v is an einsum, which calls no BLAS, so the reports do not depend
+on the BLAS thread count; tests/test_cli.py checks one and two threads.
 """
 
 from __future__ import annotations
@@ -265,7 +271,9 @@ class QuadratureScheme:
         if delta < 0:
             raise DegenerateInputError("isotypic index must be a nonnegative integer")
         if delta not in self._chars:
-            t = np.real(np.trace(self.matrices(), axis1=1, axis2=2))
+            if "trace" not in self._mats:
+                self._mats["trace"] = np.real(np.trace(self.matrices(), axis1=1, axis2=2))
+            t = self._mats["trace"]
             self._chars.setdefault(0, np.ones_like(t))
             top = max(self._chars)
             prev, cur = self._chars.get(top - 1, np.zeros_like(t)), self._chars[top]
@@ -274,21 +282,24 @@ class QuadratureScheme:
                 self._chars[d] = cur
         return self._chars[delta]
 
-    def _euler_factors(self, m: int) -> tuple:
-        """pi_m at node k as diag(p1[k]) @ d[group[k]] @ diag(p2[k]).
-
-        p1 and p2 are the (K, m+1) phase diagonals e^{i(2a-m) phi} of the
-        two torus factors, computed on the distinct angles only; d holds
-        d_m(v) for the distinct values of v, and group[k] indexes it."""
+    def _angles(self) -> list:
+        """(distinct values, index of each node's value) for phi1, v and phi2."""
         if "euler" not in self._mats:
             self._mats["euler"] = [np.unique(x, return_inverse=True) for x in self.nodes.T]
-        (phi1, at1), (vs, group), (phi2, at2) = self._mats["euler"]
+        return self._mats["euler"]
+
+    def _euler_factors(self, m: int) -> tuple:
+        """pi_m at a node with distinct-value indices (p, g, q) is
+        diag(e1[p]) @ d[g] @ diag(e2[q]).
+
+        e1 and e2 are the (n, m+1) phase diagonals e^{i(2a-m) phi} on the
+        distinct values of phi1 and phi2, and d holds d_m(v) for the distinct
+        values of v; _angles gives each node's indices."""
+        (phi1, _), (vs, _), (phi2, _) = self._angles()
         s = 2 * np.arange(m + 1) - m
-        p1 = np.exp(1j * np.outer(phi1, s))[at1]
-        p2 = np.exp(1j * np.outer(phi2, s))[at2]
         zeros = np.zeros_like(vs)
         d = sym_rep_stack(_euler_su2(np.stack([zeros, vs, zeros], axis=1)), m)
-        return p1, d, p2, group
+        return np.exp(1j * np.outer(phi1, s)), d, np.exp(1j * np.outer(phi2, s))
 
     def rep_blocks(self, m: int) -> np.ndarray:
         """(K, m+1, m+1) matrices of the action on homogeneous degree m,
@@ -298,9 +309,28 @@ class QuadratureScheme:
         same factorization block_operator contracts; block_operator never
         builds this stack."""
         if m not in self._mats:
-            p1, d, p2, group = self._euler_factors(m)
-            self._mats[m] = p1[:, :, None] * d[group] * p2[:, None, :]
+            e1, d, e2 = self._euler_factors(m)
+            (_, at1), (_, group), (_, at2) = self._angles()
+            self._mats[m] = e1[at1][:, :, None] * d[group] * e2[at2][:, None, :]
         return self._mats[m]
+
+    def _grid(self, size: int) -> np.ndarray:
+        """C[j, g, p, q] = sum of (j+1) w_k conj(chi_j(k)) over the nodes k at
+        the distinct values (v_g, phi1_p, phi2_q), for j < size at least.
+
+        Coincident nodes add up.  Built once, and again only when a larger
+        size is asked for."""
+        if "grid" not in self._mats or len(self._mats["grid"]) < size:
+            (phi1, at1), (vs, group), (phi2, at2) = self._angles()
+            wchi = np.stack([
+                (j + 1) * self.weights * np.conj(self.character(j)) for j in range(size)
+            ])
+            # the characters are real, and np.add.at is several times
+            # faster on a real array than on a complex one
+            grid = np.zeros((size, len(vs), len(phi1), len(phi2)))
+            np.add.at(grid, (slice(None), group, at1, at2), wchi)
+            self._mats["grid"] = grid.astype(complex)
+        return self._mats["grid"]
 
     def block_operator(self, delta: int, m: int) -> np.ndarray:
         """E_delta restricted to homogeneous degree m.
@@ -309,26 +339,22 @@ class QuadratureScheme:
         character; without the dimension factor the operator is only
         1/dim of a projector and idempotence fails.
 
-        E_delta = sum_k c_k diag(p1[k]) d_m(v_k) diag(p2[k]) with
-        c_k = (delta+1) w_k conj(chi_delta(k)), so for each distinct v one
-        product over that v's nodes gives sum_k c_k p1[k, a] p2[k, b], which
-        is scaled entrywise by d_m(v) and summed over the values of v.  A
-        miss at degree m assembles every delta the band resolves (delta <=
-        band - m, or the requested delta if larger) in the same products."""
+        E_delta[a, b] = sum_{g,p,q} C[delta, g, p, q] e1[p, a] e2[q, b] d[g, a, b]
+        over the character grid of _grid and the Euler factors of
+        _euler_factors: for each distinct v the phases are summed over the
+        distinct phi1 and phi2 in two small matrix products, and the results
+        are summed against d_m(v) over v.  A miss at degree m assembles
+        every delta the band resolves (delta <= band - m, or the requested
+        delta if larger) in the same products."""
         if delta < 0 or m < 0:
             raise DegenerateInputError("isotypic index and degree must be nonnegative")
         key = (delta, m)
         if key not in self._ops:
-            p1, d, p2, group = self._euler_factors(m)
+            e1, d, e2 = self._euler_factors(m)
             top = max(self.band - m, delta)
-            wchi = np.stack([
-                (j + 1) * self.weights * np.conj(self.character(j)) for j in range(top + 1)
-            ])
-            ops = np.zeros((top + 1, m + 1, m + 1), dtype=complex)
-            for g in range(len(d)):
-                idx = np.flatnonzero(group == g)
-                lhs = (wchi[:, None, idx] * p1[idx].T).reshape(-1, len(idx))
-                ops += (lhs @ p2[idx]).reshape(ops.shape) * d[g]
+            grid = self._grid(max(self.band, delta) + 1)[: top + 1]
+            # one (m+1) x n1 x n2 product pair per (j, v), then the sum over v
+            ops = np.einsum("jvab,vab->jab", e1.T @ grid @ e2, d)
             for j in range(top + 1):
                 self._ops.setdefault((j, m), ops[j])
         return self._ops[key]
@@ -352,21 +378,48 @@ def su2_quadrature(band: int) -> QuadratureScheme:
 # ---- projections on C^2 -----------------------------------------------------------
 
 
+def _unitary_scales(m: int) -> np.ndarray:
+    """sqrt(a! b!) for the monomials x^a y^b of degree m, indexed by b."""
+    return np.array([sqrt(factorial(m - b) * factorial(b)) for b in range(m + 1)])
+
+
 def _unitarized(f: FunctionSample, m: int) -> np.ndarray:
     """Degree-m homogeneous part in the orthonormal basis x^a y^b / sqrt(a! b!)."""
     vec = np.zeros(m + 1, dtype=complex)
     for (a, b), c in f.coeffs.items():
         if a + b == m:
-            vec[b] = c * sqrt(factorial(a) * factorial(b))
-    return vec
+            vec[b] = c
+    return vec * _unitary_scales(m)
 
 
-def _from_unitarized(vec: np.ndarray, m: int) -> dict:
-    out = {}
-    for b in range(m + 1):
-        if vec[b] != 0:
-            out[(m - b, b)] = vec[b] / sqrt(factorial(m - b) * factorial(b))
-    return out
+def _from_unitarized(rows: np.ndarray, m: int) -> list:
+    """One coefficient dict over the x^(m-b) y^b per unitarized row."""
+    coeffs = rows / _unitary_scales(m)
+    return [{(m - b, b): row[b] for b in np.flatnonzero(row).tolist()} for row in coeffs]
+
+
+def _su2_parts(f: FunctionSample, deltas: range, q: QuadratureScheme) -> list:
+    """E_delta f for every delta in deltas, in one pass over the degrees of f.
+
+    Each degree's unitarized vector is built once and every E_delta is
+    applied to it in one stacked product.  The band must resolve each
+    delta; the first one it cannot is named in the BandLimitError."""
+    deg = max(f.degree(), 0)
+    for delta in deltas:
+        if q.band < 2 * deg or q.band < deg + delta:
+            raise BandLimitError(
+                f"band limit {q.band} cannot resolve degree {deg} against index {delta}"
+            )
+    parts: list[dict] = [{} for _ in deltas]
+    for m in range(deg + 1):
+        vec = _unitarized(f, m)
+        if not np.any(vec):
+            continue
+        res = np.stack([q.block_operator(delta, m) for delta in deltas]) @ vec
+        for part, coeffs in zip(parts, _from_unitarized(res, m)):
+            # degree m owns the monomials of total degree m
+            part.update(coeffs)
+    return [FunctionSample("su2", 2, part).prune() for part in parts]
 
 
 def project_su2(f: FunctionSample, delta: int, q: QuadratureScheme) -> FunctionSample:
@@ -380,20 +433,7 @@ def project_su2(f: FunctionSample, delta: int, q: QuadratureScheme) -> FunctionS
         raise DegenerateInputError("this projector needs a sample on C^2")
     if delta < 0:
         raise DegenerateInputError("isotypic index must be a nonnegative integer")
-    deg = max(f.degree(), 0)
-    if q.band < 2 * deg or q.band < deg + delta:
-        raise BandLimitError(
-            f"band limit {q.band} cannot resolve degree {deg} against index {delta}"
-        )
-    out: dict = {}
-    for m in range(deg + 1):
-        vec = _unitarized(f, m)
-        if not np.any(vec):
-            continue
-        res = q.block_operator(delta, m) @ vec
-        for key, c in _from_unitarized(res, m).items():
-            out[key] = out.get(key, 0) + c
-    return FunctionSample("su2", 2, out).prune()
+    return _su2_parts(f, range(delta, delta + 1), q)[0]
 
 
 # ---- reports ----------------------------------------------------------------------
@@ -457,11 +497,8 @@ def finite_series_check(
         return IsotypicReport(comps, (f - recon).norm(), ZERO_THRESHOLD, TORUS_TOLERANCE)
     if q is None:
         raise DegenerateInputError("projections on C^2 need a quadrature scheme")
-    comps = {}
-    for delta in range(max(f.degree(), 0) + 1):
-        g = project_su2(f, delta, q)
-        if g.norm() > ZERO_THRESHOLD:
-            comps[delta] = g
+    parts = _su2_parts(f, range(max(f.degree(), 0) + 1), q)
+    comps = {delta: g for delta, g in enumerate(parts) if g.norm() > ZERO_THRESHOLD}
     recon = FunctionSample("su2", 2, {})
     for g in comps.values():
         recon = recon + g

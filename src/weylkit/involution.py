@@ -369,6 +369,11 @@ def check_nu_size(n: int, h_dim: int) -> None:
     dimension h_dim (at least 1: over h = 0 the kernel is n^2 dense vectors)
     if it exceeds MAX_NU_ENTRIES; both are known before the fiber is built."""
     if n**4 * max(h_dim, 1) > MAX_NU_ENTRIES:
+        if h_dim == 0:
+            raise DegenerateInputError(
+                f"intertwiner kernel over the zero subalgebra of {n * n} vectors "
+                f"of {n * n} entries each exceeds {MAX_NU_ENTRIES} entries"
+            )
         raise DegenerateInputError(
             f"intertwiner system of {n * n} unknowns and {n * n * h_dim} rows "
             f"exceeds {MAX_NU_ENTRIES} entries"

@@ -384,6 +384,19 @@ class TestInvolution:
         assert code == 1
         assert json.loads(out)["error"] == "degenerate_input"
 
+    def test_zero_subalgebra_refusal_names_the_kernel_size(self, capsys):
+        # no rows to count over h = 0: the bound is on 41^2 kernel vectors
+        # of 41^2 entries each
+        code, out, _ = _run(
+            capsys, "involution", "--group", "A1", "--subalgebra", "zero",
+            "--fiber", "restriction:w[40]",
+        )
+        assert code == 1
+        assert out.endswith(
+            "error degenerate_input: intertwiner kernel over the zero subalgebra "
+            "of 1681 vectors of 1681 entries each exceeds 600000 entries\n"
+        )
+
     def test_unadapted_is_computation_error(self, capsys):
         code, out, _ = _run(
             capsys, "involution", "--group", "A1", "--subalgebra", "span:1,1,0",
@@ -459,6 +472,27 @@ class TestIsotypic:
             os.close(w)
         assert proc.returncode == 1
         assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["isotypic", "--degree", "8"],
+        ["isotypic", "--degree", "8", "--format", "structured"],
+        ["catalog", "run", "--all", "--format", "structured"],
+    ],
+    ids=["isotypic_table", "isotypic_structured", "catalog_structured"],
+)
+def test_output_is_the_same_at_one_and_two_blas_threads(argv):
+    outs = []
+    for threads in ("1", "2"):
+        proc = _cli_process(
+            argv, env={"OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 _MF_PROBE = {

@@ -146,6 +146,20 @@ class TestBlockOperator:
             for d in range(9 - m):
                 assert np.max(np.abs(p.block_operator(d, m) - want[d])) <= 1e-13, (d, m)
 
+    def test_coincident_nodes_add_up(self):
+        # every node listed twice, its weight split 1/4 and 3/4: the grid
+        # must sum the two copies into one cell
+        q = su2_quadrature(8)
+        twice = QuadratureScheme(
+            np.concatenate([q.nodes, q.nodes]),
+            np.concatenate([q.weights / 4, 3 * q.weights / 4]),
+            q.band,
+        )
+        for m in range(9):
+            for d in range(9 - m):
+                diff = twice.block_operator(d, m) - q.block_operator(d, m)
+                assert np.max(np.abs(diff)) <= 1e-13, (d, m)
+
     def test_degree_beyond_the_band_is_assembled(self, q12):
         want = _per_node_operators(q12, 3, 14)
         assert np.max(np.abs(q12.block_operator(14, 3) - want[14])) <= 1e-13
