@@ -1,15 +1,19 @@
 """Weyl involutions, adapted subalgebras, and antiholomorphic bundle data.
 
-Everything at the Lie-algebra level is exact: the Chevalley involution, the
-compact-form conjugation, and the intertwiner solve all run over rational
-matrices, so every certificate in this module re-verifies to literal zero
-residuals.  A fiber is held as the column tables of ``repthy`` (one per
-basis vector of h), and the fiber checks, the intertwiner system and the
-certificate's equivariance check all read the pairs (rho(x), rho(sigma x))
-of those tables.  The intertwiner nu is one rational matrix: every fiber is
-rational, so its antilinear solutions are two real copies of a rational
-kernel.  Floating point enters only through the Phi-function orbit checks,
-which live on the analytic model and carry explicit tolerances.
+Everything at the Lie-algebra level is exact, so every certificate in this
+module re-verifies to literal zero residuals.  Every matrix is a ``repthy``
+column table (each column's nonzero (row, entry) pairs) and every vector a
+sparse {position: entry} dict: theta, tau and sigma = tau theta are tables
+on the Chevalley basis, the Chevalley theta a signed permutation, and one
+table product (``repthy.product``) checks their squares and commutation.
+A fiber is one table per basis vector of h, and the fiber checks, the
+intertwiner system and the certificate's equivariance check all read the
+pairs (rho(x), rho(sigma x)) of those tables.  The intertwiner nu is one
+rational table: every fiber is rational, so its antilinear solutions are
+two real copies of a rational kernel.  Floating point enters only through
+the Phi-function orbit checks, which live on the analytic model and carry
+explicit tolerances; ``AntilinearMap.matrix_complex`` makes the one complex
+array they read of nu.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from .errors import (
     ensure,
 )
 from .harmonic import sym_rep_matrix
-from .linalg import F0, combine, eliminate, eye, fr, is_zero, matmul, nullspace, sparse, zeros
-from .repthy import Table, apply_table, build_module, check_label, commutator
+from .linalg import F1, eliminate, fr, nullspace
+from .repthy import Table, apply_table, build_module, check_label, commutator, int_tables, product
 from .rootsys import Group, Subalgebra, parse_group, standard_subalgebra
 from .sympoly import check_reductive
 
@@ -54,9 +58,21 @@ MAX_NU_ENTRIES = 600_000
 # ---- involution specs --------------------------------------------------------
 
 
+def _apply(table: Table, v: dict) -> dict:
+    """The matrix of table applied to the sparse vector v, zeros dropped."""
+    out: dict = {}
+    apply_table(table, v.items(), out)
+    return {p: x for p, x in out.items() if x}
+
+
+def _identity(n: int) -> Table:
+    return [[(k, F1)] for k in range(n)]
+
+
 @dataclass
 class InvolutionSpec:
-    """An exact involution of the Lie algebra on the Chevalley basis.
+    """An exact involution of the Lie algebra on the Chevalley basis, held
+    as the column table of its matrix.
 
     kind "weyl_theta" is a linear automorphism; "cartan_tau" is the
     conjugation of the compact real form, an antilinear map whose rational
@@ -66,11 +82,12 @@ class InvolutionSpec:
 
     kind: str
     group: Group
-    matrix: np.ndarray
+    table: Table
     antilinear: bool
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return matmul(self.matrix, v)
+    def apply(self, v: dict) -> dict:
+        """The image of the sparse vector v, zero entries dropped."""
+        return _apply(self.table, v)
 
     def action_on_weights(self, label) -> Weight:
         """Highest-weight involution lambda -> -w0(lambda)."""
@@ -79,33 +96,23 @@ class InvolutionSpec:
     def squares_to_identity(self) -> bool:
         # For an antilinear map with rational matrix M the square is the
         # linear map M conj(M) = M M, the same formula as the linear case.
-        return is_zero(matmul(self.matrix, self.matrix) - eye(self.group.dim))
+        return product(self.table, self.table) == _identity(self.group.dim)
 
     def is_automorphism(self) -> bool:
         """theta[b_i, b_j] = [theta b_i, theta b_j] for i < j, on the sparse
         columns theta b_i."""
         g = self.group
-        cols = [sparse(c) for c in self.matrix.T]
-        for i, j in itertools.combinations(range(g.dim), 2):
-            lhs: dict = {}
-            for k, c in g.sparse_bracket({i: 1}, {j: 1}).items():
-                for p, x in cols[k].items():
-                    lhs[p] = lhs.get(p, 0) + c * x
-            if {p: x for p, x in lhs.items() if x} != g.sparse_bracket(cols[i], cols[j]):
-                return False
-        return True
+        cols = [dict(c) for c in self.table]
+        return all(
+            self.apply(g.sparse_bracket({i: 1}, {j: 1})) == g.sparse_bracket(cols[i], cols[j])
+            for i, j in itertools.combinations(range(g.dim), 2)
+        )
 
 
-def _chevalley_matrix(group: Group) -> np.ndarray:
-    m = zeros(group.dim, group.dim)
-    for k, (kind, tag) in enumerate(group.basis_labels):
-        if kind in ("h", "t"):
-            m[k, k] = fr(-1)
-        elif kind == "e":
-            m[group._index[("f", tag)], k] = fr(-1)
-        else:
-            m[group._index[("e", tag)], k] = fr(-1)
-    return m
+def _chevalley_table(group: Group) -> Table:
+    """The signed permutation -1 on each h_i and t_j, e_c -> -f_c, f_c -> -e_c."""
+    swap = {"h": "h", "t": "t", "e": "f", "f": "e"}
+    return [[(group._index[(swap[kind], tag)], fr(-1))] for kind, tag in group.basis_labels]
 
 
 def build_weyl_involution(group: Group) -> InvolutionSpec:
@@ -114,7 +121,7 @@ def build_weyl_involution(group: Group) -> InvolutionSpec:
     This is the infinitesimal form of a Weyl involution: it inverts the
     maximal torus and is verified here to preserve every basis bracket.
     """
-    spec = InvolutionSpec("weyl_theta", group, _chevalley_matrix(group), False)
+    spec = InvolutionSpec("weyl_theta", group, _chevalley_table(group), False)
     ensure(spec.squares_to_identity(), "Chevalley involution does not square to the identity")
     ensure(spec.is_automorphism(), "Chevalley involution failed bracket check")
     return spec
@@ -127,15 +134,15 @@ def build_cartan_conjugation(group: Group) -> InvolutionSpec:
     the Chevalley involution (the compact form is spanned by h_i over iR
     and e-f, i(e+f)).
     """
-    return InvolutionSpec("cartan_tau", group, _chevalley_matrix(group), True)
+    return InvolutionSpec("cartan_tau", group, _chevalley_table(group), True)
 
 
 def build_sigma(group: Group, theta: InvolutionSpec | None = None) -> InvolutionSpec:
     """The antiholomorphic sigma = tau . theta fixing a split real form."""
     theta = theta if theta is not None else build_weyl_involution(group)
     tau = build_cartan_conjugation(group)
-    prod = matmul(tau.matrix, theta.matrix)
-    if not is_zero(prod - matmul(theta.matrix, tau.matrix)):
+    prod = product(tau.table, theta.table)
+    if prod != product(theta.table, tau.table):
         raise DegenerateInputError("tau and theta do not commute")
     spec = InvolutionSpec("sigma_product", group, prod, True)
     if not spec.squares_to_identity():
@@ -151,7 +158,7 @@ class AdaptednessReport:
     theta_stable: bool
     restriction_is_weyl: bool
     verdict: bool
-    diagnostics: list[np.ndarray] | None = None  # Cartan of h used, if found
+    diagnostics: list[dict] | None = None  # sparse basis of the Cartan of h used, if found
 
     def as_dict(self) -> dict:
         return {
@@ -176,42 +183,45 @@ def _poly_divmod(p: list, d: list) -> tuple[list, list]:
     return quo, rem
 
 
-def _is_semisimple_element(group: Group, z: np.ndarray) -> bool:
+def _is_semisimple_element(group: Group, z: dict) -> bool:
     """Exact test: the squarefree part of the characteristic polynomial of
-    ad z annihilates ad z.
+    ad z annihilates ad z, for a sparse z.
 
-    ad z is first scaled to an integer matrix m, which does not change
-    diagonalizability.  The characteristic polynomial p of m comes from the
-    Faddeev-LeVerrier recursion, whose tr/k steps divide exactly over the
-    integers (Cohen, A Course in Computational Algebraic Number Theory,
-    1993, section 2.2); q = p / gcd(p, p') is then cleared of denominators
-    and evaluated on m by Horner's rule.
+    ad z, read off Group._ad_sparse as a table, is first scaled to an
+    integer table m, which does not change diagonalizability.  The
+    characteristic polynomial p of m comes from the Faddeev-LeVerrier
+    recursion, whose tr/k steps divide exactly over the integers (Cohen, A
+    Course in Computational Algebraic Number Theory, 1993, section 2.2);
+    q = p / gcd(p, p') is then cleared of denominators and evaluated on m
+    by Horner's rule.
     """
-    ad = group.ad(z)
-    scale = lcm(*(x.denominator for x in ad.flat))
-    m = np.array([[int(x * scale) for x in row] for row in ad], dtype=object)
-    ident = np.eye(len(m), dtype=int).astype(object)
-    p, acc = [1], 0 * ident
-    for k in range(1, len(m) + 1):
-        acc = m @ acc + p[-1] * ident
-        p.append(-np.trace(m @ acc) // k)
+    n = group.dim
+    ad = group._ad_sparse(z)
+    (m,), _ = int_tables([[sorted(ad.get(j, {}).items()) for j in range(n)]])
+    ident = [[(k, 1)] for k in range(n)]
+    p, acc = [1], [[] for _ in range(n)]
+    for k in range(1, n + 1):
+        acc = _table_sum([(1, product(m, acc)), (p[-1], ident)], n)
+        p.append(-sum(x for j, col in enumerate(product(m, acc)) for r, x in col if r == j) // k)
     a, b = p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
     while b:  # Euclid: a ends as gcd(p, p')
         a, b = b, _poly_divmod(a, b)[1]
     q = _poly_divmod(p, a)[0]
     den = lcm(*(c.denominator for c in q))
-    acc = 0 * ident
+    acc = [[] for _ in range(n)]
     for c in q:
-        acc = acc @ m + int(c * den) * ident
-    return is_zero(acc)
+        acc = _table_sum([(1, product(acc, m)), (int(c * den), ident)], n)
+    return not any(acc)
 
 
-def _subspace_in_h(h: Subalgebra, coord_vectors: list[np.ndarray]) -> list[np.ndarray]:
-    return [combine(c, h.basis, (h.group.dim,)) for c in coord_vectors]
+def _subspace_in_h(h: Subalgebra, coord_vectors: list[dict]) -> list[dict]:
+    """The sparse vectors with these sparse coordinates over h.rows."""
+    basis = [row.items() for row in h.rows]  # the table whose columns are the rows
+    return [_apply(basis, c) for c in coord_vectors]
 
 
-def _centralizer_in_h(group: Group, h: Subalgebra, z: np.ndarray) -> list[np.ndarray]:
-    return _subspace_in_h(h, nullspace([group.sparse_bracket(sparse(z), b) for b in h.rows]))
+def _centralizer_in_h(group: Group, h: Subalgebra, z: dict) -> list[dict]:
+    return _subspace_in_h(h, nullspace([group.sparse_bracket(z, b) for b in h.rows]))
 
 
 def _small_tuples(k: int):
@@ -239,34 +249,31 @@ def is_adapted(group: Group, h: Subalgebra, theta: InvolutionSpec) -> Adaptednes
     """
     h.require_closed()
     check_reductive(group, h)
-    stable = all(h.contains(theta.apply(v)) for v in h.basis)
-    if not stable:
-        return AdaptednessReport(False, False, False, None)
     # the (-1)-eigenspace of theta on h is the kernel of theta + 1, whose
-    # column j is theta b_j + b_j in h coordinates
+    # column j is theta b_j + b_j in h coordinates; theta b_j must lie in h
     cols = []
-    for j, v in enumerate(h.basis):
-        c = h.coords(theta.apply(v))
-        ensure(c is not None, "theta does not preserve h")
-        c[j] += 1
-        cols.append(sparse(c))
+    for j, v in enumerate(h.rows):
+        rem, coords, _ = eliminate(theta.apply(v), h.rows, h.pivots)
+        if rem:
+            return AdaptednessReport(False, False, False, None)
+        coords[j] = coords.get(j, 0) + 1
+        cols.append({k: x for k, x in coords.items() if x})
     anti = _subspace_in_h(h, nullspace(cols))
     abelian_h = not any(group.sparse_bracket(x, y) for i, x in enumerate(h.rows) for y in h.rows[i + 1 :])
     if abelian_h:
         # h is its own Cartan; theta must negate all of it
         ok = len(anti) == h.dim
-        return AdaptednessReport(True, ok, ok, h.basis if ok else None)
+        return AdaptednessReport(True, ok, ok, h.rows if ok else None)
     if not anti:
         return AdaptednessReport(True, False, False, None)
+    anti_span, anti_basis = Subalgebra(group, anti), [v.items() for v in anti]
     for coeffs in _small_tuples(len(anti)):
-        z = combine([fr(c) for c in coeffs], anti, (group.dim,))
+        z = _apply(anti_basis, dict(enumerate(coeffs)))
         if not _is_semisimple_element(group, z):
             continue
         cent = _centralizer_in_h(group, h, z)
-        rows = [sparse(v) for v in cent]
-        if any(group.sparse_bracket(x, y) for i, x in enumerate(rows) for y in rows[i + 1 :]):
+        if any(group.sparse_bracket(x, y) for i, x in enumerate(cent) for y in cent[i + 1 :]):
             continue
-        anti_span = Subalgebra(group, anti)
         if all(anti_span.contains(v) for v in cent):
             return AdaptednessReport(True, True, True, cent)
     return AdaptednessReport(True, False, False, None)
@@ -277,26 +284,29 @@ def is_adapted(group: Group, h: Subalgebra, theta: InvolutionSpec) -> Adaptednes
 
 @dataclass
 class AntilinearMap:
-    """v -> M conj(v) for an exact rational matrix M.
+    """v -> M conj(v) for an exact rational matrix M, held as its column
+    table.
 
     Every fiber here is rational, so the intertwiner solve looks for M among
     rational matrices."""
 
-    matrix: np.ndarray
+    table: Table
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.table)
 
     def matrix_complex(self) -> np.ndarray:
-        return self.matrix.astype(float).astype(complex)
+        """M as the complex array that the analytic mu maps read."""
+        cols = [dict(col) for col in self.table]
+        return np.array([[float(col.get(r, 0)) for col in cols] for r in range(self.dim)], dtype=complex)
 
     def is_involutive(self) -> bool:
         """(M conj)^2 = M conj(M) = M M for rational M."""
-        return is_zero(matmul(self.matrix, self.matrix) - eye(self.dim))
+        return product(self.table, self.table) == _identity(self.dim)
 
     def negate(self) -> "AntilinearMap":
-        return AntilinearMap(-self.matrix)
+        return AntilinearMap([[(r, -x) for r, x in col] for col in self.table])
 
 
 class HModule:
@@ -338,12 +348,12 @@ def _table_sum(terms: Iterable[tuple[Fraction, Table]], n: int) -> Table:
         if c:
             for col, entries in zip(cols, table):
                 for r, x in entries:
-                    col[r] = col.get(r, F0) + c * x
+                    col[r] = col.get(r, 0) + c * x
     return [[(r, x) for r, x in sorted(col.items()) if x] for col in cols]
 
 
 def fiber_trivial(group: Group, h: Subalgebra) -> HModule:
-    return HModule(group, h, [[[]] for _ in h.basis], ("trivial",), 1)
+    return HModule(group, h, [[[]] for _ in h.rows], ("trivial",), 1)
 
 
 def fiber_character(group: Group, h: Subalgebra, values) -> HModule:
@@ -380,38 +390,28 @@ def check_nu_size(n: int, h_dim: int) -> None:
         )
 
 
-def _twisted_actions(module: HModule, sigma: np.ndarray) -> list[tuple[Table, Table]]:
+def _twisted_actions(module: HModule, sigma: Table) -> list[tuple[Table, Table]]:
     """(rho(x), rho(sigma x)) as column tables, for each basis vector x of h."""
     h = module.h
     out = []
-    for x, rho in zip(h.basis, module.tables):
-        rem, coords, _ = eliminate(sparse(matmul(sigma, x)), h.rows, h.pivots)
+    for x, rho in zip(h.rows, module.tables):
+        rem, coords, _ = eliminate(_apply(sigma, x), h.rows, h.pivots)
         if rem:
             raise DegenerateInputError("sigma does not stabilize the subalgebra")
         out.append((rho, module.combination(coords.items())))
     return out
 
 
-def _intertwines(a: Table, rho: Table, rho_s: Table) -> bool:
-    """a rho = rho_s a, column by column, for column tables of one size."""
-    for k in range(len(a)):
-        col: dict[int, Fraction] = {}
-        apply_table(a, rho[k], col)
-        apply_table(rho_s, a[k], col, -1)
-        if any(col.values()):
-            return False
-    return True
-
-
-def _sigma_matrix(group: Group, theta: InvolutionSpec) -> np.ndarray:
+def _sigma_table(group: Group, theta: InvolutionSpec) -> Table:
     # Compose tau.theta directly: the equivariance equation makes sense for
     # any linear theta, and a non-automorphism should surface as an empty
     # kernel (no intertwiner), not as a malformed-sigma error.
-    return matmul(build_cartan_conjugation(group).matrix, theta.matrix)
+    return product(build_cartan_conjugation(group).table, theta.table)
 
 
-def _nu_kernel(module: HModule, theta: InvolutionSpec) -> list[np.ndarray]:
-    """Rational basis of {A : A rho(x) = rho(sigma x) A for all x in h}.
+def _nu_kernel(module: HModule, theta: InvolutionSpec) -> list[Table]:
+    """Rational basis of {A : A rho(x) = rho(sigma x) A for all x in h}, as
+    column tables.
 
     The equivariance is over the compact form of h: an antilinear nu
     relates rho(x) to rho(dsigma(x)) where sigma = tau . theta, and on the
@@ -425,7 +425,7 @@ def _nu_kernel(module: HModule, theta: InvolutionSpec) -> list[np.ndarray]:
     # k-th x: row a of E_ab rho is row b of rho, column b of rho_s E_ab is
     # column a of rho_s
     cols: list[dict] = [{} for _ in range(n * n)]
-    for k, (rho, rho_s) in enumerate(_twisted_actions(module, _sigma_matrix(module.group, theta))):
+    for k, (rho, rho_s) in enumerate(_twisted_actions(module, _sigma_table(module.group, theta))):
         for a in range(n):
             for j, entries in enumerate(rho):
                 for b, x in entries:  # x = rho[b, j]
@@ -434,7 +434,13 @@ def _nu_kernel(module: HModule, theta: InvolutionSpec) -> list[np.ndarray]:
                 for b in range(n):
                     col = cols[a * n + b]
                     col[(k, i, b)] = col.get((k, i, b), 0) - x
-    return [v.reshape(n, n).copy() for v in nullspace([{p: x for p, x in c.items() if x} for c in cols])]
+    kernel = []
+    for v in nullspace([{p: x for p, x in c.items() if x} for c in cols]):
+        table: Table = [[] for _ in range(n)]
+        for u, x in v.items():  # u = a n + b is entry (a, b); u ascends, so each column's rows do
+            table[u % n].append((u // n, x))
+        kernel.append(table)
+    return kernel
 
 
 def nu_solution_space_dim(module: HModule, theta: InvolutionSpec) -> int:
@@ -451,10 +457,10 @@ def _rational_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-def _scalar_square(m: np.ndarray) -> Fraction | None:
-    """s if m squares to s I with s nonzero, else None: squared column by
-    column on its nonzero entries, stopping at the first that breaks s I."""
-    a, s = [[(i, x) for i, x in enumerate(col) if x] for col in m.T], 0
+def _scalar_square(a: Table) -> Fraction | None:
+    """s if a squares to s I with s nonzero, else None: squared column by
+    column, stopping at the first that breaks s I."""
+    s = 0
     for k, entries in enumerate(a):
         col: dict[int, Fraction] = {}
         apply_table(a, entries, col)
@@ -478,19 +484,15 @@ def solve_nu(module: HModule, theta: InvolutionSpec) -> AntilinearMap:
             "no antilinear intertwiner exists; the involution is not "
             "implementable on this module"
         )
-    a0 = scale2 = None
-    for cand in kernel:
-        scale2 = _scalar_square(cand)  # rational, so conj() is a no-op
-        if scale2 is not None:
-            a0 = cand
-            break
+    # the first kernel vector that squares to a scalar; rational, so conj() is a no-op
+    a0, scale2 = next(((a, s) for a in kernel if (s := _scalar_square(a)) is not None), (None, None))
     if a0 is None and len(kernel) > 1:
         # reducible case: the identity may live in the kernel span even
         # though no single basis element squares to a scalar.  The kernel is
         # the whole solution space, so it does iff rho(x) = rho(sigma x).
-        pairs = _twisted_actions(module, _sigma_matrix(module.group, theta))
+        pairs = _twisted_actions(module, _sigma_table(module.group, theta))
         if all(rho == rho_s for rho, rho_s in pairs):
-            a0, scale2 = eye(module.dim), fr(1)
+            a0, scale2 = _identity(module.dim), fr(1)
     if a0 is None:
         raise DegenerateInputError(
             "no solution with scalar square; cannot normalize an involution"
@@ -505,11 +507,10 @@ def solve_nu(module: HModule, theta: InvolutionSpec) -> AntilinearMap:
         raise DegenerateInputError(
             f"normalization scale {scale2} is not a rational square"
         )
-    a = a0 / root
-    lead = next(x for x in a.flat if x != 0)
-    if lead < 0:
-        a = -a
-    nu = AntilinearMap(a)
+    nu = AntilinearMap([[(r, x / root) for r, x in col] for col in a0])
+    # the first nonzero entry in row-major order
+    if min((r, k, x) for k, col in enumerate(nu.table) for r, x in col)[2] < 0:
+        nu = nu.negate()
     ensure(nu.is_involutive(), "normalized nu is not an involution")
     return nu
 
@@ -536,15 +537,12 @@ class BundleCertificate:
     checks: dict = field(default_factory=dict)
 
     def verify(self) -> dict:
-        g = self.group
-        tau = build_cartan_conjugation(g)
+        tau = build_cartan_conjugation(self.group)
         sq_ok = self.sigma.squares_to_identity()
-        prod = matmul(tau.matrix, self.theta.matrix)
-        comm_ok = is_zero(prod - matmul(self.theta.matrix, tau.matrix)) and is_zero(
-            self.sigma.matrix - prod
-        )
-        nu = [[(i, x) for i, x in enumerate(col) if x] for col in self.nu.matrix.T]
-        equi_ok = all(_intertwines(nu, rho, rho_s) for rho, rho_s in _twisted_actions(self.fiber, self.sigma.matrix))
+        prod = product(tau.table, self.theta.table)
+        comm_ok = prod == product(self.theta.table, tau.table) and self.sigma.table == prod
+        nu, pairs = self.nu.table, _twisted_actions(self.fiber, self.sigma.table)
+        equi_ok = all(product(nu, rho) == product(rho_s, nu) for rho, rho_s in pairs)
         return {
             "sigma_squares_to_identity": sq_ok,
             "sigma_is_commuting_product": comm_ok,
@@ -552,13 +550,14 @@ class BundleCertificate:
         }
 
     def as_dict(self) -> dict:
+        cols = [dict(col) for col in self.nu.table]
         return {
             "group": self.group.name,
             "subalgebra_dim": self.h.dim,
             "fiber": list(self.fiber.descriptor),
             "fiber_dim": self.fiber.dim,
             "adapted": self.adapted.as_dict(),
-            "nu_matrix": [[str(x) for x in row] for row in self.nu.matrix],
+            "nu_matrix": [[str(col.get(r, 0)) for col in cols] for r in range(self.nu.dim)],
             "checks": dict(self.checks),
         }
 
@@ -730,7 +729,7 @@ def bundle_cartan_weight2() -> BundleModel:
 
     def mu(sample, nu: AntilinearMap):
         gm, v = sample
-        c = complex(float(nu.matrix[0, 0]))
+        c = nu.matrix_complex()[0, 0]
         return (np.conj(gm), c * np.conj(v))
 
     return BundleModel("A1 cartan, weight-2 line", cert, phis, sampler, mu)

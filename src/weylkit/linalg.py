@@ -2,26 +2,18 @@
 
 At the boundary, matrices and vectors are numpy object arrays of
 ``fractions.Fraction``: numpy keeps the shapes, the arithmetic stays exact.
-Inside, elimination runs on sparse rows, dicts {position: entry} of the
-nonzero entries, since the matrices reduced here are mostly zeros: ``rref``
-makes one dense matrix at the end, ``SpanBasis`` and the module builder
-never leave the sparse form, and ``sparse`` and ``densify`` convert.
+Inside, vectors are sparse rows, dicts {position: entry} of the nonzero
+entries, since the matrices reduced here are mostly zeros: ``rref`` makes
+one dense matrix at the end, ``SpanBasis`` and the module builder never
+leave the sparse form, and ``sparse`` and ``densify`` convert.
 ``SpanBasis`` keeps fraction-free int rows; only its ``express`` forms Fractions.
 ``nullspace`` reads a kernel off one ``SpanBasis`` pass over the map's
-sparse columns, so no kernel is built as a dense stack; a rank is the
-length of a ``SpanBasis`` and a membership test is its ``express``, so
-there is no dense solve, rank or column stack either.
-
-Three helpers are the kernel's vocabulary for the loops the rest of the
-package would otherwise write by hand (de Graaf, *Lie Algebras: Theory and
-Algorithms*, 2000, ch. 1): ``combine`` forms a linear combination of
-vectors or matrices (a module action, a vector from its coordinates),
-``eliminate`` reduces a sparse vector by sparse echelon rows, returning the
-remainder and the multiple of each row taken (the one reduction loop: rref,
-membership, coordinates, quotients), and ``matmul`` forms a matrix product
-from the nonzero entries of its factors (a commutator, a bracket, a series
-term, a change of basis).  Because the arithmetic is exact, any
-algebraically equal rewrite through them gives bit-for-bit the same numbers.
+sparse columns and returns it as sparse vectors; a rank is the length of a
+``SpanBasis`` and a membership test is its ``express``, so there is no
+dense solve, rank or column stack either.  ``eliminate`` reduces a sparse
+vector by sparse echelon rows, returning the remainder and the multiple of
+each row taken: the one reduction loop (rref, membership, coordinates,
+quotients).  Matrices below the boundary are ``repthy`` column tables.
 """
 
 from __future__ import annotations
@@ -59,14 +51,6 @@ def fr_input(x, error: type[Exception]) -> Fraction:
         raise error(f"not an exact rational: {x!r}") from exc
 
 
-def fmat(rows: Sequence[Sequence]) -> np.ndarray:
-    a = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            a[i, j] = fr(x)
-    return a
-
-
 def fvec(entries: Iterable) -> np.ndarray:
     xs = [fr(x) for x in entries]
     a = np.empty(len(xs), dtype=object)
@@ -92,13 +76,10 @@ def eye(n: int) -> np.ndarray:
     return a
 
 
-def is_zero(a: np.ndarray) -> bool:
-    return all(x == 0 for x in a.flat)
-
-
-def sparse(v: Iterable) -> dict[int, Fraction]:
-    """The nonzero entries of an exact vector by position, each through fr."""
-    return {j: fr(x) for j, x in enumerate(v) if x}
+def sparse(v: Iterable | dict) -> dict:
+    """The nonzero entries of an exact vector, or of a sparse vector given
+    as a dict, by position, each through fr."""
+    return {j: fr(x) for j, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x}
 
 
 def densify(entries: dict, shape: tuple[int, ...]) -> np.ndarray:
@@ -134,10 +115,11 @@ def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return densify({(i, j): x for i, row in enumerate(rows) for j, x in row.items()}, (n, m)), pivots
 
 
-def nullspace(cols: Sequence[dict]) -> list[np.ndarray]:
+def nullspace(cols: Sequence[dict]) -> list[dict[int, Fraction]]:
     """Basis of the kernel of the linear map whose column j is the sparse
-    vector cols[j] ({position: entry}, any sortable positions): one vector
-    per column j in the span of the columns before it, 1 at j and minus the
+    vector cols[j] ({position: entry}, any sortable positions), as sparse
+    vectors over the column indices, positions ascending: one vector per
+    column j in the span of the columns before it, 1 at j and minus the
     coordinates of cols[j] over the earlier independent columns.  This is
     the basis read off the reduced echelon form, which is unique."""
     span, indep, basis = SpanBasis(), [], []
@@ -145,37 +127,8 @@ def nullspace(cols: Sequence[dict]) -> list[np.ndarray]:
         if span.add(col):
             indep.append(j)
         else:
-            basis.append(densify({j: F1} | {indep[k]: -x for k, x in span.express(col)}, (len(cols),)))
+            basis.append({indep[k]: -x for k, x in span.express(col)} | {j: F1})
     return basis
-
-
-def combine(coeffs: Iterable, terms: Iterable[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
-    """sum c * t over the nonzero c; starts from zeros(shape), so entries
-    stay Fraction even when every coefficient is zero."""
-    out = zeros(*shape)
-    for c, t in zip(coeffs, terms):
-        if c != 0:
-            out = out + c * t
-    return out
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for an exact matrix a and an exact matrix or vector b, driven by
-    nonzero entries (Gustavson, *ACM TOMS* 4(3), 1978): each nonzero b[j, l]
-    adds b[j, l] times the nonzero part of column j of a, found once per j,
-    to column l of zeros(...), so every entry is a Fraction."""
-    if a.shape[1] != len(b):
-        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    b2 = b[:, None] if b.ndim == 1 else b
-    out = zeros(len(a), b2.shape[1])
-    cols: dict[int, list[tuple[int, Fraction]]] = {}
-    for j, l in zip(*np.nonzero(b2)):
-        if j not in cols:
-            cols[j] = [(i, a[i, j]) for i in np.flatnonzero(a[:, j])]
-        x = b2[j, l]
-        for i, c in cols[j]:
-            out[i, l] += c * x
-    return out.reshape(a.shape[:1] + b.shape[1:])
 
 
 def eliminate(v: dict, rows: Sequence[dict], pivots: Sequence) -> tuple[dict, dict, int]:

@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionCapError, NonDominantError, ParseError, ensure
-from .linalg import F1, SpanBasis, fr, fvec, integral, matmul, nullspace, zeros
+from .linalg import F1, SpanBasis, fr, integral, nullspace, zeros
 from .linalg import rref  # noqa: F401  (unused here; the benchmark tracer and its tests patch repthy.rref)
 from .rootsys import Group
 
@@ -99,8 +99,8 @@ def dominant_weights(group: Group, label: Weight) -> list[tuple[tuple[int, ...],
     r = group.rank
     if r == 0:
         return [((), label)]
-    A = group.cartan_matrix
-    bound = [int(x) for x in matmul(group.cartan_inverse, fvec(label[:r]))]  # floor, >= 0
+    A, inv = group.cartan_matrix, group.cartan_inverse
+    bound = [int(sum(inv[i, j] * label[j] for j in range(r))) for i in range(r)]  # floor, >= 0
     out = []
     for cs in itertools.product(*(range(b + 1) for b in bound)):
         fc = list(label[:r])
@@ -226,6 +226,16 @@ def int_tables(tables: Sequence[Table]) -> tuple[list[Table], int]:
     return [[[(r, x.numerator * (d // x.denominator)) for r, x in col] for col in t] for t in tables], d
 
 
+def product(a: Table, b: Table) -> Table:
+    """The table of the matrix product a b: rows ascending, zeros dropped."""
+    out = []
+    for col in b:
+        acc: dict = {}
+        apply_table(a, col, acc)
+        out.append([(r, x) for r, x in sorted(acc.items()) if x])
+    return out
+
+
 def commutator(a: Table, b: Table, n: int) -> Table:
     """The table of (a b - b a) / n, from the int d a and d b: rows ascending."""
     (a, b), d = int_tables([a, b])
@@ -281,7 +291,7 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
     ]
     ker = nullspace(raising)
     ensure(len(ker) == 1, f"highest weight vector of {label} is not unique")
-    v0 = integral(dict(zip(positions, ker[0])))[0]
+    v0 = integral({positions[c]: x for c, x in ker[0].items()})[0]
 
     spans: dict[Weight, SpanBasis] = {}  # over ambient positions, one per weight
     members: dict[Weight, list[int]] = {}  # the basis index of each retained vector
@@ -428,12 +438,13 @@ def _build_ss(group: Group, lab: Weight) -> Module:
 
 def _seed_module(group: Group, seeds: dict) -> Module:
     """The seed fundamental of one factor (an entry of group.factor_seeds),
-    zero on the other factors; its weights are the diagonals of the h_i."""
-    n = len(next(iter(seeds.values())))
-    mats = [seeds.get(lab, zeros(n, n)) for lab in group.basis_labels]
-    hs = mats[: group.rank]  # the basis starts with h_0 .. h_{r-1}
-    weights = [tuple(int(h[a, a]) for h in hs) + (0,) * group.torus_dim for a in range(n)]
-    columns = [[[(i, m[i, k]) for i in range(n) if m[i, k]] for k in range(n)] for m in mats]
+    zero on the other factors; its weights are the diagonals of the h_i.
+    Each of its basis vectors is moved by some e_c or f_c, as in any
+    irreducible module of dimension above 1, so the seeds' entries span it."""
+    n = 1 + max(max(p) for m in seeds.values() for p in m)
+    mats = [seeds.get(lab, {}) for lab in group.basis_labels]
+    weights = [tuple(h.get((a, a), 0) for h in mats[: group.rank]) + (0,) * group.torus_dim for a in range(n)]
+    columns = [[[(i, fr(x)) for (i, k), x in sorted(m.items()) if k == col] for col in range(n)] for m in mats]
     return Module(group, weights[0], weights, columns)
 
 

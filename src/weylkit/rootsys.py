@@ -38,8 +38,7 @@ from .errors import (
     UnsupportedTypeError,
     ensure,
 )
-from .linalg import F1, SpanBasis, combine, densify, eliminate, eye, fmat, fr, fvec
-from .linalg import matmul, rref, sparse, zeros
+from .linalg import F1, SpanBasis, densify, eliminate, eye, fr, rref, sparse, zeros
 
 # Cartan matrices use the convention A[i][j] = <alpha_j, alpha_i^vee>, so
 # column j holds the fundamental-weight coordinates of alpha_j.  d[i] is the
@@ -87,13 +86,6 @@ MAX_RANK = 3  # simple ranks plus torus dimension
 Weight = tuple[int, ...]
 
 
-def _sparse_matrix(n: int, entries: Sequence[tuple[int, int, int]]) -> np.ndarray:
-    m = zeros(n, n)
-    for i, j, v in entries:
-        m[i, j] = fr(v)
-    return m
-
-
 def _commutator(a: dict, b: dict) -> dict[tuple[int, int], int]:
     """ab - ba for sparse int matrices {(row, col): nonzero entry}, as one."""
     out: dict[tuple[int, int], int] = {}
@@ -129,16 +121,16 @@ def _closure(seeds: Iterable[Weight], reflect, rank: int) -> dict[Weight, tuple[
     return seen
 
 
-def _positive_roots(A: np.ndarray) -> list[tuple[int, ...]]:
+def _positive_roots(A: list[list[int]]) -> list[tuple[int, ...]]:
     """Positive roots in simple coordinates, in (height, lex) order.
 
     Every root is W-conjugate to a simple root (Humphreys, *Introduction to
     Lie Algebras and Representation Theory*, sec. 10.3), so the roots are the
     closure of the simple roots under s_i(c) = c - (Ac)_i alpha_i."""
-    r = A.shape[0]
+    r = len(A)
 
     def reflect(c: tuple[int, ...], i: int) -> tuple[int, ...]:
-        pairing = sum(int(A[i, k]) * c[k] for k in range(r))
+        pairing = sum(A[i][k] * c[k] for k in range(r))
         return tuple(x - pairing if k == i else x for k, x in enumerate(c))
 
     roots = _closure([_unit(r, i) for i in range(r)], reflect, r)
@@ -147,32 +139,23 @@ def _positive_roots(A: np.ndarray) -> list[tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _factor(letter: str) -> dict:
-    """Chevalley generator matrices for one simple type, every positive root."""
+    """Chevalley generator matrices for one simple type, every positive root,
+    each a sparse int matrix {(row, col): nonzero entry}."""
     data = _SEED_DATA[letter]
-    A = fmat(data["A"])
-    r = A.shape[0]
+    A = data["A"]
+    r = len(A)
     posroots = _positive_roots(A)
     allroots = set(posroots) | {tuple(-x for x in c) for c in posroots}
-    n = len(data["weights"])
-
-    hmats = []
-    for i in range(r):
-        h = zeros(n, n)
-        for a, w in enumerate(data["weights"]):
-            h[a, a] = fr(w[i])
-        hmats.append(h)
-
-    e: dict[tuple[int, ...], np.ndarray] = {}
-    f: dict[tuple[int, ...], np.ndarray] = {}
-    for i in range(r):
-        e[_unit(r, i)] = _sparse_matrix(n, data["e"][i])
-        f[_unit(r, i)] = _sparse_matrix(n, data["f"][i])
+    hmats = [{(a, a): w[i] for a, w in enumerate(data["weights"]) if w[i]} for i in range(r)]
+    e = {_unit(r, i): {(a, b): x for a, b, x in data["e"][i]} for i in range(r)}
+    f = {_unit(r, i): {(a, b): x for a, b, x in data["f"][i]} for i in range(r)}
 
     # Extraspecial pairs: for gamma of height >= 2 take the decomposition
     # gamma = xi + eta with xi minimal in (height, lex) order; then
     # [e_xi, e_eta] = (p+1) e_gamma fixes e_gamma with a positive constant,
     # p being the depth of the xi-string below eta, and f_gamma takes the
-    # opposite sign.  Lower heights come first, so e_eta is already set.
+    # opposite sign.  Lower heights come first, so e_eta is already set, and
+    # p+1 divides every entry of the commutator, checked, so all stays int.
     for gamma in posroots[r:]:
         xi = next(
             c for c in posroots
@@ -182,8 +165,10 @@ def _factor(letter: str) -> dict:
         p = 0
         while tuple(y - (p + 1) * x for y, x in zip(eta, xi)) in allroots:
             p += 1
-        e[gamma] = (matmul(e[xi], e[eta]) - matmul(e[eta], e[xi])) / fr(p + 1)
-        f[gamma] = -(matmul(f[xi], f[eta]) - matmul(f[eta], f[xi])) / fr(p + 1)
+        for x, sign in ((e, 1), (f, -1)):
+            br = _commutator(x[xi], x[eta])
+            ensure(all(v % (p + 1) == 0 for v in br.values()), "extraspecial constant does not divide")
+            x[gamma] = {q: sign * v // (p + 1) for q, v in br.items()}
 
     return {
         "rank": r,
@@ -219,10 +204,11 @@ class Group:
     # ---- root bookkeeping -------------------------------------------------
 
     @cached_property
-    def factor_seeds(self) -> list[dict[tuple[str, object], np.ndarray]]:
+    def factor_seeds(self) -> list[dict[tuple[str, object], dict[tuple[int, int], int]]]:
         """The one embedding of each simple factor into the product algebra:
-        per factor, its seed matrices keyed by product basis label, h_i first
-        and then e_c, f_c for each root c of the factor, padded to full rank."""
+        per factor, its sparse int seed matrices {(row, col): entry} keyed by
+        product basis label, h_i first and then e_c, f_c for each root c of
+        the factor, padded to full rank."""
         out = []
         o = 0
         for f in self.factors:
@@ -247,7 +233,7 @@ class Group:
         o = 0
         for f in self.factors:
             r = f["rank"]
-            A[o : o + r, o : o + r] = f["A"]
+            A[o : o + r, o : o + r] = [[fr(x) for x in row] for row in f["A"]]
             o += r
         return A
 
@@ -322,15 +308,14 @@ class Group:
         [b_k, b_j] = sum c b_i, so it is column j of ad(b_k).  Seeds of two
         weights (h -> 0, e_c -> c, f_c -> -c) occupy disjoint positions, and a
         commutator lies on, and is expressed over, the seeds of its weight.
-        The seed entries and the constants of a Chevalley basis (Humphreys,
-        sec. 25.2) are integers, each checked to be one, so all of it is int."""
+        The seed entries are int, and the constants of a Chevalley basis
+        (Humphreys, sec. 25.2) are integers, each checked to be one, so all
+        of it is int."""
         table: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(self.dim)]
         for seeds in self.factor_seeds:
             spaces: dict = {}  # weight -> [(basis index, nonzero {(row, col): entry})]
-            for (kind, c), m in seeds.items():
+            for (kind, c), ents in seeds.items():
                 wt = (0,) * self.rank if kind == "h" else tuple(-x for x in c) if kind == "f" else c
-                ents = {(i, j): int(m[i, j]) for i, j in zip(*np.nonzero(m))}
-                ensure(all(x == m[p] for p, x in ents.items()), "seed entry is not an integer")
                 spaces.setdefault(wt, []).append((self._index[(kind, c)], ents))
             local = [(ik, wt, ents) for wt, members in spaces.items() for ik, ents in members]
             for wt, members in spaces.items():
@@ -459,10 +444,14 @@ class Group:
 
     @cached_property
     def killing_form(self) -> np.ndarray:
-        # tr(ad_i ad_j) = vec(ad_i) . vec(ad_j^T): one product of stacked rows
-        rows = np.array([self.ad(b).reshape(-1) for b in eye(self.dim)])
-        cols = rows.reshape((self.dim,) * 3).transpose(0, 2, 1).reshape(self.dim, -1)
-        return matmul(rows, cols.T)
+        """tr(ad b_k ad b_l) = sum of (ad b_k)[i, j] (ad b_l)[j, i] over the
+        nonzero structure constants, on integers."""
+        ads = [{(i, j): c for j, col in table.items() for i, c in col} for table in self._ad_columns]
+        traces = {
+            (k, m): sum(c * b.get((j, i), 0) for (i, j), c in a.items())
+            for (k, a), (m, b) in product(enumerate(ads), repeat=2)
+        }
+        return densify({p: fr(t) for p, t in traces.items() if t}, (self.dim, self.dim))
 
     @cached_property
     def invariant_form(self) -> np.ndarray:
@@ -583,9 +572,10 @@ class Subalgebra:
 
     Closure under the bracket is checked on demand, not at construction:
     several ops accept arbitrary subspaces and report their own errors.
+    Every entry point takes a vector as a dense array or as a sparse dict.
     """
 
-    def __init__(self, group: Group, vectors: Iterable[np.ndarray], name: str | None = None):
+    def __init__(self, group: Group, vectors: Iterable[np.ndarray | dict], name: str | None = None):
         self.group = group
         # rows[i] (basis[i] densified) is 1 at pivots[i], its least position, and
         # 0 at the pivots before it: each vector reduced by the rows kept so far
@@ -603,16 +593,16 @@ class Subalgebra:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
-    def contains(self, v: np.ndarray) -> bool:
+    def contains(self, v: np.ndarray | dict) -> bool:
         return not eliminate(sparse(v), self.rows, self.pivots)[0]
 
-    def reduce(self, v: np.ndarray) -> np.ndarray:
+    def reduce(self, v: np.ndarray | dict) -> np.ndarray:
         """v modulo this subspace: the representative vanishing at every pivot."""
         return densify(eliminate(sparse(v), self.rows, self.pivots)[0], (self.group.dim,))
 
-    def coords(self, v: np.ndarray) -> np.ndarray | None:
+    def coords(self, v: np.ndarray | dict) -> np.ndarray | None:
         """Coordinates of v over self.basis, or None if v lies outside."""
         rem, mult, _ = eliminate(sparse(v), self.rows, self.pivots)
         return None if rem else densify(mult, (self.dim,))
@@ -676,9 +666,9 @@ def standard_subalgebra(group: Group, name: str) -> Subalgebra:
     # hence h = sum c_j h_j with A^T c = 2*ones, and f = sum c_i f_i.
     if g.rank == 0:
         raise DegenerateInputError("principal needs a semisimple part")
-    c = matmul(g.cartan_inverse.T, fvec([2] * g.rank))
-    simple = [g.simple_root(i) for i in range(g.rank)]
-    e = combine([F1] * g.rank, [g.gen_vector("e", root) for root in simple], (g.dim,))
-    f = combine(c, [g.gen_vector("f", root) for root in simple], (g.dim,))
-    h = combine(c, [g.gen_vector("h", i) for i in range(g.rank)], (g.dim,))
+    inv, idx = g.cartan_inverse, g._index
+    c = [2 * sum(inv[j, i] for j in range(g.rank)) for i in range(g.rank)]
+    e = {idx[("e", g.simple_root(i))]: F1 for i in range(g.rank)}
+    f = {idx[("f", g.simple_root(i))]: x for i, x in enumerate(c)}
+    h = {idx[("h", i)]: x for i, x in enumerate(c)}
     return Subalgebra(g, [e, h, f], "principal")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from .errors import DegenerateInputError
-from .linalg import SpanBasis, densify, eliminate, nullspace
+from .linalg import SpanBasis, eliminate, nullspace
 from .rootsys import Group, Subalgebra
 
 DEFAULT_TRIALS = 32
@@ -213,19 +213,14 @@ def _contains_some_borel(group: Group, p: Subalgebra) -> bool:
     Cartan, it is the Cartan plus the root spaces it meets, and it contains
     a Borel iff it meets g_c or g_-c for every positive root c (Bourbaki,
     *Lie Groups and Lie Algebras*, ch. VI, sec. 1.7, prop. 20)."""
-    cartan = [group.gen_vector(kind, i) for kind, i in group.basis_labels if kind in ("h", "t")]
-    return all(p.contains(v) for v in cartan) and all(
-        p.contains(group.gen_vector("e", c)) or p.contains(group.gen_vector("f", c))
-        for c in group.posroots
+    idx = group._index
+    return all(p.contains({k: 1}) for k, (kind, _) in enumerate(group.basis_labels) if kind in ("h", "t")) and all(
+        p.contains({idx["e", c]: 1}) or p.contains({idx["f", c]: 1}) for c in group.posroots
     )
 
 
 def derived_subalgebra(group: Group, s: Subalgebra) -> Subalgebra:
-    vecs = [
-        densify(group.sparse_bracket(x, y), (group.dim,))
-        for i, x in enumerate(s.rows)
-        for y in s.rows[i + 1 :]
-    ]
+    vecs = [group.sparse_bracket(x, y) for i, x in enumerate(s.rows) for y in s.rows[i + 1 :]]
     return Subalgebra(group, vecs, name=f"derived({s.name or 'span'})")
 
 
@@ -251,7 +246,7 @@ def classify_torus_fibration(group: Group, h: Subalgebra) -> FibrationResult:
     if h.dim == p.dim:
         return FibrationResult(status="flag_manifold", fiber_dim=0, **base)
     dp = derived_subalgebra(group, p)
-    sandwiched = all(h.contains(v) for v in dp.basis)
+    sandwiched = all(h.contains(v) for v in dp.rows)
     if sandwiched:
         return FibrationResult(
             status="torus_bundle_over_flag", fiber_dim=p.dim - h.dim, **base

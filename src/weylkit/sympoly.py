@@ -21,7 +21,7 @@ from .errors import (
     NonReductiveError,
     ensure,
 )
-from .linalg import SpanBasis, integral, matmul
+from .linalg import SpanBasis, integral
 from .repthy import (
     DIM_CAP,
     _add,
@@ -195,10 +195,10 @@ def is_mf_coordinate_ring(
 def check_reductive(group: Group, h: Subalgebra) -> None:
     """Nondegeneracy of the restricted invariant form, the workhorse test
     for reductivity of a subalgebra in a reductive ambient algebra."""
+    form, rows = group.invariant_form, h.rows
     span = SpanBasis()  # the rows of the Gram matrix: row i is (b_i, b_j) over j
-    forms = [matmul(group.invariant_form, b) for b in h.basis]
-    for x in h.rows:
-        span.add({j: sum(c * f[p] for p, c in x.items()) for j, f in enumerate(forms)})
+    for x in rows:
+        span.add({j: sum(c * form[p, q] * d for p, c in x.items() for q, d in y.items()) for j, y in enumerate(rows)})
     if len(span) != h.dim:
         raise NonReductiveError(
             "invariant form degenerates on the subalgebra; not reductive"

@@ -26,7 +26,7 @@ from weylkit.catalog import (
     serialize_catalog,
 )
 from weylkit.errors import CatalogFormatError, UnknownNameError
-from weylkit.linalg import is_zero
+from weyl_references import is_zero
 
 
 MINIMUM_IDS = {

@@ -291,6 +291,10 @@ class TestInvolution:
         ("A1", "full", "restriction:w[20]", "b37299848cf6e6bb21567f4f82baf983538704836042b2df48c736a2fe102ef9"),
         ("B2", "cartan", "restriction:w[1,1]", "0e6886ead793dd8665252be6c59cd6066fd95355ddef5b254488ab50d294c21d"),
         ("G2", "full", "restriction:adjoint", "e03f8edbb3ef9ea9a265d4609c5ca48a88cb2730bf835a2011c707cf03c36ef2"),
+        # nu is not symmetric and has entries 2 and 1/2
+        ("A2", "principal", "restriction:w[1,1]", "ca20f370680acdf752b4697b800250d1e9835600d52fd1ad315e518ef0861d47"),
+        # nu is a permutation other than the identity
+        ("A1xA1", "diagonal", "restriction:w[1,1]", "4507316284050f83be0baf8d34e09e5eefd621453fa921232f86734f092ab2a8"),
     ]
 
     @pytest.mark.parametrize("group,subalgebra,fiber,digest", FROZEN_FIBERS, ids=lambda x: x[:24])

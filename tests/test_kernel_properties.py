@@ -1,13 +1,15 @@
-"""Property tests for the exact kernel's three helpers and their callers.
+"""Property tests for the exact kernel and its callers.
 
-``combine``, ``eliminate`` and ``matmul`` carry every linear combination,
-every echelon reduction and every exact matrix product in the package, so
-their identities are checked here on random small rational data rather
-than on hand-picked cases only.  The sparse ``rref``, ``nullspace``,
-``SpanBasis`` and ``Subalgebra`` are checked against the dense object-array
-versions in ``weyl_references`` on random sparse rational matrices.  The two
-coordinate rules of ``spherical`` are checked against the searches they
-replaced, which are kept here as references.
+``eliminate`` carries every echelon reduction in the package, so its
+identities are checked here on random small rational data rather than on
+hand-picked cases only; so are ``combine`` and ``matmul`` of
+``weyl_references``, the dense references the other checks rest on.  The
+sparse ``rref``, ``nullspace``, ``SpanBasis`` and ``Subalgebra`` are
+checked against the dense object-array versions in ``weyl_references`` on
+random sparse rational matrices, and the column tables of theta, sigma
+and nu against dense products.  The two coordinate rules of ``spherical``
+are checked against the searches they replaced, which are kept here as
+references.
 """
 
 from fractions import Fraction
@@ -26,9 +28,11 @@ from weylkit.errors import (
 )
 from weylkit.involution import (
     InvolutionSpec,
-    _chevalley_matrix,
+    _chevalley_table,
     _nu_kernel,
+    _sigma_table,
     build_cartan_conjugation,
+    build_sigma,
     fiber_character,
     fiber_restriction,
     fiber_trivial,
@@ -36,25 +40,23 @@ from weylkit.involution import (
 )
 from weylkit.linalg import (
     SpanBasis,
-    combine,
     densify,
     eliminate,
     eye,
     fr,
     fvec,
-    is_zero,
-    matmul,
     nullspace,
     rref,
     sparse,
     zeros,
 )
-from weylkit.repthy import _tensor_apply
-from weylkit.rootsys import Subalgebra, parse_group, standard_subalgebra
+from weylkit.repthy import _tensor_apply, product
+from weylkit.rootsys import _STANDARD_NAMES, Subalgebra, parse_group, standard_subalgebra
 from weylkit.spherical import _certifies, _contains_some_borel, normalizer
 from weyl_references import (
     DenseSpanBasis,
     apply_word,
+    combine,
     dense_ad_basis,
     dense_eliminate,
     dense_exp_ad,
@@ -62,8 +64,11 @@ from weyl_references import (
     dense_nullspace,
     dense_rref,
     dense_solve_nu,
+    dense_standard_subalgebra,
     dense_table,
+    is_zero,
     labels_up_to_dim,
+    matmul,
     nonzero_columns,
 )
 
@@ -172,9 +177,10 @@ def test_nullspace_of_sparse_columns_equals_the_dense_reference(a, tuple_positio
     got, want = nullspace(cols), dense_nullspace(a)
     assert len(got) == len(want)
     for u, v in zip(got, want):
-        assert all(type(x) is Fraction for x in u)
-        assert _typed(u) == _typed(v)
-        assert is_zero(matmul(a, u))
+        # u holds the nonzero entries of v, positions ascending, all Fraction
+        assert [(j, type(x), x) for j, x in u.items()] == [(j, Fraction, x) for j, x in enumerate(v) if x]
+        assert _typed(densify(u, (a.shape[1],))) == _typed(v)
+        assert is_zero(matmul(a, densify(u, (a.shape[1],))))
 
 
 @settings(max_examples=100, deadline=None)
@@ -405,13 +411,20 @@ def test_subalgebra_coords_round_trip_over_basis(name, data):
             assert got_coords is None
 
 
+def _twisted_theta(g, torus):
+    """The Chevalley theta twisted by the torus element with these coroot
+    parameters (as many as the rank), as a table of the dense product."""
+    twist = g.torus_ad([Fraction(s) for s in torus[: g.rank]])
+    return InvolutionSpec("weyl_theta", g, nonzero_columns(twist @ dense_table(_chevalley_table(g))), False)
+
+
 def _nu_kernel_loop(module, theta):
     """The equivariance system written out entry by entry, one dense row per
     entry (a, b) of A rho - rho_s A; kept as an independent reference for
     _nu_kernel."""
     g = module.group
     h = module.h
-    sigma_matrix = build_cartan_conjugation(g).matrix @ theta.matrix
+    sigma_matrix = dense_table(build_cartan_conjugation(g).table) @ dense_table(theta.table)
     n = module.dim
     mats = [dense_table(t) for t in module.tables]
     rows = []
@@ -437,7 +450,7 @@ def _nu_kernel_loop(module, theta):
                 units.append(m)
         return units
     sols = nullspace([{r: row[u] for r, row in enumerate(rows) if row[u]} for u in range(n * n)])
-    return [v.reshape(n, n).copy() for v in sols]
+    return [densify(v, (n * n,)).reshape(n, n) for v in sols]
 
 
 FIBER_CASES = (
@@ -464,8 +477,7 @@ def test_nu_kernel_matches_entrywise_loop(case, torus):
     module = fiber_restriction(g, h, label)
     # theta twisted by a torus element: rho(sigma x) differs from rho(x),
     # so both terms of A rho - rho_s A are exercised
-    twist = g.torus_ad([Fraction(s) for s in torus[: g.rank]])
-    theta = InvolutionSpec("weyl_theta", g, twist @ _chevalley_matrix(g), False)
+    theta = _twisted_theta(g, torus)
     try:
         expected = _nu_kernel_loop(module, theta)
     except DegenerateInputError:
@@ -475,7 +487,7 @@ def test_nu_kernel_matches_entrywise_loop(case, torus):
     got = _nu_kernel(module, theta)
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
-        assert a.shape == b.shape and is_zero(a - b)
+        assert len(a) == len(b) and a == nonzero_columns(b)
 
 
 NU_FIBERS = (
@@ -512,17 +524,17 @@ def test_solve_nu_matches_dense_reference(case, torus):
     name, sub, (kind, *args) = case
     g = parse_group(name)
     module = FIBER_BUILDERS[kind](g, standard_subalgebra(g, sub), *args)
-    twist = g.torus_ad([Fraction(s) for s in torus[: g.rank]])
-    theta = InvolutionSpec("weyl_theta", g, twist @ _chevalley_matrix(g), False)
+    theta = _twisted_theta(g, torus)
     try:
         want = dense_solve_nu(module, theta)
     except (DegenerateInputError, NoIntertwinerError, NuSquareObstructionError) as exc:
         with pytest.raises(type(exc)):
             solve_nu(module, theta)
         return
-    got = solve_nu(module, theta).matrix
-    assert got.shape == want.shape
-    assert all(type(a) is Fraction and a == b for a, b in zip(got.flat, want.flat))
+    got = solve_nu(module, theta).table
+    assert len(got) == len(want)
+    assert all(type(x) is Fraction for col in got for _, x in col)
+    assert got == nonzero_columns(want)
 
 
 # ---- the coordinate rules of spherical, against the searches they replaced
@@ -727,3 +739,88 @@ def test_exp_ad_on_rational_columns_equals_dense_series(name, kind, data, q):
     got, want = g.exp_ad(x, v), dense_exp_ad(g, x, v)
     assert got.shape == want.shape
     assert all(a == b and type(a) is Fraction for a, b in zip(got.flat, want.flat))
+
+
+# ---- the bundle layer's tables and the sparse Subalgebra entry points
+
+
+def _standard(g):
+    """The standard subalgebras that g has, by name."""
+    out = {}
+    for sub in _STANDARD_NAMES:
+        try:
+            out[sub] = standard_subalgebra(g, sub)
+        except DegenerateInputError:
+            pass
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(EXP_GROUPS), st.lists(st.sampled_from([-2, -1, 1, 2, 3]), min_size=3, max_size=3))
+@example("A2", [1, 1, 1])
+@example("A1xA1", [-1, 1, 1])
+def test_involution_tables_equal_dense_products(name, torus):
+    # theta twisted by a torus element: its square, tau theta and theta of
+    # each row of every standard h, as tables and dicts, against the dense
+    # products of the dense matrices
+    g = parse_group(name)
+    theta = _twisted_theta(g, torus)
+    dense_theta, dense_tau = dense_table(theta.table), dense_table(build_cartan_conjugation(g).table)
+    square, sigma = matmul(dense_theta, dense_theta), matmul(dense_tau, dense_theta)
+    assert product(theta.table, theta.table) == nonzero_columns(square)
+    assert theta.squares_to_identity() == is_zero(square - eye(g.dim))
+    assert _sigma_table(g, theta) == nonzero_columns(sigma)
+    commute = is_zero(sigma - matmul(dense_theta, dense_tau))
+    if commute and is_zero(matmul(sigma, sigma) - eye(g.dim)):
+        assert build_sigma(g, theta).table == nonzero_columns(sigma)
+    else:
+        with pytest.raises(DegenerateInputError):
+            build_sigma(g, theta)
+    for h in _standard(g).values():
+        for row, b in zip(h.rows, h.basis):
+            assert theta.apply(row) == sparse(matmul(dense_theta, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(EXP_GROUPS), st.data())
+def test_subalgebra_from_dicts_equals_one_from_dense_vectors(name, data):
+    # the same vectors as dense arrays and as dicts (integral entries as int),
+    # and every probe in both forms to both subalgebras
+    g = parse_group(name)
+
+    def as_dict(v):
+        return {j: int(x) if x.denominator == 1 else x for j, x in enumerate(v) if x}
+
+    vecs = [data.draw(vectors(g.dim)) for _ in range(data.draw(st.integers(0, 4)))]
+    dense, from_dicts = Subalgebra(g, vecs), Subalgebra(g, [as_dict(v) for v in vecs])
+    assert from_dicts.rows == dense.rows and from_dicts.pivots == dense.pivots
+    assert [_typed(b) for b in from_dicts.basis] == [_typed(b) for b in dense.basis]
+    for probe in [*vecs, data.draw(vectors(g.dim))]:
+        want_coords = dense.coords(probe)
+        for h in (dense, from_dicts):
+            for v in (probe, as_dict(probe)):
+                assert h.contains(v) == dense.contains(probe)
+                assert _typed(h.reduce(v)) == _typed(dense.reduce(probe))
+                coords = h.coords(v)
+                assert (coords is None) == (want_coords is None)
+                assert coords is None or _typed(coords) == _typed(want_coords)
+
+
+STANDARD_GROUPS = EXP_GROUPS + ("A1+T1", "B2+T1", "G2+T1", "A1xA1+T1", "A1+T2", "T2", "T3")
+
+
+@pytest.mark.parametrize("name", STANDARD_GROUPS)
+def test_standard_subalgebras_equal_their_dense_construction(name):
+    # the rows of every standard subalgebra, principal built from sparse
+    # dicts, against the construction from dense vectors they replaced
+    g = parse_group(name)
+    for sub in _STANDARD_NAMES:
+        try:
+            want = dense_standard_subalgebra(g, sub)
+        except DegenerateInputError:
+            with pytest.raises(DegenerateInputError):
+                standard_subalgebra(g, sub)
+            continue
+        got = standard_subalgebra(g, sub)
+        assert got.rows == want.rows and got.pivots == want.pivots, sub
+        assert all(type(x) is Fraction for row in got.rows for x in row.values())

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from weylkit import repthy
 from weylkit.errors import DimensionCapError, InternalInvariantError, NonDominantError, ParseError
-from weylkit.linalg import F1, combine, fvec, is_zero, matmul, nullspace, sparse, zeros
+from weylkit.linalg import F1, densify, fvec, nullspace, sparse, zeros
 from weylkit.repthy import (
     build_module,
     convolve_characters,
@@ -26,10 +26,13 @@ from weylkit.rootsys import parse_group
 from weyl_references import (
     DenseSpanBasis,
     columns_by_tensor_apply,
+    combine,
     dense_matrices,
     dense_tensor_apply,
     fraction_weight_multiplicities,
+    is_zero,
     labels_up_to_dim,
+    matmul,
     nonzero_columns,
     strip_decompose,
     wform,
@@ -348,7 +351,7 @@ def _ambient_wide_extract(group, m1, m2, label):
         cols.append(np.concatenate([dense_tensor_apply(*e, unit) for e in es]))
     (ker,) = nullspace([sparse(c) for c in cols])
     v0 = zeros(adim)
-    v0[positions] = ker
+    v0[positions] = densify(ker, (len(positions),))
     span = DenseSpanBasis(adim)
     assert span.add(v0)
     basis, bweights, queue = [v0], [label], [0]

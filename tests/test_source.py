@@ -38,8 +38,9 @@ def test_harmonic_imports_only_stdlib_numpy_and_errors():
 
 
 def test_exact_modules_multiply_only_through_matmul():
-    # the exact-only modules have one matrix product, linalg.matmul: a dense
-    # object @ spends nearly all of its time on zero entries
+    # the exact-only modules form no dense object @, which spends nearly all
+    # of its time on zero entries: their products run on column tables
+    # (repthy.product, apply_table) and sparse rows
     root = Path(weylkit.__file__).parent
     found = [
         f"{name}.py:{node.lineno}"
@@ -47,6 +48,55 @@ def test_exact_modules_multiply_only_through_matmul():
         for node in ast.walk(ast.parse((root / f"{name}.py").read_text()))
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
     ]
+    assert found == []
+
+
+def _defined_or_named(tree, skip=()):
+    """(line, name) for each name a tree uses, imports from a module or
+    defines, leaving out the nodes inside the function definitions skip."""
+    skipped = {id(sub) for node in skip for sub in ast.walk(node) if sub is not node}
+    out = []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            out.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            out += [(node.lineno, alias.asname or alias.name) for alias in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.lineno, node.name))
+    return out
+
+
+def test_dense_helpers_stay_out_of_the_library():
+    # below the dense public boundary every matrix is a column table and
+    # every vector a sparse dict, so the dense helpers live only in the
+    # tests' weyl_references; and the exact half of involution (all above
+    # the Phi-function section) makes no dense array, but for the complex
+    # array of nu that AntilinearMap.matrix_complex makes for the analytic
+    # mu maps
+    root = Path(weylkit.__file__).parent
+    gone = {"combine", "matmul", "is_zero", "fmat"}
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(root.rglob("*.py"))
+        for line, name in _defined_or_named(ast.parse(path.read_text()))
+        if name in gone
+    ]
+    head, marker, _ = (root / "involution.py").read_text().partition("# ---- Phi functions")
+    exact = ast.parse(head)
+    boundary = [
+        node
+        for cls in exact.body
+        if isinstance(cls, ast.ClassDef) and cls.name == "AntilinearMap"
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "matrix_complex"
+    ]
+    dense = {"np", "eye", "zeros", "densify"}
+    found += [f"involution.py:{line} {name}" for line, name in _defined_or_named(exact, boundary) if name in dense]
+    assert marker and len(boundary) == 1
     assert found == []
 
 

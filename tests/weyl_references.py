@@ -30,7 +30,14 @@ dense vectors, through the dense ad basis and a dense span.  It holds a
 fiber as column tables and decides whether the identity solves the
 intertwiner system by comparing rho(x) with rho(sigma x); here is the dense
 matrix of a table and the intertwiner solve that tested the identity's
-membership in the span of the kernel by dense elimination.
+membership in the span of the kernel by dense elimination.  Below the dense
+boundary the library holds every matrix as a column table and every vector
+as a sparse dict, with seed matrices as sparse int dicts; here are the
+dense helpers it used before for them: ``fmat`` builds an exact matrix,
+``combine`` forms a linear combination of vectors or matrices, ``matmul``
+a product from the nonzero entries of its factors, and ``is_zero`` tests
+an exact array for zero, with ``seed_matrices`` for the dense seeds and
+the standard subalgebras built from dense vectors.
 """
 
 import itertools
@@ -47,7 +54,7 @@ from weylkit.errors import (
     ensure,
 )
 from weylkit.involution import _nu_kernel
-from weylkit.linalg import F0, F1, combine, eye, fr, fvec, is_zero, matmul, rref, zeros
+from weylkit.linalg import F0, F1, eye, fr, fvec, rref, zeros
 from weylkit.repthy import (
     Module,
     _add,
@@ -63,8 +70,62 @@ from weylkit.repthy import (
     weight_multiplicities,
     weyl_dim,
 )
-from weylkit.rootsys import parse_group
+from weylkit.rootsys import Subalgebra, parse_group
 from weylkit.sympoly import check_summands
+
+
+def fmat(rows):
+    """The exact matrix with these rows, each entry through fr."""
+    a = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            a[i, j] = fr(x)
+    return a
+
+
+def is_zero(a):
+    return all(x == 0 for x in a.flat)
+
+
+def combine(coeffs, terms, shape):
+    """sum c * t over the nonzero c; starts from zeros(shape), so entries
+    stay Fraction even when every coefficient is zero."""
+    out = zeros(*shape)
+    for c, t in zip(coeffs, terms):
+        if c != 0:
+            out = out + c * t
+    return out
+
+
+def matmul(a, b):
+    """a @ b for an exact matrix a and an exact matrix or vector b, driven by
+    nonzero entries (Gustavson, *ACM TOMS* 4(3), 1978): each nonzero b[j, l]
+    adds b[j, l] times the nonzero part of column j of a, found once per j,
+    to column l of zeros(...), so every entry is a Fraction."""
+    if a.shape[1] != len(b):
+        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
+    b2 = b[:, None] if b.ndim == 1 else b
+    out = zeros(len(a), b2.shape[1])
+    cols = {}
+    for j, l in zip(*np.nonzero(b2)):
+        if j not in cols:
+            cols[j] = [(i, a[i, j]) for i in np.flatnonzero(a[:, j])]
+        x = b2[j, l]
+        for i, c in cols[j]:
+            out[i, l] += c * x
+    return out.reshape(a.shape[:1] + b.shape[1:])
+
+
+def seed_matrices(seeds):
+    """The dense Fraction matrices of one factor's sparse int seeds (an
+    entry of ``Group.factor_seeds``), all of the seed module's size."""
+    n = 1 + max(max(p) for m in seeds.values() for p in m)
+    out = {}
+    for lab, m in seeds.items():
+        out[lab] = zeros(n, n)
+        for p, x in m.items():
+            out[lab][p] = fr(x)
+    return out
 
 
 def reflection_matrices(g):
@@ -309,7 +370,7 @@ def flat_span_bracket_table(g):
     table = [[zeros(dim) for _ in range(dim)] for _ in range(dim)]
     index = {lab: i for i, lab in enumerate(g.basis_labels)}
     for seeds in g.factor_seeds:
-        local = [(index[lab], m) for lab, m in seeds.items()]
+        local = [(index[lab], m) for lab, m in seed_matrices(seeds).items()]
         span = DenseSpanBasis(local[0][1].size)
         for _, m in local:
             ensure(span.add(m.reshape(-1)), "seed representation not faithful")
@@ -323,6 +384,34 @@ def flat_span_bracket_table(g):
                 table[ia][ib] = v
                 table[ib][ia] = -v
     return table
+
+
+def dense_standard_subalgebra(g, name):
+    """The standard subalgebra of this name built from dense vectors, as
+    ``rootsys.standard_subalgebra`` built it before: units, sums of units,
+    and the principal sl2 through a dense product with the transposed
+    inverse Cartan matrix."""
+    labels = {
+        "full": g.basis_labels,
+        "zero": [],
+        "cartan": [lab for lab in g.basis_labels if lab[0] in "ht"],
+        "borel": [lab for lab in g.basis_labels if lab[0] in "htf"],
+        "nilradical": [lab for lab in g.basis_labels if lab[0] == "f"],
+    }
+    if name in labels:
+        return Subalgebra(g, [g.gen_vector(*lab) for lab in labels[name]], name)
+    if name == "diagonal":
+        if g.torus_dim or len(g.letters) != 2 or g.letters[0] != g.letters[1]:
+            raise DegenerateInputError("diagonal needs two equal simple factors and no torus")
+        return Subalgebra(g, [g.gen_vector(*a) + g.gen_vector(*b) for a, b in zip(*g.factor_seeds)], name)
+    if g.rank == 0:
+        raise DegenerateInputError("principal needs a semisimple part")
+    c = matmul(g.cartan_inverse.T, fvec([2] * g.rank))
+    simple = [g.simple_root(i) for i in range(g.rank)]
+    e = combine([F1] * g.rank, [g.gen_vector("e", root) for root in simple], (g.dim,))
+    f = combine(c, [g.gen_vector("f", root) for root in simple], (g.dim,))
+    h = combine(c, [g.gen_vector("h", i) for i in range(g.rank)], (g.dim,))
+    return Subalgebra(g, [e, h, f], name)
 
 
 def dense_ad_basis(g):
@@ -553,7 +642,7 @@ def dense_solve_nu(module, theta):
     of two or more) the identity if appending it to the stacked kernel adds
     no pivot, normalized to square to the identity with a positive leading
     entry."""
-    kernel = _nu_kernel(module, theta)
+    kernel = [dense_table(t) for t in _nu_kernel(module, theta)]
     if not kernel:
         raise NoIntertwinerError("no intertwiner")
     n = module.dim
