@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +35,7 @@ from .involution import (
     fiber_trivial,
 )
 from .linalg import fr_input, fvec
-from .repthy import check_label, decompose_character, weyl_dim
+from .repthy import basis_weight, check_label, decompose_character, weyl_dim
 from .rootsys import MAX_RANK, Group, Subalgebra, parse_group, standard_subalgebra
 from .spherical import DEFAULT_TRIALS, classify_torus_fibration, is_spherical_pair
 from .sympoly import DEFAULT_DEGREE_BOUND, homog_coordinate_mf_crosscheck, is_mf_coordinate_ring
@@ -44,13 +45,7 @@ from .sympoly import DEFAULT_DEGREE_BOUND, homog_coordinate_mf_crosscheck, is_mf
 
 
 def _adjoint_summands(group: Group) -> list:
-    char: dict = {}
-    for r in group.posroots:
-        for sgn in (1, -1):
-            w = tuple(sgn * x for x in group.root_fc(r))
-            char[w] = char.get(w, 0) + 1
-    zero = (0,) * group.weight_len
-    char[zero] = char.get(zero, 0) + group.rank + group.torus_dim
+    char = Counter(basis_weight(group, lab) for lab in group.basis_labels)
     return sorted(decompose_character(group, char).items())
 
 

@@ -86,6 +86,11 @@ class FunctionSample:
         return FunctionSample(self.domain, self.n, kept, self.flags)
 
 
+def _is_int(e) -> bool:
+    """An exponent must be an int; a bool is one to Python but not here."""
+    return isinstance(e, int) and not isinstance(e, bool)
+
+
 def torus_sample(coeffs: dict, n: int | None = None) -> FunctionSample:
     keys = list(coeffs)
     if n is None:
@@ -95,14 +100,14 @@ def torus_sample(coeffs: dict, n: int | None = None) -> FunctionSample:
     if n < 1:
         raise DegenerateInputError(f"torus rank must be at least 1, got {n}")
     for k in keys:
-        if len(k) != n or not all(isinstance(e, int) for e in k):
+        if len(k) != n or not all(map(_is_int, k)):
             raise DegenerateInputError(f"exponent {k} does not fit torus rank {n}")
     return FunctionSample("torus", n, {tuple(k): complex(c) for k, c in coeffs.items()})
 
 
 def su2_sample(coeffs: dict) -> FunctionSample:
     for k in coeffs:
-        if len(k) != 2 or k[0] < 0 or k[1] < 0:
+        if len(k) != 2 or not all(_is_int(e) and e >= 0 for e in k):
             raise DegenerateInputError(f"monomial exponent {k} is not a pair of naturals")
     return FunctionSample("su2", 2, {tuple(k): complex(c) for k, c in coeffs.items()})
 

@@ -1,11 +1,11 @@
 """Weyl involutions, adapted subalgebras, and antiholomorphic bundle data.
 
 Everything at the Lie-algebra level is exact, so every certificate in this
-module re-verifies to literal zero residuals.  Every matrix is a ``repthy``
+module re-verifies to literal zero residuals.  Every matrix is a ``linalg``
 column table (each column's nonzero (row, entry) pairs) and every vector a
 sparse {position: entry} dict: theta, tau and sigma = tau theta are tables
 on the Chevalley basis, the Chevalley theta a signed permutation, and one
-table product (``repthy.product``) checks their squares and commutation.
+table product (``linalg.product``) checks their squares and commutation.
 A fiber is one table per basis vector of h, and the fiber checks, the
 intertwiner system and the certificate's equivariance check all read the
 pairs (rho(x), rho(sigma x)) of those tables.  The intertwiner nu is one
@@ -22,7 +22,6 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, isqrt, lcm, sqrt
-from typing import Iterable
 
 import numpy as np
 
@@ -36,8 +35,8 @@ from .errors import (
     ensure,
 )
 from .harmonic import sym_rep_matrix
-from .linalg import F1, eliminate, fr, nullspace
-from .repthy import Table, apply_table, build_module, check_label, commutator, int_tables, product
+from .linalg import Table, commutator, eliminate, entries, fr, identity, image, int_tables, nullspace, product, table_sum
+from .repthy import build_module, check_label
 from .rootsys import Group, Subalgebra, parse_group, standard_subalgebra
 from .sympoly import check_reductive
 
@@ -58,17 +57,6 @@ MAX_NU_ENTRIES = 600_000
 # ---- involution specs --------------------------------------------------------
 
 
-def _apply(table: Table, v: dict) -> dict:
-    """The matrix of table applied to the sparse vector v, zeros dropped."""
-    out: dict = {}
-    apply_table(table, v.items(), out)
-    return {p: x for p, x in out.items() if x}
-
-
-def _identity(n: int) -> Table:
-    return [[(k, F1)] for k in range(n)]
-
-
 @dataclass
 class InvolutionSpec:
     """An exact involution of the Lie algebra on the Chevalley basis, held
@@ -87,7 +75,7 @@ class InvolutionSpec:
 
     def apply(self, v: dict) -> dict:
         """The image of the sparse vector v, zero entries dropped."""
-        return _apply(self.table, v)
+        return image(self.table, v)
 
     def action_on_weights(self, label) -> Weight:
         """Highest-weight involution lambda -> -w0(lambda)."""
@@ -96,7 +84,7 @@ class InvolutionSpec:
     def squares_to_identity(self) -> bool:
         # For an antilinear map with rational matrix M the square is the
         # linear map M conj(M) = M M, the same formula as the linear case.
-        return product(self.table, self.table) == _identity(self.group.dim)
+        return product(self.table, self.table) == identity(self.group.dim)
 
     def is_automorphism(self) -> bool:
         """theta[b_i, b_j] = [theta b_i, theta b_j] for i < j, on the sparse
@@ -187,7 +175,7 @@ def _is_semisimple_element(group: Group, z: dict) -> bool:
     """Exact test: the squarefree part of the characteristic polynomial of
     ad z annihilates ad z, for a sparse z.
 
-    ad z, read off Group._ad_sparse as a table, is first scaled to an
+    ad z, the table Group._ad_sparse returns, is first scaled to an
     integer table m, which does not change diagonalizability.  The
     characteristic polynomial p of m comes from the Faddeev-LeVerrier
     recursion, whose tr/k steps divide exactly over the integers (Cohen, A
@@ -196,12 +184,11 @@ def _is_semisimple_element(group: Group, z: dict) -> bool:
     by Horner's rule.
     """
     n = group.dim
-    ad = group._ad_sparse(z)
-    (m,), _ = int_tables([[sorted(ad.get(j, {}).items()) for j in range(n)]])
-    ident = [[(k, 1)] for k in range(n)]
+    (m,), _ = int_tables([group._ad_sparse(z)])
+    ident = identity(n)
     p, acc = [1], [[] for _ in range(n)]
     for k in range(1, n + 1):
-        acc = _table_sum([(1, product(m, acc)), (p[-1], ident)], n)
+        acc = table_sum([(1, product(m, acc)), (p[-1], ident)], n)
         p.append(-sum(x for j, col in enumerate(product(m, acc)) for r, x in col if r == j) // k)
     a, b = p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
     while b:  # Euclid: a ends as gcd(p, p')
@@ -210,14 +197,14 @@ def _is_semisimple_element(group: Group, z: dict) -> bool:
     den = lcm(*(c.denominator for c in q))
     acc = [[] for _ in range(n)]
     for c in q:
-        acc = _table_sum([(1, product(acc, m)), (int(c * den), ident)], n)
+        acc = table_sum([(1, product(acc, m)), (int(c * den), ident)], n)
     return not any(acc)
 
 
 def _subspace_in_h(h: Subalgebra, coord_vectors: list[dict]) -> list[dict]:
     """The sparse vectors with these sparse coordinates over h.rows."""
     basis = [row.items() for row in h.rows]  # the table whose columns are the rows
-    return [_apply(basis, c) for c in coord_vectors]
+    return [image(basis, c) for c in coord_vectors]
 
 
 def _centralizer_in_h(group: Group, h: Subalgebra, z: dict) -> list[dict]:
@@ -268,7 +255,7 @@ def is_adapted(group: Group, h: Subalgebra, theta: InvolutionSpec) -> Adaptednes
         return AdaptednessReport(True, False, False, None)
     anti_span, anti_basis = Subalgebra(group, anti), [v.items() for v in anti]
     for coeffs in _small_tuples(len(anti)):
-        z = _apply(anti_basis, dict(enumerate(coeffs)))
+        z = image(anti_basis, dict(enumerate(coeffs)))
         if not _is_semisimple_element(group, z):
             continue
         cent = _centralizer_in_h(group, h, z)
@@ -298,12 +285,14 @@ class AntilinearMap:
 
     def matrix_complex(self) -> np.ndarray:
         """M as the complex array that the analytic mu maps read."""
-        cols = [dict(col) for col in self.table]
-        return np.array([[float(col.get(r, 0)) for col in cols] for r in range(self.dim)], dtype=complex)
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for p, x in entries(self.table).items():
+            out[p] = float(x)
+        return out
 
     def is_involutive(self) -> bool:
         """(M conj)^2 = M conj(M) = M M for rational M."""
-        return product(self.table, self.table) == _identity(self.dim)
+        return product(self.table, self.table) == identity(self.dim)
 
     def negate(self) -> "AntilinearMap":
         return AntilinearMap([[(r, -x) for r, x in col] for col in self.table])
@@ -311,7 +300,7 @@ class AntilinearMap:
 
 class HModule:
     """A module over a subalgebra h, of the caller's dimension dim: tables[i]
-    is the repthy column table of the matrix of h.basis[i], rows ascending
+    is the linalg column table of the matrix of h.basis[i], rows ascending
     and zero entries dropped, so equal matrices have equal tables.  The
     bracket check compares, for each pair of basis vectors, the commutator
     of their tables with the table of their bracket's coordinates over h."""
@@ -332,24 +321,9 @@ class HModule:
                 rem, coords, _ = eliminate(group.sparse_bracket(x, h.rows[j]), h.rows, h.pivots)
                 if rem:
                     raise NotSubalgebraError("fiber module over a non-closed span")
-                if self.combination(coords.items()) != commutator(tables[i], tables[j], 1):
+                rho_xy = table_sum(((c, tables[k]) for k, c in coords.items()), dim)
+                if rho_xy != commutator(tables[i], tables[j], 1):
                     raise DegenerateInputError("fiber matrices do not represent h")
-
-    def combination(self, coords: Iterable[tuple[int, Fraction]]) -> Table:
-        """The table of sum c rho(h.basis[k]) over the (k, c) pairs."""
-        return _table_sum(((c, self.tables[k]) for k, c in coords), self.dim)
-
-
-def _table_sum(terms: Iterable[tuple[Fraction, Table]], n: int) -> Table:
-    """The table of sum c * t over the (c, t) pairs with c nonzero, for
-    tables of n columns: rows ascending, zero entries dropped."""
-    cols: list[dict[int, Fraction]] = [{} for _ in range(n)]
-    for c, table in terms:
-        if c:
-            for col, entries in zip(cols, table):
-                for r, x in entries:
-                    col[r] = col.get(r, 0) + c * x
-    return [[(r, x) for r, x in sorted(col.items()) if x] for col in cols]
 
 
 def fiber_trivial(group: Group, h: Subalgebra) -> HModule:
@@ -370,7 +344,7 @@ def fiber_restriction(group: Group, h: Subalgebra, label) -> HModule:
     each basis vector of h combines the module's tables by its entries."""
     label = check_label(group, label)
     mod = build_module(group, label)
-    tables = [_table_sum(((c, mod.columns[p]) for p, c in row.items()), mod.dim) for row in h.rows]
+    tables = [table_sum(((c, mod.columns[p]) for p, c in row.items()), mod.dim) for row in h.rows]
     return HModule(group, h, tables, ("restriction", label), mod.dim)
 
 
@@ -395,10 +369,10 @@ def _twisted_actions(module: HModule, sigma: Table) -> list[tuple[Table, Table]]
     h = module.h
     out = []
     for x, rho in zip(h.rows, module.tables):
-        rem, coords, _ = eliminate(_apply(sigma, x), h.rows, h.pivots)
+        rem, coords, _ = eliminate(image(sigma, x), h.rows, h.pivots)
         if rem:
             raise DegenerateInputError("sigma does not stabilize the subalgebra")
-        out.append((rho, module.combination(coords.items())))
+        out.append((rho, table_sum(((c, module.tables[k]) for k, c in coords.items()), module.dim)))
     return out
 
 
@@ -458,16 +432,10 @@ def _rational_sqrt(x: Fraction) -> Fraction | None:
 
 
 def _scalar_square(a: Table) -> Fraction | None:
-    """s if a squares to s I with s nonzero, else None: squared column by
-    column, stopping at the first that breaks s I."""
-    s = 0
-    for k, entries in enumerate(a):
-        col: dict[int, Fraction] = {}
-        apply_table(a, entries, col)
-        s = s or col.get(0, 0)
-        if not s or {r: x for r, x in col.items() if x} != {k: s}:
-            return None
-    return s
+    """s if a squares to s I with s nonzero, else None."""
+    sq = product(a, a)
+    s = dict(sq[0]).get(0)
+    return s if s and sq == [[(k, s)] for k in range(len(a))] else None
 
 
 def solve_nu(module: HModule, theta: InvolutionSpec) -> AntilinearMap:
@@ -492,7 +460,7 @@ def solve_nu(module: HModule, theta: InvolutionSpec) -> AntilinearMap:
         # the whole solution space, so it does iff rho(x) = rho(sigma x).
         pairs = _twisted_actions(module, _sigma_table(module.group, theta))
         if all(rho == rho_s for rho, rho_s in pairs):
-            a0, scale2 = _identity(module.dim), fr(1)
+            a0, scale2 = identity(module.dim), fr(1)
     if a0 is None:
         raise DegenerateInputError(
             "no solution with scalar square; cannot normalize an involution"
@@ -550,14 +518,14 @@ class BundleCertificate:
         }
 
     def as_dict(self) -> dict:
-        cols = [dict(col) for col in self.nu.table]
+        nu = entries(self.nu.table)
         return {
             "group": self.group.name,
             "subalgebra_dim": self.h.dim,
             "fiber": list(self.fiber.descriptor),
             "fiber_dim": self.fiber.dim,
             "adapted": self.adapted.as_dict(),
-            "nu_matrix": [[str(col.get(r, 0)) for col in cols] for r in range(self.nu.dim)],
+            "nu_matrix": [[str(nu.get((r, k), 0)) for k in range(self.nu.dim)] for r in range(self.nu.dim)],
             "checks": dict(self.checks),
         }
 

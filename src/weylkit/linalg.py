@@ -13,7 +13,12 @@ sparse columns and returns it as sparse vectors; a rank is the length of a
 dense solve, rank or column stack either.  ``eliminate`` reduces a sparse
 vector by sparse echelon rows, returning the remainder and the multiple of
 each row taken: the one reduction loop (rref, membership, coordinates,
-quotients).  Matrices below the boundary are ``repthy`` column tables.
+quotients).  Matrices below the boundary are column tables (``Table``):
+each column's nonzero (row, entry) pairs, rows ascending.  The table
+kernel here is the one home of their arithmetic: ``apply_table`` and
+``image`` apply a table to a sparse vector, ``product``, ``commutator``
+and ``table_sum`` form tables, ``int_tables`` clears denominators and
+``entries`` is the one way back to {(row, col): entry}.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ import numpy as np
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+
+Table = list[list[tuple[int, Fraction]]]  # one matrix: each column's nonzero (row, entry) pairs
 
 
 def fr(x) -> Fraction:
@@ -220,3 +227,70 @@ class SpanBasis:
                 for k, x in earlier.items():
                     mult[k] = mult.get(k, 0) - t * x
         return sorted((k, Fraction(x, den)) for k, x in out.items())
+
+
+# ---- column tables ----------------------------------------------------------
+
+
+def apply_table(a: Table, col: Iterable[tuple[int, Fraction]], out: dict, sign: int = 1) -> None:
+    """out += sign * (the matrix of table a applied to the sparse column col)."""
+    for j, c in col:
+        c *= sign
+        for r, x in a[j]:
+            out[r] = out.get(r, 0) + x * c
+
+
+def image(a: Table, v: dict) -> dict:
+    """The matrix of table a applied to the sparse vector v, zeros dropped."""
+    out: dict = {}
+    apply_table(a, v.items(), out)
+    return {p: x for p, x in out.items() if x}
+
+
+def identity(n: int) -> Table:
+    return [[(k, 1)] for k in range(n)]
+
+
+def int_tables(tables: Sequence[Table]) -> tuple[list[Table], int]:
+    """([d t for each table t], d) for the least d >= 1 that makes them int."""
+    d = lcm(*(x.denominator for t in tables for col in t for _, x in col))
+    return [[[(r, x.numerator * (d // x.denominator)) for r, x in col] for col in t] for t in tables], d
+
+
+def table_sum(terms: Iterable[tuple[Fraction, Table]], n: int) -> Table:
+    """The table of sum c * t over the (c, t) pairs with c nonzero, for
+    tables of n columns: rows ascending, zero entries dropped."""
+    cols: list[dict] = [{} for _ in range(n)]
+    for c, table in terms:
+        if c:
+            for col, pairs in zip(cols, table):
+                for r, x in pairs:
+                    col[r] = col.get(r, 0) + c * x
+    return [[(r, x) for r, x in sorted(col.items()) if x] for col in cols]
+
+
+def product(a: Table, b: Table) -> Table:
+    """The table of the matrix product a b: rows ascending, zeros dropped."""
+    out = []
+    for col in b:
+        acc: dict = {}
+        apply_table(a, col, acc)
+        out.append([(r, x) for r, x in sorted(acc.items()) if x])
+    return out
+
+
+def commutator(a: Table, b: Table, n: int) -> Table:
+    """The table of (a b - b a) / n, from the int d a and d b: rows ascending."""
+    (a, b), d = int_tables([a, b])
+    out = []
+    for k in range(len(a)):
+        col: dict[int, int] = {}
+        apply_table(a, b[k], col)
+        apply_table(b, a[k], col, -1)
+        out.append([(r, Fraction(x, d * d * n)) for r, x in sorted(col.items()) if x])
+    return out
+
+
+def entries(t: Table) -> dict[tuple[int, int], Fraction]:
+    """The table's nonzero entries as {(row, col): entry}."""
+    return {(r, k): x for k, col in enumerate(t) for r, x in col}

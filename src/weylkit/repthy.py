@@ -7,11 +7,12 @@ Algorithms*, 2000).  That vector spans the weight-lambda vectors of the
 tensor product that every simple raising operator kills, a kernel that must
 be one-dimensional.  A module is the column table of its matrices (the
 nonzero (row, entry) pairs of every column), written as each image is
-expressed in the new basis; dense matrices come only from
-``Module.action``.  The tensor product's action is applied factor by factor
-from those tables to sparse vectors, never formed as matrices, one weight
-space at a time and only for the simple e_i and f_i (``_extract_submodule``
-says how the other columns follow).
+expressed in the new basis; the table arithmetic is ``linalg``'s, and
+dense matrices come only from ``Module.action``.  The tensor product's
+action is applied factor by factor from those tables to sparse vectors,
+never formed as matrices, one weight space at a time and only for the
+simple e_i and f_i (``_extract_submodule`` says how the other columns
+follow).
 
 That work runs on int vectors: the simple e_i and f_i of both factors are
 scaled by one common d, the lcm of their denominators, and the highest
@@ -35,21 +36,20 @@ count) pairs; only this file hands out actual matrices.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionCapError, NonDominantError, ParseError, ensure
-from .linalg import F1, SpanBasis, fr, integral, nullspace, zeros
+from .linalg import F1, SpanBasis, Table, commutator, densify, entries, fr, int_tables, integral, nullspace, table_sum
 from .linalg import rref  # noqa: F401  (unused here; the benchmark tracer and its tests patch repthy.rref)
 from .rootsys import Group
 
 DIM_CAP = 64
 
 Weight = tuple[int, ...]
-Table = list[list[tuple[int, Fraction]]]  # one matrix: each column's nonzero (row, entry) pairs
 
 
 def check_label(group: Group, label: Sequence[int]) -> Weight:
@@ -99,7 +99,7 @@ def dominant_weights(group: Group, label: Weight) -> list[tuple[tuple[int, ...],
     r = group.rank
     if r == 0:
         return [((), label)]
-    A, inv = group.cartan_matrix, group.cartan_inverse
+    A, inv = group.cartan, group.cartan_inverse
     bound = [int(sum(inv[i, j] * label[j] for j in range(r))) for i in range(r)]  # floor, >= 0
     out = []
     for cs in itertools.product(*(range(b + 1) for b in bound)):
@@ -107,7 +107,7 @@ def dominant_weights(group: Group, label: Weight) -> list[tuple[tuple[int, ...],
         for j, cj in enumerate(cs):
             if cj:
                 for i in range(r):
-                    fc[i] -= cj * int(A[i, j])
+                    fc[i] -= cj * A[i][j]
         if all(x >= 0 for x in fc):
             out.append((cs, tuple(fc) + tuple(label[r:])))
     # Sort by root height sum(c), not by the fundamental-coordinate drop:
@@ -179,13 +179,7 @@ class Module:
         self.dim = len(weights)
 
     def action(self, x: np.ndarray) -> np.ndarray:
-        out = zeros(self.dim, self.dim)
-        for c, cols in zip(x, self.columns):
-            if c != 0:
-                for k, col in enumerate(cols):
-                    for i, entry in col:
-                        out[i, k] += c * entry
-        return out
+        return densify(entries(table_sum(zip(x, self.columns), self.dim)), (self.dim, self.dim))
 
     def __repr__(self) -> str:
         return f"Module({self.group.name}, {self.label}, dim={self.dim})"
@@ -202,7 +196,7 @@ def _tensor_apply(cols1: list, cols2: list, v: dict, n2: int) -> dict:
     return {p: c for p, c in out.items() if c}
 
 
-def _basis_weight(group: Group, lab: tuple[str, object]) -> Weight:
+def basis_weight(group: Group, lab: tuple[str, object]) -> Weight:
     """The weight of a Lie algebra basis element: its root for e, minus its
     root for f, zero for h and t."""
     kind, which = lab
@@ -211,41 +205,6 @@ def _basis_weight(group: Group, lab: tuple[str, object]) -> Weight:
     if kind == "f":
         return tuple(-x for x in group.root_fc(which))
     return (0,) * group.weight_len
-
-
-def apply_table(a: Table, col: list[tuple[int, Fraction]], out: dict, sign: int = 1) -> None:
-    """out += sign * (the matrix of table a applied to the sparse column col)."""
-    for j, c in col:
-        for r, x in a[j]:
-            out[r] = out.get(r, 0) + sign * x * c
-
-
-def int_tables(tables: Sequence[Table]) -> tuple[list[Table], int]:
-    """([d t for each table t], d) for the least d >= 1 that makes them int."""
-    d = lcm(*(x.denominator for t in tables for col in t for _, x in col))
-    return [[[(r, x.numerator * (d // x.denominator)) for r, x in col] for col in t] for t in tables], d
-
-
-def product(a: Table, b: Table) -> Table:
-    """The table of the matrix product a b: rows ascending, zeros dropped."""
-    out = []
-    for col in b:
-        acc: dict = {}
-        apply_table(a, col, acc)
-        out.append([(r, x) for r, x in sorted(acc.items()) if x])
-    return out
-
-
-def commutator(a: Table, b: Table, n: int) -> Table:
-    """The table of (a b - b a) / n, from the int d a and d b: rows ascending."""
-    (a, b), d = int_tables([a, b])
-    out = []
-    for k in range(len(a)):
-        col: dict[int, int] = {}
-        apply_table(a, b[k], col)
-        apply_table(b, a[k], col, -1)
-        out.append([(r, Fraction(x, d * d * n)) for r, x in sorted(col.items()) if x])
-    return out
 
 
 def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> Module:
@@ -281,7 +240,7 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
     ints, d = int_tables([m.columns[j] for j in eidx + fidx for m in (m1, m2)])
     amb = dict(zip(eidx + fidx, zip(ints[::2], ints[1::2])))
     amb_weights = [_add(w1, w2) for w1 in m1.weights for w2 in m2.weights]
-    dws = [_basis_weight(group, lab) for lab in group.basis_labels]
+    dws = [basis_weight(group, lab) for lab in group.basis_labels]
 
     positions = [k for k, w in enumerate(amb_weights) if w == label]
     # column c of the raising system holds entry q of e_i . positions[c] at (i, q)
@@ -336,10 +295,7 @@ def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> M
     n = len(basis)
     expect = weyl_dim(group, label)
     ensure(n == expect, f"built {n} vectors for {label}, expected {expect}")
-    mults: dict[Weight, int] = {}
-    for w in bweights:
-        mults[w] = mults.get(w, 0) + 1
-    ensure(mults == weight_multiplicities(group, label), f"weights of {label} miss Freudenthal's")
+    ensure(Counter(bweights) == weight_multiplicities(group, label), f"weights of {label} miss Freudenthal's")
 
     for a in range(group.weight_len):
         columns[a] = [[(k, fr(w[a]))] if w[a] else [] for k, w in enumerate(bweights)]
@@ -369,15 +325,11 @@ def _verify_generators(mod: Module) -> None:
     module is that restriction of a representation."""
     g = mod.group
     for i in range(g.rank):
-        (e, f), d = int_tables([mod.columns[g._index[(kind, g.simple_root(i))]] for kind in "ef"])
+        e, f = (mod.columns[g._index[(kind, g.simple_root(i))]] for kind in "ef")
         h = mod.columns[g._index[("h", i)]]
-        for k, w in enumerate(mod.weights):
-            ensure(h[k] == ([(k, w[i])] if w[i] else []), "h_i is not diagonal with the weights on the basis")
-            ef, fe_h = {}, {k: d * d * w[i]}  # column k of d^2 e f and of d^2 (f e + h)
-            apply_table(e, f[k], ef)
-            apply_table(f, e[k], fe_h)
-            diff = (ef.get(r, 0) - fe_h.get(r, 0) for r in ef.keys() | fe_h.keys())
-            ensure(not any(diff), "[e_i, f_i] != h_i")
+        diagonal = [[(k, w[i])] if w[i] else [] for k, w in enumerate(mod.weights)]
+        ensure(h == diagonal, "h_i is not diagonal with the weights on the basis")
+        ensure(commutator(e, f, 1) == h, "[e_i, f_i] != h_i")
 
 
 _MODULE_CACHE: dict[tuple[str, Weight], Module] = {}

@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedTypeError,
     ensure,
 )
-from .linalg import F1, SpanBasis, densify, eliminate, eye, fr, rref, sparse, zeros
+from .linalg import F1, SpanBasis, Table, densify, eliminate, entries, eye, fr, image, rref, sparse, table_sum, zeros
 
 # Cartan matrices use the convention A[i][j] = <alpha_j, alpha_i^vee>, so
 # column j holds the fundamental-weight coordinates of alpha_j.  d[i] is the
@@ -228,14 +228,18 @@ class Group:
         return sorted(out, key=lambda c: (sum(c), c))
 
     @cached_property
-    def cartan_matrix(self) -> np.ndarray:
-        A = zeros(self.rank, self.rank)
-        o = 0
+    def cartan(self) -> tuple[tuple[int, ...], ...]:
+        """The Cartan matrix as int rows, block-diagonal over the factors."""
+        rows: list[tuple[int, ...]] = []
         for f in self.factors:
-            r = f["rank"]
-            A[o : o + r, o : o + r] = [[fr(x) for x in row] for row in f["A"]]
-            o += r
-        return A
+            o, r = len(rows), f["rank"]
+            rows += [(0,) * o + tuple(row) + (0,) * (self.rank - o - r) for row in f["A"]]
+        return tuple(rows)
+
+    @cached_property
+    def cartan_matrix(self) -> np.ndarray:
+        """The Cartan matrix as an exact dense array."""
+        return densify({(i, j): fr(x) for i, row in enumerate(self.cartan) for j, x in enumerate(row)}, (self.rank,) * 2)
 
     @cached_property
     def dvec(self) -> list[int]:
@@ -248,9 +252,7 @@ class Group:
         """Simple-root coordinates -> fundamental coordinates (fc = A c),
 
         padded with zero torus coordinates."""
-        A = self.cartan_matrix
-        fc = [sum(int(A[i, j]) * c[j] for j in range(self.rank)) for i in range(self.rank)]
-        return tuple(fc) + (0,) * self.torus_dim
+        return tuple(sum(a * x for a, x in zip(row, c)) for row in self.cartan) + (0,) * self.torus_dim
 
     @cached_property
     def rho(self) -> tuple[int, ...]:
@@ -303,15 +305,15 @@ class Group:
         return _unit(self.rank, i)
 
     @cached_property
-    def _ad_columns(self) -> list[dict[int, list[tuple[int, int]]]]:
-        """The nonzero structure constants: table[k][j] lists the (i, c) with
-        [b_k, b_j] = sum c b_i, so it is column j of ad(b_k).  Seeds of two
-        weights (h -> 0, e_c -> c, f_c -> -c) occupy disjoint positions, and a
-        commutator lies on, and is expressed over, the seeds of its weight.
-        The seed entries are int, and the constants of a Chevalley basis
-        (Humphreys, sec. 25.2) are integers, each checked to be one, so all
-        of it is int."""
-        table: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(self.dim)]
+    def _ad_columns(self) -> list[Table]:
+        """The nonzero structure constants: table[k] is the column table of
+        ad(b_k), so table[k][j] lists the (i, c) with [b_k, b_j] = sum c b_i,
+        i ascending.  Seeds of two weights (h -> 0, e_c -> c, f_c -> -c)
+        occupy disjoint positions, and a commutator lies on, and is
+        expressed over, the seeds of its weight.  The seed entries are int,
+        and the constants of a Chevalley basis (Humphreys, sec. 25.2) are
+        integers, each checked to be one, so all of it is int."""
+        table: list[Table] = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
         for seeds in self.factor_seeds:
             spaces: dict = {}  # weight -> [(basis index, nonzero {(row, col): entry})]
             for (kind, c), ents in seeds.items():
@@ -352,17 +354,16 @@ class Group:
         for k, a in x.items():
             table = self._ad_columns[k]
             for j, b in y.items():
-                for i, c in table.get(j, ()):
+                for i, c in table[j]:
                     out[i] = out.get(i, 0) + c * a * b
         return {i: v for i, v in out.items() if v}
 
-    def _ad_sparse(self, x: dict) -> dict[int, dict]:
-        """ad x by its nonzero columns, {j: {i: (ad x)[i, j]}}, for sparse x."""
-        return {j: col for j in range(self.dim) if (col := self.sparse_bracket(x, {j: 1}))}
+    def _ad_sparse(self, x: dict) -> Table:
+        """The column table of ad x, for sparse x."""
+        return table_sum(((a, self._ad_columns[k]) for k, a in x.items()), self.dim)
 
     def ad(self, x: np.ndarray) -> np.ndarray:
-        cols = self._ad_sparse(sparse(x))
-        return densify({(i, j): a for j, col in cols.items() for i, a in col.items()}, (self.dim, self.dim))
+        return densify(entries(self._ad_sparse(sparse(x))), (self.dim, self.dim))
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return densify(self.sparse_bracket(sparse(x), sparse(y)), (self.dim,))
@@ -379,11 +380,7 @@ class Group:
             acc = term = u
             s = 1
             for k in range(1, self.dim + 2):
-                nxt: dict = {}
-                for j, a in term.items():
-                    for i, c in A.get(j, {}).items():
-                        nxt[i] = nxt.get(i, 0) + c * a
-                term = {i: a for i, a in nxt.items() if a}
+                term = image(A, term)
                 if not term:
                     break
                 acc = {i: acc.get(i, 0) * k * den + term.get(i, 0) for i in acc.keys() | term.keys()}
@@ -446,7 +443,7 @@ class Group:
     def killing_form(self) -> np.ndarray:
         """tr(ad b_k ad b_l) = sum of (ad b_k)[i, j] (ad b_l)[j, i] over the
         nonzero structure constants, on integers."""
-        ads = [{(i, j): c for j, col in table.items() for i, c in col} for table in self._ad_columns]
+        ads = [entries(table) for table in self._ad_columns]
         traces = {
             (k, m): sum(c * b.get((j, i), 0) for (i, j), c in a.items())
             for (k, a), (m, b) in product(enumerate(ads), repeat=2)
@@ -473,12 +470,8 @@ class Group:
         return sum(cj * dj * mj for cj, dj, mj in zip(c, self.dvec, mu))
 
     def reflect(self, weight: Sequence[int], i: int) -> tuple[int, ...]:
-        A = self.cartan_matrix
         fi = weight[i]
-        out = list(weight)
-        for k in range(self.rank):
-            out[k] = weight[k] - fi * int(A[k, i])
-        return tuple(out)
+        return tuple(w - fi * row[i] for w, row in zip(weight, self.cartan)) + tuple(weight[self.rank :])
 
     def is_dominant(self, weight: Sequence[int]) -> bool:
         return all(weight[i] >= 0 for i in range(self.rank))

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import lcm
 
 from .errors import DegenerateInputError
-from .linalg import SpanBasis, eliminate, nullspace
+from .linalg import SpanBasis, eliminate, integral, nullspace
 from .rootsys import Group, Subalgebra
 
 DEFAULT_TRIALS = 32
@@ -86,10 +85,7 @@ def _adjoint_of_sample(group: Group, params: dict, h: Subalgebra) -> list[dict[i
     borel_dim = group.dim - npos  # the e_c, then the f_c, take the last 2 npos positions
     xe = {borel_dim - npos + r: t for r, t in enumerate(params["e"]) if t}
     xf = {borel_dim + r: u for r, u in enumerate(params["f"]) if u}
-    cols = []
-    for row in h.rows:
-        scale = lcm(*(x.denominator for x in row.values()))
-        cols.append({j: x.numerator * (scale // x.denominator) for j, x in row.items()})
+    cols = [integral(row)[0] for row in h.rows]
     torus = group._torus_scales(params["s"])[0]
     cols = [{i: torus[i] * a for i, a in col.items()} for col, _ in group._exp_ad_int(xf, cols)]
     return [

@@ -21,14 +21,13 @@ from .errors import (
     NonReductiveError,
     ensure,
 )
-from .linalg import SpanBasis, integral
+from .linalg import SpanBasis, int_tables, integral
 from .repthy import (
     DIM_CAP,
     _add,
     build_module,
     check_label,
     decompose_character,
-    int_tables,
     module_character,
     weyl_dim,
 )

@@ -31,7 +31,7 @@ def module_tables_are_graded_and_match_their_action():
         assert len(mod.columns) == g.dim
         for lab, cols, a in zip(g.basis_labels, mod.columns, dense_matrices(mod)):
             assert cols == nonzero_columns(a), f"column table of {mod} differs from its action"
-            dx = repthy._basis_weight(g, lab)
+            dx = repthy.basis_weight(g, lab)
             for j, col in enumerate(cols):
                 rows = [i for i, _ in col]
                 assert rows == sorted(set(rows)), f"rows of {mod} not strictly ascending"

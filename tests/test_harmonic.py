@@ -354,6 +354,18 @@ class TestFiniteSeries:
         with pytest.raises(DegenerateInputError):
             torus_sample({}, n)
 
+    # a float or str exponent used to fail later with a bare TypeError in
+    # the series, and a bool was read as the int it equals
+    @pytest.mark.parametrize("exponent", [(0.5, 0.5), (1.0, 1.0), (True, 0), (0, False), ("1", 0), (2, -1)])
+    def test_su2_exponent_that_is_no_natural_is_refused(self, q12, exponent):
+        with pytest.raises(DegenerateInputError):
+            finite_series_check(su2_sample({exponent: 1.0}), q12)
+
+    @pytest.mark.parametrize("exponent", [(1.0, 0), (True, 0), (0, False), ("1", 0)])
+    def test_torus_exponent_that_is_no_int_is_refused(self, exponent):
+        with pytest.raises(DegenerateInputError):
+            finite_series_check(torus_sample({exponent: 1.0}))
+
     def test_zero_sample_has_empty_support(self, q12):
         assert finite_series_check(su2_sample({}), q12).support == []
         assert finite_series_check(torus_sample({}, n=2)).support == []

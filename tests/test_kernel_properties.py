@@ -46,11 +46,12 @@ from weylkit.linalg import (
     fr,
     fvec,
     nullspace,
+    product,
     rref,
     sparse,
     zeros,
 )
-from weylkit.repthy import _tensor_apply, product
+from weylkit.repthy import _tensor_apply
 from weylkit.rootsys import _STANDARD_NAMES, Subalgebra, parse_group, standard_subalgebra
 from weylkit.spherical import _certifies, _contains_some_borel, normalizer
 from weyl_references import (
@@ -664,13 +665,25 @@ def test_structure_constants_are_int_and_wrappers_return_fractions(name):
     # entries, also on object arrays holding plain ints
     g = parse_group(name)
     table = g._ad_columns
-    assert all(type(c) is int for columns in table for col in columns.values() for _, c in col)
+    assert all(type(c) is int for columns in table for col in columns for _, c in col)
     x = np.array([k % 3 - 1 for k in range(g.dim)], dtype=object)
     y = np.array([1 - k % 2 for k in range(g.dim)], dtype=object)
     e = np.array([0] * (g.dim - 2 * len(g.posroots)) + [2] * len(g.posroots) + [0] * len(g.posroots), dtype=object)
     v = np.array([[1, 0]] * g.dim, dtype=object)
     for out in (g.ad(x), g.bracket(x, y), g.exp_ad(e, v), g.exp_ad(e, eye(g.dim)), g.exp_ad(fvec(e), y)):
         assert all(type(a) is Fraction for a in out.flat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(EXP_GROUPS), st.data())
+def test_ad_table_equals_dense_ad(name, data):
+    # the column table of ad x is that of the dense Group.ad(x) and of the
+    # dense combination of the ad(b_k), for x with rational h, t, e and f parts
+    g = parse_group(name)
+    x = data.draw(vectors(g.dim))
+    table = g._ad_sparse(sparse(x))
+    assert table == nonzero_columns(g.ad(x))
+    assert table == nonzero_columns(combine(x, dense_ad_basis(g), (g.dim, g.dim)))
 
 
 @settings(max_examples=60, deadline=None)

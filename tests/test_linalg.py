@@ -3,18 +3,26 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from weylkit.linalg import (
     SpanBasis,
+    commutator,
     densify,
+    entries,
     fr,
     fvec,
     eye,
+    image,
     nullspace,
+    product,
     rref,
     sparse,
+    table_sum,
     zeros,
 )
-from weyl_references import fmat, is_zero
+from weyl_references import combine, fmat, is_zero, matmul, nonzero_columns
 
 
 def test_fr_rejects_floats():
@@ -103,3 +111,57 @@ def test_kernel_refuses_floats():
         rref(np.array([[1.0, 2.0], [3.0, 4.0]]))
     with pytest.raises(TypeError):
         rref(np.array([[Fraction(1), 0.5]], dtype=object))
+
+
+# ---- the column-table kernel, against dense object arrays ----------------------
+
+# mostly zeros, as in the library's tables
+ENTRY = st.one_of(st.just(0), st.just(0), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+def matrices(n):
+    return st.lists(st.lists(ENTRY, min_size=n, max_size=n), min_size=n, max_size=n).map(fmat)
+
+
+def pairs_of_matrices():
+    return st.integers(1, 5).flatmap(lambda n: st.tuples(matrices(n), matrices(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs_of_matrices())
+def test_product_equals_dense_product(ab):
+    a, b = ab
+    assert product(nonzero_columns(a), nonzero_columns(b)) == nonzero_columns(matmul(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs_of_matrices(), st.integers(1, 4) | st.integers(-4, -1))
+def test_commutator_equals_dense_commutator(ab, n):
+    a, b = ab
+    got = commutator(nonzero_columns(a), nonzero_columns(b), n)
+    assert got == nonzero_columns((matmul(a, b) - matmul(b, a)) / fr(n))
+    assert all(type(x) is Fraction for col in got for _, x in col)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs_of_matrices(), ENTRY, ENTRY)
+def test_table_sum_equals_dense_combination(ab, c, d):
+    a, b = ab
+    n = len(a)
+    got = table_sum([(c, nonzero_columns(a)), (d, nonzero_columns(b))], n)
+    assert got == nonzero_columns(combine([c, d], [a, b], (n, n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(matrices(n), st.lists(ENTRY, min_size=n, max_size=n))))
+def test_image_equals_dense_matrix_vector_product(av):
+    a, v = av
+    assert image(nonzero_columns(a), sparse(v)) == sparse(matmul(a, fvec(v)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(matrices))
+def test_entries_are_the_nonzero_dense_entries(a):
+    got = entries(nonzero_columns(a))
+    assert got == {(i, k): x for (i, k), x in np.ndenumerate(a) if x}
+    assert is_zero(densify(got, a.shape) - a)

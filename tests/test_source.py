@@ -40,7 +40,7 @@ def test_harmonic_imports_only_stdlib_numpy_and_errors():
 def test_exact_modules_multiply_only_through_matmul():
     # the exact-only modules form no dense object @, which spends nearly all
     # of its time on zero entries: their products run on column tables
-    # (repthy.product, apply_table) and sparse rows
+    # (linalg.product, apply_table) and sparse rows
     root = Path(weylkit.__file__).parent
     found = [
         f"{name}.py:{node.lineno}"
@@ -97,6 +97,58 @@ def test_dense_helpers_stay_out_of_the_library():
     dense = {"np", "eye", "zeros", "densify"}
     found += [f"involution.py:{line} {name}" for line, name in _defined_or_named(exact, boundary) if name in dense]
     assert marker and len(boundary) == 1
+    assert found == []
+
+
+TABLE_KERNEL = (
+    "Table",
+    "apply_table",
+    "image",
+    "identity",
+    "int_tables",
+    "table_sum",
+    "product",
+    "commutator",
+    "entries",
+)
+
+
+def test_table_kernel_lives_only_in_linalg():
+    # one column-table kernel: linalg defines each op, no other module
+    # defines one (a function, class or method of that name, or a
+    # module-level assignment) or imports one from anywhere but linalg, and
+    # involution keeps none of its former private copies
+    root = Path(weylkit.__file__).parent
+    defined, found = set(), []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = [
+            (node.lineno, node.name)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        ]
+        names += [
+            (node.lineno, target.id)
+            for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)
+        ]
+        if path.name == "linalg.py":
+            defined = {name for _, name in names}
+            continue
+        found += [f"{path.name}:{line} defines {name}" for line, name in names if name in TABLE_KERNEL]
+        found += [
+            f"{path.name}:{node.lineno} imports {alias.name} from {node.module}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level and node.module != "linalg"
+            for alias in node.names
+            if alias.name in TABLE_KERNEL
+        ]
+        if path.name == "involution.py":
+            copies = {"_apply", "_identity", "_table_sum", "combination"}
+            found += [f"involution.py:{line} defines {name}" for line, name in names if name in copies]
+    assert set(TABLE_KERNEL) <= defined
     assert found == []
 
 

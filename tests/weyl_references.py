@@ -58,7 +58,7 @@ from weylkit.linalg import F0, F1, eye, fr, fvec, rref, zeros
 from weylkit.repthy import (
     Module,
     _add,
-    _basis_weight,
+    basis_weight,
     _sub,
     _tensor_apply,
     _verify_generators,
@@ -607,7 +607,7 @@ def columns_by_tensor_apply(group, m1, m2, label):
     n = len(basis)
     columns = []
     for x, lab in zip(amb, group.basis_labels):
-        dx = _basis_weight(group, lab)
+        dx = basis_weight(group, lab)
         cols = [[] for _ in range(n)]
         for k in range(n):
             w = _add(bweights[k], dx)
