@@ -93,6 +93,9 @@ def _is_int(e) -> bool:
 
 def torus_sample(coeffs: dict, n: int | None = None) -> FunctionSample:
     keys = list(coeffs)
+    for k in keys:
+        if not isinstance(k, tuple):
+            raise DegenerateInputError(f"exponent {k!r} is not a tuple")
     if n is None:
         if not keys:
             raise DegenerateInputError("torus rank cannot be inferred from a zero sample")
@@ -107,7 +110,7 @@ def torus_sample(coeffs: dict, n: int | None = None) -> FunctionSample:
 
 def su2_sample(coeffs: dict) -> FunctionSample:
     for k in coeffs:
-        if len(k) != 2 or not all(_is_int(e) and e >= 0 for e in k):
+        if not isinstance(k, tuple) or len(k) != 2 or not all(_is_int(e) and e >= 0 for e in k):
             raise DegenerateInputError(f"monomial exponent {k} is not a pair of naturals")
     return FunctionSample("su2", 2, {tuple(k): complex(c) for k, c in coeffs.items()})
 

@@ -1,27 +1,23 @@
 """Finite-dimensional modules with exact rational matrix models.
 
-Irreducible modules are built by generating the cyclic submodule of a
-highest weight vector inside a tensor product of two smaller modules, with
-exact fraction-free elimination (de Graaf, *Lie Algebras: Theory and
-Algorithms*, 2000).  That vector spans the weight-lambda vectors of the
-tensor product that every simple raising operator kills, a kernel that must
-be one-dimensional.  A module is the column table of its matrices (the
-nonzero (row, entry) pairs of every column), written as each image is
-expressed in the new basis; the table arithmetic is ``linalg``'s, and
-dense matrices come only from ``Module.action``.  The tensor product's
-action is applied factor by factor from those tables to sparse vectors,
-never formed as matrices, one weight space at a time and only for the
-simple e_i and f_i (``_extract_submodule`` says how the other columns
-follow).
-
-That work runs on int vectors: the simple e_i and f_i of both factors are
-scaled by one common d, the lcm of their denominators, and the highest
-weight vector is cleared to int.  Each lowering step multiplies by d, so
-the retained vector of weight w is c d^t times the rational one (c fixed,
-t = height(w), the depth of w below the highest weight).  Then d f_i of it
-has the rational coordinates over the vectors of height t + 1, and d e_i
-of it d^2 times them over those of height t - 1: the f_i columns are
-``express`` as it stands and the e_i columns are ``express`` / d^2.
+The irreducible module L(lambda) is built from lambda alone, as the
+quotient of the Verma module M(lambda) by its maximal submodule
+(Humphreys, *Introduction to Lie Algebras and Representation Theory*, sec.
+20-21; de Graaf, *Lie Algebras: Theory and Algorithms*, 2000).  A vector of
+weight below lambda is zero in L(lambda) iff every simple e_i kills it, so
+a set of such vectors is dependent iff their images under all the e_i are.
+The builder walks the basis breadth first from a highest weight vector:
+for each basis vector u_b and simple f_j, the candidate f_j u_b has the
+e_i-images ("signature") f_j e_i u_b + delta_ij <wt_b, alpha_i^v> u_b,
+read off columns of higher weight that are already written.  One
+``SpanBasis`` per weight over the signatures keeps a candidate as a new
+basis vector (its e_i columns are its signature) or expresses it over
+those already kept (its f_j column).  A module is the column table of its
+matrices (the nonzero (row, entry) pairs of every column); the table
+arithmetic is ``linalg``'s, and dense matrices come only from
+``Module.action``.  The h_i and t_j columns are written from the weights,
+and every non-simple root vector's columns are commutators of columns
+already written (``_build_irreducible`` says how).
 
 Dimensions come from the Weyl formula and weight multiplicities from the
 Freudenthal recursion, both on integers (every inner product is a
@@ -37,13 +33,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionCapError, NonDominantError, ParseError, ensure
-from .linalg import F1, SpanBasis, Table, commutator, densify, entries, fr, int_tables, integral, nullspace, table_sum
+from .linalg import F0, F1, SpanBasis, Table, apply_table, commutator, densify, entries, fr, table_sum
 from .linalg import rref  # noqa: F401  (unused here; the benchmark tracer and its tests patch repthy.rref)
 from .rootsys import Group
 
@@ -185,17 +180,6 @@ class Module:
         return f"Module({self.group.name}, {self.label}, dim={self.dim})"
 
 
-def _tensor_apply(cols1: list, cols2: list, v: dict, n2: int) -> dict:
-    """(x1 (x) 1 + 1 (x) x2) v for x1, x2 given by their column tables, where
-    coordinate a * n2 + b of v is e_a (x) e_b; entries that cancel are dropped."""
-    out: dict = {}
-    for k, c in v.items():
-        a, b = divmod(k, n2)
-        for p, x in [(i * n2 + b, x) for i, x in cols1[a]] + [(a * n2 + j, x) for j, x in cols2[b]]:
-            out[p] = out.get(p, 0) + c * x
-    return {p: c for p, c in out.items() if c}
-
-
 def basis_weight(group: Group, lab: tuple[str, object]) -> Weight:
     """The weight of a Lie algebra basis element: its root for e, minus its
     root for f, zero for h and t."""
@@ -207,128 +191,26 @@ def basis_weight(group: Group, lab: tuple[str, object]) -> Weight:
     return (0,) * group.weight_len
 
 
-def _extract_submodule(group: Group, m1: Module, m2: Module, label: Weight) -> Module:
-    """The irreducible of highest weight label inside m1 (x) m2.
-
-    Its highest weight vector spans the weight-label vectors of m1 (x) m2
-    killed by every simple raising operator; the module is the cyclic span
-    of that vector under the lowering operators.
-
-    The span is kept one weight at a time: every vector met is a sparse
-    vector of known weight (that of v plus that of x for an image x . v),
-    reduced only against the retained vectors of its own weight.  Weight
-    spaces are independent, so these coordinates are the coordinates over
-    the whole basis.  The lowering pass holds every f_i . v, so it writes
-    the simple f_i columns as it goes: a retained image is its own basis
-    vector, any other is expressed at once.  The simple e_i columns are the
-    only other images taken in the ambient space.  Every other column
-    follows from these: h_i and t_j act on each basis vector by its weight
-    (checked on both factors first), and for a root c = alpha_i + c' of
-    height 2 or more, [x_alpha_i, x_c'] = N x_c (x = e or f, N from the
-    structure constants) gives x_c as a commutator of columns already written
-    (Humphreys, *Introduction to Lie Algebras and Representation Theory*,
-    sec. 25)."""
-    # the h_i and t_j columns are written from the weights, which restricts
-    # the ambient action only if both factors' h_i and t_j act by theirs
-    for m in (m1, m2):
-        for a in range(group.weight_len):  # h_0 .. h_{r-1}, t_0 .. t_{k-1}
-            diagonal = ([(k, w[a])] if w[a] else [] for k, w in enumerate(m.weights))
-            ensure(all(col == want for col, want in zip(m.columns[a], diagonal)), "image left its weight space")
-    eidx = [group._index[("e", group.simple_root(i))] for i in range(group.rank)]
-    fidx = [group._index[("f", group.simple_root(i))] for i in range(group.rank)]
-    # the ambient simple e_i and f_i of both factors, times one common d
-    ints, d = int_tables([m.columns[j] for j in eidx + fidx for m in (m1, m2)])
-    amb = dict(zip(eidx + fidx, zip(ints[::2], ints[1::2])))
-    amb_weights = [_add(w1, w2) for w1 in m1.weights for w2 in m2.weights]
-    dws = [basis_weight(group, lab) for lab in group.basis_labels]
-
-    positions = [k for k, w in enumerate(amb_weights) if w == label]
-    # column c of the raising system holds entry q of e_i . positions[c] at (i, q)
-    raising = [
-        {(i, q): x for i, j in enumerate(eidx) for q, x in _tensor_apply(*amb[j], {p: 1}, m2.dim).items()}
-        for p in positions
-    ]
-    ker = nullspace(raising)
-    ensure(len(ker) == 1, f"highest weight vector of {label} is not unique")
-    v0 = integral({positions[c]: x for c, x in ker[0].items()})[0]
-
-    spans: dict[Weight, SpanBasis] = {}  # over ambient positions, one per weight
-    members: dict[Weight, list[int]] = {}  # the basis index of each retained vector
-    basis: list[dict[int, int]] = []
-    bweights: list[Weight] = []
-
-    def act(j: int, k: int) -> tuple[dict[int, int], Weight]:
-        """d times basis element j applied to basis vector k, and the weight of the image."""
-        im, w = _tensor_apply(*amb[j], basis[k], m2.dim), _add(bweights[k], dws[j])
-        ensure(all(amb_weights[q] == w for q in im), "image left its weight space")
-        return im, w
-
-    def column(v: dict[int, int], w: Weight) -> list[tuple[int, Fraction]]:
-        """The column of an image v of weight w over the retained vectors."""
-        if not v:
-            return []
-        coords = spans[w].express(v) if w in spans else None
-        ensure(coords is not None, "action left the generated submodule")
-        # members[w] ascends, so the rows of the column do too
-        return [(members[w][j], c) for j, c in coords]
-
-    def retain(v: dict[int, int], w: Weight) -> bool:
-        if not v or not spans.setdefault(w, SpanBasis()).add(v):
-            return False
-        members.setdefault(w, []).append(len(basis))
-        basis.append(v)
-        bweights.append(w)
-        return True
-
-    ensure(retain(v0, label), "highest weight vector is zero")
-    columns: list[Table] = [[] for _ in range(group.dim)]
-    queue = [0]
-    while queue:
-        b = queue.pop(0)  # b runs through 0, 1, 2, ..., so columns come in order
-        for j in fidx:
-            im, w = act(j, b)
-            if retain(im, w):
-                queue.append(len(basis) - 1)
-                columns[j].append([(len(basis) - 1, F1)])
-            else:
-                columns[j].append(column(im, w))
-    n = len(basis)
-    expect = weyl_dim(group, label)
-    ensure(n == expect, f"built {n} vectors for {label}, expected {expect}")
-    ensure(Counter(bweights) == weight_multiplicities(group, label), f"weights of {label} miss Freudenthal's")
-
-    for a in range(group.weight_len):
-        columns[a] = [[(k, fr(w[a]))] if w[a] else [] for k, w in enumerate(bweights)]
-    for j in eidx:  # see the module docstring for the d^2
-        columns[j] = [[(r, c / (d * d)) for r, c in column(*act(j, k))] for k in range(n)]
-    posroots = set(group.posroots)
-    for c in group.posroots[group.rank :]:  # height 2 and up, in height order
-        alpha = next(a for a in map(group.simple_root, range(group.rank)) if _sub(c, a) in posroots)
-        for kind in "ef":
-            x, y, z = (group._index[(kind, root)] for root in (alpha, _sub(c, alpha), c))
-            bracket = group._ad_columns[x][y]  # [x, y] = N z
-            ensure(len(bracket) == 1 and bracket[0][0] == z, "bracket of two root vectors left its root space")
-            columns[z] = commutator(columns[x], columns[y], bracket[0][1])
-    mod = Module(group, label, bweights, columns)
-    _verify_generators(mod)
-    return mod
+def _diagonal(values: Sequence[int]) -> Table:
+    """The table of the diagonal matrix with these entries."""
+    return [[(k, fr(x))] if x else [] for k, x in enumerate(values)]
 
 
 def _verify_generators(mod: Module) -> None:
     """Spot checks at construction time: weight grading and the sl2 pairs.
 
     The full homomorphism property needs no check here: the h_i, t_j, e_i
-    and f_i columns are the restriction of a tensor product of
-    representations to a subspace that _extract_submodule found invariant
-    under the e_i and f_i, which generate the algebra, and every other
+    and f_i columns are those of the quotient of the Verma module M(lambda)
+    by the kernel of the raising maps, its maximal submodule (Humphreys,
+    *Introduction to Lie Algebras and Representation Theory*, sec. 20-21),
+    which _build_irreducible writes relation by relation, and every other
     column is the commutator the structure constants prescribe, so the
-    module is that restriction of a representation."""
+    module is that quotient, a representation."""
     g = mod.group
     for i in range(g.rank):
         e, f = (mod.columns[g._index[(kind, g.simple_root(i))]] for kind in "ef")
         h = mod.columns[g._index[("h", i)]]
-        diagonal = [[(k, w[i])] if w[i] else [] for k, w in enumerate(mod.weights)]
-        ensure(h == diagonal, "h_i is not diagonal with the weights on the basis")
+        ensure(h == _diagonal([w[i] for w in mod.weights]), "h_i is not diagonal with the weights on the basis")
         ensure(commutator(e, f, 1) == h, "[e_i, f_i] != h_i")
 
 
@@ -338,11 +220,14 @@ _MODULE_CACHE: dict[tuple[str, Weight], Module] = {}
 def build_module(group: Group, label: Sequence[int]) -> Module:
     """Exact matrix model of the irreducible module with this highest weight.
 
-    Raises DimensionCapError above dimension 64.  The builder,
-    sympoly.invariant_multiplicity and involution's fibers read the column
-    tables and eliminate on sparse rows, but the intertwiner system has n^2
-    unknowns for a module of dimension n.  The cap keeps its worst cases
-    desk-scale.
+    Raises DimensionCapError above dimension 64.  The cap is not set by
+    the builder: on a 2-vCPU x86 host (Python 3.11) a cold 64-dimensional
+    build takes 2 ms (A1 (63)) to 12 ms (G2 (1, 1)), and an invariant count
+    over it at most 11 ms (G2 (1, 1) under the full algebra).  It is set by
+    involution's intertwiner system, which has n^2 unknowns and n^4 dim h
+    entries for a module of dimension n (16.8 M for n = 64 and dim h = 1,
+    which involution.MAX_NU_ENTRIES refuses).  The cap keeps the modules
+    every command accepts desk-scale.
     """
     lab = check_label(group, label)
     key = (group.name, lab)
@@ -353,38 +238,89 @@ def build_module(group: Group, label: Sequence[int]) -> Module:
             f"module {lab} has dimension {weyl_dim(group, lab)} > {DIM_CAP}"
         )
     ss = lab[: group.rank] + (0,) * group.torus_dim
-    mod = _build_ss(group, ss)
+    if (group.name, ss) not in _MODULE_CACHE:
+        _MODULE_CACHE[(group.name, ss)] = _build_irreducible(group, ss)
+    mod = _MODULE_CACHE[(group.name, ss)]
     if group.torus_dim:
         chi = lab[group.rank :]
         weights = [w[: group.rank] + chi for w in mod.weights]
         columns = list(mod.columns)
         for j, c in enumerate(chi):
-            columns[group._index[("t", j)]] = [[(k, fr(c))] if c else [] for k in range(mod.dim)]
+            columns[group._index[("t", j)]] = _diagonal([c] * mod.dim)
         mod = Module(group, lab, weights, columns)
     _MODULE_CACHE[key] = mod
     return mod
 
 
-def _build_ss(group: Group, lab: Weight) -> Module:
-    """The module of a label with zero torus part.  At height 1 it is the
-    seed module of its factor or lies in that seed's tensor square; above,
-    it lies in V(omega_i0) (x) V(lab - omega_i0), i0 its first nonzero entry."""
-    key = (group.name, lab)
-    if key in _MODULE_CACHE:
-        return _MODULE_CACHE[key]
-    height = sum(lab[: group.rank])
-    if height == 0:
-        mod = Module(group, lab, [lab], [[[]] for _ in range(group.dim)])
-    else:
-        i0 = next(i for i in range(group.rank) if lab[i] > 0)
-        if height == 1:
-            m1 = m2 = _seed_module(group, next(s for s in group.factor_seeds if ("h", i0) in s))
-        else:
-            mu = tuple(1 if i == i0 else 0 for i in range(group.rank)) + (0,) * group.torus_dim
-            m1 = _build_ss(group, mu)
-            m2 = _build_ss(group, _sub(lab, mu))
-        mod = m1 if m1.label == lab else _extract_submodule(group, m1, m2, lab)
-    _MODULE_CACHE[key] = mod
+def _build_irreducible(group: Group, lab: Weight) -> Module:
+    """L(lab) for a label with zero torus part, as the Verma quotient of the
+    module docstring; the seed fundamental of a factor is returned as it is.
+
+    Basis vector 0 is the highest weight vector, and vectors are numbered in
+    the order they are kept.  Popping them in that order pops every vector
+    of height t (depth below lab) before any of height t + 1, so when u_b is
+    popped the e_i columns of u_b, which land at height t - 1, and the f_j
+    columns of those vectors are written: the signature of f_j u_b,
+    {(i, row): entry}, is apply_table(F_j, E_i[b]) plus the diagonal term.
+    Every other column follows from the simple e_i and f_i: h_i and t_j act
+    on each basis vector by its weight, and for a root c = alpha_i + c' of
+    height 2 or more, [x_alpha_i, x_c'] = N x_c (x = e or f, N from the
+    structure constants) gives x_c as a commutator of columns already
+    written (Humphreys, sec. 25)."""
+    r = group.rank
+    if sum(lab[:r]) == 1:
+        seed = _seed_module(group, next(s for s in group.factor_seeds if ("h", lab.index(1)) in s))
+        if seed.label == lab:
+            return seed
+    alphas = [group.root_fc(group.simple_root(i)) for i in range(r)]
+    expect = weyl_dim(group, lab)
+    E: list[Table] = [[[]] for _ in range(r)]  # E[i][k]: column k of e_i
+    F: list[Table] = [[] for _ in range(r)]
+    weights = [lab]
+    spans: dict[Weight, SpanBasis] = {}  # over the signatures, one per weight
+    members: dict[Weight, list[int]] = {}  # the basis index of each kept vector
+    b = 0
+    while b < len(weights) <= expect:  # more than expect vectors: stop, refused below
+        wb = weights[b]
+        for j in range(r):
+            parts = []
+            for i in range(r):
+                col: dict = {}
+                apply_table(F[j], E[i][b], col)
+                if i == j and wb[i]:  # [e_i, f_i] = h_i
+                    col[b] = col.get(b, F0) + wb[i]
+                parts.append([(row, x) for row, x in sorted(col.items()) if x])
+            sig = {(i, row): x for i, part in enumerate(parts) for row, x in part}
+            w = _sub(wb, alphas[j])
+            span = spans.setdefault(w, SpanBasis())
+            if span.add(sig):
+                members.setdefault(w, []).append(len(weights))
+                F[j].append([(len(weights), F1)])
+                for i in range(r):
+                    E[i].append(parts[i])
+                weights.append(w)
+            else:  # members[w] ascends, so the rows of the column do too
+                F[j].append([(members[w][k], x) for k, x in span.express(sig)])
+        b += 1
+    n = len(weights)
+    ensure(n == expect, f"built {n} vectors for {lab}, expected {expect}")
+    ensure(Counter(weights) == weight_multiplicities(group, lab), f"weights of {lab} miss Freudenthal's")
+
+    columns: list[Table] = [_diagonal([w[a] for w in weights]) for a in range(group.weight_len)]
+    columns += [[] for _ in range(group.dim - group.weight_len)]
+    for i in range(r):
+        columns[group._index[("e", group.simple_root(i))]] = E[i]
+        columns[group._index[("f", group.simple_root(i))]] = F[i]
+    posroots = set(group.posroots)
+    for c in group.posroots[r:]:  # height 2 and up, in height order
+        alpha = next(a for a in map(group.simple_root, range(r)) if _sub(c, a) in posroots)
+        for kind in "ef":
+            x, y, z = (group._index[(kind, root)] for root in (alpha, _sub(c, alpha), c))
+            bracket = group._ad_columns[x][y]  # [x, y] = N z
+            ensure(len(bracket) == 1 and bracket[0][0] == z, "bracket of two root vectors left its root space")
+            columns[z] = commutator(columns[x], columns[y], bracket[0][1])
+    mod = Module(group, lab, weights, columns)
+    _verify_generators(mod)
     return mod
 
 

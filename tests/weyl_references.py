@@ -3,24 +3,26 @@ tensor product action, the structure constants, the weight form, weight
 multiplicities and symmetric powers.
 
 The library holds the Weyl group on integers only (the orbit of rho),
-decomposes characters by the Weyl alternation, applies a tensor product's
-action to sparse vectors from tables of nonzero entries, expresses each
-seed commutator within its weight space and sums exp(ad x) on integers.
-The models they replaced are kept here as independent references: the
-group as exact reflection matrices on fundamental coordinates,
-decomposition by stripping irreducible characters from the top, the action
-on dense vectors, the tables as a scan of every entry, the bracket table
+decomposes characters by the Weyl alternation, expresses each seed
+commutator within its weight space and sums exp(ad x) on integers.  The
+models they replaced are kept here as independent references: the group
+as exact reflection matrices on fundamental coordinates, decomposition by
+stripping irreducible characters from the top, the tables as a scan of
+every entry, the bracket table
 through one span of all of a factor's flattened seed matrices, and
 exp(ad x) as a dense series.  The library pairs weights with roots on
 integers (``Group.root_pairing``) and builds symmetric powers one weight at
 a time; here are the scalar ``Fraction`` weight form, the Freudenthal
 recursion run on it, and the Newton/Adams recursion for symmetric powers.
-The library eliminates on sparse rows, and its module builder applies only
-the simple e_i and f_i in the ambient tensor product, writing the h_i and
-t_j columns from the weights and every other root vector's columns as
-commutators; here are the dense object-array ``rref``, ``eliminate`` and
-``SpanBasis`` it used before, and the builder's column loop that applies
-every generator in the ambient space.  It counts h-invariants as the rank
+The library eliminates on sparse rows; here are the dense object-array
+``rref``, ``eliminate`` and ``SpanBasis`` it used before.  It builds each
+irreducible module from its highest weight alone, as a Verma quotient;
+here is the chain it used before (``module_by_tensor_chain``), which built
+V(lambda) inside V(omega_i) (x) V(lambda - omega_i) through every module on
+the way down, with a tensor product's action applied to sparse vectors
+from column tables (``tensor_apply``) and on dense vectors, and the
+extraction's column loop that applies every generator in the ambient
+space (``columns_by_tensor_apply``).  It counts h-invariants as the rank
 of sparse rows read from the column tables; here is the dense kernel of the
 stacked ``Module.action`` matrices.  It takes every exact kernel from
 sparse columns in one span; here is the kernel read off the dense reduced
@@ -59,8 +61,8 @@ from weylkit.repthy import (
     Module,
     _add,
     basis_weight,
+    _seed_module,
     _sub,
-    _tensor_apply,
     _verify_generators,
     build_module,
     check_label,
@@ -554,12 +556,66 @@ class DenseSpanBasis:
         return combine(mult, self.combos, (len(self.rows),))
 
 
+def tensor_apply(cols1, cols2, v, n2):
+    """(x1 (x) 1 + 1 (x) x2) v for x1, x2 given by their column tables, where
+    coordinate a * n2 + b of v is e_a (x) e_b; entries that cancel are dropped."""
+    out = {}
+    for k, c in v.items():
+        a, b = divmod(k, n2)
+        for p, x in [(i * n2 + b, x) for i, x in cols1[a]] + [(a * n2 + j, x) for j, x in cols2[b]]:
+            out[p] = out.get(p, 0) + c * x
+    return {p: c for p, c in out.items() if c}
+
+
+_CHAIN = {}  # (group name, extract, label with zero torus part) -> module
+
+
+def module_by_tensor_chain(group, label, extract):
+    """The module of label as the library built it before it built L(label)
+    as a Verma quotient: the seed module of a factor is taken as it is;
+    every other label with zero torus part is extract(group, m1, m2, label),
+    the irreducible of that highest weight inside m1 (x) m2.  At height 1,
+    m1 = m2 is the seed of its factor; above, m1 = V(omega_i0) and m2 =
+    V(label - omega_i0), i0 the first nonzero entry, each built by the same
+    chain and kept for later calls.  The torus part of the label is then
+    written onto the t_j."""
+    r = group.rank
+
+    def build(lab):
+        key = (group.name, extract, lab)
+        if key in _CHAIN:
+            return _CHAIN[key]
+        height = sum(lab[:r])
+        if height == 0:
+            mod = Module(group, lab, [lab], [[[]] for _ in range(group.dim)])
+        else:
+            i0 = next(i for i in range(r) if lab[i] > 0)
+            if height == 1:
+                m1 = m2 = _seed_module(group, next(s for s in group.factor_seeds if ("h", i0) in s))
+            else:
+                mu = tuple(1 if i == i0 else 0 for i in range(r)) + (0,) * group.torus_dim
+                m1, m2 = build(mu), build(_sub(lab, mu))
+            mod = m1 if m1.label == lab else extract(group, m1, m2, lab)
+        _CHAIN[key] = mod
+        return mod
+
+    lab = check_label(group, label)
+    mod = build(lab[:r] + (0,) * group.torus_dim)
+    if not group.torus_dim:
+        return mod
+    chi = lab[r:]
+    columns = list(mod.columns)
+    for j, c in enumerate(chi):
+        columns[group._index[("t", j)]] = [[(k, fr(c))] if c else [] for k in range(mod.dim)]
+    return Module(group, lab, [w[:r] + chi for w in mod.weights], columns)
+
+
 def columns_by_tensor_apply(group, m1, m2, label):
     """The irreducible of highest weight label inside m1 (x) m2 as the
     builder made it before it wrote the f_i columns during the lowering
     pass: the cyclic span per weight in a DenseSpanBasis over that weight's
     positions, then one column loop over every basis element, f_i included,
-    each image formed by _tensor_apply and expressed in the new basis."""
+    each image formed by tensor_apply and expressed in the new basis."""
     amb = list(zip(m1.columns, m2.columns))
     amb_weights = [_add(w1, w2) for w1 in m1.weights for w2 in m2.weights]
     where = {}
@@ -570,7 +626,7 @@ def columns_by_tensor_apply(group, m1, m2, label):
     fs = [amb[group._index[("f", group.simple_root(i))]] for i in range(group.rank)]
 
     positions = where[label]
-    images = [[_tensor_apply(*e, {p: F1}, m2.dim) for p in positions] for e in es]
+    images = [[tensor_apply(*e, {p: F1}, m2.dim) for p in positions] for e in es]
     rows = sorted({(i, q) for i, col in enumerate(images) for im in col for q in im})
     raising = np.array([[im.get(q, F0) for im in images[i]] for i, q in rows], dtype=object)
     r, pivots = dense_rref(raising.reshape(len(rows), len(positions)))
@@ -602,7 +658,7 @@ def columns_by_tensor_apply(group, m1, m2, label):
     while queue:
         b = queue.pop(0)
         for i in range(group.rank):
-            if retain(_tensor_apply(*fs[i], basis[b], m2.dim), _sub(bweights[b], alphas[i])):
+            if retain(tensor_apply(*fs[i], basis[b], m2.dim), _sub(bweights[b], alphas[i])):
                 queue.append(len(basis) - 1)
     n = len(basis)
     columns = []
@@ -611,7 +667,7 @@ def columns_by_tensor_apply(group, m1, m2, label):
         cols = [[] for _ in range(n)]
         for k in range(n):
             w = _add(bweights[k], dx)
-            vw = part(_tensor_apply(*x, basis[k], m2.dim), w)
+            vw = part(tensor_apply(*x, basis[k], m2.dim), w)
             if vw is None:
                 continue
             coords = spans[w].express(vw) if w in spans else None
