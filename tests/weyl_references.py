@@ -8,9 +8,8 @@ commutator within its weight space and sums exp(ad x) on integers.  The
 models they replaced are kept here as independent references: the group
 as exact reflection matrices on fundamental coordinates, decomposition by
 stripping irreducible characters from the top, the tables as a scan of
-every entry, the bracket table
-through one span of all of a factor's flattened seed matrices, and
-exp(ad x) as a dense series.  The library pairs weights with roots on
+every entry, the bracket table through one span of all of a factor's
+flattened seed matrices, and exp(ad x) as a dense series.  The library pairs weights with roots on
 integers (``Group.root_pairing``) and builds symmetric powers one weight at
 a time; here are the scalar ``Fraction`` weight form, the Freudenthal
 recursion run on it, and the Newton/Adams recursion for symmetric powers.
