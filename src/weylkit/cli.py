@@ -33,9 +33,10 @@ from .involution import (
     fiber_character,
     fiber_restriction,
     fiber_trivial,
+    restriction_unknowns,
 )
 from .linalg import fr_input, fvec
-from .repthy import basis_weight, check_label, decompose_character, weyl_dim
+from .repthy import basis_weight, check_label, decompose_character
 from .rootsys import MAX_RANK, Group, Subalgebra, parse_group, standard_subalgebra
 from .spherical import DEFAULT_TRIALS, classify_torus_fibration, is_spherical_pair
 from .sympoly import DEFAULT_DEGREE_BOUND, homog_coordinate_mf_crosscheck, is_mf_coordinate_ring
@@ -95,8 +96,9 @@ def _parse_subalgebra(group: Group, text: str) -> Subalgebra:
 
 
 def _parse_fiber(group: Group, h: Subalgebra, text: str):
-    """(dimension, build) for a fiber spec, where build() returns the fiber:
-    the dimension is known before the fiber's module is built."""
+    """(unknowns, build) for a fiber spec, where build() returns the fiber:
+    the count of intertwiner unknowns is known before the fiber's module is
+    built."""
     if text == "trivial":
         return 1, lambda: fiber_trivial(group, h)
     if text.startswith("character:"):
@@ -107,7 +109,7 @@ def _parse_fiber(group: Group, h: Subalgebra, text: str):
         if len(summands) != 1 or summands[0][1] != 1:
             raise ParseError("restriction fiber takes a single irreducible label")
         label = summands[0][0]
-        return weyl_dim(group, label), lambda: fiber_restriction(group, h, label)
+        return restriction_unknowns(group, h, label), lambda: fiber_restriction(group, h, label)
     raise ParseError(f"unknown fiber spec {text!r}")
 
 
@@ -254,12 +256,12 @@ def cmd_involution(args) -> int:
     try:
         g = parse_group(args.group)
         h = _parse_subalgebra(g, args.subalgebra)
-        fiber_dim, build_fiber = _parse_fiber(g, h, args.fiber)
+        unknowns, build_fiber = _parse_fiber(g, h, args.fiber)
     except ToolkitError as exc:
         return _usage_error(exc)
     try:
         # refused like the solve itself (exit 1), before the fiber module is built
-        check_nu_size(fiber_dim, h.dim)
+        check_nu_size(unknowns, h.dim)
     except ToolkitError as exc:
         return _emit_error(args, exc)
     try:

@@ -19,6 +19,7 @@ array they read of nu.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, isqrt, lcm, sqrt
@@ -36,21 +37,22 @@ from .errors import (
 )
 from .harmonic import sym_rep_matrix
 from .linalg import Table, commutator, eliminate, entries, fr, identity, image, int_tables, nullspace, product, table_sum
-from .repthy import build_module, check_label
+from .repthy import DIM_CAP, build_module, check_label, weight_multiplicities, weyl_dim
 from .rootsys import Group, Subalgebra, parse_group, standard_subalgebra
 from .sympoly import check_reductive
 
 Weight = tuple[int, ...]
 
-# _nu_kernel reads the kernel of n^2 sparse columns (n the fiber dimension),
-# n^4 dim h entries if written densely.  On a 2-vCPU x86 host (Python 3.11)
-# that takes 0.02 s for A1 cartan w[20] (194,481 entries) and G2 full adjoint
-# (537,824), 0.03 s for A1 full w[20] (583,443) and 0.045 s for A1 cartan
-# w[26] (531,441); a cold involution call takes 0.3-0.4 s, most of it the
-# import.
-# A larger system, such as A1 cartan w[63] (16.8 M), is refused by
-# check_nu_size before any column is built, and by the CLI before the fiber
-# module is built.
+# _nu_kernel reads the kernel of K sparse columns, one per entry of nu that
+# its weight test keeps (all n^2 if h has no Cartan row), K^2 dim h entries
+# if written densely.  On a 2-vCPU x86 host (Python 3.11) a fiber is built and
+# assembled in-process in 0.03 s for G2 cartan w[1,1] (K = 172 of 4,096; 0.8 s
+# on all of them), 0.3 s for G2+T1 full w[1,1,-2] (443,760 entries) and
+# 1.3-1.9 s for the principal A2+T1 w[3,3,1] and A1xA1xA1 w[1,4,5] (about
+# 500,000); a cold CLI call on a 64-dimensional fiber over cartan takes 0.2 s.
+# A larger system, such as a fiber of dimension 28 or more over A1's
+# nilradical, is refused by check_nu_size before any column is built, and by
+# the CLI before the fiber module is built.
 MAX_NU_ENTRIES = 600_000
 
 
@@ -348,20 +350,33 @@ def fiber_restriction(group: Group, h: Subalgebra, label) -> HModule:
     return HModule(group, h, tables, ("restriction", label), mod.dim)
 
 
-def check_nu_size(n: int, h_dim: int) -> None:
-    """Refuse the intertwiner system of an n-dimensional fiber over an h of
-    dimension h_dim (at least 1: over h = 0 the kernel is n^2 dense vectors)
-    if it exceeds MAX_NU_ENTRIES; both are known before the fiber is built."""
-    if n**4 * max(h_dim, 1) > MAX_NU_ENTRIES:
+def check_nu_size(unknowns: int, h_dim: int) -> None:
+    """Refuse an intertwiner system whose dense size, unknowns^2 max(h_dim,
+    1) entries, exceeds MAX_NU_ENTRIES (over h = 0 the kernel is the
+    unknowns' own unit vectors)."""
+    if unknowns**2 * max(h_dim, 1) > MAX_NU_ENTRIES:
         if h_dim == 0:
             raise DegenerateInputError(
-                f"intertwiner kernel over the zero subalgebra of {n * n} vectors "
-                f"of {n * n} entries each exceeds {MAX_NU_ENTRIES} entries"
+                f"intertwiner kernel over the zero subalgebra of {unknowns} vectors "
+                f"of {unknowns} entries each exceeds {MAX_NU_ENTRIES} entries"
             )
         raise DegenerateInputError(
-            f"intertwiner system of {n * n} unknowns and {n * n * h_dim} rows "
+            f"intertwiner system of {unknowns} unknowns and {unknowns * h_dim} rows "
             f"exceeds {MAX_NU_ENTRIES} entries"
         )
+
+
+def restriction_unknowns(group: Group, h: Subalgebra, label) -> int:
+    """From the weights alone, at least the unknowns _nu_kernel keeps for
+    the restriction fiber of label under the Chevalley theta, whose sigma
+    fixes each Cartan row: A_ab stays iff the weights of a and b have one
+    ``h.charge``.  n^2 above DIM_CAP, where the module is refused anyway."""
+    if (n := weyl_dim(group, label)) > DIM_CAP:
+        return n * n
+    sizes: Counter = Counter()
+    for w, m in weight_multiplicities(group, label).items():
+        sizes[h.charge(w)] += m
+    return sum(s * s for s in sizes.values())
 
 
 def _twisted_actions(module: HModule, sigma: Table) -> list[tuple[Table, Table]]:
@@ -383,6 +398,12 @@ def _sigma_table(group: Group, theta: InvolutionSpec) -> Table:
     return product(build_cartan_conjugation(group).table, theta.table)
 
 
+def _diagonal_of(t: Table) -> list | None:
+    """The diagonal of the table t if t is diagonal, else None."""
+    diagonal = all(r == j for j, col in enumerate(t) for r, _ in col)
+    return [col[0][1] if col else 0 for col in t] if diagonal else None
+
+
 def _nu_kernel(module: HModule, theta: InvolutionSpec) -> list[Table]:
     """Rational basis of {A : A rho(x) = rho(sigma x) A for all x in h}, as
     column tables.
@@ -392,27 +413,40 @@ def _nu_kernel(module: HModule, theta: InvolutionSpec) -> list[Table]:
     rational basis that composition is what multiplies the matrices below.
     Since the module matrices are rational, the realified solution space is
     exactly two copies (real and imaginary part) of this kernel.
+
+    The weight test: for a Cartan row x of h with rho(x) and rho(sigma x)
+    diagonal, the equation at (x, a, b) is (rho(x)_bb - rho(sigma x)_aa)
+    A_ab = 0, with no other unknown.  The column of an A_ab it forces to zero
+    is a pivot that no other column's expression uses, so only the other
+    unknowns enter the system, in ascending a n + b, and the kernel basis is
+    the full system's.
     """
     n = module.dim
-    check_nu_size(n, module.h.dim)
-    # column a*n + b is E_ab -> E_ab rho - rho_s E_ab at (k, row, col) for the
+    pairs = _twisted_actions(module, _sigma_table(module.group, theta))
+    diagonals = [[_diagonal_of(t) for t in pairs[k]] for k in module.h.cartan_rows]
+    tests = [(d, d_s) for d, d_s in diagonals if d is not None and d_s is not None]
+    keep = [(a, b) for a in range(n) for b in range(n) if all(d[b] == d_s[a] for d, d_s in tests)]
+    check_nu_size(len(keep), module.h.dim)
+    # column (a, b) is E_ab -> E_ab rho - rho_s E_ab at (k, row, col) for the
     # k-th x: row a of E_ab rho is row b of rho, column b of rho_s E_ab is
     # column a of rho_s
-    cols: list[dict] = [{} for _ in range(n * n)]
-    for k, (rho, rho_s) in enumerate(_twisted_actions(module, _sigma_table(module.group, theta))):
-        for a in range(n):
-            for j, entries in enumerate(rho):
-                for b, x in entries:  # x = rho[b, j]
-                    cols[a * n + b][(k, a, j)] = x
+    rows: list[list[list]] = [[[] for _ in range(n)] for _ in pairs]  # rows[k][b]: row b of rho
+    for k, (rho, _) in enumerate(pairs):
+        for (b, j), x in entries(rho).items():
+            rows[k][b].append((j, x))
+    cols = []
+    for a, b in keep:
+        col = {(k, a, j): x for k in range(len(pairs)) for j, x in rows[k][b]}
+        for k, (_, rho_s) in enumerate(pairs):
             for i, x in rho_s[a]:
-                for b in range(n):
-                    col = cols[a * n + b]
-                    col[(k, i, b)] = col.get((k, i, b), 0) - x
+                col[(k, i, b)] = col.get((k, i, b), 0) - x
+        cols.append({p: x for p, x in col.items() if x})
     kernel = []
-    for v in nullspace([{p: x for p, x in c.items() if x} for c in cols]):
+    for v in nullspace(cols):
         table: Table = [[] for _ in range(n)]
-        for u, x in v.items():  # u = a n + b is entry (a, b); u ascends, so each column's rows do
-            table[u % n].append((u // n, x))
+        for u, x in v.items():  # keep ascends in a n + b, so each column's rows do
+            a, b = keep[u]
+            table[b].append((a, x))
         kernel.append(table)
     return kernel
 

@@ -217,26 +217,30 @@ def _verify_generators(mod: Module) -> None:
 _MODULE_CACHE: dict[tuple[str, Weight], Module] = {}
 
 
+def check_dim_cap(group: Group, lab: Weight) -> None:
+    """Refuse a module of dimension above DIM_CAP, built or not."""
+    if (n := weyl_dim(group, lab)) > DIM_CAP:
+        raise DimensionCapError(f"module {lab} has dimension {n} > {DIM_CAP}")
+
+
 def build_module(group: Group, label: Sequence[int]) -> Module:
     """Exact matrix model of the irreducible module with this highest weight.
 
-    Raises DimensionCapError above dimension 64.  The cap is not set by
-    the builder: on a 2-vCPU x86 host (Python 3.11) a cold 64-dimensional
-    build takes 2 ms (A1 (63)) to 12 ms (G2 (1, 1)), and an invariant count
-    over it at most 11 ms (G2 (1, 1) under the full algebra).  It is set by
-    involution's intertwiner system, which has n^2 unknowns and n^4 dim h
-    entries for a module of dimension n (16.8 M for n = 64 and dim h = 1,
-    which involution.MAX_NU_ENTRIES refuses).  The cap keeps the modules
-    every command accepts desk-scale.
+    Raises DimensionCapError above dimension 64 (check_dim_cap).  On a
+    2-vCPU x86 host (Python 3.11) a cold 64-dimensional build takes 2.5 ms
+    (A1 (63)) to 11 ms (A2 (3, 3)), and an invariant count over it at most
+    2 ms.  Bundle assembly over such a fiber takes 0.01-0.3 s over the
+    Cartan or the full algebra and up to 1.9 s over a principal sl2, whose
+    one Cartan row keeps more of the n^2 intertwiner unknowns; over an h
+    with no Cartan row all 4,096 stay, and involution.MAX_NU_ENTRIES
+    refuses the system.  The cap keeps the modules every command accepts
+    desk-scale.
     """
     lab = check_label(group, label)
     key = (group.name, lab)
     if key in _MODULE_CACHE:
         return _MODULE_CACHE[key]
-    if weyl_dim(group, lab) > DIM_CAP:
-        raise DimensionCapError(
-            f"module {lab} has dimension {weyl_dim(group, lab)} > {DIM_CAP}"
-        )
+    check_dim_cap(group, lab)
     ss = lab[: group.rank] + (0,) * group.torus_dim
     if (group.name, ss) not in _MODULE_CACHE:
         _MODULE_CACHE[(group.name, ss)] = _build_irreducible(group, ss)

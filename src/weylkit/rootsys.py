@@ -588,6 +588,17 @@ class Subalgebra:
     def dim(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def cartan_rows(self) -> list[int]:
+        """The indices of the rows in the Cartan span (support in the h_i and
+        t_j positions, the first weight_len).  Such a row z acts on a vector
+        of weight w by the scalar sum_p z_p w_p (``charge``)."""
+        return [k for k, z in enumerate(self.rows) if max(z) < self.group.weight_len]
+
+    def charge(self, w: Sequence[int]) -> tuple:
+        """The scalars by which the Cartan rows act on a vector of weight w."""
+        return tuple(sum(c * w[p] for p, c in self.rows[k].items()) for k in self.cartan_rows)
+
     def contains(self, v: np.ndarray | dict) -> bool:
         return not eliminate(sparse(v), self.rows, self.pivots)[0]
 

@@ -26,9 +26,11 @@ from .repthy import (
     DIM_CAP,
     _add,
     build_module,
+    check_dim_cap,
     check_label,
     decompose_character,
     module_character,
+    weight_multiplicities,
     weyl_dim,
 )
 from .rootsys import Group, Subalgebra
@@ -207,26 +209,35 @@ def check_reductive(group: Group, h: Subalgebra) -> None:
 def invariant_multiplicity(group: Group, h: Subalgebra, label: Weight) -> int:
     """dim of the h-annihilated subspace of the module dual to V(label).
 
-    That subspace is the common kernel of the matrices of the basis of h, so
-    its dimension is dim V minus the rank of their stacked rows.  Each row is
-    assembled as a sparse {column: entry} dict straight from the module's
-    column tables, scaled to int (which changes no rank), and fed to one
-    SpanBasis; the rows it accepts are the rank.
+    That subspace is the common kernel of the matrices of the basis of h,
+    and it lies in the weight spaces that h's Cartan rows kill (``charge``
+    zero).  If every row is one, its dimension is read off the weight
+    multiplicities and no module is built; else it is the count of basis
+    vectors of charge zero minus the rank of the other rows' matrices on
+    them.  Each row is assembled as a sparse {column: entry} dict straight
+    from the module's column tables, scaled to int (which changes no rank),
+    and fed to one SpanBasis; the rows it accepts are the rank.
     """
-    dual = build_module(group, group.dual_label(check_label(group, label)))
-    used = sorted({p for x in h.rows for p in x})
+    dual_label = group.dual_label(check_label(group, label))
+    others = [x for k, x in enumerate(h.rows) if k not in h.cartan_rows]
+    if not others:
+        check_dim_cap(group, dual_label)
+        return sum(m for w, m in weight_multiplicities(group, dual_label).items() if not any(h.charge(w)))
+    dual = build_module(group, dual_label)
+    fixed = [k for k, w in enumerate(dual.weights) if not any(h.charge(w))]
+    used = sorted({p for x in others for p in x})
     tables = dict(zip(used, int_tables([dual.columns[p] for p in used])[0]))
     span = SpanBasis()
-    for x in h.rows:
+    for x in others:
         rows: dict[int, dict[int, int]] = {}  # row r of the matrix of a multiple of x
         for p, c in integral(x)[0].items():
-            for k, col in enumerate(tables[p]):
-                for r, a in col:
+            for k in fixed:
+                for r, a in tables[p][k]:
                     row = rows.setdefault(r, {})
                     row[k] = row.get(k, 0) + c * a
         for row in rows.values():
             span.add(row)
-    return dual.dim - len(span)
+    return len(fixed) - len(span)
 
 
 def homog_coordinate_mf_crosscheck(

@@ -353,18 +353,32 @@ class TestInvolution:
             return real_nullspace(cols)
 
         def refuse_module(*args, **kwargs):
-            # n = weyl_dim and dim h are known before the 64-dim module
+            # the unknowns and dim h are known before the 64-dim module
             raise AssertionError("the fiber module was built for an oversized system")
 
         monkeypatch.setattr(involution, "nullspace", small_nullspace)
         monkeypatch.setattr(repthy, "build_module", refuse_module)
         monkeypatch.setattr(involution, "build_module", refuse_module)
+        # the nilradical has no Cartan row, so the weight test drops none of
+        # the 64^2 unknowns
         code, out, _ = _run(
-            capsys, "involution", "--group", "A1", "--subalgebra", "cartan",
+            capsys, "involution", "--group", "A1", "--subalgebra", "nilradical",
             "--fiber", "restriction:w[63]",
         )
         assert code == 1
         assert "error degenerate_input: intertwiner system of 4096 unknowns" in out
+
+    def test_weight_test_admits_a_64_dimensional_fiber(self, capsys):
+        # the Cartan rows keep 172 of the 64^2 unknowns, so the system fits
+        # the bound that all 4096 would exceed
+        code, out, _ = _run(
+            capsys, "involution", "--group", "G2", "--subalgebra", "cartan",
+            "--fiber", "restriction:w[1,1]", "--format", "structured",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["fiber_dim"] == 64
+        assert payload["checks"] and all(payload["checks"].values())
 
     def test_fiber_over_the_zero_subalgebra_keeps_its_dimension(self, capsys):
         # the tables of a fiber over h = 0 are empty, so its dimension comes

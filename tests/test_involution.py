@@ -321,11 +321,12 @@ class TestSolveNu:
         g = parse_group("A1")
         fib = fiber_restriction(g, standard_subalgebra(g, "full"), (1,))
         th = build_weyl_involution(g)
-        # 4 unknowns against 4 rows per basis vector of h: 48 entries
-        monkeypatch.setattr(involution, "MAX_NU_ENTRIES", 48)
+        # h's weights 1 and -1 leave the 2 diagonal unknowns, against 2 rows
+        # per basis vector of h: 12 entries
+        monkeypatch.setattr(involution, "MAX_NU_ENTRIES", 12)
         assert nu_solution_space_dim(fib, th) == 2
-        monkeypatch.setattr(involution, "MAX_NU_ENTRIES", 47)
-        with pytest.raises(DegenerateInputError, match="4 unknowns and 12 rows"):
+        monkeypatch.setattr(involution, "MAX_NU_ENTRIES", 11)
+        with pytest.raises(DegenerateInputError, match="2 unknowns and 6 rows"):
             nu_solution_space_dim(fib, th)
 
     def test_defining_fiber_sl3(self):

@@ -33,6 +33,8 @@ from weylkit.involution import (
     _sigma_table,
     build_cartan_conjugation,
     build_sigma,
+    build_weyl_involution,
+    check_nu_size,
     fiber_character,
     fiber_restriction,
     fiber_trivial,
@@ -420,9 +422,9 @@ def _twisted_theta(g, torus):
 
 
 def _nu_kernel_loop(module, theta):
-    """The equivariance system written out entry by entry, one dense row per
-    entry (a, b) of A rho - rho_s A; kept as an independent reference for
-    _nu_kernel."""
+    """The equivariance system written out entry by entry, one row per entry
+    (a, b) of A rho - rho_s A over all n^2 unknowns (no weight test); kept
+    as an independent reference for _nu_kernel."""
     g = module.group
     h = module.h
     sigma_matrix = dense_table(build_cartan_conjugation(g).table) @ dense_table(theta.table)
@@ -437,11 +439,11 @@ def _nu_kernel_loop(module, theta):
         rho_s = combine(c, mats, (n, n))
         for a in range(n):
             for b in range(n):
-                row = zeros(n * n)
+                row = {}  # the nonzero coefficients, by unknown
                 for cidx in range(n):
-                    row[a * n + cidx] = row[a * n + cidx] + rho[cidx, b]
-                    row[cidx * n + b] = row[cidx * n + b] - rho_s[a, cidx]
-                rows.append(row)
+                    row[a * n + cidx] = row.get(a * n + cidx, 0) + rho[cidx, b]
+                    row[cidx * n + b] = row.get(cidx * n + b, 0) - rho_s[a, cidx]
+                rows.append({u: x for u, x in row.items() if x})
     if not rows:
         units = []
         for a in range(n):
@@ -450,7 +452,11 @@ def _nu_kernel_loop(module, theta):
                 m[a, b] = Fraction(1)
                 units.append(m)
         return units
-    sols = nullspace([{r: row[u] for r, row in enumerate(rows) if row[u]} for u in range(n * n)])
+    cols = [{} for _ in range(n * n)]
+    for r, row in enumerate(rows):
+        for u, x in row.items():
+            cols[u][r] = x
+    sols = nullspace(cols)
     return [densify(v, (n * n,)).reshape(n, n) for v in sols]
 
 
@@ -486,6 +492,25 @@ def test_nu_kernel_matches_entrywise_loop(case, torus):
             _nu_kernel(module, theta)
         return
     got = _nu_kernel(module, theta)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert len(a) == len(b) and a == nonzero_columns(b)
+
+
+@pytest.mark.parametrize(
+    "name,sub,label", [("A1", "cartan", (63,)), ("G2", "cartan", (1, 1)), ("A2", "principal", (2, 2))]
+)
+def test_weight_test_keeps_the_full_systems_kernel(name, sub, label):
+    # fibers that the bound on all n^2 unknowns refuses and the bound on the
+    # unknowns the weight test keeps admits: the kernel of the full system
+    # is the reduced kernel, entry for entry
+    g = parse_group(name)
+    module = fiber_restriction(g, standard_subalgebra(g, sub), label)
+    with pytest.raises(DegenerateInputError):
+        check_nu_size(module.dim**2, module.h.dim)
+    theta = build_weyl_involution(g)
+    got = _nu_kernel(module, theta)
+    expected = _nu_kernel_loop(module, theta)
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
         assert len(a) == len(b) and a == nonzero_columns(b)

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weylkit import sympoly
-from weylkit.errors import DegenerateInputError, NonDominantError, NonReductiveError, ParseError
+from weylkit import repthy, sympoly
+from weylkit.errors import DegenerateInputError, DimensionCapError, NonDominantError, NonReductiveError, ParseError
 from weylkit.repthy import weight_multiplicities, weyl_dim
 from weylkit.rootsys import _STANDARD_NAMES, Subalgebra, parse_group, standard_subalgebra
 from weylkit.sympoly import (
@@ -275,16 +275,22 @@ def test_invariant_multiplicity_checks_the_label_before_dualizing(name, label, e
 
 
 def _test_subalgebras(g):
-    """Every standard subalgebra that g has, and on A1xA1 the closed span
-    {h_0, e_(1,0)}, which is no standard one."""
+    """Every standard subalgebra that g has, and closed spans that are no
+    standard one: on A1 the line {h_0 + e}, on A1xA1 {h_0, e_(1,0)},
+    {h_0 + e_(0,1)} and the abelian {h_1, h_0 + e_(1,0)}.  Their rows that
+    mix a Cartan part with a root vector are no Cartan rows."""
     subs = []
     for name in _STANDARD_NAMES:
         try:
             subs.append(standard_subalgebra(g, name))
         except DegenerateInputError:
             pass
+    if g.name == "A1":
+        subs.append(Subalgebra(g, [g.gen_vector("h", 0) + g.gen_vector("e", (1,))]))
     if g.name == "A1xA1":
-        subs.append(Subalgebra(g, [g.gen_vector("h", 0), g.gen_vector("e", (1, 0))]))
+        h0, h1 = g.gen_vector("h", 0), g.gen_vector("h", 1)
+        e10, e01 = g.gen_vector("e", (1, 0)), g.gen_vector("e", (0, 1))
+        subs += [Subalgebra(g, [h0, e10]), Subalgebra(g, [h0 + e01]), Subalgebra(g, [h1, h0 + e10])]
     return subs
 
 
@@ -296,11 +302,40 @@ def _test_subalgebras(g):
 )
 @example(("G2", (0, 1)))
 @example(("A1xA1", (2, 2)))
+@example(("A1", (2,)))
+@example(("A1xA1", (2, 0)))
 def test_invariant_multiplicity_equals_the_dense_kernel(case):
     name, label = case
     g = parse_group(name)
     for h in _test_subalgebras(g):
+        h.require_closed()
         assert invariant_multiplicity(g, h, label) == dense_invariant_multiplicity(g, h, label)
+
+
+def test_cartan_rows_are_the_rows_inside_the_cartan_span():
+    g = parse_group("A1xA1")
+    mixed = Subalgebra(g, [g.gen_vector("h", 1), g.gen_vector("h", 0) + g.gen_vector("e", (1, 0))])
+    assert mixed.cartan_rows == [0]
+    assert mixed.charge((3, 2)) == (2,)
+    assert standard_subalgebra(g, "diagonal").charge((3, 2)) == (5,)
+    assert standard_subalgebra(g, "nilradical").cartan_rows == []
+
+
+def test_a_cartan_only_h_counts_without_a_module(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a module was built")
+
+    monkeypatch.setattr(sympoly, "build_module", refuse)
+    g = parse_group("A2")
+    assert invariant_multiplicity(g, standard_subalgebra(g, "cartan"), (2, 2)) == 3
+    assert invariant_multiplicity(g, standard_subalgebra(g, "zero"), (1, 1)) == 8
+    # the no-build path refuses the dual label (12, 0), of dimension 91, as
+    # build_module does
+    with pytest.raises(DimensionCapError) as refused:
+        invariant_multiplicity(g, standard_subalgebra(g, "cartan"), (0, 12))
+    with pytest.raises(DimensionCapError) as built:
+        repthy.build_module(g, (12, 0))
+    assert str(refused.value) == str(built.value) == "module (12, 0) has dimension 91 > 64"
 
 
 def test_crosscheck_sl2_cartan_mf():
