@@ -1,19 +1,10 @@
 """Finite-dimensional modules with exact rational matrix models.
 
 The irreducible module L(lambda) is built from lambda alone, as the
-quotient of the Verma module M(lambda) by its maximal submodule
-(Humphreys, *Introduction to Lie Algebras and Representation Theory*, sec.
-20-21; de Graaf, *Lie Algebras: Theory and Algorithms*, 2000).  A vector of
-weight below lambda is zero in L(lambda) iff every simple e_i kills it, so
-a set of such vectors is dependent iff their images under all the e_i are.
-The builder walks the basis breadth first from a highest weight vector:
-for each basis vector u_b and simple f_j, the candidate f_j u_b has the
-e_i-images ("signature") f_j e_i u_b + delta_ij <wt_b, alpha_i^v> u_b,
-read off columns of higher weight that are already written.  One
-``SpanBasis`` per weight over the signatures keeps a candidate as a new
-basis vector (its e_i columns are its signature) or expresses it over
-those already kept (its f_j column).  A module is the column table of its
-matrices (the nonzero (row, entry) pairs of every column); the table
+quotient of the Verma module M(lambda) by its maximal submodule:
+``rootsys.verma_walk`` writes the simple e_i and f_i (it seeds each simple
+type's structure constants the same way).  A module is the column table of
+its matrices (the nonzero (row, entry) pairs of every column); the table
 arithmetic is ``linalg``'s, and dense matrices come only from
 ``Module.action``.  The h_i and t_j columns are written from the weights,
 and every non-simple root vector's columns are commutators of columns
@@ -38,9 +29,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionCapError, NonDominantError, ParseError, ensure
-from .linalg import F0, F1, SpanBasis, Table, apply_table, commutator, densify, entries, fr, table_sum
+from .linalg import Table, commutator, densify, entries, fr, table_sum
 from .linalg import rref  # noqa: F401  (unused here; the benchmark tracer and its tests patch repthy.rref)
-from .rootsys import Group
+from .rootsys import Group, verma_walk
 
 DIM_CAP = 64
 
@@ -203,7 +194,7 @@ def _verify_generators(mod: Module) -> None:
     and f_i columns are those of the quotient of the Verma module M(lambda)
     by the kernel of the raising maps, its maximal submodule (Humphreys,
     *Introduction to Lie Algebras and Representation Theory*, sec. 20-21),
-    which _build_irreducible writes relation by relation, and every other
+    which rootsys.verma_walk writes relation by relation, and every other
     column is the commutator the structure constants prescribe, so the
     module is that quotient, a representation."""
     g = mod.group
@@ -257,55 +248,15 @@ def build_module(group: Group, label: Sequence[int]) -> Module:
 
 
 def _build_irreducible(group: Group, lab: Weight) -> Module:
-    """L(lab) for a label with zero torus part, as the Verma quotient of the
-    module docstring; the seed fundamental of a factor is returned as it is.
-
-    Basis vector 0 is the highest weight vector, and vectors are numbered in
-    the order they are kept.  Popping them in that order pops every vector
-    of height t (depth below lab) before any of height t + 1, so when u_b is
-    popped the e_i columns of u_b, which land at height t - 1, and the f_j
-    columns of those vectors are written: the signature of f_j u_b,
-    {(i, row): entry}, is apply_table(F_j, E_i[b]) plus the diagonal term.
-    Every other column follows from the simple e_i and f_i: h_i and t_j act
-    on each basis vector by its weight, and for a root c = alpha_i + c' of
-    height 2 or more, [x_alpha_i, x_c'] = N x_c (x = e or f, N from the
-    structure constants) gives x_c as a commutator of columns already
-    written (Humphreys, sec. 25)."""
+    """L(lab) for a label with zero torus part: its weights and simple e_i and
+    f_i from ``rootsys.verma_walk``, stopped past weyl_dim vectors.  Every
+    other column follows from those: h_i and t_j act on each basis vector by
+    its weight, and for a root c = alpha_i + c' of height 2 or more,
+    [x_alpha_i, x_c'] = N x_c (x = e or f, N from the structure constants)
+    gives x_c as a commutator of columns already written (Humphreys, sec. 25)."""
     r = group.rank
-    if sum(lab[:r]) == 1:
-        seed = _seed_module(group, next(s for s in group.factor_seeds if ("h", lab.index(1)) in s))
-        if seed.label == lab:
-            return seed
-    alphas = [group.root_fc(group.simple_root(i)) for i in range(r)]
     expect = weyl_dim(group, lab)
-    E: list[Table] = [[[]] for _ in range(r)]  # E[i][k]: column k of e_i
-    F: list[Table] = [[] for _ in range(r)]
-    weights = [lab]
-    spans: dict[Weight, SpanBasis] = {}  # over the signatures, one per weight
-    members: dict[Weight, list[int]] = {}  # the basis index of each kept vector
-    b = 0
-    while b < len(weights) <= expect:  # more than expect vectors: stop, refused below
-        wb = weights[b]
-        for j in range(r):
-            parts = []
-            for i in range(r):
-                col: dict = {}
-                apply_table(F[j], E[i][b], col)
-                if i == j and wb[i]:  # [e_i, f_i] = h_i
-                    col[b] = col.get(b, F0) + wb[i]
-                parts.append([(row, x) for row, x in sorted(col.items()) if x])
-            sig = {(i, row): x for i, part in enumerate(parts) for row, x in part}
-            w = _sub(wb, alphas[j])
-            span = spans.setdefault(w, SpanBasis())
-            if span.add(sig):
-                members.setdefault(w, []).append(len(weights))
-                F[j].append([(len(weights), F1)])
-                for i in range(r):
-                    E[i].append(parts[i])
-                weights.append(w)
-            else:  # members[w] ascends, so the rows of the column do too
-                F[j].append([(members[w][k], x) for k, x in span.express(sig)])
-        b += 1
+    weights, E, F = verma_walk([group.root_fc(group.simple_root(i)) for i in range(r)], lab, expect)
     n = len(weights)
     ensure(n == expect, f"built {n} vectors for {lab}, expected {expect}")
     ensure(Counter(weights) == weight_multiplicities(group, lab), f"weights of {lab} miss Freudenthal's")
@@ -326,18 +277,6 @@ def _build_irreducible(group: Group, lab: Weight) -> Module:
     mod = Module(group, lab, weights, columns)
     _verify_generators(mod)
     return mod
-
-
-def _seed_module(group: Group, seeds: dict) -> Module:
-    """The seed fundamental of one factor (an entry of group.factor_seeds),
-    zero on the other factors; its weights are the diagonals of the h_i.
-    Each of its basis vectors is moved by some e_c or f_c, as in any
-    irreducible module of dimension above 1, so the seeds' entries span it."""
-    n = 1 + max(max(p) for m in seeds.values() for p in m)
-    mats = [seeds.get(lab, {}) for lab in group.basis_labels]
-    weights = [tuple(h.get((a, a), 0) for h in mats[: group.rank]) + (0,) * group.torus_dim for a in range(n)]
-    columns = [[[(i, fr(x)) for (i, k), x in sorted(m.items()) if k == col] for col in range(n)] for m in mats]
-    return Module(group, weights[0], weights, columns)
 
 
 # ---- character arithmetic ---------------------------------------------------

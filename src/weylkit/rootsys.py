@@ -9,13 +9,15 @@ The Weyl group is held on integers only: one breadth-first closure under
 the simple reflections gives the roots of each simple type (the orbit of its
 simple roots), the orbit of any weight, and W itself as the orbit of rho,
 each element w as w(rho) and a reduced word; w0 is the last element that
-closure reaches.  Structure constants come from hand-coded faithful seed
-representations of each simple type (defining modules for A1/A2, the
-4-dimensional spinor for B2, the 7-dimensional fundamental for G2).  Root
-vectors for non-simple roots are generated by the extraspecial-pair
-recursion, which pins every sign.  Each seed commutator is expressed within
-its weight space, and one table of the nonzero constants, exact over the
-rationals, drives ad, the bracket and exp(ad x).
+closure reaches.  A simple type is its Cartan matrix: structure constants
+come from its seed module, one fundamental L(omega_s) built by
+``verma_walk``, the breadth-first Verma-quotient walk that builds every
+irreducible module (the defining modules for A1/A2, the 4-dimensional
+spinor for B2, the 7-dimensional module for G2).  Root vectors for
+non-simple roots are generated by the extraspecial-pair recursion, which
+pins every sign.  Each seed commutator is expressed within its weight
+space, and one table of the nonzero constants, exact over the rationals,
+drives ad, the bracket and exp(ad x).
 """
 
 from __future__ import annotations
@@ -38,49 +40,26 @@ from .errors import (
     UnsupportedTypeError,
     ensure,
 )
-from .linalg import F1, SpanBasis, Table, densify, eliminate, entries, eye, fr, image, rref, sparse, table_sum, zeros
+from .linalg import F0, F1, SpanBasis, Table, apply_table, commutator, densify, eliminate, entries, eye, fr, image, rref, sparse, table_sum, zeros
 
 # Cartan matrices use the convention A[i][j] = <alpha_j, alpha_i^vee>, so
 # column j holds the fundamental-weight coordinates of alpha_j.  d[i] is the
 # half squared length of alpha_i (short roots normalized to length^2 = 2).
-#
-# Seed data: "weights" lists the seed module's weights in fundamental
-# coordinates, in the basis order of the matrices; "e"/"f" give the nonzero
-# entries of the simple Chevalley generators as (row, col, value).
+# A simple type is (A, d, s): its seed module is L(omega_s), built by
+# verma_walk from A alone.  A Chevalley basis and its structure constants
+# are fixed by A and the signs on extraspecial pairs (Humphreys, sec. 25;
+# Carter, *Simple Groups of Lie Type*, sec. 4.2), so any faithful seed gives
+# the same constants.
 _SEED_DATA = {
-    "A1": {
-        "A": [[2]],
-        "d": [1],
-        "weights": [(1,), (-1,)],
-        "e": {0: [(0, 1, 1)]},
-        "f": {0: [(1, 0, 1)]},
-    },
-    "A2": {
-        "A": [[2, -1], [-1, 2]],
-        "d": [1, 1],
-        "weights": [(1, 0), (-1, 1), (0, -1)],
-        "e": {0: [(0, 1, 1)], 1: [(1, 2, 1)]},
-        "f": {0: [(1, 0, 1)], 1: [(2, 1, 1)]},
-    },
-    # alpha_1 long, alpha_2 short; seed is the spinor module V(omega_2)
-    "B2": {
-        "A": [[2, -1], [-2, 2]],
-        "d": [2, 1],
-        "weights": [(0, 1), (1, -1), (-1, 1), (0, -1)],
-        "e": {0: [(1, 2, 1)], 1: [(0, 1, 1), (2, 3, 1)]},
-        "f": {0: [(2, 1, 1)], 1: [(1, 0, 1), (3, 2, 1)]},
-    },
-    # alpha_1 short; seed is the 7-dimensional V(omega_1)
-    "G2": {
-        "A": [[2, -3], [-1, 2]],
-        "d": [1, 3],
-        "weights": [(1, 0), (-1, 1), (2, -1), (0, 0), (-2, 1), (1, -1), (-1, 0)],
-        "e": {0: [(0, 1, 1), (2, 3, 2), (3, 4, 1), (5, 6, 1)], 1: [(1, 2, 1), (4, 5, 1)]},
-        "f": {0: [(1, 0, 1), (3, 2, 1), (4, 3, 2), (6, 5, 1)], 1: [(2, 1, 1), (5, 4, 1)]},
-    },
+    "A1": ([[2]], [1], 0),
+    "A2": ([[2, -1], [-1, 2]], [1, 1], 0),
+    "B2": ([[2, -1], [-2, 2]], [2, 1], 1),  # alpha_1 long; the 4-dimensional spinor module
+    "G2": ([[2, -3], [-1, 2]], [1, 3], 0),  # alpha_1 short; the 7-dimensional module
 }
+# A seed walk stops past this many vectors: one of finite type closes far
+# below it, and a Cartan matrix of any other type never closes.
+_SEED_LIMIT = 64
 
-_FACTOR_NAMES = ("A1", "A2", "B2", "G2")
 MAX_RANK = 3  # simple ranks plus torus dimension
 
 Weight = tuple[int, ...]
@@ -137,25 +116,84 @@ def _positive_roots(A: list[list[int]]) -> list[tuple[int, ...]]:
     return sorted((c for c in roots if min(c) >= 0), key=lambda c: (sum(c), c))
 
 
+def verma_walk(alphas: Sequence[Weight], label: Weight, limit: int) -> tuple[list[Weight], list[Table], list[Table]]:
+    """The irreducible module L(label) as (weights, E, F): the weight of each
+    basis vector and the column tables of the simple e_i and f_i, alphas[i]
+    being alpha_i in the coordinates of label.  The walk stops once it
+    holds more than limit vectors, so one that never closes (a Cartan
+    matrix not of finite type, or a limit below the dimension) ends, and
+    the caller checks the count.
+
+    L(label) is the quotient of the Verma module M(label) by its maximal
+    submodule (Humphreys, sec. 20-21; de Graaf, *Lie Algebras: Theory and
+    Algorithms*, 2000).  A vector of weight below label is zero in it iff
+    every simple e_i kills it, so a set of such vectors is dependent iff
+    their images under all the e_i are.  Basis vector 0 is the highest
+    weight vector, and vectors are numbered in the order they are kept.
+    Popping them in that order pops every vector of height t (depth below
+    label) before any of height t + 1, so when u_b is popped the e_i
+    columns of u_b, which land at height t - 1, and the f_j columns of
+    those vectors are written.  For each f_j, the candidate f_j u_b has the
+    e_i-images ("signature") f_j e_i u_b + delta_ij <wt_b, alpha_i^vee> u_b,
+    {(i, row): entry}.  An empty signature means f_j u_b = 0; otherwise one
+    ``SpanBasis`` per weight over the signatures keeps the candidate as a new
+    basis vector (its e_i columns are its signature) or expresses it over
+    those already kept (its f_j column)."""
+    r = len(alphas)
+    E: list[Table] = [[[]] for _ in range(r)]  # E[i][k]: column k of e_i
+    F: list[Table] = [[] for _ in range(r)]
+    weights = [label]
+    spans: dict[Weight, SpanBasis] = {}  # over the signatures, one per weight
+    members: dict[Weight, list[int]] = {}  # the basis index of each kept vector
+    b = 0
+    while b < len(weights) <= limit:
+        wb = weights[b]
+        for j in range(r):
+            parts = []
+            for i in range(r):
+                col: dict = {}
+                apply_table(F[j], E[i][b], col)
+                if i == j and wb[i]:  # [e_i, f_i] = h_i
+                    col[b] = col.get(b, F0) + wb[i]
+                parts.append([(row, x) for row, x in sorted(col.items()) if x])
+            sig = {(i, row): x for i, part in enumerate(parts) for row, x in part}
+            if not sig:
+                F[j].append([])
+                continue
+            w = tuple(x - y for x, y in zip(wb, alphas[j]))
+            span = spans.setdefault(w, SpanBasis())
+            if span.add(sig):
+                members.setdefault(w, []).append(len(weights))
+                F[j].append([(len(weights), F1)])
+                for i in range(r):
+                    E[i].append(parts[i])
+                weights.append(w)
+            else:  # members[w] ascends, so the rows of the column do too
+                F[j].append([(members[w][k], x) for k, x in span.express(sig)])
+        b += 1
+    return weights, E, F
+
+
 @lru_cache(maxsize=None)
 def _factor(letter: str) -> dict:
-    """Chevalley generator matrices for one simple type, every positive root,
-    each a sparse int matrix {(row, col): nonzero entry}."""
-    data = _SEED_DATA[letter]
-    A = data["A"]
+    """Chevalley generator matrices for one simple type on its seed module
+    L(omega_s), every positive root, each an exact sparse matrix
+    {(row, col): nonzero entry}."""
+    A, d, s = _SEED_DATA[letter]
     r = len(A)
+    alphas = [tuple(row[j] for row in A) for j in range(r)]
+    weights, E, F = verma_walk(alphas, _unit(r, s), _SEED_LIMIT)
+    ensure(len(weights) <= _SEED_LIMIT, f"seed walk of {letter} passed {_SEED_LIMIT} vectors")
     posroots = _positive_roots(A)
     allroots = set(posroots) | {tuple(-x for x in c) for c in posroots}
-    hmats = [{(a, a): w[i] for a, w in enumerate(data["weights"]) if w[i]} for i in range(r)]
-    e = {_unit(r, i): {(a, b): x for a, b, x in data["e"][i]} for i in range(r)}
-    f = {_unit(r, i): {(a, b): x for a, b, x in data["f"][i]} for i in range(r)}
+    e = {_unit(r, i): E[i] for i in range(r)}
+    f = {_unit(r, i): F[i] for i in range(r)}
 
     # Extraspecial pairs: for gamma of height >= 2 take the decomposition
     # gamma = xi + eta with xi minimal in (height, lex) order; then
     # [e_xi, e_eta] = (p+1) e_gamma fixes e_gamma with a positive constant,
     # p being the depth of the xi-string below eta, and f_gamma takes the
-    # opposite sign.  Lower heights come first, so e_eta is already set, and
-    # p+1 divides every entry of the commutator, checked, so all stays int.
+    # opposite sign.  Lower heights come first, so e_eta is already set.
     for gamma in posroots[r:]:
         xi = next(
             c for c in posroots
@@ -165,19 +203,17 @@ def _factor(letter: str) -> dict:
         p = 0
         while tuple(y - (p + 1) * x for y, x in zip(eta, xi)) in allroots:
             p += 1
-        for x, sign in ((e, 1), (f, -1)):
-            br = _commutator(x[xi], x[eta])
-            ensure(all(v % (p + 1) == 0 for v in br.values()), "extraspecial constant does not divide")
-            x[gamma] = {q: sign * v // (p + 1) for q, v in br.items()}
+        e[gamma] = commutator(e[xi], e[eta], p + 1)
+        f[gamma] = commutator(f[eta], f[xi], p + 1)
 
     return {
         "rank": r,
         "A": A,
-        "d": list(data["d"]),
+        "d": list(d),
         "posroots": posroots,
-        "h": hmats,
-        "e": e,
-        "f": f,
+        "h": [{(a, a): w[i] for a, w in enumerate(weights) if w[i]} for i in range(r)],
+        "e": {c: entries(t) for c, t in e.items()},
+        "f": {c: entries(t) for c, t in f.items()},
     }
 
 
@@ -204,9 +240,9 @@ class Group:
     # ---- root bookkeeping -------------------------------------------------
 
     @cached_property
-    def factor_seeds(self) -> list[dict[tuple[str, object], dict[tuple[int, int], int]]]:
+    def factor_seeds(self) -> list[dict[tuple[str, object], dict[tuple[int, int], Fraction]]]:
         """The one embedding of each simple factor into the product algebra:
-        per factor, its sparse int seed matrices {(row, col): entry} keyed by
+        per factor, its exact sparse seed matrices {(row, col): entry} keyed by
         product basis label, h_i first and then e_c, f_c for each root c of
         the factor, padded to full rank."""
         out = []
@@ -310,15 +346,18 @@ class Group:
         ad(b_k), so table[k][j] lists the (i, c) with [b_k, b_j] = sum c b_i,
         i ascending.  Seeds of two weights (h -> 0, e_c -> c, f_c -> -c)
         occupy disjoint positions, and a commutator lies on, and is
-        expressed over, the seeds of its weight.  The seed entries are int,
-        and the constants of a Chevalley basis (Humphreys, sec. 25.2) are
-        integers, each checked to be one, so all of it is int."""
+        expressed over, the seeds of its weight.  Each factor's seeds are
+        scaled by the lcm D of their denominators, so the commutators run on
+        int entries and each coordinate is divided by D.  The constants of a
+        Chevalley basis (Humphreys, sec. 25.2) are integers, each checked to
+        be one, so the table is int."""
         table: list[Table] = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
         for seeds in self.factor_seeds:
-            spaces: dict = {}  # weight -> [(basis index, nonzero {(row, col): entry})]
-            for (kind, c), ents in seeds.items():
+            D = lcm(*(x.denominator for m in seeds.values() for x in m.values()))
+            spaces: dict = {}  # weight -> [(basis index, nonzero {(row, col): D entry})]
+            for (kind, c), m in seeds.items():
                 wt = (0,) * self.rank if kind == "h" else tuple(-x for x in c) if kind == "f" else c
-                spaces.setdefault(wt, []).append((self._index[(kind, c)], ents))
+                spaces.setdefault(wt, []).append((self._index[(kind, c)], {p: int(x * D) for p, x in m.items()}))
             local = [(ik, wt, ents) for wt, members in spaces.items() for ik, ents in members]
             for wt, members in spaces.items():
                 span = SpanBasis()
@@ -335,6 +374,7 @@ class Group:
                 ensure(br.keys() <= pos, "bracket left its weight space")
                 coords = span.express(br)
                 ensure(coords is not None, "bracket left the algebra span")
+                coords = [(k, c / D) for k, c in coords]
                 ensure(all(c.denominator == 1 for _, c in coords), "structure constant is not an integer")
                 table[ia][ib] = [(members[k], int(c)) for k, c in coords]
                 table[ib][ia] = [(ik, -c) for ik, c in table[ia][ib]]
@@ -541,7 +581,7 @@ def parse_group(name: str) -> Group:
     else:
         for tok in base.split("x"):
             tok = tok.strip()
-            if tok in _FACTOR_NAMES:
+            if tok in _SEED_DATA:
                 letters.append(tok)
             elif re.fullmatch(r"[A-Za-z][0-9]+", tok):
                 raise UnsupportedTypeError(f"simple type {tok[:40]!r} is not supported")

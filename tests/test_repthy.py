@@ -35,6 +35,7 @@ from weyl_references import (
     matmul,
     module_by_tensor_chain,
     nonzero_columns,
+    seed_module,
     strip_decompose,
     wform,
 )
@@ -455,12 +456,13 @@ def test_f_columns_from_the_lowering_pass_equal_the_tensor_apply_loop(case):
 
 @pytest.mark.parametrize("name", HOMOMORPHISM_GROUPS)
 def test_seed_labels_return_the_seed_module(monkeypatch, name):
-    # the seed fundamental of each factor is handed out as it is; for G2 its
-    # basis is not the one the breadth-first walk makes
+    # each factor's seed and the module built for its label come from the
+    # one walk, so they agree entry for entry, in the same basis, h_i and
+    # every root vector included
     g = parse_group(name)
     monkeypatch.setattr(repthy, "_MODULE_CACHE", {})
     for seeds in g.factor_seeds:
-        seed = repthy._seed_module(g, seeds)
+        seed = seed_module(g, seeds)
         _assert_same_typed_tables(build_module(g, seed.label), seed)
 
 

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,9 @@ from weylkit.errors import (
     UnknownNameError,
     UnsupportedTypeError,
 )
+from pathlib import Path
+
+from weylkit import rootsys
 from weylkit.linalg import F0, F1, eye, fr, fvec, zeros
 from weylkit.rootsys import Group, Subalgebra, parse_group, standard_subalgebra
 from weyl_references import (
@@ -384,6 +389,62 @@ def test_killing_form_equals_trace_of_dense_products(name):
     cols = np.array([a.T.reshape(-1) for a in ads])
     want = matmul(rows, cols.T)
     assert all(a == b and type(a) is Fraction for a, b in zip(g.killing_form.flat, want.flat))
+
+
+@pytest.mark.parametrize("letter", sorted(rootsys._SEED_DATA))
+def test_seed_data_is_a_symmetrizable_cartan_matrix(letter):
+    # (A, d, s): A_ii = 2, d_i A_ij = d_j A_ji, and s names a fundamental weight
+    A, d, s = rootsys._SEED_DATA[letter]
+    r = len(A)
+    assert all(len(row) == r and A[i][i] == 2 for i, row in enumerate(A))
+    assert all(d[i] * A[i][j] == d[j] * A[j][i] for i in range(r) for j in range(r))
+    assert len(d) == r and s in range(r)
+
+
+def _ad_columns_seeded_by(monkeypatch, letter, s):
+    """The structure constants of one simple type with L(omega_s) as its seed."""
+    A, d, _ = rootsys._SEED_DATA[letter]
+    with monkeypatch.context() as mp:
+        mp.setitem(rootsys._SEED_DATA, letter, (A, d, s))
+        factor = rootsys._factor.__wrapped__(letter)  # past the cache
+    g = Group((letter,), 0, letter)
+    g.factors = [factor]
+    return g._ad_columns
+
+
+@pytest.mark.parametrize("letter", ["A2", "B2", "G2"])
+def test_structure_constants_do_not_depend_on_the_seed(monkeypatch, letter):
+    # A and the extraspecial signs fix the constants (Carter, *Simple Groups of
+    # Lie Type*, sec. 4.2): every fundamental seeds the same int table, G2's
+    # omega_2 being its 14-dimensional adjoint module
+    want = parse_group(letter)._ad_columns
+    for s in range(len(rootsys._SEED_DATA[letter][0])):
+        got = _ad_columns_seeded_by(monkeypatch, letter, s)
+        assert got == want
+        assert all(type(c) is int for t in got for col in t for _, c in col)
+
+
+RUNAWAY_SEED = """
+from weylkit import rootsys
+from weylkit.errors import InternalInvariantError
+# symmetrizable (d = (5, 1)) but hyperbolic: L(omega_1) has no end
+rootsys._SEED_DATA['H2'] = ([[2, -1], [-5, 2]], [5, 1], 0)
+try:
+    rootsys._factor('H2')
+except InternalInvariantError as exc:
+    print(__debug__, exc.code, exc)
+"""
+
+
+def test_a_seed_walk_that_never_closes_is_refused_under_python_O():
+    # the seed's walk stops at its limit, before the closure of the roots
+    # (which has no end either) is reached
+    src = str(Path(rootsys.__file__).resolve().parents[1])
+    code = f"import sys; sys.path[:0] = [{src!r}]\n" + RUNAWAY_SEED
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    assert out.splitlines() == ["False internal_invariant seed walk of H2 passed 64 vectors"]
 
 
 # G2's seed module leaves (0, 6) and the diagonal entry of weight 0 unused;

@@ -188,7 +188,7 @@ def test_character_layer_is_integer_only():
 
 SPARSE_ELIMINATION = {
     "linalg": ("eliminate", "SpanBasis"),
-    "rootsys": ("Subalgebra.reduce", "Subalgebra.coords", "Subalgebra.contains", "Subalgebra.is_closed"),
+    "rootsys": ("Subalgebra.reduce", "Subalgebra.coords", "Subalgebra.contains", "Subalgebra.is_closed", "verma_walk"),
     "repthy": ("_build_irreducible",),
 }
 
@@ -213,12 +213,12 @@ def _names_in(name, targets, names):
 
 def test_elimination_stays_off_object_arrays():
     # the reduction loop, the span bookkeeping, subspace membership, the
-    # closure check and the module builder run on sparse {position: entry}
-    # rows: no dense object array (zeros, fvec, np), dense combination or
-    # dense zero test in their bodies (an np.ndarray annotation marks a
-    # public boundary, not a use)
+    # closure check, the Verma walk and the module builder run on sparse
+    # {position: entry} rows: no dense object array (zeros, fvec, np), dense
+    # combination or dense zero test in their bodies (an np.ndarray
+    # annotation marks a public boundary, not a use)
     dense = {"zeros", "combine", "is_zero", "fvec", "np"}
-    assert sum(len(targets) for targets in SPARSE_ELIMINATION.values()) == 7
+    assert sum(len(targets) for targets in SPARSE_ELIMINATION.values()) == 8
     found = [f for name, targets in SPARSE_ELIMINATION.items() for f in _names_in(name, targets, dense)]
     assert found == []
 
@@ -244,6 +244,7 @@ def test_exact_kernels_are_taken_from_sparse_columns():
     kernels = {
         "involution": ("_nu_kernel", "_centralizer_in_h", "is_adapted"),
         "spherical": ("normalizer",),
+        "rootsys": ("verma_walk",),
         "repthy": ("_build_irreducible",),
     }
     assert [f for name, targets in kernels.items() for f in _names_in(name, targets, dense_stack)] == []

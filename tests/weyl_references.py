@@ -60,7 +60,6 @@ from weylkit.repthy import (
     Module,
     _add,
     basis_weight,
-    _seed_module,
     _sub,
     _verify_generators,
     build_module,
@@ -117,8 +116,20 @@ def matmul(a, b):
     return out.reshape(a.shape[:1] + b.shape[1:])
 
 
+def seed_module(group, seeds):
+    """The seed module of one factor (an entry of ``Group.factor_seeds``),
+    zero on the other factors; its weights are the diagonals of the h_i.
+    Each of its basis vectors is moved by some e_c or f_c, as in any
+    irreducible module of dimension above 1, so the seeds' entries span it."""
+    n = 1 + max(max(p) for m in seeds.values() for p in m)
+    mats = [seeds.get(lab, {}) for lab in group.basis_labels]
+    weights = [tuple(h.get((a, a), 0) for h in mats[: group.rank]) + (0,) * group.torus_dim for a in range(n)]
+    columns = [[[(i, fr(x)) for (i, k), x in sorted(m.items()) if k == col] for col in range(n)] for m in mats]
+    return Module(group, weights[0], weights, columns)
+
+
 def seed_matrices(seeds):
-    """The dense Fraction matrices of one factor's sparse int seeds (an
+    """The dense Fraction matrices of one factor's sparse exact seeds (an
     entry of ``Group.factor_seeds``), all of the seed module's size."""
     n = 1 + max(max(p) for m in seeds.values() for p in m)
     out = {}
@@ -590,7 +601,7 @@ def module_by_tensor_chain(group, label, extract):
         else:
             i0 = next(i for i in range(r) if lab[i] > 0)
             if height == 1:
-                m1 = m2 = _seed_module(group, next(s for s in group.factor_seeds if ("h", i0) in s))
+                m1 = m2 = seed_module(group, next(s for s in group.factor_seeds if ("h", i0) in s))
             else:
                 mu = tuple(1 if i == i0 else 0 for i in range(r)) + (0,) * group.torus_dim
                 m1, m2 = build(mu), build(_sub(lab, mu))
