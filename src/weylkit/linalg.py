@@ -179,7 +179,7 @@ class SpanBasis:
     all int, says content rows[i] = scale u_i - sum mult[k] rows[k], for the
     retained vectors u_0, u_1, ... (those that enlarged the span, in order);
     ``express`` back-substitutes through them, and is the only place a
-    Fraction is made.  The module builder keeps one per weight space, to
+    Fraction is made.  The Verma walk keeps one per weight space, to
     name the basis vectors of that weight by the lowering words that made them.
     """
 
