@@ -369,7 +369,7 @@ def check_nu_size(unknowns: int, h_dim: int) -> None:
 def restriction_unknowns(group: Group, h: Subalgebra, label) -> int:
     """From the weights alone, at least the unknowns _nu_kernel keeps for
     the restriction fiber of label under the Chevalley theta, whose sigma
-    fixes each Cartan row: A_ab stays iff the weights of a and b have one
+    fixes the Cartan span: A_ab stays iff the weights of a and b have one
     ``h.charge``.  n^2 above DIM_CAP, where the module is refused anyway."""
     if (n := weyl_dim(group, label)) > DIM_CAP:
         return n * n
@@ -414,16 +414,20 @@ def _nu_kernel(module: HModule, theta: InvolutionSpec) -> list[Table]:
     Since the module matrices are rational, the realified solution space is
     exactly two copies (real and imaginary part) of this kernel.
 
-    The weight test: for a Cartan row x of h with rho(x) and rho(sigma x)
-    diagonal, the equation at (x, a, b) is (rho(x)_bb - rho(sigma x)_aa)
-    A_ab = 0, with no other unknown.  The column of an A_ab it forces to zero
-    is a pivot that no other column's expression uses, so only the other
-    unknowns enter the system, in ascending a n + b, and the kernel basis is
-    the full system's.
+    The weight test: for x in h and in the Cartan span (a combination
+    ``h.cartan_part`` of the rows, whose pairs of tables combine alike) with
+    rho(x) and rho(sigma x) diagonal, the equation at (x, a, b) is
+    (rho(x)_bb - rho(sigma x)_aa) A_ab = 0, with no other unknown.  The
+    column of an A_ab it forces to zero is a pivot that no other column's
+    expression uses, so only the other unknowns enter the system, in
+    ascending a n + b, and the kernel basis is the full system's.
     """
     n = module.dim
     pairs = _twisted_actions(module, _sigma_table(module.group, theta))
-    diagonals = [[_diagonal_of(t) for t in pairs[k]] for k in module.h.cartan_rows]
+    diagonals = [
+        [_diagonal_of(table_sum(((a, pairs[k][side]) for k, a in v.items()), n)) for side in (0, 1)]
+        for v in module.h.cartan_part
+    ]
     tests = [(d, d_s) for d, d_s in diagonals if d is not None and d_s is not None]
     keep = [(a, b) for a in range(n) for b in range(n) if all(d[b] == d_s[a] for d, d_s in tests)]
     check_nu_size(len(keep), module.h.dim)

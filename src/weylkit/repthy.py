@@ -7,8 +7,8 @@ type's structure constants the same way).  A module is the column table of
 its matrices (the nonzero (row, entry) pairs of every column); the table
 arithmetic is ``linalg``'s, and dense matrices come only from
 ``Module.action``.  The h_i and t_j columns are written from the weights,
-and every non-simple root vector's columns are commutators of columns
-already written (``_build_irreducible`` says how).
+and the other root vectors' from the simple ones by
+``rootsys.root_vectors``, so building a module reads no structure constant.
 
 Dimensions come from the Weyl formula and weight multiplicities from the
 Freudenthal recursion, both on integers (every inner product is a
@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DimensionCapError, NonDominantError, ParseError, ensure
 from .linalg import Table, commutator, densify, entries, fr, table_sum
 from .linalg import rref  # noqa: F401  (unused here; the benchmark tracer and its tests patch repthy.rref)
-from .rootsys import Group, verma_walk
+from .rootsys import Group, root_vectors, verma_walk
 
 DIM_CAP = 64
 
@@ -195,8 +195,8 @@ def _verify_generators(mod: Module) -> None:
     by the kernel of the raising maps, its maximal submodule (Humphreys,
     *Introduction to Lie Algebras and Representation Theory*, sec. 20-21),
     which rootsys.verma_walk writes relation by relation, and every other
-    column is the commutator the structure constants prescribe, so the
-    module is that quotient, a representation."""
+    column comes from those by rootsys.root_vectors, as on the seeds, so
+    the module is that quotient, a representation."""
     g = mod.group
     for i in range(g.rank):
         e, f = (mod.columns[g._index[(kind, g.simple_root(i))]] for kind in "ef")
@@ -249,31 +249,17 @@ def build_module(group: Group, label: Sequence[int]) -> Module:
 
 def _build_irreducible(group: Group, lab: Weight) -> Module:
     """L(lab) for a label with zero torus part: its weights and simple e_i and
-    f_i from ``rootsys.verma_walk``, stopped past weyl_dim vectors.  Every
-    other column follows from those: h_i and t_j act on each basis vector by
-    its weight, and for a root c = alpha_i + c' of height 2 or more,
-    [x_alpha_i, x_c'] = N x_c (x = e or f, N from the structure constants)
-    gives x_c as a commutator of columns already written (Humphreys, sec. 25)."""
-    r = group.rank
+    f_i from ``rootsys.verma_walk``, stopped past weyl_dim vectors, the
+    other root vectors from those by ``rootsys.root_vectors``, and h_i and
+    t_j acting on each basis vector by its weight."""
     expect = weyl_dim(group, lab)
-    weights, E, F = verma_walk([group.root_fc(group.simple_root(i)) for i in range(r)], lab, expect)
+    weights, E, F = verma_walk([group.root_fc(group.simple_root(i)) for i in range(group.rank)], lab, expect)
     n = len(weights)
     ensure(n == expect, f"built {n} vectors for {lab}, expected {expect}")
     ensure(Counter(weights) == weight_multiplicities(group, lab), f"weights of {lab} miss Freudenthal's")
-
+    e, f = root_vectors(group.posroots, E, F)
     columns: list[Table] = [_diagonal([w[a] for w in weights]) for a in range(group.weight_len)]
-    columns += [[] for _ in range(group.dim - group.weight_len)]
-    for i in range(r):
-        columns[group._index[("e", group.simple_root(i))]] = E[i]
-        columns[group._index[("f", group.simple_root(i))]] = F[i]
-    posroots = set(group.posroots)
-    for c in group.posroots[r:]:  # height 2 and up, in height order
-        alpha = next(a for a in map(group.simple_root, range(r)) if _sub(c, a) in posroots)
-        for kind in "ef":
-            x, y, z = (group._index[(kind, root)] for root in (alpha, _sub(c, alpha), c))
-            bracket = group._ad_columns[x][y]  # [x, y] = N z
-            ensure(len(bracket) == 1 and bracket[0][0] == z, "bracket of two root vectors left its root space")
-            columns[z] = commutator(columns[x], columns[y], bracket[0][1])
+    columns += [e[c] for c in group.posroots] + [f[c] for c in group.posroots]
     mod = Module(group, lab, weights, columns)
     _verify_generators(mod)
     return mod

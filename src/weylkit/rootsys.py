@@ -13,11 +13,11 @@ closure reaches.  A simple type is its Cartan matrix: structure constants
 come from its seed module, one fundamental L(omega_s) built by
 ``verma_walk``, the breadth-first Verma-quotient walk that builds every
 irreducible module (the defining modules for A1/A2, the 4-dimensional
-spinor for B2, the 7-dimensional module for G2).  Root vectors for
-non-simple roots are generated by the extraspecial-pair recursion, which
-pins every sign.  Each seed commutator is expressed within its weight
-space, and one table of the nonzero constants, exact over the rationals,
-drives ad, the bracket and exp(ad x).
+spinor for B2, the 7-dimensional module for G2).  ``root_vectors`` writes
+the other root vectors of the seeds and of every module by the
+extraspecial-pair recursion, which pins every sign.  Each seed commutator
+is expressed within its weight space, and one table of the nonzero
+constants, exact over the rationals, drives ad, the bracket and exp(ad x).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedTypeError,
     ensure,
 )
-from .linalg import F0, F1, SpanBasis, Table, apply_table, commutator, densify, eliminate, entries, eye, fr, image, rref, sparse, table_sum, zeros
+from .linalg import F0, F1, SpanBasis, Table, apply_table, commutator, densify, eliminate, entries, eye, fr, image, nullspace, rref, sparse, table_sum, zeros
 
 # Cartan matrices use the convention A[i][j] = <alpha_j, alpha_i^vee>, so
 # column j holds the fundamental-weight coordinates of alpha_j.  d[i] is the
@@ -174,26 +174,19 @@ def verma_walk(alphas: Sequence[Weight], label: Weight, limit: int) -> tuple[lis
     return weights, E, F
 
 
-@lru_cache(maxsize=None)
-def _factor(letter: str) -> dict:
-    """Chevalley generator matrices for one simple type on its seed module
-    L(omega_s), every positive root, each an exact sparse matrix
-    {(row, col): nonzero entry}."""
-    A, d, s = _SEED_DATA[letter]
-    r = len(A)
-    alphas = [tuple(row[j] for row in A) for j in range(r)]
-    weights, E, F = verma_walk(alphas, _unit(r, s), _SEED_LIMIT)
-    ensure(len(weights) <= _SEED_LIMIT, f"seed walk of {letter} passed {_SEED_LIMIT} vectors")
-    posroots = _positive_roots(A)
+def root_vectors(posroots: Sequence[tuple[int, ...]], E: Sequence[Table], F: Sequence[Table]) -> tuple[dict, dict]:
+    """e_c and f_c for each c of posroots, in (height, lex) order, as column
+    tables keyed by c, from one module's simple e_i = E[i] and f_i = F[i].
+    Extraspecial pairs (Carter, *Simple Groups of Lie Type*, sec. 4.2): for
+    gamma of height >= 2 take gamma = xi + eta with xi minimal in (height,
+    lex) order; then [e_xi, e_eta] = (p+1) e_gamma fixes e_gamma with a
+    positive constant, p being the depth of the xi-string below eta, and
+    f_gamma takes the opposite sign.  Lower heights come first, so e_eta is
+    already set."""
+    r = len(E)
     allroots = set(posroots) | {tuple(-x for x in c) for c in posroots}
     e = {_unit(r, i): E[i] for i in range(r)}
     f = {_unit(r, i): F[i] for i in range(r)}
-
-    # Extraspecial pairs: for gamma of height >= 2 take the decomposition
-    # gamma = xi + eta with xi minimal in (height, lex) order; then
-    # [e_xi, e_eta] = (p+1) e_gamma fixes e_gamma with a positive constant,
-    # p being the depth of the xi-string below eta, and f_gamma takes the
-    # opposite sign.  Lower heights come first, so e_eta is already set.
     for gamma in posroots[r:]:
         xi = next(
             c for c in posroots
@@ -205,7 +198,21 @@ def _factor(letter: str) -> dict:
             p += 1
         e[gamma] = commutator(e[xi], e[eta], p + 1)
         f[gamma] = commutator(f[eta], f[xi], p + 1)
+    return e, f
 
+
+@lru_cache(maxsize=None)
+def _factor(letter: str) -> dict:
+    """Chevalley generator matrices for one simple type on its seed module
+    L(omega_s), every positive root, each an exact sparse matrix
+    {(row, col): nonzero entry}."""
+    A, d, s = _SEED_DATA[letter]
+    r = len(A)
+    alphas = [tuple(row[j] for row in A) for j in range(r)]
+    weights, E, F = verma_walk(alphas, _unit(r, s), _SEED_LIMIT)
+    ensure(len(weights) <= _SEED_LIMIT, f"seed walk of {letter} passed {_SEED_LIMIT} vectors")
+    posroots = _positive_roots(A)
+    e, f = root_vectors(posroots, E, F)
     return {
         "rank": r,
         "A": A,
@@ -631,13 +638,34 @@ class Subalgebra:
     @cached_property
     def cartan_rows(self) -> list[int]:
         """The indices of the rows in the Cartan span (support in the h_i and
-        t_j positions, the first weight_len).  Such a row z acts on a vector
-        of weight w by the scalar sum_p z_p w_p (``charge``)."""
+        t_j positions, the first weight_len)."""
         return [k for k, z in enumerate(self.rows) if max(z) < self.group.weight_len]
 
+    @cached_property
+    def cartan_part(self) -> list[dict[int, Fraction]]:
+        """A basis of the intersection of this span with the Cartan span, as
+        coordinates over the rows: the combinations whose root parts (the
+        positions from weight_len on) cancel.  Such an element z acts on a
+        vector of weight w by the scalar sum_p z_p w_p (``charge``)."""
+        n = self.group.weight_len
+        return nullspace([{p: x for p, x in z.items() if p >= n} for z in self.rows])
+
+    @cached_property
+    def _cartan_elements(self) -> list[dict[int, Fraction]]:
+        """The elements ``cartan_part`` names, as sparse vectors."""
+        out = []
+        for v in self.cartan_part:
+            z: dict[int, Fraction] = {}
+            for k, a in v.items():
+                for p, c in self.rows[k].items():
+                    z[p] = z.get(p, 0) + a * c
+            out.append({p: x for p, x in z.items() if x})
+        return out
+
     def charge(self, w: Sequence[int]) -> tuple:
-        """The scalars by which the Cartan rows act on a vector of weight w."""
-        return tuple(sum(c * w[p] for p, c in self.rows[k].items()) for k in self.cartan_rows)
+        """The scalars by which the basis ``cartan_part`` acts on a vector of
+        weight w."""
+        return tuple(sum(c * w[p] for p, c in z.items()) for z in self._cartan_elements)
 
     def contains(self, v: np.ndarray | dict) -> bool:
         return not eliminate(sparse(v), self.rows, self.pivots)[0]

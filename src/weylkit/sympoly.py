@@ -210,8 +210,8 @@ def invariant_multiplicity(group: Group, h: Subalgebra, label: Weight) -> int:
     """dim of the h-annihilated subspace of the module dual to V(label).
 
     That subspace is the common kernel of the matrices of the basis of h,
-    and it lies in the weight spaces that h's Cartan rows kill (``charge``
-    zero).  If every row is one, its dimension is read off the weight
+    and it lies in the weight spaces that h's Cartan part kills (``charge``
+    zero).  If every row is in the Cartan span, its dimension is read off the weight
     multiplicities and no module is built; else it is the count of basis
     vectors of charge zero minus the rank of the other rows' matrices on
     them.  Each row is assembled as a sparse {column: entry} dict straight

@@ -380,6 +380,15 @@ class TestInvolution:
         assert payload["fiber_dim"] == 64
         assert payload["checks"] and all(payload["checks"].values())
 
+    def test_weight_test_sees_the_cartan_part_of_rows_outside_it(self, capsys):
+        # the same sl2 with first row h + e: no echelon row lies in the Cartan
+        # span, but the rows combine to h, which keeps the system as small as
+        # over full, and the certificate is the same
+        argv = ["involution", "--group", "A1", "--fiber", "restriction:w[26]"]
+        code, out, _ = _run(capsys, *argv, "--subalgebra", "span:1,1,0;0,1,0;0,0,1")
+        assert code == 0
+        assert (code, out) == _run(capsys, *argv, "--subalgebra", "full")[:2]
+
     def test_fiber_over_the_zero_subalgebra_keeps_its_dimension(self, capsys):
         # the tables of a fiber over h = 0 are empty, so its dimension comes
         # from the module: the 2-dimensional fiber is fixed by nu = I_2

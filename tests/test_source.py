@@ -188,7 +188,7 @@ def test_character_layer_is_integer_only():
 
 SPARSE_ELIMINATION = {
     "linalg": ("eliminate", "SpanBasis"),
-    "rootsys": ("Subalgebra.reduce", "Subalgebra.coords", "Subalgebra.contains", "Subalgebra.is_closed", "verma_walk"),
+    "rootsys": ("Subalgebra.reduce", "Subalgebra.coords", "Subalgebra.contains", "Subalgebra.is_closed", "verma_walk", "root_vectors"),
     "repthy": ("_build_irreducible",),
 }
 
@@ -218,7 +218,7 @@ def test_elimination_stays_off_object_arrays():
     # combination or dense zero test in their bodies (an np.ndarray
     # annotation marks a public boundary, not a use)
     dense = {"zeros", "combine", "is_zero", "fvec", "np"}
-    assert sum(len(targets) for targets in SPARSE_ELIMINATION.values()) == 8
+    assert sum(len(targets) for targets in SPARSE_ELIMINATION.values()) == 9
     found = [f for name, targets in SPARSE_ELIMINATION.items() for f in _names_in(name, targets, dense)]
     assert found == []
 
@@ -244,10 +244,16 @@ def test_exact_kernels_are_taken_from_sparse_columns():
     kernels = {
         "involution": ("_nu_kernel", "_centralizer_in_h", "is_adapted"),
         "spherical": ("normalizer",),
-        "rootsys": ("verma_walk",),
+        "rootsys": ("verma_walk", "root_vectors"),
         "repthy": ("_build_irreducible",),
     }
     assert [f for name, targets in kernels.items() for f in _names_in(name, targets, dense_stack)] == []
+
+
+def test_module_builder_reads_no_structure_constants():
+    # every root vector of a module comes from its own simple e_i and f_i by
+    # rootsys.root_vectors: the builder never reads the bracket table
+    assert _names_in("repthy", ("_build_irreducible",), {"_ad_columns"}) == []
 
 
 def test_bundle_layer_reads_column_tables():

@@ -321,6 +321,18 @@ def test_cartan_rows_are_the_rows_inside_the_cartan_span():
     assert standard_subalgebra(g, "nilradical").cartan_rows == []
 
 
+def test_cartan_part_combines_rows_outside_the_cartan_span():
+    # sl2 with first row h + e: no row lies in the Cartan span, and the
+    # combination e - (h + e) = -h is its Cartan part
+    g = parse_group("A1")
+    h, e, f = (g.gen_vector(*lab) for lab in g.basis_labels)
+    span = Subalgebra(g, [h + e, e, f])
+    assert span.cartan_rows == []
+    assert span.cartan_part == [{0: -1, 1: 1}]
+    assert span.charge((3,)) == (-3,)
+    assert invariant_multiplicity(g, span, (2,)) == invariant_multiplicity(g, standard_subalgebra(g, "full"), (2,)) == 0
+
+
 def test_a_cartan_only_h_counts_without_a_module(monkeypatch):
     def refuse(*args):
         raise AssertionError("a module was built")
