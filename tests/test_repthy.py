@@ -530,8 +530,8 @@ def test_action_is_a_lie_homomorphism(case):
     # extraspecial recursion (rootsys.root_vectors) from the module's own
     # simple e_i and f_i, never reading the structure constants;
     # action([x, y]) = [action(x), action(y)] on every pair of basis
-    # elements ties that recursion to bracket_table, which the seeds' run of
-    # it fixed
+    # elements ties that recursion to bracket_table, whose constants the
+    # same recursion fixed on the seeds
     name, label = case
     g = parse_group(name)
     mod = build_module(g, label)
