@@ -181,17 +181,18 @@ def _is_semisimple_element(group: Group, z: dict) -> bool:
     integer table m, which does not change diagonalizability.  The
     characteristic polynomial p of m comes from the Faddeev-LeVerrier
     recursion, whose tr/k steps divide exactly over the integers (Cohen, A
-    Course in Computational Algebraic Number Theory, 1993, section 2.2);
-    q = p / gcd(p, p') is then cleared of denominators and evaluated on m
-    by Horner's rule.
+    Course in Computational Algebraic Number Theory, 1993, section 2.2),
+    each step forming m M_k once, for its trace and for M_(k+1) = m M_k +
+    p_k I; q = p / gcd(p, p') is then cleared of denominators and evaluated
+    on m by Horner's rule.
     """
     n = group.dim
     (m,), _ = int_tables([group._ad_sparse(z)])
     ident = identity(n)
-    p, acc = [1], [[] for _ in range(n)]
+    p, m_acc = [1], [[] for _ in range(n)]
     for k in range(1, n + 1):
-        acc = table_sum([(1, product(m, acc)), (p[-1], ident)], n)
-        p.append(-sum(x for j, col in enumerate(product(m, acc)) for r, x in col if r == j) // k)
+        m_acc = product(m, table_sum([(1, m_acc), (p[-1], ident)], n))
+        p.append(-sum(x for j, col in enumerate(m_acc) for r, x in col if r == j) // k)
     a, b = p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
     while b:  # Euclid: a ends as gcd(p, p')
         a, b = b, _poly_divmod(a, b)[1]

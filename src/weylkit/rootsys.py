@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedTypeError,
     ensure,
 )
-from .linalg import F0, F1, SpanBasis, Table, apply_table, commutator, densify, eliminate, entries, eye, fr, image, nullspace, rref, sparse, table_sum, zeros
+from .linalg import F0, F1, SpanBasis, Table, apply_table, commutator, densify, eliminate, entries, eye, fr, image, integral, nullspace, rref, sparse, table_sum, zeros
 
 # Cartan matrices use the convention A[i][j] = <alpha_j, alpha_i^vee>, so
 # column j holds the fundamental-weight coordinates of alpha_j.  d[i] is the
@@ -418,23 +418,25 @@ class Group:
     def _exp_ad_int(self, x: dict, cols: Iterable[dict], den: int = 1) -> list[tuple[dict, int]]:
         """exp(ad x / den) on sparse integer columns, for an integer x: one
         (a, s) per column u, with exp(ad x / den) u = a / s and s > 0.  With
-        A = ad x, built once, the terms A^k u run until A^(n+1) u = 0, and
-        a = sum_k (n!/k!) den^(n-k) A^k u, s = n! den^n.  ad x must be
-        nilpotent there, or NonNilpotentDirectionError after dim + 1 terms."""
+        A = ad x, built once, the terms u, A u, ..., A^n u are kept up to the
+        last nonzero one, and a = sum_k c_k A^k u is summed once, from k = n
+        down, with c_n = 1 and c_(k-1) = c_k k den: c_k = (n!/k!) den^(n-k),
+        and s = c_0 = n! den^n.  ad x must be nilpotent there, or
+        NonNilpotentDirectionError when the term A^(dim+1) u is nonzero."""
         A = self._ad_sparse(x)
         out = []
         for u in cols:
-            acc = term = u
-            s = 1
-            for k in range(1, self.dim + 2):
-                term = image(A, term)
-                if not term:
-                    break
-                acc = {i: acc.get(i, 0) * k * den + term.get(i, 0) for i in acc.keys() | term.keys()}
-                s *= k * den
-            else:
-                raise NonNilpotentDirectionError("direction is not ad-nilpotent")
-            out.append(({i: a for i, a in acc.items() if a}, s))
+            terms = [u]
+            while term := image(A, terms[-1]):
+                if len(terms) > self.dim:
+                    raise NonNilpotentDirectionError("direction is not ad-nilpotent")
+                terms.append(term)
+            acc, c = dict(terms[-1]), 1
+            for k in range(len(terms) - 1, 0, -1):
+                c *= k * den
+                for i, a in terms[k - 1].items():
+                    acc[i] = acc.get(i, 0) + c * a
+            out.append(({i: a for i, a in acc.items() if a}, c))
         return out
 
     def exp_ad(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -679,13 +681,20 @@ class Subalgebra:
         rem, mult, _ = eliminate(sparse(v), self.rows, self.pivots)
         return None if rem else densify(mult, (self.dim,))
 
+    @cached_property
+    def _int_rows(self) -> list[dict[int, int]]:
+        """Each row times the lcm of its denominators: int echelon rows with
+        the same pivots, for zero tests only, since ``eliminate`` scales its
+        remainder by a factor that varies with the vector once a pivot
+        entry is not 1."""
+        return [integral(row)[0] for row in self.rows]
+
     def is_closed(self) -> bool:
-        """Each bracket of two rows, reduced by the rows, leaves nothing."""
-        g = self.group
+        """Each bracket of two rows, reduced by the rows, leaves nothing: on
+        the int rows, whose brackets the int structure constants keep int."""
+        g, rows = self.group, self._int_rows
         return not any(
-            eliminate(g.sparse_bracket(x, y), self.rows, self.pivots)[0]
-            for i, x in enumerate(self.rows)
-            for y in self.rows[i + 1 :]
+            eliminate(g.sparse_bracket(x, y), rows, self.pivots)[0] for i, x in enumerate(rows) for y in rows[i + 1 :]
         )
 
     def require_closed(self) -> None:

@@ -14,9 +14,10 @@ Cartan is parabolic iff it meets g_c or g_-c for every positive root c.
 A trial is integer arithmetic from start to finish: the structure
 constants of the Chevalley basis are integers, the sample's entries and
 torus parameters are integers, and scaling a column of Ad(g)h by a
-nonzero factor leaves its rank alone.  So the columns stay sparse int
-dicts through both exponentials and the torus, and one SpanBasis counts
-the rank of their e-rows.
+nonzero factor leaves its rank alone.  So h's rows are scaled to int once
+per subalgebra, not once per trial, the columns stay sparse int dicts
+through both exponentials and the torus, and one SpanBasis counts the rank
+of their e-rows.
 """
 
 from __future__ import annotations
@@ -25,17 +26,17 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import DegenerateInputError
-from .linalg import SpanBasis, eliminate, integral, nullspace
+from .linalg import SpanBasis, eliminate, nullspace
 from .rootsys import Group, Subalgebra
 
 DEFAULT_TRIALS = 32
 # Upper bound on a trial count taken from outside the program.  A span that
 # no sample certifies runs every trial; the G2 span {h_0, e_(0,1), e_(1,1),
-# f_(1,0), f_(2,1), f_(3,1)} is one.  On a 2-vCPU x86 host it takes 0.035 s
-# for 32 trials and 0.16 s for 128 within a process that has built G2's
-# tables, about 1.2 ms a trial, and 0.19 s and 0.32 s as one cold
-# `weylkit spherical` process each (the import takes 0.16 s), so the cap
-# keeps the worst case under a second.
+# f_(1,0), f_(2,1), f_(3,1)} is one.  On a 2-vCPU x86 host it takes 0.02 s
+# for 32 trials and 0.08 s for 128 within a process that has built G2's
+# tables, about 0.6 ms a trial, and 0.19 s and 0.24 s as one cold
+# `weylkit spherical` process each (the import takes 0.15 s; fastest of 9
+# runs), so the cap keeps the worst case under a second.
 MAX_TRIALS = 128
 
 
@@ -76,18 +77,17 @@ def _adjoint_of_sample(group: Group, params: dict, h: Subalgebra) -> list[dict[i
     subset, so generic rank is reached with probability one over growing
     integer boxes.
 
-    Everything stays in int: each row of h is scaled by the lcm of its
-    denominators, each exp(ad x) returns its columns times a positive scale,
-    and the torus acts by the integers n prod s_i^<gamma, alpha_i^vee> for
-    one nonzero n.  So each column is Ad(g)h's times a nonzero factor, and
+    Everything stays in int: the columns start as h's int rows (each row
+    times the lcm of its denominators, made once per subalgebra), each
+    exp(ad x) returns its columns times a positive scale, and the torus
+    acts by the integers n prod s_i^<gamma, alpha_i^vee> for one nonzero n.  So each column is Ad(g)h's times a nonzero factor, and
     the rank is Ad(g)h's.  The factors act on sparse columns one after another."""
     npos = len(group.posroots)
     borel_dim = group.dim - npos  # the e_c, then the f_c, take the last 2 npos positions
     xe = {borel_dim - npos + r: t for r, t in enumerate(params["e"]) if t}
     xf = {borel_dim + r: u for r, u in enumerate(params["f"]) if u}
-    cols = [integral(row)[0] for row in h.rows]
     torus = group._torus_scales(params["s"])[0]
-    cols = [{i: torus[i] * a for i, a in col.items()} for col, _ in group._exp_ad_int(xf, cols)]
+    cols = [{i: torus[i] * a for i, a in col.items()} for col, _ in group._exp_ad_int(xf, h._int_rows)]
     return [
         {i: a for i, a in col.items() if borel_dim - npos <= i < borel_dim}
         for col, _ in group._exp_ad_int(xe, cols)

@@ -378,6 +378,26 @@ GROUPS = ("A1", "A2", "B2", "A1xA1", "A1+T1")
 
 @SETTINGS
 @given(st.sampled_from(GROUPS), st.data())
+def test_int_rows_are_positive_int_multiples_of_the_rows(name, data):
+    # the spans of test_subalgebra_coords_round_trip_over_basis: each int
+    # row is all int, has its row's support and is a positive integer
+    # multiple of it, so its pivot is its row's
+    g = parse_group(name)
+    h = Subalgebra(g, [data.draw(vectors(g.dim)) for _ in range(data.draw(st.integers(0, 4)))])
+    assert len(h._int_rows) == h.dim
+    assert [min(w) for w in h._int_rows] == h.pivots
+    for row, w in zip(h.rows, h._int_rows):
+        assert all(type(x) is int for x in w.values())
+        assert w.keys() == row.keys()
+        ratio = {w[j] / row[j] for j in row}
+        assert len(ratio) == 1
+        (d,) = ratio
+        assert d.denominator == 1 and d >= 1
+    assert all(type(x) is Fraction for row in h.rows for x in row.values())
+
+
+@SETTINGS
+@given(st.sampled_from(GROUPS), st.data())
 def test_subalgebra_coords_round_trip_over_basis(name, data):
     g = parse_group(name)
     n_vecs = data.draw(st.integers(0, 4))

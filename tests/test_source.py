@@ -232,8 +232,9 @@ def test_invariant_count_reads_the_column_tables():
 def test_sphericality_trial_stays_integer_and_sparse():
     # a trial runs on int structure constants and sparse int columns, and
     # one SpanBasis counts its rank: no rational scalar, dense object array,
-    # dense torus matrix or dense rank is made in it
-    rational_or_dense = {"Fraction", "fr", "zeros", "column_stack", "fmat", "torus_ad", "rank"}
+    # dense torus matrix or dense rank is made in it, and h's rows come
+    # already int (Subalgebra._int_rows), not cleared again in every trial
+    rational_or_dense = {"Fraction", "fr", "zeros", "column_stack", "fmat", "torus_ad", "rank", "integral"}
     assert _names_in("spherical", ("_adjoint_of_sample", "_certifies"), rational_or_dense) == []
 
 
