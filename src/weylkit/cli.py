@@ -27,14 +27,7 @@ from .harmonic import (
     torus_sample,
     verify_projector_algebra,
 )
-from .involution import (
-    assemble_bundle_involution,
-    check_nu_size,
-    fiber_character,
-    fiber_restriction,
-    fiber_trivial,
-    restriction_unknowns,
-)
+from .involution import assemble_bundle_involution, fiber_character, fiber_restriction, fiber_trivial
 from .linalg import fr_input, fvec
 from .repthy import basis_weight, check_label, decompose_character
 from .rootsys import MAX_RANK, Group, Subalgebra, parse_group, standard_subalgebra
@@ -96,20 +89,18 @@ def _parse_subalgebra(group: Group, text: str) -> Subalgebra:
 
 
 def _parse_fiber(group: Group, h: Subalgebra, text: str):
-    """(unknowns, build) for a fiber spec, where build() returns the fiber:
-    the count of intertwiner unknowns is known before the fiber's module is
-    built."""
+    """The h-module a fiber spec names, built (so within DIM_CAP) and checked."""
     if text == "trivial":
-        return 1, lambda: fiber_trivial(group, h)
+        return fiber_trivial(group, h)
     if text.startswith("character:"):
         values = [fr_input(p.strip(), ParseError) for p in text[len("character:"):].split(",")]
-        return 1, lambda: fiber_character(group, h, values)
+        return fiber_character(group, h, values)
     if text.startswith("restriction:"):
         summands = parse_module_spec(group, text[len("restriction:"):])
         if len(summands) != 1 or summands[0][1] != 1:
             raise ParseError("restriction fiber takes a single irreducible label")
         label = summands[0][0]
-        return restriction_unknowns(group, h, label), lambda: fiber_restriction(group, h, label)
+        return fiber_restriction(group, h, label)
     raise ParseError(f"unknown fiber spec {text!r}")
 
 
@@ -248,16 +239,7 @@ def cmd_involution(args) -> int:
     try:
         g = parse_group(args.group)
         h = _parse_subalgebra(g, args.subalgebra)
-        unknowns, build_fiber = _parse_fiber(g, h, args.fiber)
-    except ToolkitError as exc:
-        return _usage_error(exc)
-    try:
-        # refused like the solve itself (exit 1), before the fiber module is built
-        check_nu_size(unknowns, h.dim)
-    except ToolkitError as exc:
-        return _emit_error(args, exc)
-    try:
-        fiber = build_fiber()
+        fiber = _parse_fiber(g, h, args.fiber)
     except ToolkitError as exc:
         return _usage_error(exc)
     try:

@@ -19,7 +19,6 @@ array they read of nu.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, isqrt, lcm, sqrt
@@ -37,7 +36,7 @@ from .errors import (
 )
 from .harmonic import sym_rep_matrix
 from .linalg import Table, commutator, eliminate, entries, fr, identity, image, int_tables, nullspace, product, table_sum
-from .repthy import DIM_CAP, build_module, check_label, weight_multiplicities, weyl_dim
+from .repthy import build_module, check_label
 from .rootsys import Group, Subalgebra, parse_group, standard_subalgebra
 from .sympoly import check_reductive
 
@@ -50,9 +49,8 @@ Weight = tuple[int, ...]
 # on all of them), 0.3 s for G2+T1 full w[1,1,-2] (443,760 entries) and
 # 1.3-1.9 s for the principal A2+T1 w[3,3,1] and A1xA1xA1 w[1,4,5] (about
 # 500,000); a cold CLI call on a 64-dimensional fiber over cartan takes 0.2 s.
-# A larger system, such as a fiber of dimension 28 or more over A1's
-# nilradical, is refused by check_nu_size before any column is built, and by
-# the CLI before the fiber module is built.
+# A larger system, such as a fiber of dimension 28 or more over A1's zero or
+# e + f, is refused by check_nu_size once h is decided, before any column.
 MAX_NU_ENTRIES = 600_000
 
 
@@ -365,19 +363,6 @@ def check_nu_size(unknowns: int, h_dim: int) -> None:
             f"intertwiner system of {unknowns} unknowns and {unknowns * h_dim} rows "
             f"exceeds {MAX_NU_ENTRIES} entries"
         )
-
-
-def restriction_unknowns(group: Group, h: Subalgebra, label) -> int:
-    """From the weights alone, at least the unknowns _nu_kernel keeps for
-    the restriction fiber of label under the Chevalley theta, whose sigma
-    fixes the Cartan span: A_ab stays iff the weights of a and b have one
-    ``h.charge``.  n^2 above DIM_CAP, where the module is refused anyway."""
-    if (n := weyl_dim(group, label)) > DIM_CAP:
-        return n * n
-    sizes: Counter = Counter()
-    for w, m in weight_multiplicities(group, label).items():
-        sizes[h.charge(w)] += m
-    return sum(s * s for s in sizes.values())
 
 
 def _twisted_actions(module: HModule, sigma: Table) -> list[tuple[Table, Table]]:

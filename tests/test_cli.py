@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import weylkit.errors as errors_mod
 from weylkit import involution
+from weylkit.catalog import load_catalog, run_catalog
 from weylkit.cli import main
 from weylkit.errors import ToolkitError
 from weylkit.spherical import MAX_TRIALS
@@ -315,10 +316,13 @@ class TestInvolution:
         assert "error non_reductive:" in out
 
     # [e, f] = h: the character's value 1 on h is not 0 = [rho e, rho f];
-    # span{e, f} of A1 lacks h, so it is no subalgebra
+    # span{e, f} of A1 lacks h, so it is no subalgebra; a label past the cap
+    # of 64 is refused as the module is built, whatever its unknowns
     FIBER_REFUSALS = [
         ("full", "character:1,0,0", "degenerate_input"),
         ("span:0,1,0;0,0,1", "trivial", "not_subalgebra"),
+        ("full", "restriction:w[64]", "dimension_cap"),
+        ("full", "restriction:w[1000]", "dimension_cap"),
     ]
 
     @pytest.mark.parametrize("subalgebra,fiber,code", FIBER_REFUSALS)
@@ -339,10 +343,7 @@ class TestInvolution:
         assert "Traceback" not in proc.stderr
         assert f"usage error ({code}):" in proc.stderr
 
-    def test_oversized_intertwiner_system_refused_before_any_block(self, capsys, monkeypatch):
-        import weylkit.involution as involution
-        import weylkit.repthy as repthy
-
+    def test_oversized_system_over_adapted_h_refused_before_nullspace(self, capsys, monkeypatch):
         real_nullspace = involution.nullspace
 
         def small_nullspace(cols):
@@ -352,21 +353,61 @@ class TestInvolution:
                 raise AssertionError("the intertwiner system reached nullspace")
             return real_nullspace(cols)
 
-        def refuse_module(*args, **kwargs):
-            # the unknowns and dim h are known before the 64-dim module
-            raise AssertionError("the fiber module was built for an oversized system")
-
         monkeypatch.setattr(involution, "nullspace", small_nullspace)
-        monkeypatch.setattr(repthy, "build_module", refuse_module)
-        monkeypatch.setattr(involution, "build_module", refuse_module)
-        # the nilradical has no Cartan row, so the weight test drops none of
-        # the 64^2 unknowns
+        # the span of e + f is adapted and has no Cartan part, so the weight
+        # test drops none of the 64^2 unknowns
         code, out, _ = _run(
-            capsys, "involution", "--group", "A1", "--subalgebra", "nilradical",
+            capsys, "involution", "--group", "A1", "--subalgebra", "span:0,1,1",
             "--fiber", "restriction:w[63]",
         )
         assert code == 1
         assert "error degenerate_input: intertwiner system of 4096 unknowns" in out
+
+    # every standard name of A1 but diagonal (which needs two simple
+    # factors), and the spans of e + f, of h + e and of {h, e}
+    AGREEMENT_SUBALGEBRAS = [
+        "full", "zero", "cartan", "borel", "nilradical", "principal",
+        "span:0,1,1", "span:1,1,0", "span:1,0,0;0,1,0",
+    ]
+    # on both sides of the size bound: a fiber of dimension 28 or more over
+    # an h with no Cartan part is refused
+    AGREEMENT_LABELS = [0, 1, 5, 26, 27, 40, 63]
+
+    @pytest.mark.parametrize("subalgebra", AGREEMENT_SUBALGEBRAS)
+    def test_cli_and_catalog_agree_at_every_fiber_size(self, capsys, tmp_path, subalgebra):
+        spec = subalgebra
+        if spec.startswith("span:"):
+            spec = {"span": [[int(x) for x in v.split(",")] for v in spec[len("span:"):].split(";")]}
+        entries = [
+            {
+                "id": f"w{k:02d}",
+                "group": "A1",
+                "subalgebra": spec,
+                "module": {"fiber": ["restriction", [k]]},
+                "expected": {"involution": {"verdict": "verified", "provenance": "derived_oracle", "note": "probe"}},
+            }
+            for k in self.AGREEMENT_LABELS
+        ]
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps({"schema_version": 1, "entries": entries}))
+        rows = run_catalog(load_catalog(str(path)))["rows"]
+        catalog = [row["verdict"] for row in rows]
+        cli = []
+        for k in self.AGREEMENT_LABELS:
+            code, out, err = _run(
+                capsys, "involution", "--group", "A1", "--subalgebra", subalgebra,
+                "--fiber", f"restriction:w[{k}]", "--format", "structured",
+            )
+            if code == 2:
+                cli.append("error:" + re.match(r"usage error \((\w+)\)", err).group(1))
+            else:
+                payload = json.loads(out)
+                cli.append("verified" if code == 0 else "error:" + payload["error"])
+        assert cli == catalog
+        # a refusal of h itself comes before the size bound, so it reads the
+        # same at every fiber size
+        if cli[0] != "verified":
+            assert set(cli) == {cli[0]}
 
     def test_weight_test_admits_a_64_dimensional_fiber(self, capsys):
         # the Cartan rows keep 172 of the 64^2 unknowns, so the system fits

@@ -283,3 +283,27 @@ def test_one_module_builder():
     defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert "_build_irreducible" in defined
     assert defined & {"_tensor_apply", "_extract_submodule", "_build_ss"} == set()
+
+
+# (module, name) -> why a top-level import may stay unused in its module
+UNUSED_IMPORTS = {
+    ("repthy", "rref"): "the benchmark tracer and its tests patch repthy.rref",
+}
+
+
+def test_library_imports_are_used():
+    # no linter is installed, so this rule stands in for one: every name a
+    # module imports at top level is read somewhere in that module
+    root = Path(weylkit.__file__).parent
+    unused = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                bound |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {(path.stem, name) for name in bound if name not in read}
+    assert unused == set(UNUSED_IMPORTS)
