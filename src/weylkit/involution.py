@@ -98,9 +98,9 @@ class InvolutionSpec:
 
 
 def _chevalley_table(group: Group) -> Table:
-    """The signed permutation -1 on each h_i and t_j, e_c -> -f_c, f_c -> -e_c."""
+    """The signed permutation -1 on each h_i and t_j, e_c -> -f_c, f_c -> -e_c, on ints."""
     swap = {"h": "h", "t": "t", "e": "f", "f": "e"}
-    return [[(group._index[(swap[kind], tag)], fr(-1))] for kind, tag in group.basis_labels]
+    return [[(group._index[(swap[kind], tag)], -1)] for kind, tag in group.basis_labels]
 
 
 def build_weyl_involution(group: Group) -> InvolutionSpec:

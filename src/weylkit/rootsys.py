@@ -16,8 +16,12 @@ irreducible module (the defining modules for A1/A2, the 4-dimensional
 spinor for B2, the 7-dimensional module for G2).  ``root_vectors`` writes
 the other root vectors of the seeds and of every module by the
 extraspecial-pair recursion, which pins every sign.  Each seed commutator
-is expressed within its weight space, and one table of the nonzero
-constants, exact over the rationals, drives ad, the bracket and exp(ad x).
+is formed on int entries whose indices meet and expressed within its weight
+space: by one division over a root space's single seed, through a SpanBasis
+over the Cartan span.  One int table of the nonzero constants drives ad,
+the bracket and exp(ad x); the invariant form is summed from it over pairs
+of opposite weight only, as one sparse int dict (``Group.form_entries``),
+from which the dense Killing and invariant forms are built.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import lcm, prod
 from typing import Iterable, Sequence
 
@@ -40,7 +44,7 @@ from .errors import (
     UnsupportedTypeError,
     ensure,
 )
-from .linalg import F0, F1, SpanBasis, Table, apply_table, commutator, densify, eliminate, entries, eye, fr, image, integral, nullspace, rref, sparse, table_sum, zeros
+from .linalg import F0, F1, SpanBasis, Table, apply_table, commutator, densify, eliminate, entries, eye, fr, image, integral, nullspace, rref, sparse, table_sum
 
 # Cartan matrices use the convention A[i][j] = <alpha_j, alpha_i^vee>, so
 # column j holds the fundamental-weight coordinates of alpha_j.  d[i] is the
@@ -66,12 +70,15 @@ Weight = tuple[int, ...]
 
 
 def _commutator(a: dict, b: dict) -> dict[tuple[int, int], int]:
-    """ab - ba for sparse int matrices {(row, col): nonzero entry}, as one."""
+    """ab - ba for sparse int matrices held by row, {row: [(col, nonzero
+    entry)]}, as {(row, col): nonzero entry}: only entries whose indices
+    meet are multiplied."""
     out: dict[tuple[int, int], int] = {}
     for x, y, sign in ((a, b, 1), (b, a, -1)):
-        for ((i, j), s), ((k, l), t) in product(x.items(), y.items()):
-            if j == k:
-                out[i, l] = out.get((i, l), 0) + sign * s * t
+        for i, row in x.items():
+            for j, s in row:
+                for l, t in y.get(j, ()):
+                    out[i, l] = out.get((i, l), 0) + sign * s * t
     return {p: v for p, v in out.items() if v != 0}
 
 
@@ -286,10 +293,7 @@ class Group:
 
     @cached_property
     def dvec(self) -> list[int]:
-        out: list[int] = []
-        for f in self.factors:
-            out.extend(f["d"])
-        return out
+        return [x for f in self.factors for x in f["d"]]
 
     def root_fc(self, c: tuple[int, ...]) -> tuple[int, ...]:
         """Simple-root coordinates -> fundamental coordinates (fc = A c),
@@ -305,10 +309,7 @@ class Group:
     def cartan_inverse(self) -> np.ndarray:
         """A^{-1}, exact: the one elimination every weight computation shares."""
         r = self.rank
-        aug = zeros(r, 2 * r)
-        aug[:, :r] = self.cartan_matrix
-        aug[:, r:] = eye(r)
-        red, piv = rref(aug)
+        red, piv = rref(np.hstack([self.cartan_matrix, eye(r)]))
         ensure(piv == list(range(r)), "Cartan matrix is singular")
         return red[:, r:]
 
@@ -325,12 +326,8 @@ class Group:
 
     @cached_property
     def basis_labels(self) -> list[tuple[str, object]]:
-        labels: list[tuple[str, object]] = []
-        labels += [("h", i) for i in range(self.rank)]
-        labels += [("t", j) for j in range(self.torus_dim)]
-        labels += [("e", c) for c in self.posroots]
-        labels += [("f", c) for c in self.posroots]
-        return labels
+        cartan = [("h", i) for i in range(self.rank)] + [("t", j) for j in range(self.torus_dim)]
+        return cartan + [("e", c) for c in self.posroots] + [("f", c) for c in self.posroots]
 
     @cached_property
     def _index(self) -> dict[tuple[str, object], int]:
@@ -340,9 +337,7 @@ class Group:
         """Coordinate vector of a basis element: ("h", i), ("t", j),
 
         ("e", root) or ("f", root) with the root in simple coordinates."""
-        v = zeros(self.dim)
-        v[self._index[(kind, which)]] = F1
-        return v
+        return densify({self._index[(kind, which)]: F1}, (self.dim,))
 
     def simple_root(self, i: int) -> tuple[int, ...]:
         return _unit(self.rank, i)
@@ -352,12 +347,14 @@ class Group:
         """The nonzero structure constants: table[k] is the column table of
         ad(b_k), so table[k][j] lists the (i, c) with [b_k, b_j] = sum c b_i,
         i ascending.  Seeds of two weights (h -> 0, e_c -> c, f_c -> -c)
-        occupy disjoint positions, and a commutator lies on, and is
-        expressed over, the seeds of its weight.  Each factor's seeds are
-        scaled by the lcm D of their denominators, so the commutators run on
-        int entries and each coordinate is divided by D.  The constants of a
-        Chevalley basis (Humphreys, sec. 25.2) are integers, each checked to
-        be one, so the table is int."""
+        occupy disjoint positions, and a commutator lies on the seeds of its
+        weight.  A factor's seeds, scaled to ints by the lcm D of their
+        denominators, are indexed by row once, so each commutator multiplies
+        only entries whose indices meet.  Over a root space's one seed m, a
+        commutator's coordinate is one exact division, checked by
+        proportionality; a span of several seeds (the Cartan one, rank >= 2)
+        expresses it through a SpanBasis.  Divided by D, each is a constant
+        of a Chevalley basis (Humphreys, sec. 25.2), checked to be an int."""
         table: list[Table] = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
         for seeds in self.factor_seeds:
             D = lcm(*(x.denominator for m in seeds.values() for x in m.values()))
@@ -365,25 +362,32 @@ class Group:
             for (kind, c), m in seeds.items():
                 wt = (0,) * self.rank if kind == "h" else tuple(-x for x in c) if kind == "f" else c
                 spaces.setdefault(wt, []).append((self._index[(kind, c)], {p: int(x * D) for p, x in m.items()}))
-            local = [(ik, wt, ents) for wt, members in spaces.items() for ik, ents in members]
+            local = []  # (basis index, weight, the D entries by row)
             for wt, members in spaces.items():
                 span = SpanBasis()
-                for _, ents in members:
+                for ik, ents in members:
                     ensure(span.add(ents), "seed representation not faithful")
-                spaces[wt] = ([ik for ik, _ in members], set().union(*(ents for _, ents in members)), span)
-            pos = [p for _, ps, _ in spaces.values() for p in ps]
+                    local.append((ik, wt, {i: [(j, x) for (k, j), x in ents.items() if k == i] for i in {i for i, _ in ents}}))
+                spaces[wt] = ([ik for ik, _ in members], set().union(*(ents for _, ents in members)), span, members[0][1])
+            pos = [p for _, ps, _, _ in spaces.values() for p in ps]
             ensure(len(pos) == len(set(pos)), "seeds of two weights overlap")
-            for (ia, wa, ea), (ib, wb, eb) in combinations(local, 2):
-                br = _commutator(ea, eb)
+            for (ia, wa, ma), (ib, wb, mb) in combinations(local, 2):
+                br = _commutator(ma, mb)
                 if not br:
                     continue
-                members, pos, span = spaces.get(tuple(map(sum, zip(wa, wb))), ([], set(), None))
+                members, pos, span, m = spaces.get(tuple(map(sum, zip(wa, wb))), ([], set(), None, None))
                 ensure(br.keys() <= pos, "bracket left its weight space")
-                coords = span.express(br)
-                ensure(coords is not None, "bracket left the algebra span")
-                coords = [(k, c / D) for k, c in coords]
-                ensure(all(c.denominator == 1 for _, c in coords), "structure constant is not an integer")
-                table[ia][ib] = [(members[k], int(c)) for k, c in coords]
+                if len(members) == 1:  # br = (n / d) m
+                    p, d = next(iter(m.items()))
+                    n = br.get(p, 0)
+                    ensure(all(br.get(q, 0) * d == n * x for q, x in m.items()), "bracket left the algebra span")
+                    coords = [(0, n, d)]
+                else:
+                    coords = span.express(br)
+                    ensure(coords is not None, "bracket left the algebra span")
+                    coords = [(k, c.numerator, c.denominator) for k, c in coords]
+                ensure(all(n % (d * D) == 0 for _, n, d in coords), "structure constant is not an integer")
+                table[ia][ib] = [(members[k], n // (d * D)) for k, n, d in coords]
                 table[ib][ia] = [(ik, -c) for ik, c in table[ia][ib]]
         return table
 
@@ -489,27 +493,37 @@ class Group:
         return densify({(p, p): Fraction(x, n) for p, x in enumerate(w)}, (self.dim, self.dim))
 
     @cached_property
-    def killing_form(self) -> np.ndarray:
-        """tr(ad b_k ad b_l) = sum of (ad b_k)[i, j] (ad b_l)[j, i] over the
-        nonzero structure constants, on integers."""
+    def form_entries(self) -> dict[tuple[int, int], int]:
+        """The nonzero entries of the invariant form, on ints: the Killing
+        traces tr(ad b_k ad b_l) = sum of (ad b_k)[i, j] (ad b_l)[j, i], and
+        1 on each central torus direction.  ad b_k ad b_l moves each weight
+        by wt_k + wt_l, so its trace vanishes unless the two weights are
+        opposite (Humphreys, sec. 8.1): only those pairs are summed."""
+        n, r = self.weight_len, len(self.posroots)
+        # the indices of weight opposite to b_k's: the Cartan span's for its own, f_c for e_c, e_c for f_c
+        opposite = [range(n)] * n + [[k + r] for k in range(n, n + r)] + [[k - r] for k in range(n + r, self.dim)]
         ads = [entries(table) for table in self._ad_columns]
-        traces = {
-            (k, m): sum(c * b.get((j, i), 0) for (i, j), c in a.items())
-            for (k, a), (m, b) in product(enumerate(ads), repeat=2)
-        }
-        return densify({p: fr(t) for p, t in traces.items() if t}, (self.dim, self.dim))
+        out = {(p, p): 1 for p in range(self.rank, n)}
+        for k, a in enumerate(ads):
+            for m in opposite[k]:
+                if t := sum(c * ads[m].get((j, i), 0) for (i, j), c in a.items()):
+                    out[k, m] = t
+        return out
+
+    @cached_property
+    def killing_form(self) -> np.ndarray:
+        """tr(ad b_k ad b_l) as an exact dense array: ``form_entries`` off
+        the central torus, where the Killing form vanishes."""
+        n = self.weight_len
+        return densify({(k, m): fr(t) for (k, m), t in self.form_entries.items() if not self.rank <= k < n}, (self.dim,) * 2)
 
     @cached_property
     def invariant_form(self) -> np.ndarray:
-        """Killing form extended by the identity on central torus coordinates
-
-        (the honest Killing form vanishes there, which would misreport every
-        subalgebra meeting the center as non-reductive)."""
-        k = self.killing_form.copy()
-        for j in range(self.torus_dim):
-            idx = self._index[("t", j)]
-            k[idx, idx] = k[idx, idx] + F1
-        return k
+        """``form_entries`` as an exact dense array: the Killing form extended
+        by the identity on central torus coordinates (the honest Killing form
+        vanishes there, which would misreport every subalgebra meeting the
+        center as non-reductive)."""
+        return densify({p: fr(t) for p, t in self.form_entries.items()}, (self.dim,) * 2)
 
     # ---- weights and the Weyl group ----------------------------------------
 
@@ -577,13 +591,11 @@ def parse_group(name: str) -> Group:
     base = parts[0]
     torus = 0
     if len(parts) == 2:
-        m = re.fullmatch(r"T([0-9]+)", parts[1])
-        if not m:
+        if not (m := re.fullmatch(r"T([0-9]+)", parts[1])):
             raise ParseError(f"torus suffix must look like T1, got {parts[1][:40]!r}")
         torus = _torus_dim(m.group(1))
     letters: list[str] = []
-    m = re.fullmatch(r"T([0-9]+)", base)
-    if m:
+    if m := re.fullmatch(r"T([0-9]+)", base):
         if len(parts) == 2:
             raise ParseError(f"two torus blocks in {name[:40]!r}")
         torus = _torus_dim(m.group(1))
@@ -610,7 +622,8 @@ def parse_group(name: str) -> Group:
 
 
 class Subalgebra:
-    """A linear subspace of the Lie algebra, stored as an echelonized basis.
+    """A linear subspace of the Lie algebra, stored as echelonized sparse
+    rows; the dense ``basis`` is made on first read.
 
     Closure under the bracket is checked on demand, not at construction:
     several ops accept arbitrary subspaces and report their own errors.
@@ -619,19 +632,21 @@ class Subalgebra:
 
     def __init__(self, group: Group, vectors: Iterable[np.ndarray | dict], name: str | None = None):
         self.group = group
-        # rows[i] (basis[i] densified) is 1 at pivots[i], its least position, and
-        # 0 at the pivots before it: each vector reduced by the rows kept so far
+        # rows[i] is 1 at pivots[i], its least position, and 0 at the pivots
+        # before it: each vector reduced by the rows kept so far
         self.rows: list[dict[int, Fraction]] = []
-        self.basis: list[np.ndarray] = []
         self.pivots: list[int] = []
         for v in vectors:
             rem = eliminate(sparse(v), self.rows, self.pivots)[0]
             if rem:
                 piv = min(rem)
                 self.rows.append({j: x / rem[piv] for j, x in rem.items()})
-                self.basis.append(densify(self.rows[-1], (group.dim,)))
                 self.pivots.append(piv)
         self.name = name
+
+    @cached_property
+    def basis(self) -> list[np.ndarray]:
+        return [densify(z, (self.group.dim,)) for z in self.rows]
 
     @property
     def dim(self) -> int:
@@ -650,19 +665,15 @@ class Subalgebra:
         positions from weight_len on) cancel.  Such an element z acts on a
         vector of weight w by the scalar sum_p z_p w_p (``charge``)."""
         n = self.group.weight_len
+        if all(max(z) < n or min(z) >= n for z in self.rows):  # no row mixes the two
+            return [{k: F1} for k in self.cartan_rows]
         return nullspace([{p: x for p, x in z.items() if p >= n} for z in self.rows])
 
     @cached_property
     def _cartan_elements(self) -> list[dict[int, Fraction]]:
         """The elements ``cartan_part`` names, as sparse vectors."""
-        out = []
-        for v in self.cartan_part:
-            z: dict[int, Fraction] = {}
-            for k, a in v.items():
-                for p, c in self.rows[k].items():
-                    z[p] = z.get(p, 0) + a * c
-            out.append({p: x for p, x in z.items() if x})
-        return out
+        rows = [z.items() for z in self.rows]  # the table whose columns are the rows
+        return [image(rows, v) for v in self.cartan_part]
 
     def charge(self, w: Sequence[int]) -> tuple:
         """The scalars by which the basis ``cartan_part`` acts on a vector of
@@ -703,8 +714,7 @@ class Subalgebra:
             raise NotSubalgebraError("span is not closed under the bracket")
 
     def __repr__(self) -> str:
-        tag = self.name or "span"
-        return f"Subalgebra({self.group.name}, {tag}, dim={self.dim})"
+        return f"Subalgebra({self.group.name}, {self.name or 'span'}, dim={self.dim})"
 
 
 _STANDARD_NAMES = ("full", "zero", "cartan", "borel", "nilradical", "diagonal", "principal")
@@ -722,32 +732,21 @@ def standard_subalgebra(group: Group, name: str) -> Subalgebra:
     """
     if name not in _STANDARD_NAMES:
         raise UnknownNameError(f"no standard subalgebra named {name!r}")
-    g = group
-    if name == "full":
-        return Subalgebra(g, [g.gen_vector(*lab) for lab in g.basis_labels], name)
-    if name == "zero":
-        return Subalgebra(g, [], name)
-    cartan = [g.gen_vector("h", i) for i in range(g.rank)]
-    cartan += [g.gen_vector("t", j) for j in range(g.torus_dim)]
-    if name == "cartan":
-        return Subalgebra(g, cartan, name)
-    if name == "borel":
-        downs = [g.gen_vector("f", c) for c in g.posroots]
-        return Subalgebra(g, cartan + downs, name)
-    if name == "nilradical":
-        return Subalgebra(g, [g.gen_vector("f", c) for c in g.posroots], name)
+    g, idx = group, group._index  # each vector a sparse {position: 1} sum of basis elements
+    cartan = [{k: F1} for k in range(g.weight_len)]
+    downs = [{idx[("f", c)]: F1} for c in g.posroots]
+    spans = {"full": [{k: F1} for k in range(g.dim)], "zero": [], "cartan": cartan, "borel": cartan + downs, "nilradical": downs}
+    if name in spans:
+        return Subalgebra(g, spans[name], name)
     if name == "diagonal":
         if g.torus_dim or len(g.letters) != 2 or g.letters[0] != g.letters[1]:
-            raise DegenerateInputError(
-                "diagonal needs exactly two equal simple factors and no torus"
-            )
-        vecs = [g.gen_vector(*a) + g.gen_vector(*b) for a, b in zip(*g.factor_seeds)]
-        return Subalgebra(g, vecs, name)
+            raise DegenerateInputError("diagonal needs exactly two equal simple factors and no torus")
+        return Subalgebra(g, [{idx[a]: F1, idx[b]: F1} for a, b in zip(*g.factor_seeds)], name)
     # principal: e = sum of simple e_i, h with alpha_i(h) = 2 for all i,
     # hence h = sum c_j h_j with A^T c = 2*ones, and f = sum c_i f_i.
     if g.rank == 0:
         raise DegenerateInputError("principal needs a semisimple part")
-    inv, idx = g.cartan_inverse, g._index
+    inv = g.cartan_inverse
     c = [2 * sum(inv[j, i] for j in range(g.rank)) for i in range(g.rank)]
     e = {idx[("e", g.simple_root(i))]: F1 for i in range(g.rank)}
     f = {idx[("f", g.simple_root(i))]: x for i, x in enumerate(c)}

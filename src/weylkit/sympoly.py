@@ -195,11 +195,12 @@ def is_mf_coordinate_ring(
 
 def check_reductive(group: Group, h: Subalgebra) -> None:
     """Nondegeneracy of the restricted invariant form, the workhorse test
-    for reductivity of a subalgebra in a reductive ambient algebra."""
-    form, rows = group.invariant_form, h.rows
+    for reductivity of a subalgebra in a reductive ambient algebra.  The
+    form is read from its sparse int entries (``Group.form_entries``)."""
+    form, rows = group.form_entries, h.rows
     span = SpanBasis()  # the rows of the Gram matrix: row i is (b_i, b_j) over j
     for x in rows:
-        span.add({j: sum(c * form[p, q] * d for p, c in x.items() for q, d in y.items()) for j, y in enumerate(rows)})
+        span.add({j: sum(x[p] * t * y[q] for (p, q), t in form.items() if p in x and q in y) for j, y in enumerate(rows)})
     if len(span) != h.dim:
         raise NonReductiveError(
             "invariant form degenerates on the subalgebra; not reductive"

@@ -95,6 +95,15 @@ class TestInvolutionSpecs:
         assert th.squares_to_identity()
         assert th.is_automorphism()
 
+    @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A1xA1", "A1xG2", "A1xA1xA1", "G2+T1", "A1xA1+T1", "T2"])
+    def test_chevalley_and_sigma_tables_are_int(self, name):
+        # theta is a signed permutation and sigma = tau theta its square: both
+        # tables hold int entries, so theta, tau and sigma apply on ints
+        g = parse_group(name)
+        for spec in (build_weyl_involution(g), build_sigma(g)):
+            assert all(type(x) is int for col in spec.table for _, x in col)
+            assert sum(len(col) for col in spec.table) == g.dim
+
     def test_cartan_conjugation_matches_chevalley_matrix(self):
         g = parse_group("A2")
         th = build_weyl_involution(g)

@@ -41,6 +41,7 @@ from weylkit.involution import (
     solve_nu,
 )
 from weylkit.linalg import (
+    F1,
     SpanBasis,
     densify,
     eliminate,
@@ -72,6 +73,7 @@ from weyl_references import (
     labels_up_to_dim,
     matmul,
     nonzero_columns,
+    supported_names,
     tensor_apply,
 )
 
@@ -862,6 +864,51 @@ def test_subalgebra_from_dicts_equals_one_from_dense_vectors(name, data):
                 coords = h.coords(v)
                 assert (coords is None) == (want_coords is None)
                 assert coords is None or _typed(coords) == _typed(want_coords)
+
+
+def _cartan_part_by_nullspace(h):
+    """The kernel of the rows' root parts, as cartan_part finds it when a
+    row mixes the Cartan span and the root spaces."""
+    n = h.group.weight_len
+    return nullspace([{p: x for p, x in z.items() if p >= n} for z in h.rows])
+
+
+def _typed_rows(rows):
+    return [sorted((k, x, type(x)) for k, x in z.items()) for z in rows]
+
+
+@SETTINGS
+@given(st.sampled_from(GROUPS), st.data())
+def test_cartan_part_short_cut_equals_the_nullspace(name, data):
+    # the spans of test_subalgebra_coords_round_trip_over_basis, each vector
+    # kept whole or cut to its Cartan or its root part, so that both the
+    # unit-vector short cut (no row mixes the two) and the nullspace run
+    g = parse_group(name)
+    vecs = [data.draw(vectors(g.dim)) for _ in range(data.draw(st.integers(0, 4)))]
+    for v in vecs:
+        part = data.draw(st.sampled_from(("whole", "cartan", "roots")))
+        if part == "cartan":
+            v[g.weight_len :] = Fraction(0)
+        elif part == "roots":
+            v[: g.weight_len] = Fraction(0)
+    h = Subalgebra(g, vecs)
+    assert _typed_rows(h.cartan_part) == _typed_rows(_cartan_part_by_nullspace(h))
+
+
+@pytest.mark.parametrize("name", supported_names())
+def test_cartan_part_of_every_standard_name_is_its_cartan_rows(name):
+    # every row of a standard subalgebra lies wholly in the Cartan span or
+    # wholly in the root spaces, so cartan_part is the short cut's unit vectors
+    g = parse_group(name)
+    for sub in _STANDARD_NAMES:
+        try:
+            h = standard_subalgebra(g, sub)
+        except DegenerateInputError:
+            continue
+        n = g.weight_len
+        assert all(max(z) < n or min(z) >= n for z in h.rows), sub
+        want = _cartan_part_by_nullspace(h)
+        assert _typed_rows(h.cartan_part) == _typed_rows(want) == _typed_rows([{k: F1} for k in h.cartan_rows]), sub
 
 
 STANDARD_GROUPS = EXP_GROUPS + ("A1+T1", "B2+T1", "G2+T1", "A1xA1+T1", "A1+T2", "T2", "T3")

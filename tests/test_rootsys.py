@@ -23,12 +23,16 @@ from weylkit import rootsys
 from weylkit.linalg import F0, F1, eye, fr, fvec, zeros
 from weylkit.rootsys import Group, Subalgebra, parse_group, standard_subalgebra
 from weyl_references import (
+    all_pairs_ad_columns,
+    all_pairs_invariant_form,
+    all_pairs_killing_form,
     apply_matrix,
     apply_word,
     dense_ad_basis,
     flat_span_bracket_table,
     is_zero,
     matmul,
+    supported_names,
     weyl_matrices,
     word_matrix,
     wform,
@@ -301,21 +305,7 @@ def test_dual_labels():
     assert t.dual_label((1, 0, 5)) == ((0, 1, -5))
 
 
-def _supported_names():
-    """Every canonical descriptor parse_group accepts: simple factors in any
-    order and a central torus, simple ranks plus torus dimension at most 3."""
-    ranks = {"A1": 1, "A2": 2, "B2": 2, "G2": 2}
-    names = []
-    for count in range(4):
-        for letters in itertools.product(ranks, repeat=count):
-            r = sum(ranks[x] for x in letters)
-            for k in range(max(1 - r, 0), 4 - r):
-                base = "x".join(letters)
-                names.append(f"{base}+T{k}" if base and k else base or f"T{k}")
-    return names
-
-
-@pytest.mark.parametrize("name", _supported_names())
+@pytest.mark.parametrize("name", supported_names())
 def test_dual_label_is_minus_w0_of_label(name):
     g = parse_group(name)
     w0 = word_matrix(g, g.weyl_elements[-1][1])
@@ -389,6 +379,27 @@ def test_killing_form_equals_trace_of_dense_products(name):
     cols = np.array([a.T.reshape(-1) for a in ads])
     want = matmul(rows, cols.T)
     assert all(a == b and type(a) is Fraction for a, b in zip(g.killing_form.flat, want.flat))
+
+
+REFERENCE_GROUPS = [
+    "A1", "A2", "B2", "G2", "A1xA1", "A1xA2", "A1xB2", "A1xG2", "A1xA1xA1",
+    "A1+T1", "A2+T1", "B2+T1", "G2+T1", "A1xA1+T1", "T1", "T2", "T3",
+]
+
+
+@pytest.mark.parametrize("name", REFERENCE_GROUPS)
+def test_tables_equal_the_all_pairs_reference(name):
+    # weight-matched int loops give the all-pairs derivation's tables, values
+    # and types alike: int structure constants, dense Fraction forms
+    g = parse_group(name)
+    got, want = g._ad_columns, all_pairs_ad_columns(g)
+    assert got == want
+    assert [[[type(c) for _, c in col] for col in t] for t in got] == [[[int] * len(col) for col in t] for t in want]
+    for form, ref in ((g.killing_form, all_pairs_killing_form(g)), (g.invariant_form, all_pairs_invariant_form(g))):
+        assert form.shape == ref.shape == (g.dim, g.dim)
+        assert all(a == b and type(a) is type(b) is Fraction for a, b in zip(form.flat, ref.flat))
+    assert g.form_entries == {(k, m): int(x) for (k, m), x in np.ndenumerate(g.invariant_form) if x}
+    assert all(type(x) is int for x in g.form_entries.values())
 
 
 @pytest.mark.parametrize("letter", sorted(rootsys._SEED_DATA))
@@ -472,6 +483,19 @@ def test_dependent_seeds_of_one_weight_are_not_faithful():
     g = Group(("A2",), 0, "A2")
     g.__dict__["factor_seeds"] = [seeds]
     with pytest.raises(InternalInvariantError, match="seed representation not faithful"):
+        g.bracket_table
+
+
+@pytest.mark.parametrize("name, root", [("A1", (1,)), ("A2", (0, 1)), ("G2", (1, 1))])
+def test_a_halved_seed_gives_a_constant_that_is_not_an_integer(name, root):
+    # the first half-integral constant is met over A1's one Cartan seed and
+    # G2's root space (1, 0), by the division, and for A2, whose halved
+    # e_(0,1) meets f_(0,1) first, in the Cartan span, through its SpanBasis
+    seeds = {lab: dict(m) for lab, m in parse_group(name).factor_seeds[0].items()}
+    seeds[("e", root)] = {p: x / 2 for p, x in seeds[("e", root)].items()}
+    g = Group((name,), 0, name)
+    g.__dict__["factor_seeds"] = [seeds]
+    with pytest.raises(InternalInvariantError, match="structure constant is not an integer"):
         g.bracket_table
 
 

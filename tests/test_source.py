@@ -307,3 +307,26 @@ def test_library_imports_are_used():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused |= {(path.stem, name) for name in bound if name not in read}
     assert unused == set(UNUSED_IMPORTS)
+
+
+def test_group_setup_and_reductivity_test_stay_int_and_sparse():
+    # the structure constants come from int seed entries indexed by row, and
+    # the reductivity test reads the invariant form's sparse int entries: no
+    # dense array, rational scalar or dense form is made or read in them
+    dense_or_rational = {"np", "densify", "zeros", "Fraction", "fr", "invariant_form", "killing_form"}
+    found = _names_in("rootsys", ("Group._ad_columns",), dense_or_rational)
+    found += _names_in("sympoly", ("check_reductive",), dense_or_rational)
+    assert found == []
+
+
+def test_subalgebras_are_built_from_sparse_rows():
+    # a Subalgebra keeps sparse rows and densifies its basis only when read,
+    # and the standard names pass sparse {position: 1} vectors
+    dense = {"densify", "zeros", "gen_vector"}
+    found = _names_in("rootsys", ("Subalgebra.__init__", "standard_subalgebra"), dense)
+    assert found == []
+
+
+def test_chevalley_table_is_int():
+    # theta's signed permutation holds int -1, so theta, tau and sigma apply on ints
+    assert _names_in("involution", ("_chevalley_table",), {"fr"}) == []

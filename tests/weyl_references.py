@@ -38,12 +38,18 @@ dense helpers it used before for them: ``fmat`` builds an exact matrix,
 ``combine`` forms a linear combination of vectors or matrices, ``matmul``
 a product from the nonzero entries of its factors, and ``is_zero`` tests
 an exact array for zero, with ``seed_matrices`` for the dense seeds and
-the standard subalgebras built from dense vectors.
+the standard subalgebras built from dense vectors.  It forms each seed
+commutator on int entries indexed by row, expresses it over a root space's
+one seed by a division, and sums the Killing traces over pairs of opposite
+weight only; here is the all-pairs derivation it used before
+(``all_pairs_ad_columns``): every pair of seed entries multiplied, each
+commutator expressed through its weight space's ``SpanBasis``, and the
+trace of every one of the dim^2 products ad b_k ad b_l.
 """
 
 import itertools
 from functools import cache, lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -55,7 +61,7 @@ from weylkit.errors import (
     ensure,
 )
 from weylkit.involution import _nu_kernel
-from weylkit.linalg import F0, F1, eye, fr, fvec, rref, zeros
+from weylkit.linalg import F0, F1, SpanBasis, entries, eye, fr, fvec, rref, zeros
 from weylkit.repthy import (
     Module,
     _add,
@@ -138,6 +144,20 @@ def seed_matrices(seeds):
         for p, x in m.items():
             out[lab][p] = fr(x)
     return out
+
+
+def supported_names():
+    """Every canonical descriptor parse_group accepts: simple factors in any
+    order and a central torus, simple ranks plus torus dimension at most 3."""
+    ranks = {"A1": 1, "A2": 2, "B2": 2, "G2": 2}
+    names = []
+    for count in range(4):
+        for letters in itertools.product(ranks, repeat=count):
+            r = sum(ranks[x] for x in letters)
+            for k in range(max(1 - r, 0), 4 - r):
+                base = "x".join(letters)
+                names.append(f"{base}+T{k}" if base and k else base or f"T{k}")
+    return names
 
 
 def reflection_matrices(g):
@@ -396,6 +416,68 @@ def flat_span_bracket_table(g):
                 table[ia][ib] = v
                 table[ib][ia] = -v
     return table
+
+
+def _all_pairs_commutator(a, b):
+    """ab - ba for sparse int matrices {(row, col): entry}: every pair of
+    entries is visited, and those whose indices meet are multiplied."""
+    out = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for ((i, j), s), ((k, l), t) in itertools.product(x.items(), y.items()):
+            if j == k:
+                out[i, l] = out.get((i, l), 0) + sign * s * t
+    return {p: v for p, v in out.items() if v != 0}
+
+
+@lru_cache(maxsize=None)
+def all_pairs_ad_columns(g):
+    """``Group._ad_columns`` as the all-pairs derivation made it: each
+    factor's seeds scaled to ints by the lcm D of their denominators, each
+    commutator of two seeds by ``_all_pairs_commutator`` and expressed
+    through one SpanBasis per weight space, each coordinate divided by D."""
+    dim = g.dim
+    index = {lab: i for i, lab in enumerate(g.basis_labels)}
+    table = [[[] for _ in range(dim)] for _ in range(dim)]
+    for seeds in g.factor_seeds:
+        D = lcm(*(x.denominator for m in seeds.values() for x in m.values()))
+        spaces, local = {}, []
+        for (kind, c), m in seeds.items():
+            wt = (0,) * g.rank if kind == "h" else tuple(-x for x in c) if kind == "f" else c
+            local.append((index[(kind, c)], wt, {p: int(x * D) for p, x in m.items()}))
+            spaces.setdefault(wt, []).append(local[-1])
+        for wt, members in spaces.items():
+            span = SpanBasis()
+            for _, _, ents in members:
+                ensure(span.add(ents), "seed representation not faithful")
+            spaces[wt] = ([ik for ik, _, _ in members], span)
+        for (ia, wa, ea), (ib, wb, eb) in itertools.combinations(local, 2):
+            br = _all_pairs_commutator(ea, eb)
+            if not br:
+                continue
+            members, span = spaces[tuple(map(sum, zip(wa, wb)))]
+            coords = [(k, c / D) for k, c in span.express(br)]
+            ensure(all(c.denominator == 1 for _, c in coords), "structure constant is not an integer")
+            table[ia][ib] = [(members[k], int(c)) for k, c in coords]
+            table[ib][ia] = [(ik, -c) for ik, c in table[ia][ib]]
+    return table
+
+
+def all_pairs_killing_form(g):
+    """tr(ad b_k ad b_l) for every one of the dim^2 pairs k, l, from
+    ``all_pairs_ad_columns``, as an exact dense array."""
+    ads = [entries(t) for t in all_pairs_ad_columns(g)]
+    out = zeros(g.dim, g.dim)
+    for (k, a), (m, b) in itertools.product(enumerate(ads), repeat=2):
+        out[k, m] = fr(sum(c * b.get((j, i), 0) for (i, j), c in a.items()))
+    return out
+
+
+def all_pairs_invariant_form(g):
+    """``all_pairs_killing_form`` plus the identity on the central torus."""
+    out = all_pairs_killing_form(g)
+    for j in range(g.torus_dim):
+        out[g.rank + j, g.rank + j] += F1
+    return out
 
 
 def dense_standard_subalgebra(g, name):
