@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, isqrt, lcm, sqrt
+from math import factorial, isqrt, sqrt
 
 import numpy as np
 
@@ -35,12 +35,10 @@ from .errors import (
     ensure,
 )
 from .harmonic import sym_rep_matrix
-from .linalg import Table, commutator, eliminate, entries, fr, identity, image, int_tables, nullspace, product, table_sum
+from .linalg import Table, commutator, eliminate, entries, fr, identity, image, nullspace, product, table_sum
 from .repthy import build_module, check_label
 from .rootsys import Group, Subalgebra, parse_group, standard_subalgebra
-from .sympoly import check_reductive
-
-Weight = tuple[int, ...]
+from .sympoly import check_reductive, is_nondegenerate
 
 # _nu_kernel reads the kernel of K sparse columns, one per entry of nu that
 # its weight test keeps (all n^2 if h has no Cartan row), K^2 dim h entries
@@ -76,10 +74,6 @@ class InvolutionSpec:
     def apply(self, v: dict) -> dict:
         """The image of the sparse vector v, zero entries dropped."""
         return image(self.table, v)
-
-    def action_on_weights(self, label) -> Weight:
-        """Highest-weight involution lambda -> -w0(lambda)."""
-        return self.group.dual_label(check_label(self.group, label))
 
     def squares_to_identity(self) -> bool:
         # For an antilinear map with rational matrix M the square is the
@@ -157,59 +151,19 @@ class AdaptednessReport:
         }
 
 
-def _poly_divmod(p: list, d: list) -> tuple[list, list]:
-    """Quotient and remainder of polynomials over Fraction, coefficient
-    lists from the leading term down; d has a nonzero leading term."""
-    rem = [Fraction(c) for c in p]
-    quo = []
-    while len(rem) >= len(d):
-        c = rem[0] / d[0]
-        quo.append(c)
-        rem = [r - c * x for r, x in zip(rem[1:], d[1:] + [0] * len(rem))]
-    while rem and rem[0] == 0:
-        rem.pop(0)
-    return quo, rem
-
-
 def _is_semisimple_element(group: Group, z: dict) -> bool:
-    """Exact test: the squarefree part of the characteristic polynomial of
-    ad z annihilates ad z, for a sparse z.
-
-    ad z, the table Group._ad_sparse returns, is first scaled to an
-    integer table m, which does not change diagonalizability.  The
-    characteristic polynomial p of m comes from the Faddeev-LeVerrier
-    recursion, whose tr/k steps divide exactly over the integers (Cohen, A
-    Course in Computational Algebraic Number Theory, 1993, section 2.2),
-    each step forming m M_k once, for its trace and for M_(k+1) = m M_k +
-    p_k I; q = p / gcd(p, p') is then cleared of denominators and evaluated
-    on m by Horner's rule.
-    """
-    n = group.dim
-    (m,), _ = int_tables([group._ad_sparse(z)])
-    ident = identity(n)
-    p, m_acc = [1], [[] for _ in range(n)]
-    for k in range(1, n + 1):
-        m_acc = product(m, table_sum([(1, m_acc), (p[-1], ident)], n))
-        p.append(-sum(x for j, col in enumerate(m_acc) for r, x in col if r == j) // k)
-    a, b = p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
-    while b:  # Euclid: a ends as gcd(p, p')
-        a, b = b, _poly_divmod(a, b)[1]
-    q = _poly_divmod(p, a)[0]
-    den = lcm(*(c.denominator for c in q))
-    acc = [[] for _ in range(n)]
-    for c in q:
-        acc = table_sum([(1, product(acc, m)), (int(c * den), ident)], n)
-    return not any(acc)
-
-
-def _subspace_in_h(h: Subalgebra, coord_vectors: list[dict]) -> list[dict]:
-    """The sparse vectors with these sparse coordinates over h.rows."""
-    basis = [row.items() for row in h.rows]  # the table whose columns are the rows
-    return [image(basis, c) for c in coord_vectors]
+    """Exact test: the invariant form is nondegenerate on the centralizer
+    z_g(z), the kernel of ad z, for a sparse z (Humphreys, Introduction to
+    Lie Algebras and Representation Theory, secs. 8.2 and 15.1).  If z = s
+    + n with n != 0 nilpotent, n lies in z_g(z) and ad n ad y is nilpotent
+    for every y there, so n is in the form's radical; if z is semisimple, g
+    = z_g(z) + [z, g] is an orthogonal sum.  A nilpotent n has no central
+    torus coordinate, so the torus extension of the form changes neither."""
+    return is_nondegenerate(group, nullspace([dict(col) for col in group._ad_sparse(z)]))
 
 
 def _centralizer_in_h(group: Group, h: Subalgebra, z: dict) -> list[dict]:
-    return _subspace_in_h(h, nullspace([group.sparse_bracket(z, b) for b in h.rows]))
+    return h.from_coords(nullspace([group.sparse_bracket(z, b) for b in h.rows]))
 
 
 def _small_tuples(k: int):
@@ -232,8 +186,9 @@ def is_adapted(group: Group, h: Subalgebra, theta: InvolutionSpec) -> Adaptednes
     The restriction criterion asks for a Cartan subalgebra of h on which
     theta acts as minus the identity.  Candidates z are drawn from the
     (-1)-eigenspace of theta on h in a deterministic height-ordered sweep;
-    a semisimple z whose centralizer in h is abelian and still inside the
-    (-1)-eigenspace exhibits such a Cartan.
+    a semisimple z (the invariant form is nondegenerate on its centralizer
+    in g) whose centralizer in h is abelian and still inside the
+    (-1)-eigenspace exhibits such a Cartan, returned as ``diagnostics``.
     """
     h.require_closed()
     check_reductive(group, h)
@@ -246,7 +201,7 @@ def is_adapted(group: Group, h: Subalgebra, theta: InvolutionSpec) -> Adaptednes
             return AdaptednessReport(False, False, False, None)
         coords[j] = coords.get(j, 0) + 1
         cols.append({k: x for k, x in coords.items() if x})
-    anti = _subspace_in_h(h, nullspace(cols))
+    anti = h.from_coords(nullspace(cols))
     abelian_h = not any(group.sparse_bracket(x, y) for i, x in enumerate(h.rows) for y in h.rows[i + 1 :])
     if abelian_h:
         # h is its own Cartan; theta must negate all of it

@@ -669,11 +669,15 @@ class Subalgebra:
             return [{k: F1} for k in self.cartan_rows]
         return nullspace([{p: x for p, x in z.items() if p >= n} for z in self.rows])
 
+    def from_coords(self, coords: Iterable[dict]) -> list[dict]:
+        """The sparse vectors with these sparse coordinates over the rows."""
+        rows = [z.items() for z in self.rows]  # the table whose columns are the rows
+        return [image(rows, v) for v in coords]
+
     @cached_property
     def _cartan_elements(self) -> list[dict[int, Fraction]]:
         """The elements ``cartan_part`` names, as sparse vectors."""
-        rows = [z.items() for z in self.rows]  # the table whose columns are the rows
-        return [image(rows, v) for v in self.cartan_part]
+        return self.from_coords(self.cartan_part)
 
     def charge(self, w: Sequence[int]) -> tuple:
         """The scalars by which the basis ``cartan_part`` acts on a vector of

@@ -193,15 +193,22 @@ def is_mf_coordinate_ring(
     return _verdict_from_table(table, degree_bound)
 
 
-def check_reductive(group: Group, h: Subalgebra) -> None:
-    """Nondegeneracy of the restricted invariant form, the workhorse test
-    for reductivity of a subalgebra in a reductive ambient algebra.  The
-    form is read from its sparse int entries (``Group.form_entries``)."""
-    form, rows = group.form_entries, h.rows
-    span = SpanBasis()  # the rows of the Gram matrix: row i is (b_i, b_j) over j
+def is_nondegenerate(group: Group, rows: list[dict]) -> bool:
+    """Is the invariant form nondegenerate on the span of rows, linearly
+    independent sparse vectors?  The rows of its Gram matrix, (x, y) over
+    y for each x, read from the sparse int entries ``Group.form_entries``,
+    go into one SpanBasis, and the form is nondegenerate iff it keeps all
+    of them."""
+    form, span = group.form_entries, SpanBasis()
     for x in rows:
         span.add({j: sum(x[p] * t * y[q] for (p, q), t in form.items() if p in x and q in y) for j, y in enumerate(rows)})
-    if len(span) != h.dim:
+    return len(span) == len(rows)
+
+
+def check_reductive(group: Group, h: Subalgebra) -> None:
+    """Reductivity of a subalgebra in a reductive ambient algebra: the
+    invariant form must be nondegenerate on its rows (``is_nondegenerate``)."""
+    if not is_nondegenerate(group, h.rows):
         raise NonReductiveError(
             "invariant form degenerates on the subalgebra; not reductive"
         )

@@ -38,7 +38,7 @@ from weylkit.involution import (
     orbit_preservation_check,
     solve_nu,
 )
-from weylkit.linalg import eye, fr, sparse, zeros
+from weylkit.linalg import eye, fr, nullspace, sparse, zeros
 from weylkit.rootsys import Subalgebra, parse_group, standard_subalgebra
 from weyl_references import dense_table, is_zero, matmul, nonzero_columns
 
@@ -126,16 +126,6 @@ class TestInvolutionSpecs:
         with pytest.raises(DegenerateInputError):
             build_sigma(g, _corrupted_theta(g))
 
-    def test_action_on_weights_is_duality(self):
-        a2 = parse_group("A2")
-        s = build_sigma(a2)
-        assert s.action_on_weights((1, 0)) == (0, 1)
-        assert s.action_on_weights((1, 1)) == (1, 1)
-        b2 = parse_group("B2")
-        assert build_sigma(b2).action_on_weights((1, 0)) == (1, 0)
-        a1 = parse_group("A1")
-        assert build_sigma(a1).action_on_weights((3,)) == (3,)
-
 
 class TestAdaptedness:
     @pytest.mark.parametrize(
@@ -147,16 +137,28 @@ class TestAdaptedness:
             ("A2", "principal"),
             ("A2", "cartan"),
             ("B2", "cartan"),
+            ("G2", "full"),
+            ("A1xB2", "full"),
+            ("G2+T1", "full"),
         ],
     )
     def test_standard_pairs_are_adapted(self, name, sub):
         g = parse_group(name)
         h = standard_subalgebra(g, sub)
-        rep = is_adapted(g, h, build_weyl_involution(g))
+        theta = build_weyl_involution(g)
+        rep = is_adapted(g, h, theta)
         assert rep.theta_stable
         assert rep.restriction_is_weyl
         assert rep.verdict
-        assert rep.diagnostics is not None
+        # the certificate replays: an abelian subspace of h, negated by
+        # theta, of semisimple elements, and its own centralizer in h
+        cartan = rep.diagnostics
+        assert cartan and all(h.contains(v) for v in cartan)
+        assert not any(g.sparse_bracket(x, y) for x in cartan for y in cartan)
+        assert all(theta.apply(v) == {p: -x for p, x in v.items()} for v in cartan)
+        assert all(_is_semisimple_element(g, v) for v in cartan)
+        cols = [{(i, p): x for i, v in enumerate(cartan) for p, x in g.sparse_bracket(v, b).items()} for b in h.rows]
+        assert len(nullspace(cols)) == len(cartan) == len(Subalgebra(g, cartan).rows)
 
     def test_span_that_is_no_subalgebra_is_refused(self):
         g = parse_group("A1")
@@ -206,7 +208,8 @@ def _element(group, terms):
 
 
 def _sympy_is_semisimple(group, z) -> bool:
-    """The sympy algorithm the exact test replaced, kept as an oracle."""
+    """An oracle independent of the invariant form: in sympy, the
+    squarefree part of the characteristic polynomial of ad z annihilates ad z."""
     sympy = pytest.importorskip("sympy")
     ad = group.ad(z)
     m = sympy.Matrix(
@@ -232,6 +235,9 @@ class TestSemisimpleElement:
             ("A1", [("e", (1,), 1)], False),
             ("A2", [("e", (1, 0), 1), ("e", (0, 1), 1)], False),
             ("A1xA1", [("h", 0, 1), ("e", (0, 1), 1)], False),
+            # alpha_1 vanishes on h_0 + 2 h_1: a Levi centralizer, with and without its e_(1,0)
+            ("A2", [("h", 0, 1), ("h", 1, 2)], True),
+            ("A2", [("h", 0, 1), ("h", 1, 2), ("e", (1, 0), 1)], False),
         ],
     )
     def test_hand_cases(self, name, terms, expected):
@@ -241,7 +247,7 @@ class TestSemisimpleElement:
     def test_matches_sympy_on_random_rational_elements(self):
         pytest.importorskip("sympy")
         rng = random.Random(20)
-        verdicts = []
+        verdicts, structured = [], 0
         for name in ("A1", "A2", "B2", "G2", "A1xA1", "A1+T1", "A2+T1"):
             g = parse_group(name)
             for _ in range(30):
@@ -252,8 +258,19 @@ class TestSemisimpleElement:
                 ours = _is_semisimple_element(g, sparse(z))
                 assert ours == _sympy_is_semisimple(g, z), (name, list(z))
                 verdicts.append(ours)
+            # h_k + e_c is conjugate to h_k when <c, alpha_k^vee> != 0 and is
+            # s + n with n = e_c != 0 otherwise; t_j + e_c is always s + n
+            for c in g.posroots:
+                cases = [(("h", k), g.root_fc(c)[k] != 0) for k in range(g.rank)]
+                cases += [(("t", j), False) for j in range(g.torus_dim)]
+                for (kind, which), expected in cases:
+                    z = _element(g, [(kind, which, 1), ("e", c, 1)])
+                    assert _is_semisimple_element(g, sparse(z)) is expected, (name, kind, which, c)
+                    assert _sympy_is_semisimple(g, z) is expected, (name, kind, which, c)
+                    structured += 1
         assert len(verdicts) == 210
         assert 20 <= sum(verdicts) <= 190  # both verdicts well represented
+        assert structured == 42
 
     def test_cli_import_does_not_load_sympy(self):
         src = str(Path(weylkit.__file__).resolve().parents[1])

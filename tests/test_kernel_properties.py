@@ -29,6 +29,7 @@ from weylkit.errors import (
 from weylkit.involution import (
     InvolutionSpec,
     _chevalley_table,
+    _is_semisimple_element,
     _nu_kernel,
     _sigma_table,
     build_cartan_conjugation,
@@ -799,6 +800,28 @@ def test_exp_ad_on_rational_columns_equals_dense_series(name, kind, data, q):
     got, want = g.exp_ad(x, v), dense_exp_ad(g, x, v)
     assert got.shape == want.shape
     assert all(a == b and type(a) is Fraction for a, b in zip(got.flat, want.flat))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([n for n in EXP_GROUPS if n != "T1"]),
+    st.lists(st.tuples(st.integers(0, 99), st.integers(-3, 3).filter(bool)), min_size=1, max_size=4),
+    st.lists(st.integers(-2, 2), min_size=6, max_size=6),
+)
+@example("A2", [(0, 1), (1, 2), (3, 1)], [1, 0, 0, 0, 0, 0])  # h_0 + 2 h_1 + e_(1,0) moved by exp(ad e_(0,1))
+@example("A2", [(0, 1), (1, 2)], [0, 1, 1, 0, 0, 0])
+@example("A1xA1", [(0, 1), (2, 1)], [0, 2, 0, 0, 0, 0])  # s + n
+def test_semisimplicity_is_invariant_under_conjugation(name, terms, ts):
+    # Ad(exp x) is an automorphism, so z and exp(ad x) z are semisimple
+    # together; x = sum t_c e_c is int and nilpotent, and _exp_ad_int gives
+    # a positive multiple of exp(ad x) z, which has the same verdict
+    g = parse_group(name)
+    z = {}
+    for i, a in terms:  # a sparse support makes s + n elements common
+        z[i % g.dim] = a
+    x = {g._index[("e", c)]: t for c, t in zip(g.posroots, ts) if t}
+    ((moved, _),) = g._exp_ad_int(x, [z])
+    assert _is_semisimple_element(g, moved) == _is_semisimple_element(g, z)
 
 
 # ---- the bundle layer's tables and the sparse Subalgebra entry points

@@ -296,6 +296,7 @@ def test_longest_element_negates_positive_roots(name):
 
 
 def test_dual_labels():
+    assert parse_group("A1").dual_label((3,)) == (3,)
     a2 = parse_group("A2")
     assert a2.dual_label((1, 0)) == (0, 1)
     assert a2.dual_label((1, 1)) == (1, 1)
