@@ -19,16 +19,8 @@ from .errors import (
     ToolkitError,
     UnknownNameError,
 )
-from .involution import (
-    assemble_bundle_involution,
-    build_weyl_involution,
-    fiber_character,
-    fiber_restriction,
-    fiber_trivial,
-    is_adapted,
-)
-from .linalg import fr_input, fvec
-from .rootsys import Group, Subalgebra, parse_group, standard_subalgebra
+from .involution import assemble_bundle_involution, build_fiber, build_weyl_involution, is_adapted, read_fiber
+from .rootsys import Group, Subalgebra, parse_group, parse_span, standard_subalgebra
 from .spherical import classify_torus_fibration, is_spherical_pair
 from .sympoly import (
     DEFAULT_DEGREE_BOUND,
@@ -82,14 +74,7 @@ def _expand_subalgebra(group: Group, spec) -> Subalgebra:
         rows = spec["span"]
         if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
             raise CatalogFormatError(f"span {_clip(rows)} is not a list of vectors")
-        vectors = []
-        for row in rows:
-            if len(row) != group.dim:
-                raise CatalogFormatError(
-                    f"span vector has {len(row)} entries, the algebra has dimension {group.dim}"
-                )
-            vectors.append(fvec([fr_input(str(x), CatalogFormatError) for x in row]))
-        return Subalgebra(group, vectors, name="span")
+        return parse_span(group, rows, CatalogFormatError)
     raise CatalogFormatError(f"subalgebra spec {_clip(spec)} is neither a name nor a span")
 
 
@@ -122,24 +107,6 @@ def _validate_module(module, label: str) -> None:
         raise CatalogFormatError(
             f"entry {label}: degree_bound {bound!r} is not an integer in 1..{MAX_MF_DEGREE}"
         )
-
-
-def _validate_fiber(fiber, label: str) -> None:
-    """A fiber is ["trivial"], ["character", [exact values]] or
-    ["restriction", [integer label]].  A label past the dimension cap still
-    loads; the run skips it."""
-    shaped = isinstance(fiber, list) and (
-        fiber == ["trivial"]
-        or len(fiber) == 2 and fiber[0] in ("character", "restriction") and isinstance(fiber[1], list)
-    )
-    if not shaped or fiber[0] == "restriction" and not all(_is_int(x) for x in fiber[1]):
-        raise CatalogFormatError(
-            f'entry {label}: fiber {fiber!r} is not ["trivial"], ["character", [values]] '
-            'or ["restriction", [integer label]]'
-        )
-    if fiber[0] == "character":
-        for x in fiber[1]:
-            fr_input(x, CatalogFormatError)
 
 
 def _checks_applicable(entry: CatalogEntry) -> set:
@@ -182,8 +149,8 @@ def _validate_entry(raw, position: int) -> CatalogEntry:
         entry.h = _expand_subalgebra(entry.group_obj, entry.subalgebra)
     if entry.module is not None:
         _validate_module(entry.module, label)
-    if "fiber" in (entry.module or {}):
-        _validate_fiber(entry.module["fiber"], label)
+    if "fiber" in (entry.module or {}):  # read here, built when the check runs (a label past the cap is skipped)
+        read_fiber(entry.module["fiber"], CatalogFormatError)
     applicable = _checks_applicable(entry)
     for check, expectation in entry.expected.items():
         if check not in CHECKS:
@@ -241,18 +208,6 @@ def serialize_catalog(entries: list[CatalogEntry]) -> dict:
     }
 
 
-def _build_fiber(entry: CatalogEntry):
-    desc = entry.module["fiber"]
-    kind = desc[0]
-    if kind == "trivial":
-        return fiber_trivial(entry.group_obj, entry.h)
-    if kind == "character":
-        return fiber_character(entry.group_obj, entry.h, desc[1])
-    if kind == "restriction":
-        return fiber_restriction(entry.group_obj, entry.h, tuple(desc[1]))
-    raise CatalogFormatError(f"entry {entry.id}: unknown fiber kind {kind!r}")
-
-
 def compute_check(entry: CatalogEntry, check: str, seed: int = 0) -> str:
     """The computed verdict string for one check on one entry."""
     g = entry.group_obj
@@ -271,7 +226,8 @@ def compute_check(entry: CatalogEntry, check: str, seed: int = 0) -> str:
         ambient = _parse_summands(module["ambient"]) if "ambient" in module else None
         return homog_coordinate_mf_crosscheck(g, entry.h, bound, ambient=ambient).verdict
     if check == "involution":
-        cert = assemble_bundle_involution(g, entry.h, _build_fiber(entry))
+        fiber = build_fiber(g, entry.h, *read_fiber(module["fiber"], CatalogFormatError))
+        cert = assemble_bundle_involution(g, entry.h, fiber)
         return "verified" if all(cert.checks.values()) else "failed"
     raise UnknownNameError(f"unknown check {check!r}")
 

@@ -27,10 +27,9 @@ from .harmonic import (
     torus_sample,
     verify_projector_algebra,
 )
-from .involution import assemble_bundle_involution, fiber_character, fiber_restriction, fiber_trivial
-from .linalg import fr_input, fvec
+from .involution import assemble_bundle_involution, build_fiber, read_fiber
 from .repthy import basis_weight, check_label, decompose_character
-from .rootsys import MAX_RANK, Group, Subalgebra, parse_group, standard_subalgebra
+from .rootsys import MAX_RANK, Group, Subalgebra, parse_group, parse_span, standard_subalgebra
 from .spherical import DEFAULT_TRIALS, classify_torus_fibration, is_spherical_pair
 from .sympoly import DEFAULT_DEGREE_BOUND, homog_coordinate_mf_crosscheck, is_mf_coordinate_ring
 
@@ -75,33 +74,28 @@ def parse_module_spec(group: Group, text: str) -> list:
 
 
 def _parse_subalgebra(group: Group, text: str) -> Subalgebra:
+    """A standard name, or "span:" rows joined by ";" of entries joined by ","."""
     if text.startswith("span:"):
-        vectors = []
-        for chunk in text[len("span:"):].split(";"):
-            entries = [fr_input(p.strip(), ParseError) for p in chunk.split(",")]
-            if len(entries) != group.dim:
-                raise ParseError(
-                    f"span vector has {len(entries)} entries, need {group.dim}"
-                )
-            vectors.append(fvec(entries))
-        return Subalgebra(group, vectors, name="span")
+        rows = [[p.strip() for p in chunk.split(",")] for chunk in text[len("span:"):].split(";")]
+        return parse_span(group, rows, ParseError)
     return standard_subalgebra(group, text)
 
 
 def _parse_fiber(group: Group, h: Subalgebra, text: str):
-    """The h-module a fiber spec names, built (so within DIM_CAP) and checked."""
+    """The h-module a fiber spec names ("trivial", "character:v1,v2,..." or
+    "restriction:" one irreducible), built (so within DIM_CAP) and checked."""
     if text == "trivial":
-        return fiber_trivial(group, h)
-    if text.startswith("character:"):
-        values = [fr_input(p.strip(), ParseError) for p in text[len("character:"):].split(",")]
-        return fiber_character(group, h, values)
-    if text.startswith("restriction:"):
+        desc = ["trivial"]
+    elif text.startswith("character:"):
+        desc = ["character", [p.strip() for p in text[len("character:"):].split(",")]]
+    elif text.startswith("restriction:"):
         summands = parse_module_spec(group, text[len("restriction:"):])
         if len(summands) != 1 or summands[0][1] != 1:
             raise ParseError("restriction fiber takes a single irreducible label")
-        label = summands[0][0]
-        return fiber_restriction(group, h, label)
-    raise ParseError(f"unknown fiber spec {text!r}")
+        desc = ["restriction", list(summands[0][0])]
+    else:
+        raise ParseError(f"unknown fiber spec {text!r}")
+    return build_fiber(group, h, *read_fiber(desc, ParseError))
 
 
 def _format_label(label, group: Group) -> str:

@@ -35,7 +35,7 @@ from .errors import (
     ensure,
 )
 from .harmonic import sym_rep_matrix
-from .linalg import Table, commutator, eliminate, entries, fr, identity, image, nullspace, product, table_sum
+from .linalg import Table, commutator, eliminate, entries, fr, fr_input, identity, image, nullspace, product, table_sum
 from .repthy import build_module, check_label
 from .rootsys import Group, Subalgebra, parse_group, standard_subalgebra
 from .sympoly import check_reductive, is_nondegenerate
@@ -186,9 +186,10 @@ def is_adapted(group: Group, h: Subalgebra, theta: InvolutionSpec) -> Adaptednes
     The restriction criterion asks for a Cartan subalgebra of h on which
     theta acts as minus the identity.  Candidates z are drawn from the
     (-1)-eigenspace of theta on h in a deterministic height-ordered sweep;
-    a semisimple z (the invariant form is nondegenerate on its centralizer
-    in g) whose centralizer in h is abelian and still inside the
-    (-1)-eigenspace exhibits such a Cartan, returned as ``diagnostics``.
+    a z whose centralizer in h is abelian and still inside the
+    (-1)-eigenspace, and which is semisimple (the invariant form is
+    nondegenerate on its centralizer in g, a kernel over all of g, so
+    tested last), exhibits such a Cartan, returned as ``diagnostics``.
     """
     h.require_closed()
     check_reductive(group, h)
@@ -212,12 +213,10 @@ def is_adapted(group: Group, h: Subalgebra, theta: InvolutionSpec) -> Adaptednes
     anti_span, anti_basis = Subalgebra(group, anti), [v.items() for v in anti]
     for coeffs in _small_tuples(len(anti)):
         z = image(anti_basis, dict(enumerate(coeffs)))
-        if not _is_semisimple_element(group, z):
-            continue
         cent = _centralizer_in_h(group, h, z)
         if any(group.sparse_bracket(x, y) for i, x in enumerate(cent) for y in cent[i + 1 :]):
             continue
-        if all(anti_span.contains(v) for v in cent):
+        if all(anti_span.contains(v) for v in cent) and _is_semisimple_element(group, z):
             return AdaptednessReport(True, True, True, cent)
     return AdaptednessReport(True, False, False, None)
 
@@ -302,6 +301,29 @@ def fiber_restriction(group: Group, h: Subalgebra, label) -> HModule:
     mod = build_module(group, label)
     tables = [table_sum(((c, mod.columns[p]) for p, c in row.items()), mod.dim) for row in h.rows]
     return HModule(group, h, tables, ("restriction", label), mod.dim)
+
+
+def read_fiber(desc, error: type[Exception]) -> tuple:
+    """The one reader of a fiber from outside the program, before h is
+    known: ["trivial"], ["character", exact literals (``linalg.fr_input``)]
+    or ["restriction", integer label], as (kind, values) for ``build_fiber``;
+    anything else raises error.  A label past the cap is left to the build."""
+    kind, *rest = desc if isinstance(desc, list) and desc else [None]
+    if kind == "trivial" and not rest:
+        return ("trivial",)
+    if kind in ("character", "restriction") and len(rest) == 1 and isinstance(rest[0], list):
+        if kind == "character":
+            return kind, tuple(fr_input(x, error) for x in rest[0])
+        if all(isinstance(x, int) and not isinstance(x, bool) for x in rest[0]):
+            return kind, tuple(rest[0])
+    raise error(f'fiber {repr(desc)[:40]} is not ["trivial"], ["character", [values]] or ["restriction", [integer label]]')
+
+
+def build_fiber(group: Group, h: Subalgebra, kind: str, values: tuple = ()) -> HModule:
+    """The h-module that ``read_fiber``'s kind and values name."""
+    if kind == "trivial":
+        return fiber_trivial(group, h)
+    return (fiber_character if kind == "character" else fiber_restriction)(group, h, values)
 
 
 def check_nu_size(unknowns: int, h_dim: int) -> None:

@@ -46,24 +46,21 @@ def fr(x) -> Fraction:
 
 
 def fr_input(x, error: type[Exception]) -> Fraction:
-    """fr for a literal from outside the program: a malformed one raises
-    ``error`` with a message instead of a bare TypeError/ValueError, as does
-    one over 400 characters or with an exponent above 999, whose value could
-    be too slow to expand or too long to print (Python prints 4300 digits)."""
+    """The one reader of an exact literal from outside the program: an int or
+    a string such as "-3/4", "2.5" or "1e3".  Anything else (a bool, a
+    float) or a malformed string raises ``error``, as does a string over 400
+    characters, an int over 400 digits or an exponent above 999, too slow
+    to expand or too long to print (Python prints 4300 digits)."""
+    if not isinstance(x, (str, int)) or isinstance(x, bool):
+        raise error(f"not an exact rational: {repr(x)[:40]}")
     if isinstance(x, str) and (len(x) > 400 or re.search(r"[eE][-+]?[0_]*[1-9](_?[0-9]){3}", x)):
         raise error(f"literal too large: {x[:40]!r}")
+    if isinstance(x, int) and abs(x) >= 10**400:
+        raise error("literal too large: an integer of over 400 digits")
     try:
         return fr(x)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise error(f"not an exact rational: {x!r}") from exc
-
-
-def fvec(entries: Iterable) -> np.ndarray:
-    xs = [fr(x) for x in entries]
-    a = np.empty(len(xs), dtype=object)
-    for i, x in enumerate(xs):
-        a[i] = x
-    return a
 
 
 def zeros(n: int, m: int | None = None) -> np.ndarray:

@@ -44,7 +44,7 @@ from .errors import (
     UnsupportedTypeError,
     ensure,
 )
-from .linalg import F0, F1, SpanBasis, Table, apply_table, commutator, densify, eliminate, entries, eye, fr, image, integral, nullspace, rref, sparse, table_sum
+from .linalg import F0, F1, SpanBasis, Table, apply_table, commutator, densify, eliminate, entries, eye, fr, fr_input, image, integral, nullspace, rref, sparse, table_sum
 
 # Cartan matrices use the convention A[i][j] = <alpha_j, alpha_i^vee>, so
 # column j holds the fundamental-weight coordinates of alpha_j.  d[i] is the
@@ -719,6 +719,18 @@ class Subalgebra:
 
     def __repr__(self) -> str:
         return f"Subalgebra({self.group.name}, {self.name or 'span'}, dim={self.dim})"
+
+
+def parse_span(group: Group, rows, error: type[Exception]) -> Subalgebra:
+    """The one reader of a span from outside the program: row by row, a row
+    of other than group.dim entries, or an entry ``linalg.fr_input``
+    refuses, raises error; the rest become sparse {position: Fraction} rows."""
+    vectors = []
+    for row in rows:
+        if len(row) != group.dim:
+            raise error(f"span vector has {len(row)} entries, the algebra has dimension {group.dim}")
+        vectors.append({j: fr_input(x, error) for j, x in enumerate(row)})
+    return Subalgebra(group, vectors, name="span")
 
 
 _STANDARD_NAMES = ("full", "zero", "cartan", "borel", "nilradical", "diagonal", "principal")

@@ -7,12 +7,14 @@ import json
 import os
 import re
 import tempfile
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weylkit import errors
+from weylkit import catalog, cli, errors
 from weylkit.cli import main
 
 from weylkit.catalog import (
@@ -25,7 +27,8 @@ from weylkit.catalog import (
     run_catalog,
     serialize_catalog,
 )
-from weylkit.errors import CatalogFormatError, UnknownNameError
+from weylkit.errors import CatalogFormatError, ToolkitError, UnknownNameError
+from weylkit.rootsys import parse_group
 from weyl_references import is_zero
 
 
@@ -138,6 +141,12 @@ class TestLoading:
         doc = _minimal_entry(module={"fiber": fiber})
         with pytest.raises(CatalogFormatError, match="fiber"):
             load_catalog(_write(tmp_path, doc))
+
+    def test_long_fiber_is_echoed_clipped(self, tmp_path):
+        doc = _minimal_entry(module={"fiber": ["restriction", [1.0] * 5000]})
+        with pytest.raises(CatalogFormatError, match="fiber") as refused:
+            load_catalog(_write(tmp_path, doc))
+        assert len(str(refused.value)) < 200
 
     def test_integer_past_the_digit_limit_refused(self, tmp_path):
         doc = _minimal_entry(module={"summands": [[[1], 1]]})
@@ -375,6 +384,119 @@ def test_catalog_fuzzed_field_exits_with_a_known_code(where, value):
     assert set(found) <= KNOWN_CODES
     if code == 2:
         assert found
+
+
+# JSON values that the CLI cannot write and the catalog used to read: a
+# float span entry (read as 1/2 through its text) and a boolean character
+# value (read as the number 1)
+@pytest.mark.parametrize(
+    "where, value",
+    [("subalgebra", {"span": [[0.5, 0, 0]]}), ("module", {"fiber": ["character", [True]]})],
+    ids=["float-span-entry", "bool-character-value"],
+)
+def test_inexact_json_literals_are_refused(where, value):
+    doc = _minimal_entry(**{where: value})
+    if where == "module":  # an expectation the fiber applies to, which the value 1 verified
+        doc["entries"][0]["expected"] = {
+            "involution": {"verdict": "verified", "provenance": "derived_oracle", "note": "probe"}
+        }
+    code, out, err = _run_catalog_file(doc)
+    assert code == 1 and err == ""
+    assert out.splitlines()[1].startswith("error catalog_format: not an exact rational: ")
+
+
+# ---- one reader for the CLI's text and the catalog's JSON ---------------------------
+
+# group -> (dimension, weight length)
+_READER_GROUPS = {"A1": (3, 1), "A1+T1": (4, 2)}
+# ints and exact strings ("a/b", decimals), and one time in ten a boolean or
+# a malformed or oversized string, none holding the CLI's separators; a JSON
+# float has no CLI text that reads as it does
+_EXACT = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4).map(str) | st.sampled_from(["1.5", "-2e0"])
+_LITERALS = st.sampled_from([True] * 9 + [False]).flatmap(
+    lambda exact: _EXACT if exact else st.booleans() | st.sampled_from(["", "x", "1/0", "1e9999", "7" * 401])
+)
+
+
+@st.composite
+def _reader_inputs(draw):
+    """(group, a standard name or JSON span rows, a JSON fiber descriptor):
+    rows mostly of the algebra's width, labels mostly of the weight length."""
+    group = draw(st.sampled_from(sorted(_READER_GROUPS)))
+    dim, weight_len = _READER_GROUPS[group]
+    widths = st.sampled_from([dim] * 9 + [0, 1, dim + 1])
+    rows = st.lists(widths.flatmap(lambda w: st.lists(_LITERALS, min_size=w, max_size=w)), min_size=1, max_size=2)
+    sub = draw(st.sampled_from(["cartan", "full", "zero", "borel"]) | rows)
+    kind = draw(st.sampled_from(["trivial", "character", "restriction"]))
+    if kind == "trivial":
+        return group, sub, ["trivial"]
+    if kind == "character":
+        return group, sub, ["character", draw(st.lists(_LITERALS, min_size=1, max_size=3))]
+    size = draw(st.sampled_from([weight_len] * 4 + [1, weight_len + 1]))
+    return group, sub, ["restriction", draw(st.lists(st.integers(-1, 4) | st.just(70), min_size=size, max_size=size))]
+
+
+def _read_by_cli(group, sub, desc):
+    """The (h, fiber) that the CLI's span:, character: and restriction:w[...] text reads."""
+    g = parse_group(group)
+    h = cli._parse_subalgebra(g, sub if isinstance(sub, str) else "span:" + ";".join(",".join(map(str, r)) for r in sub))
+    if desc[0] == "trivial":
+        return h, cli._parse_fiber(g, h, "trivial")
+    if desc[0] == "character":
+        return h, cli._parse_fiber(g, h, "character:" + ",".join(map(str, desc[1])))
+    return h, cli._parse_fiber(g, h, "restriction:w[" + ",".join(map(str, desc[1])) + "]")
+
+
+def _read_by_catalog(group, sub, desc):
+    """The (h, fiber) that a catalog file holding the same JSON loads and
+    hands to the involution check."""
+    entry = {
+        "id": "probe",
+        "group": group,
+        "subalgebra": sub if isinstance(sub, str) else {"span": sub},
+        "module": {"fiber": desc},
+        "expected": {"involution": {"verdict": "verified", "provenance": "derived_oracle", "note": "probe"}},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "catalog.json")
+        with open(path, "w") as fh:
+            json.dump({"schema_version": 1, "entries": [entry]}, fh)
+        (loaded,) = load_catalog(path)
+    built = []
+
+    def capture(g, h, fiber):
+        built.append(fiber)
+        return SimpleNamespace(checks={})
+
+    with mock.patch.object(catalog, "assemble_bundle_involution", capture):
+        compute_check(loaded, "involution")
+    return loaded.h, built[0]
+
+
+# a refusal of the text or of the JSON reads as its front end's own code
+_MALFORMED = {"parse_error": "malformed", "catalog_format": "malformed"}
+
+
+def _outcome(read, *inputs):
+    try:
+        h, fiber = read(*inputs)
+    except ToolkitError as exc:
+        return _MALFORMED.get(exc.code, exc.code)
+    return h.rows, fiber.tables, fiber.dim, fiber.descriptor
+
+
+@settings(max_examples=120, deadline=None)
+@given(_reader_inputs())
+@example(("A1", "cartan", ["character", [True]]))  # once the value 1 in the catalog
+@example(("A1", [[1, "1/2", 0]], ["restriction", [2]]))
+@example(("A1", [[1, 0]], ["trivial"]))
+@example(("A1", "full", ["restriction", [70]]))
+@example(("A1+T1", [[0, 0, 1, 1], [1, "x", 0, 0]], ["character", [1]]))
+def test_cli_and_catalog_read_spans_and_fibers_alike(inputs):
+    # the same span rows and fiber, as the CLI's text and as catalog JSON,
+    # give the same h rows and fiber tables, or both are refused with the
+    # same code (each front end's own code for malformed input)
+    assert _outcome(_read_by_cli, *inputs) == _outcome(_read_by_catalog, *inputs)
 
 
 class TestComputeCheck:

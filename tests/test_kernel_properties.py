@@ -48,7 +48,6 @@ from weylkit.linalg import (
     eliminate,
     eye,
     fr,
-    fvec,
     nullspace,
     product,
     rref,
@@ -70,6 +69,7 @@ from weyl_references import (
     dense_solve_nu,
     dense_standard_subalgebra,
     dense_table,
+    fvec,
     is_zero,
     labels_up_to_dim,
     matmul,

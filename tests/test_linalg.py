@@ -12,7 +12,7 @@ from weylkit.linalg import (
     densify,
     entries,
     fr,
-    fvec,
+    fr_input,
     eye,
     image,
     nullspace,
@@ -22,12 +22,37 @@ from weylkit.linalg import (
     table_sum,
     zeros,
 )
-from weyl_references import combine, fmat, is_zero, matmul, nonzero_columns
+from weyl_references import combine, fmat, fvec, is_zero, matmul, nonzero_columns
 
 
 def test_fr_rejects_floats():
     with pytest.raises(TypeError):
         fr(0.5)
+
+
+class _Refused(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "x, value",
+    [("-3/4", Fraction(-3, 4)), ("2.5", Fraction(5, 2)), (" 1e3 ", 1000), (7, 7), (-(10**400) + 1, -(10**400) + 1)],
+    ids=["fraction", "decimal", "exponent", "int", "int-of-400-digits"],
+)
+def test_fr_input_reads_exact_literals(x, value):
+    assert fr_input(x, _Refused) == value
+
+
+# JSON's true and 0.5 are no exact numbers, though Python reads true as 1;
+# an int of over 400 digits is refused as its decimal text would be
+@pytest.mark.parametrize(
+    "x",
+    [True, False, 0.5, None, [1], "x", "1/0", "", "7" * 401, "1e1000", 10**400, -(10**400)],
+    ids=["true", "false", "float", "null", "list", "x", "1/0", "empty", "401-chars", "exponent-1000", "401-digits", "minus-401-digits"],
+)
+def test_fr_input_refuses_what_is_not_a_small_exact_literal(x):
+    with pytest.raises(_Refused):
+        fr_input(x, _Refused)
 
 
 def test_rref_identity():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from weylkit import repthy
 from weylkit.errors import DimensionCapError, InternalInvariantError, NonDominantError, ParseError
-from weylkit.linalg import F1, densify, fvec, nullspace, sparse, zeros
+from weylkit.linalg import F1, densify, nullspace, sparse, zeros
 from weylkit.repthy import (
     build_module,
     convolve_characters,
@@ -31,6 +31,7 @@ from weyl_references import (
     dense_matrices,
     dense_tensor_apply,
     fraction_weight_multiplicities,
+    fvec,
     is_zero,
     labels_up_to_dim,
     matmul,

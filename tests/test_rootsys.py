@@ -20,7 +20,7 @@ from weylkit.errors import (
 from pathlib import Path
 
 from weylkit import rootsys
-from weylkit.linalg import F0, F1, eye, fr, fvec, zeros
+from weylkit.linalg import F0, F1, eye, fr, zeros
 from weylkit.rootsys import Group, Subalgebra, parse_group, standard_subalgebra
 from weyl_references import (
     all_pairs_ad_columns,
@@ -30,6 +30,7 @@ from weyl_references import (
     apply_word,
     dense_ad_basis,
     flat_span_bracket_table,
+    fvec,
     is_zero,
     matmul,
     supported_names,

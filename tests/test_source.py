@@ -78,7 +78,7 @@ def test_dense_helpers_stay_out_of_the_library():
     # array of nu that AntilinearMap.matrix_complex makes for the analytic
     # mu maps
     root = Path(weylkit.__file__).parent
-    gone = {"combine", "matmul", "is_zero", "fmat"}
+    gone = {"combine", "matmul", "is_zero", "fmat", "fvec"}
     found = [
         f"{path.name}:{line} {name}"
         for path in sorted(root.rglob("*.py"))
@@ -97,6 +97,48 @@ def test_dense_helpers_stay_out_of_the_library():
     dense = {"np", "eye", "zeros", "densify"}
     found += [f"involution.py:{line} {name}" for line, name in _defined_or_named(exact, boundary) if name in dense]
     assert marker and len(boundary) == 1
+    assert found == []
+
+
+def _called(node) -> str | None:
+    """The name a call node calls, bare or as an attribute."""
+    if isinstance(node, ast.Call):
+        return node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+    return None
+
+
+def test_front_ends_read_spans_and_fibers_through_one_reader():
+    # the CLI and the catalog only turn their own syntax (text or JSON) into
+    # calls to rootsys.parse_span and involution.read_fiber/build_fiber:
+    # neither imports a fiber constructor, builds a Subalgebra itself or
+    # keeps a fiber dispatch of its own, and no literal reaches
+    # linalg.fr_input through str(), which once read the JSON float 0.5 as 1/2
+    root = Path(weylkit.__file__).parent
+    constructors = {"fiber_trivial", "fiber_character", "fiber_restriction"}
+    found = []
+    for name in ("cli", "catalog"):
+        tree = ast.parse((root / f"{name}.py").read_text())
+        found += [
+            f"{name}.py:{node.lineno} imports {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name in constructors
+        ]
+        found += [f"{name}.py:{node.lineno} calls Subalgebra" for node in ast.walk(tree) if _called(node) == "Subalgebra"]
+        found += [
+            f"{name}.py:{node.lineno} defines {node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_build_fiber"
+        ]
+        named = {n for _, n in _defined_or_named(tree)}
+        found += [f"{name}.py never names {reader}" for reader in ("parse_span", "read_fiber", "build_fiber") if reader not in named]
+    found += [
+        f"{path.name}:{node.lineno} fr_input(str(...))"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _called(node) == "fr_input" and node.args and _called(node.args[0]) == "str"
+    ]
     assert found == []
 
 

@@ -34,7 +34,8 @@ matrix of a table and the intertwiner solve that tested the identity's
 membership in the span of the kernel by dense elimination.  Below the dense
 boundary the library holds every matrix as a column table and every vector
 as a sparse dict, with seed matrices as sparse int dicts; here are the
-dense helpers it used before for them: ``fmat`` builds an exact matrix,
+dense helpers it used before for them: ``fvec`` builds an exact vector
+(spans read from the CLI and the catalog are sparse rows), ``fmat`` an exact matrix,
 ``combine`` forms a linear combination of vectors or matrices, ``matmul``
 a product from the nonzero entries of its factors, and ``is_zero`` tests
 an exact array for zero, with ``seed_matrices`` for the dense seeds and
@@ -61,7 +62,7 @@ from weylkit.errors import (
     ensure,
 )
 from weylkit.involution import _nu_kernel
-from weylkit.linalg import F0, F1, SpanBasis, entries, eye, fr, fvec, rref, zeros
+from weylkit.linalg import F0, F1, SpanBasis, entries, eye, fr, rref, zeros
 from weylkit.repthy import (
     Module,
     _add,
@@ -78,6 +79,15 @@ from weylkit.repthy import (
 )
 from weylkit.rootsys import Subalgebra, parse_group
 from weylkit.sympoly import check_summands
+
+
+def fvec(entries):
+    """The exact vector with these entries, each through fr."""
+    xs = [fr(x) for x in entries]
+    a = np.empty(len(xs), dtype=object)
+    for i, x in enumerate(xs):
+        a[i] = x
+    return a
 
 
 def fmat(rows):
